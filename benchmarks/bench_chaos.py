@@ -3,10 +3,10 @@
 Three sections, all gated on exact invariants rather than wall-clock:
 
 * **overhead** — a clean 10-point grid run plain (in-process) and
-  supervised (one forked worker per attempt, ``timeout_s`` armed).
-  The reports must be byte-identical: supervision is an execution
-  detail, never an output change.  The fork-per-point overhead ratio
-  is recorded but not gated (it tracks the machine's fork cost).
+  supervised (a reused forked worker, ``timeout_s`` armed).  The
+  reports must be byte-identical: supervision is an execution detail,
+  never an output change.  The overhead ratio is recorded but not
+  gated (it tracks the machine's fork and pipe round-trip cost).
 * **chaos** — the same grid wrapped in :func:`repro.chaos.chaos_spec`
   (seeded sabotage: worker kills, hangs the supervisor must time out,
   raised :class:`~repro.chaos.ChaosError`, slow-downs).  Supervised

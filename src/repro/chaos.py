@@ -24,8 +24,9 @@ run time:
   embedded in the chaos config, so the wrapped evaluation cannot tell
   it is running under chaos.
 * **Sabotage** consults :func:`repro.sweep.current_attempt` — set by
-  the supervisor in the forked attempt process — so chaos points are
-  idempotent poison: hostile on early attempts, honest afterwards.
+  the supervisor in the forked worker before each attempt — so chaos
+  points are idempotent poison: hostile on early attempts, honest
+  afterwards.
 
 Typical drill (also in ``EXPERIMENTS.md`` and the CI chaos-smoke job)::
 
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from .core.rng import derive_seed
 from .sweep import SweepResult, SweepSpec, canonical_config, register_target
 from .sweep.supervise import current_attempt
+from .sweep.targets import warm_inner
 
 __all__ = [
     "CHAOS_MODES",
@@ -225,7 +227,7 @@ def assert_chaos_invariant(chaos: SweepResult, reference: SweepResult) -> None:
             )
 
 
-@register_target("chaos")
+@register_target("chaos", warm=warm_inner("inner_target"))
 def _chaos_target(config: dict, seed: int) -> dict:
     """Sabotage early attempts, then evaluate the wrapped target.
 

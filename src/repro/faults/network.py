@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from ..network.flowsim import Flow, FlowResult, FlowSimulator, max_min_rates
 from ..network.multiplane import ClusterNetwork
 from ..reliability.failover import plane_switches
@@ -122,6 +120,8 @@ def cluster_reroute(cluster: ClusterNetwork) -> ReroutePolicy:
     cross that plane, and hop back at the destination node.  Returns
     None when the damaged fabric has no path at all.
     """
+    import networkx as nx
+
     nodes = list(cluster.topology.graph.nodes)
 
     def reroute(flow: Flow, capacities: dict) -> list[str] | None:

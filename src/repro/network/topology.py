@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+# networkx is imported where a graph is built or searched, not here: the
+# serving simulator imports this package but never builds a graph, and
+# the import costs ~15 MB of RSS and ~0.2 s in every process that pays it.
 
 HOST = "host"
 SWITCH = "switch"
@@ -51,6 +53,8 @@ class Topology:
     """A network graph with typed nodes and capacitated links."""
 
     def __init__(self, name: str) -> None:
+        import networkx as nx
+
         self.name = name
         self.graph = nx.Graph()
 
@@ -125,10 +129,14 @@ class Topology:
 
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""
+        import networkx as nx
+
         return nx.is_connected(self.graph) if len(self.graph) else True
 
     def shortest_paths(self, src: str, dst: str) -> list[list[str]]:
         """All shortest paths from ``src`` to ``dst`` (node lists)."""
+        import networkx as nx
+
         return list(nx.all_shortest_paths(self.graph, src, dst))
 
     def switch_hops(self, path: list[str]) -> int:

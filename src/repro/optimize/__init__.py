@@ -29,6 +29,7 @@ job — journaled, resumable, progress over SSE — or even swept over
 from __future__ import annotations
 
 from ..sweep import SweepCache, register_target
+from ..sweep.targets import warm_inner
 from .ladder import FidelityLadder, get_ladder, ladder_names, register_ladder
 from .objective import (
     Constraint,
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 
-@register_target("optimize")
+@register_target("optimize", warm=warm_inner("target"))
 def _optimize_target(config: dict, seed: int) -> dict:
     """A whole search as one sweep point (service-submittable).
 

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
 from ..network.multiplane import ClusterNetwork
 from ..network.topology import SWITCH, Topology
 
@@ -98,6 +96,8 @@ def failed(
 
 def hosts_reachable(topology: Topology, src: str, dst: str) -> bool:
     """Whether two hosts can still communicate."""
+    import networkx as nx
+
     return nx.has_path(topology.graph, src, dst)
 
 
@@ -119,6 +119,8 @@ class FailureImpact:
 
 def assess_impact(cluster: ClusterNetwork, sample_pairs: int | None = None) -> FailureImpact:
     """Measure pairwise connectivity of a (possibly damaged) cluster."""
+    import networkx as nx
+
     gpus = cluster.gpus()
     graph = cluster.topology.graph
     components = list(nx.connected_components(graph))

@@ -234,8 +234,8 @@ class JobSpec:
         )
 
     def supervisor_policy(self) -> SupervisorPolicy | None:
-        """The supervised-execution policy, or ``None`` for the plain
-        pool path (no timeout, single attempt)."""
+        """The supervised-execution policy, or ``None`` for unsupervised
+        execution (no timeout, single attempt)."""
         if self.timeout_s is None and self.max_attempts <= 1:
             return None
         return SupervisorPolicy(

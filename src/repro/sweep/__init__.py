@@ -7,9 +7,10 @@ package is the shared fan-out + memoization layer those sweeps run on:
 
 * :func:`grid` / :class:`SweepSpec` — declare a Cartesian grid or an
   explicit point list over any registered target;
-* :func:`run_sweep` — evaluate the points across a process pool, each
-  with a child seed derived from the root seed and the point's
-  canonical config, so output is byte-identical at any worker count;
+* :func:`run_sweep` — evaluate the points in-process or on reusable
+  forked workers, each point with a child seed derived from the root
+  seed and its canonical config, so output is byte-identical at any
+  worker count;
 * :class:`SweepCache` — a content-addressed on-disk cache keyed by
   target + canonical config + seed + package version, so an unchanged
   point is never recomputed and an edited sweep re-runs incrementally;
@@ -37,7 +38,7 @@ from .supervise import (
     current_attempt,
     retry_delay_s,
 )
-from .targets import get_target, register_target, target_names
+from .targets import get_target, register_target, resolve_target, target_names
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -58,5 +59,6 @@ __all__ = [
     "point_key",
     "get_target",
     "register_target",
+    "resolve_target",
     "target_names",
 ]

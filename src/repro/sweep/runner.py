@@ -5,10 +5,13 @@
 1. **Cache probe** — each point's content-addressed key is looked up
    in the :class:`SweepCache` (when one is given); hits skip
    evaluation entirely.
-2. **Fan-out** — misses run through a ``ProcessPoolExecutor``
-   (``fork`` start method where available, so targets registered at
-   runtime are visible in workers).  Each point carries its own child
-   seed derived from the root seed and the point's canonical config
+2. **Evaluation** — the target is resolved and warmed once, in this
+   process (:func:`~repro.sweep.targets.resolve_target`).  Misses then
+   run in-process at ``workers=1``, or on forked workers that inherit
+   the warm target and are reused point after point
+   (:func:`~repro.sweep.supervise.run_forked`, the one multi-process
+   executor).  Each point carries its own child seed derived from the
+   root seed and the point's canonical config
    (:meth:`SweepSpec.point_seed`), so results are byte-identical
    regardless of worker count or completion order — pinned by
    ``tests/test_sweep.py``.
@@ -37,21 +40,17 @@ and ``strict=False`` turns per-point failures into structured error
 records instead of aborting the whole sweep.
 
 Hostile points — ones that hang, kill their own worker, or fail
-transiently — wedge or abort the pool paths above.  Passing
-``supervise=SupervisorPolicy(...)`` routes evaluation through
-:mod:`repro.sweep.supervise` instead: one forked process per attempt
-with per-attempt timeouts, worker-death recovery, deterministic-backoff
-retries, and poison-point quarantine.
+transiently — are what ``supervise=SupervisorPolicy(...)`` is for: the
+same forked executor (even at ``workers=1``) then adds per-attempt
+timeouts, deterministic-backoff retries, and poison-point quarantine.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import sys
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,8 +58,8 @@ from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..obs.summary import print_table
 from .cache import SweepCache
 from .spec import SweepSpec, canonical_config
-from .supervise import SupervisorPolicy, run_supervised
-from .targets import get_target
+from .supervise import SupervisorPolicy, run_forked
+from .targets import Target, resolve_target
 
 __all__ = [
     "PointResult",
@@ -220,9 +219,9 @@ def merged_windows_section(points) -> dict | None:
 
 
 def _evaluate(
-    target: str, config: dict, seed: int, epoch: float, capture: bool = False
+    fn: Target, target: str, config: dict, seed: int, epoch: float, capture: bool = False
 ) -> tuple[dict | None, dict | None, float, float]:
-    """Worker entry point: run one target and time it.
+    """Run one point of the resolved target ``fn`` and time it.
 
     Returns ``(result, error, start_offset, elapsed)`` with the start
     offset relative to the sweep's epoch, so the parent can lay the
@@ -236,7 +235,7 @@ def _evaluate(
     error = None
     if capture:
         try:
-            result = get_target(target)(config, seed)
+            result = fn(config, seed)
         except Exception as exc:  # noqa: BLE001 - converted to a record
             result = None
             error = {
@@ -250,17 +249,9 @@ def _evaluate(
                 ),
             }
     else:
-        result = get_target(target)(config, seed)
+        result = fn(config, seed)
     end = time.perf_counter()
     return result, error, start - epoch, end - start
-
-
-def _pool_context():
-    """Prefer ``fork``: cheap on Linux and it inherits targets
-    registered after import (custom bench/test targets)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None  # platform default
 
 
 def run_sweep(
@@ -280,7 +271,8 @@ def run_sweep(
 
     Args:
         spec: The sweep declaration.
-        workers: Process fan-out for cache misses (1 = in-process).
+        workers: Forked workers for cache misses (1 = in-process,
+            unless ``supervise`` is given).
         cache: Result cache; ``None`` disables caching entirely.
         tracer: Optional span tracer (defaults to the null object).
         metrics: Optional registry for counters and the progress gauge.
@@ -302,8 +294,8 @@ def run_sweep(
             cached, so the same spec resumes incrementally.
         supervise: Evaluate cache misses under a
             :class:`~repro.sweep.supervise.SupervisorPolicy` — every
-            point (even at ``workers=1``) runs in its own forked
-            process with per-attempt timeouts, worker-death recovery,
+            point (even at ``workers=1``) runs in a forked worker with
+            per-attempt timeouts, worker-death recovery,
             deterministic-backoff retries, and quarantine after
             ``max_attempts`` failures.  With ``strict=True`` a
             quarantined point raises
@@ -384,12 +376,14 @@ def run_sweep(
         if on_point is not None:
             on_point(_point(i))
 
-    capture = not strict
     if _interrupted():
         raise SweepInterrupted(done, total)
-    if supervise is not None and missing:
+    # Resolved (and warmed) once, here, before any fork: workers inherit it.
+    fn = resolve_target(spec.target, [configs[i] for i in missing]) if missing else None
+    if missing and (supervise is not None or (workers > 1 and len(missing) > 1)):
         try:
-            run_supervised(
+            run_forked(
+                fn=fn,
                 target=spec.target,
                 configs=configs,
                 seeds=seeds,
@@ -404,33 +398,12 @@ def run_sweep(
             )
         except InterruptedError:
             raise SweepInterrupted(done, total) from None
-    elif len(missing) > 1 and workers > 1:
-        ctx = _pool_context()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(missing)), mp_context=ctx
-        ) as pool:
-            pending = {
-                pool.submit(
-                    _evaluate, spec.target, configs[i], seeds[i], epoch, capture
-                ): i
-                for i in missing
-            }
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = pending.pop(future)
-                    result, error, started, elapsed = future.result()
-                    _finish(i, result, error, started, elapsed)
-                if pending and _interrupted():
-                    for future in pending:
-                        future.cancel()
-                    raise SweepInterrupted(done, total)
     else:
         for i in missing:
             if _interrupted():
                 raise SweepInterrupted(done, total)
             result, error, started, elapsed = _evaluate(
-                spec.target, configs[i], seeds[i], epoch, capture
+                fn, spec.target, configs[i], seeds[i], epoch, capture=not strict
             )
             _finish(i, result, error, started, elapsed)
 

@@ -1,20 +1,24 @@
-"""Supervised sweep execution: timeouts, retries, quarantine, recovery.
+"""Forked sweep execution: warm reusable workers, timeouts, retries, quarantine.
 
-The plain :func:`repro.sweep.run_sweep` fan-out trusts its workers: a
-point that hangs forever wedges the sweep, and a worker that dies
-(OOM-killed, segfaulted, SIGKILL'd) breaks the whole
-``ProcessPoolExecutor`` and aborts the grid.  That is exactly the
-failure model the paper's reliability sections (§5) argue a control
-plane must survive — so this module applies the repository's own
-fault-injection philosophy to the sweep engine itself.
+:func:`run_forked` is the sweep engine's one multi-process executor.
+:func:`repro.sweep.run_sweep` hands it every cache miss that leaves the
+parent process — at ``workers > 1``, or under a
+:class:`SupervisorPolicy` at any worker count — and evaluates
+in-process otherwise.
 
-:func:`run_supervised` replaces the shared pool with **one forked
-process per attempt**, each reporting over its own pipe, so the
-supervisor can observe and act on every failure mode independently:
+Workers are forked *after* the parent has resolved and warmed the
+target (:func:`repro.sweep.targets.resolve_target`), so no worker pays
+the target's imports, and each worker is reused, point after point over
+its own pipe, until the sweep ends or the supervisor has to kill it.
+Owning every worker process (rather than sharing a pool) is what lets
+the supervisor observe and act on each failure mode independently —
+exactly the failure model the paper's reliability sections (§5) argue
+a control plane must survive:
 
-* **timeout** — an attempt that exceeds ``timeout_s`` is SIGKILL'd and
-  recorded as a structured ``PointTimeout`` failure;
-* **worker death** — an attempt whose process exits without reporting
+* **timeout** — an attempt that exceeds ``timeout_s`` has its worker
+  SIGKILL'd (a fresh one is forked on demand) and is recorded as a
+  structured ``PointTimeout`` failure;
+* **worker death** — an attempt whose worker exits without reporting
   (killed from outside, or from *inside* by the point itself) is a
   ``WorkerDied`` failure; only that point is affected, never the grid;
 * **retry** — failed attempts are retried up to
@@ -28,19 +32,28 @@ supervisor can observe and act on every failure mode independently:
   count and are never written to the result cache, so a later run
   (with the poison fixed) retries them.
 
-Every spawned process is joined (or killed and joined) before
-:func:`run_supervised` returns — including on interrupt and on
-exception — so a supervised sweep never leaks orphan workers.
+Without a policy a point gets one attempt and no watchdog, and its own
+exception is delivered exactly as in-process evaluation delivers it:
+re-raised under ``strict``, otherwise the same error record.  Only a
+worker death — which in-process evaluation cannot survive at all —
+quarantines the point.
+
+Every worker is joined (or killed and joined) before
+:func:`run_forked` returns — including on interrupt and on exception —
+so a sweep never leaks orphan workers.
 
 The observable counters (``sweep.retries``, ``sweep.timeouts``,
-``sweep.worker_deaths``, ``sweep.quarantined``) land in the metrics
-registry passed by the caller, which is how the experiment service
-exports them as ``/metrics`` families per job.
+``sweep.worker_deaths``, ``sweep.quarantined``,
+``sweep.workers_spawned``) land in the metrics registry passed by the
+caller, which is how the experiment service exports them as
+``/metrics`` families per job.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
+import traceback
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable
@@ -54,19 +67,21 @@ __all__ = [
     "SupervisorPolicy",
     "current_attempt",
     "retry_delay_s",
-    "run_supervised",
+    "run_forked",
 ]
 
 #: Attempt number of the point evaluation running in *this* process
-#: (1-based).  Set by the supervisor in the forked child before the
-#: target runs; stays 1 in unsupervised / in-process evaluation.  Chaos
-#: policies (:mod:`repro.chaos`) read it to sabotage only early
-#: attempts.
+#: (1-based).  Set in the forked worker before each attempt; stays 1 in
+#: in-process evaluation.  Chaos policies (:mod:`repro.chaos`) read it
+#: to sabotage only early attempts.
 _ATTEMPT = 1
 
 #: Supervisor poll tick (seconds): the upper bound on how late a
 #: timeout kill, retry launch, or interrupt check can fire.
 _TICK_S = 0.02
+
+#: Grace (seconds) for an idle worker to exit when told to, before a kill.
+_EXIT_GRACE_S = 1.0
 
 
 def current_attempt() -> int:
@@ -87,6 +102,14 @@ class PointQuarantined(RuntimeError):
             f"{record['message']}"
         )
         self.record = record
+
+
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker,
+    chained as the ``__cause__`` of its re-raise in the parent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -172,51 +195,65 @@ def _quarantine_record(
     }
 
 
-def _attempt_main(conn, target: str, config: dict, seed: int, epoch: float, attempt: int):
-    """Child entry point: run one attempt, report over the pipe.
+def _worker_main(conn, inherited, fn, target: str, epoch: float, capture: bool) -> None:
+    """Worker loop: evaluate ``(config, seed, attempt)`` tasks from the
+    pipe until the parent sends ``None`` (or goes away).
 
-    Runs with capture on — an exception becomes a structured record
-    formatted here, in the failing process (identical to the
-    unsupervised ``strict=False`` records, plus the attempt number).
-    If the point kills its own process nothing is sent and the parent
-    reads EOF, which is precisely the worker-death signal.
+    Each reply is ``_evaluate``'s ``(result, error, start, elapsed)``
+    or — only without ``capture`` — the target's exception paired with
+    its formatted traceback, for the parent to re-raise.  A point that
+    kills its own worker sends nothing: the parent reads EOF, which is
+    precisely the worker-death signal.
     """
     global _ATTEMPT
-    _ATTEMPT = attempt
     from .runner import _evaluate
 
-    try:
-        result, error, started, elapsed = _evaluate(
-            target, config, seed, epoch, capture=True
-        )
-        if error is not None:
-            error["attempt"] = attempt
-        conn.send((result, error, started, elapsed))
-    finally:
-        conn.close()
+    # Drop the parent-side pipe ends fork copied in (this worker's own
+    # and its siblings'), so a dead parent reads as EOF here.
+    for other in inherited:
+        other.close()
+    with conn:
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):  # the parent is gone
+                return
+            if task is None:
+                return
+            config, seed, attempt = task
+            _ATTEMPT = attempt
+            try:
+                reply = _evaluate(fn, target, config, seed, epoch, capture)
+            except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+                reply = (exc, "".join(traceback.format_exception(exc)))
+            try:
+                conn.send(reply)
+            except Exception as exc:  # noqa: BLE001 - unpicklable reply
+                conn.send((RuntimeError(f"unpicklable reply: {exc}"), traceback.format_exc()))
 
 
-class _Running:
-    """One in-flight attempt: the process, its pipe, and its deadline."""
+class _Worker:
+    """One forked worker: its process, its pipe, and the attempt it runs
+    (``task`` is ``None`` while idle)."""
 
-    __slots__ = ("index", "attempt", "proc", "conn", "deadline", "started")
+    __slots__ = ("proc", "conn", "task", "deadline", "started")
 
-    def __init__(self, index, attempt, proc, conn, deadline, started):
-        self.index = index
-        self.attempt = attempt
+    def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.deadline = deadline
-        self.started = started
+        self.task: tuple[int, int] | None = None
+        self.deadline: float | None = None
+        self.started = 0.0
 
 
-def run_supervised(
+def run_forked(
     *,
+    fn: Callable[[dict, int], dict],
     target: str,
     configs: list[dict],
     seeds: list[int],
     indices: list[int],
-    policy: SupervisorPolicy,
+    policy: SupervisorPolicy | None,
     workers: int,
     epoch: float,
     strict: bool,
@@ -224,20 +261,18 @@ def run_supervised(
     interrupted: Callable[[], bool],
     metrics: MetricsRegistry | None = None,
 ) -> None:
-    """Evaluate ``indices`` of ``configs`` under ``policy``.
+    """Evaluate ``indices`` of ``configs`` on up to ``workers`` forked
+    workers running the already-resolved target ``fn``.
 
-    Called by :func:`repro.sweep.run_sweep` when a supervisor policy is
-    given; every point — even at ``workers=1`` — runs in its own forked
-    process so the parent survives anything the point does.  Settled
-    points (success or terminal quarantine) are delivered through
-    ``finish`` exactly as the unsupervised paths deliver theirs; with
-    ``strict`` the first quarantined point raises
-    :class:`PointQuarantined` instead.
+    Settled points (success, error record, or terminal quarantine) are
+    delivered through ``finish`` exactly as in-process evaluation
+    delivers them; with ``strict`` the first failure raises instead
+    (see the module docstring for what each failure becomes).
 
-    ``interrupted`` is polled every tick; when it fires, all in-flight
-    attempt processes are killed and joined before the
-    :class:`InterruptedError` sentinel propagates to the runner (which
-    re-raises its public :class:`repro.sweep.SweepInterrupted`).
+    ``interrupted`` is polled every tick; when it fires, every worker
+    is killed and joined before the :class:`InterruptedError` sentinel
+    propagates to the runner (which re-raises its public
+    :class:`repro.sweep.SweepInterrupted`).
     """
     import multiprocessing
 
@@ -246,124 +281,156 @@ def run_supervised(
         if "fork" in multiprocessing.get_all_start_methods()
         else multiprocessing.get_context()
     )
+    supervised = policy is not None
+    if policy is None:
+        policy = SupervisorPolicy(max_attempts=1)
+    capture = supervised or not strict
+    limit = min(workers, len(indices))
 
-    retries = metrics.counter("sweep.retries") if metrics is not None else None
-    timeouts = metrics.counter("sweep.timeouts") if metrics is not None else None
-    deaths = metrics.counter("sweep.worker_deaths") if metrics is not None else None
-    quarantined = metrics.counter("sweep.quarantined") if metrics is not None else None
+    def _counter(name: str):
+        return metrics.counter(name) if metrics is not None else None
 
-    #: (index, attempt, not_before) — attempts eligible to launch.
-    pending: list[tuple[int, int, float]] = [(i, 1, 0.0) for i in indices]
-    running: list[_Running] = []
+    retries, timeouts, deaths, quarantined, spawned = map(
+        _counter,
+        ("sweep.retries", "sweep.timeouts", "sweep.worker_deaths",
+         "sweep.quarantined", "sweep.workers_spawned"),
+    )
+
+    #: Heap of (not_before, index, attempt): attempts waiting to launch.
+    pending: list[tuple[float, int, int]] = [(0.0, i, 1) for i in sorted(indices)]
+    pool: list[_Worker] = []
     failures: dict[int, list[dict]] = {}
 
-    def _spawn(index: int, attempt: int) -> None:
-        recv, send = ctx.Pipe(duplex=False)
+    def _spawn() -> _Worker:
+        conn, child = ctx.Pipe()
+        inherited = [conn, *(w.conn for w in pool)]
         proc = ctx.Process(
-            target=_attempt_main,
-            args=(send, target, configs[index], seeds[index], epoch, attempt),
-            daemon=True,
+            target=_worker_main, args=(child, inherited, fn, target, epoch, capture)
         )
         proc.start()
-        send.close()  # parent keeps only the read end: EOF == child gone
+        child.close()  # the parent keeps only its end: EOF == worker gone
+        worker = _Worker(proc, conn)
+        pool.append(worker)
+        if spawned is not None:
+            spawned.inc()
+        return worker
+
+    def _retire(worker: _Worker, kill: bool = False) -> None:
+        pool.remove(worker)
+        if kill:
+            worker.proc.kill()
+        worker.conn.close()
+        worker.proc.join()
+
+    def _assign(worker: _Worker, index: int, attempt: int) -> bool:
+        try:
+            worker.conn.send((configs[index], seeds[index], attempt))
+        except OSError:
+            _retire(worker)  # died while idle: the task waits for another
+            return False
         now = time.monotonic()
-        deadline = None if policy.timeout_s is None else now + policy.timeout_s
-        running.append(_Running(index, attempt, proc, recv, deadline, now))
+        worker.task = (index, attempt)
+        worker.started = now
+        worker.deadline = None if policy.timeout_s is None else now + policy.timeout_s
+        return True
 
-    def _reap(run: _Running) -> None:
-        running.remove(run)
-        run.proc.join()
-        run.conn.close()
-
-    def _fail(run: _Running, record: dict) -> None:
-        history = failures.setdefault(run.index, [])
+    def _fail(index: int, attempt: int, record: dict, started: float) -> None:
+        history = failures.setdefault(index, [])
         history.append(record)
-        if run.attempt < policy.max_attempts:
+        if attempt < policy.max_attempts:
             if retries is not None:
                 retries.inc()
-            delay = retry_delay_s(policy, seeds[run.index], run.attempt + 1)
-            pending.append((run.index, run.attempt + 1, time.monotonic() + delay))
+            delay = retry_delay_s(policy, seeds[index], attempt + 1)
+            heapq.heappush(pending, (time.monotonic() + delay, index, attempt + 1))
             return
         terminal = _quarantine_record(
-            target=target,
-            config=configs[run.index],
-            seed=seeds[run.index],
-            failures=history,
+            target=target, config=configs[index], seed=seeds[index], failures=history
         )
         if quarantined is not None:
             quarantined.inc()
         if strict:
             raise PointQuarantined(terminal)
-        finish(run.index, None, terminal, 0.0, time.monotonic() - run.started)
+        finish(index, None, terminal, 0.0, time.monotonic() - started)
+
+    def _parent_failure(kind: str, message: str, index: int, attempt: int) -> dict:
+        return _failure_record(
+            kind, message, target=target, config=configs[index],
+            seed=seeds[index], attempt=attempt,
+        )
 
     try:
-        while pending or running:
+        while pending or any(w.task is not None for w in pool):
             if interrupted():
                 raise InterruptedError
             now = time.monotonic()
-            # Launch every eligible attempt the worker budget allows.
-            eligible = sorted(
-                (t for t in pending if t[2] <= now), key=lambda t: (t[2], t[0])
-            )
-            for task in eligible[: max(0, workers - len(running))]:
-                pending.remove(task)
-                _spawn(task[0], task[1])
+            # Hand every eligible attempt to an idle worker, forking a
+            # new one only while the pool is below its budget.
+            while pending and pending[0][0] <= now:
+                worker = next((w for w in pool if w.task is None), None)
+                if worker is None:
+                    if len(pool) >= limit:
+                        break
+                    worker = _spawn()
+                if not _assign(worker, *pending[0][1:]):
+                    break  # retry on the next tick
+                heapq.heappop(pending)
 
-            if not running:
+            if all(w.task is None for w in pool):
                 time.sleep(_TICK_S)
                 continue
-            ready = connection.wait((r.conn for r in running), timeout=_TICK_S)
-            for run in [r for r in running if r.conn in ready]:
+            ready = connection.wait([w.conn for w in pool], timeout=_TICK_S)
+            for worker in [w for w in pool if w.conn in ready]:
+                task, started = worker.task, worker.started
                 try:
-                    result, error, started, elapsed = run.conn.recv()
-                except EOFError:
-                    # The process ended without reporting: it was killed
+                    reply = worker.conn.recv()
+                except (EOFError, OSError):
+                    # The worker ended without reporting: it was killed
                     # (possibly by the point itself) or crashed hard.
-                    _reap(run)
+                    _retire(worker)
+                    if task is None:
+                        continue  # an idle worker went away; nothing lost
                     if deaths is not None:
                         deaths.inc()
-                    _fail(
-                        run,
-                        _failure_record(
-                            "WorkerDied",
-                            f"worker process died without reporting "
-                            f"(exitcode {run.proc.exitcode})",
-                            target=target,
-                            config=configs[run.index],
-                            seed=seeds[run.index],
-                            attempt=run.attempt,
-                        ),
+                    message = (
+                        f"worker process died without reporting "
+                        f"(exitcode {worker.proc.exitcode})"
                     )
+                    _fail(*task, _parent_failure("WorkerDied", message, *task), started)
                     continue
-                _reap(run)
-                if error is None:
-                    finish(run.index, result, None, started, elapsed)
+                worker.task = worker.deadline = None
+                if len(reply) == 2:  # the target raised, without capture
+                    exc, remote = reply
+                    raise exc from _RemoteTraceback(remote)
+                result, error, offset, elapsed = reply
+                if error is None or not supervised:
+                    finish(task[0], result, error, offset, elapsed)
                 else:
-                    _fail(run, error)
+                    error["attempt"] = task[1]
+                    _fail(*task, error, started)
 
             now = time.monotonic()
-            for run in [r for r in running if r.deadline is not None and now >= r.deadline]:
-                run.proc.kill()
-                _reap(run)
+            for worker in [w for w in pool if w.deadline is not None and now >= w.deadline]:
+                task, started = worker.task, worker.started
+                _retire(worker, kill=True)
                 if timeouts is not None:
                     timeouts.inc()
-                _fail(
-                    run,
-                    _failure_record(
-                        "PointTimeout",
-                        f"attempt exceeded timeout_s={policy.timeout_s:g}",
-                        target=target,
-                        config=configs[run.index],
-                        seed=seeds[run.index],
-                        attempt=run.attempt,
-                    ),
-                )
+                message = f"attempt exceeded timeout_s={policy.timeout_s:g}"
+                _fail(*task, _parent_failure("PointTimeout", message, *task), started)
     finally:
-        # Whatever path exits — done, interrupt, quarantine-raise — no
-        # attempt process may outlive the sweep.
-        for run in running:
-            run.proc.kill()
-        for run in running:
-            run.proc.join()
-            run.conn.close()
-        running.clear()
+        # Whatever path exits — done, interrupt, strict raise — no worker
+        # may outlive the sweep: busy ones are killed, idle ones told to exit.
+        for worker in pool:
+            if worker.task is not None:
+                worker.proc.kill()
+            else:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already gone
+            worker.conn.close()
+        for worker in pool:
+            worker.proc.join(_EXIT_GRACE_S)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join()
+        pool.clear()

@@ -5,8 +5,9 @@ plain JSON-able data in, plain JSON-able data out.  That shape is what
 makes the engine's three promises possible:
 
 * **fan-out** — configs and results cross process boundaries, so they
-  must pickle trivially; workers resolve the target by *name* from
-  this registry, never by shipping code objects;
+  must pickle trivially; the target itself is resolved by *name* from
+  this registry in the parent and inherited by forked workers, never
+  shipped as a code object;
 * **determinism** — the result must be a pure function of
   ``(config, seed)``; the engine derives ``seed`` per point, so a
   target must route every stochastic choice through it;
@@ -14,9 +15,12 @@ makes the engine's three promises possible:
   cache, so it must round-trip through JSON.
 
 Built-in targets wrap the three discrete-event simulators.  Register a
-custom one with :func:`register_target`; with the default ``fork``
-start method, targets registered before :func:`repro.sweep.run_sweep`
-is called are visible to worker processes too.
+custom one with :func:`register_target`.  :func:`repro.sweep.run_sweep`
+resolves the target with :func:`resolve_target` in the parent process
+*before* it forks workers, so a target registered at runtime is
+visible to them, and its ``warm`` hook (the imports a built-in target
+would otherwise pay lazily on its first call) runs once, not once per
+worker or per attempt.
 
 ``serving`` — :class:`repro.serving.ServingSimulator`.  Flat config
 keys map onto ``WorkloadSpec`` (``request_rate``, ``num_requests``,
@@ -42,21 +46,30 @@ constant-memory streaming mode unless ``record_requests`` is true.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import fields
-from typing import Callable
+from typing import Callable, Iterable
 
-__all__ = ["get_target", "register_target", "target_names"]
+__all__ = ["get_target", "register_target", "resolve_target", "target_names"]
 
 Target = Callable[[dict, int], dict]
+Warm = Callable[[list[dict]], None]
 
 _REGISTRY: dict[str, Target] = {}
+_WARM: dict[str, Warm | None] = {}
 
 
-def register_target(name: str, fn: Target | None = None):
-    """Register ``fn`` as a sweep target (usable as a decorator)."""
+def register_target(name: str, fn: Target | None = None, *, warm: Warm | None = None):
+    """Register ``fn`` as a sweep target (usable as a decorator).
+
+    ``warm(configs)``, when given, prepares the calling process to
+    evaluate ``configs`` — typically by importing what ``fn`` imports
+    lazily.  It must not change any result.
+    """
 
     def _register(fn: Target) -> Target:
         _REGISTRY[name] = fn
+        _WARM[name] = warm
         return fn
 
     return _register(fn) if fn is not None else _register
@@ -81,6 +94,46 @@ def get_target(name: str) -> Target:
         raise KeyError(f"unknown sweep target {name!r} (registered: {known})") from None
 
 
+def resolve_target(name: str, configs: Iterable[dict]) -> Target:
+    """Resolve ``name`` and run its ``warm`` hook on ``configs``.
+
+    The sweep engine calls this once per sweep with the configs it is
+    about to evaluate, before forking any worker, so every worker
+    inherits a process that has already paid the target's imports.
+    """
+    fn = get_target(name)
+    warm = _WARM.get(name)
+    if warm is not None:
+        warm(list(configs))
+    return fn
+
+
+def warm_imports(*modules: str) -> Warm:
+    """A ``warm`` hook that imports ``modules``."""
+
+    def warm(configs: list[dict]) -> None:
+        del configs
+        for module in modules:
+            importlib.import_module(module)
+
+    return warm
+
+
+def warm_inner(key: str) -> Warm:
+    """A ``warm`` hook for a target that evaluates another one, named by
+    each config's ``key``.  Unknown names are skipped: they fail per
+    point, exactly as without warming."""
+
+    def warm(configs: list[dict]) -> None:
+        for name in sorted({c[key] for c in configs if isinstance(c.get(key), str)}):
+            try:
+                resolve_target(name, [])
+            except KeyError:
+                pass
+
+    return warm
+
+
 def target_names() -> list[str]:
     """Registered target names, sorted."""
     return sorted(_REGISTRY)
@@ -92,7 +145,7 @@ def _split_kwargs(cfg: dict, cls) -> dict:
     return {k: cfg.pop(k) for k in list(cfg) if k in names}
 
 
-@register_target("serving")
+@register_target("serving", warm=warm_imports("repro.faults", "repro.serving"))
 def _serving_target(config: dict, seed: int) -> dict:
     from ..faults import FaultSchedule, RecoveryPolicy
     from ..serving import (
@@ -156,7 +209,7 @@ def _serving_target(config: dict, seed: int) -> dict:
     return compact_record(ServingSimulator(sim).run(), **economics)
 
 
-@register_target("flowsim")
+@register_target("flowsim", warm=warm_imports("repro.network", "networkx"))
 def _flowsim_target(config: dict, seed: int) -> dict:
     del seed  # the routed shifted-ring pattern is fully deterministic
     from ..network import FlowSimulator, shifted_ring_flows, two_layer_fat_tree
@@ -183,7 +236,7 @@ def _flowsim_target(config: dict, seed: int) -> dict:
     }
 
 
-@register_target("training")
+@register_target("training", warm=warm_imports("repro.faults", "repro.training"))
 def _training_target(config: dict, seed: int) -> dict:
     from ..faults import FaultSchedule
     from ..training import simulate_checkpointed_training

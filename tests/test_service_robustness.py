@@ -101,7 +101,7 @@ def test_jobspec_accepts_and_journals_robustness_knobs():
     assert JobSpec.from_journal(spec.to_payload()) == spec
     policy = spec.supervisor_policy()
     assert policy == SupervisorPolicy(timeout_s=5.0, max_attempts=3)
-    # Defaults keep the plain pool path.
+    # Defaults keep execution unsupervised.
     plain = JobSpec.from_payload({"target": "robust-sleepy", "points": [{"x": 1}]})
     assert plain.supervisor_policy() is None
 

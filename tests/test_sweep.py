@@ -184,8 +184,8 @@ def test_worker_count_does_not_change_bytes():
 
 
 def test_custom_target_runs_in_worker_processes():
-    # fork inherits the registry, so a target registered at test-module
-    # import is callable from pool workers too.
+    # The target is resolved in the parent before the fork, so one
+    # registered at test-module import runs in forked workers too.
     spec = _counting_spec(points=grid(x=[1, 2, 3, 4]))
     fanned = run_sweep(spec, workers=2, cache=None)
     assert [p.result["value"] for p in fanned.points] == [3, 5, 7, 9]

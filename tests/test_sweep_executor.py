@@ -1,0 +1,230 @@
+"""The sweep engine's forked executor (repro.sweep.supervise.run_forked).
+
+Every multi-process sweep — ``workers > 1``, or any supervised sweep —
+runs on the same warm, reusable workers:
+
+* the target is resolved (and its ``warm`` hook run) once, in the
+  parent, before any fork;
+* a worker evaluates point after point until the sweep ends, and is
+  replaced only when the supervisor kills it or it dies;
+* failures surface exactly as in-process evaluation surfaces them,
+  and no worker outlives the sweep.
+"""
+
+import multiprocessing
+import os
+import select
+import subprocess
+import sys
+import time
+
+import pytest
+
+from repro.obs import MetricsRegistry
+from repro.sweep import (
+    PointQuarantined,
+    SupervisorPolicy,
+    SweepCache,
+    SweepInterrupted,
+    SweepSpec,
+    current_attempt,
+    grid,
+    register_target,
+    resolve_target,
+    run_sweep,
+)
+
+FAST = SupervisorPolicy(timeout_s=1.0, max_attempts=2, backoff_base_s=0.0)
+
+
+def _pid_target(config: dict, seed: int) -> dict:
+    return {"x": config["x"], "pid": os.getpid()}
+
+
+register_target("exec-pid", _pid_target)
+
+#: Set only by the warm hook below, which runs in the sweep's parent.
+WARMED: list[list[dict]] = []
+
+
+def _warm(configs: list[dict]) -> None:
+    WARMED.append(configs)
+
+
+@register_target("exec-warm", warm=_warm)
+def _warm_target(config: dict, seed: int) -> dict:
+    # Forked workers inherit the parent's state at fork time: the hook
+    # has already run there.
+    return {"x": config["x"], "warmed": len(WARMED)}
+
+
+@register_target("exec-hostile")
+def _hostile_target(config: dict, seed: int) -> dict:
+    mode = config.get("mode")
+    if mode == "hang" and current_attempt() == 1:
+        time.sleep(60)
+    if mode == "kill":
+        os.kill(os.getpid(), 9)
+    if mode == "raise":
+        raise ValueError(f"bad point x={config['x']}")
+    return {"x": config["x"], "pid": os.getpid()}
+
+
+def _pids(result) -> set[int]:
+    return {p.result["pid"] for p in result.points if p.result is not None}
+
+
+def test_workers_are_reused_across_points():
+    registry = MetricsRegistry()
+    result = run_sweep(
+        SweepSpec("exec-pid", points=grid(x=list(range(12)))),
+        workers=2,
+        metrics=registry,
+    )
+    pids = _pids(result)
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+    assert registry.snapshot()["sweep.workers_spawned"] == len(pids)
+    assert not multiprocessing.active_children()
+
+
+def test_supervised_workers_are_reused_until_a_kill():
+    registry = MetricsRegistry()
+    result = run_sweep(
+        SweepSpec("exec-pid", points=grid(x=list(range(6)))),
+        workers=1,
+        supervise=FAST,
+        metrics=registry,
+    )
+    assert len(_pids(result)) == 1
+    snapshot = registry.snapshot()
+    assert snapshot["sweep.workers_spawned"] == 1 and snapshot["sweep.retries"] == 0
+
+
+def test_target_is_warmed_once_in_the_parent_before_fork(tmp_path):
+    WARMED.clear()
+    spec = SweepSpec("exec-warm", points=grid(x=[1, 2, 3, 4]))
+    cache = SweepCache(tmp_path)
+    result = run_sweep(spec, workers=2, cache=cache)
+    assert [p.result["warmed"] for p in result.points] == [1, 1, 1, 1]
+    assert WARMED == [spec.configs()]
+    # An all-hit re-run evaluates nothing, so it resolves nothing.
+    run_sweep(spec, workers=2, cache=cache)
+    assert len(WARMED) == 1
+
+
+def test_timeout_replaces_only_the_killed_worker():
+    registry = MetricsRegistry()
+    points = [{"x": 0, "mode": "hang"}, *({"x": x} for x in range(1, 5))]
+    result = run_sweep(
+        SweepSpec("exec-hostile", points=points),
+        workers=1,
+        supervise=FAST,
+        metrics=registry,
+    )
+    assert result.errors == 0
+    snapshot = registry.snapshot()
+    assert snapshot["sweep.timeouts"] == 1
+    assert snapshot["sweep.workers_spawned"] == 2  # the original + one replacement
+    assert len(_pids(result)) == 1  # every honest point ran on the replacement
+
+
+def test_unsupervised_worker_death_quarantines_only_that_point():
+    points = [{"x": 0}, {"x": 1, "mode": "kill"}, {"x": 2}, {"x": 3}]
+    spec = SweepSpec("exec-hostile", points=points)
+    result = run_sweep(spec, workers=2, strict=False)
+    errors = {p.index: p.error for p in result.points if p.error is not None}
+    assert list(errors) == [1]
+    assert errors[1]["type"] == "PointQuarantined"
+    assert [f["type"] for f in errors[1]["failures"]] == ["WorkerDied"]
+    with pytest.raises(PointQuarantined):
+        run_sweep(spec, workers=2)
+    assert not multiprocessing.active_children()
+
+
+def test_strict_forked_failure_raises_the_original_exception_with_its_traceback():
+    spec = SweepSpec("exec-hostile", points=[{"x": 0}, {"x": 1, "mode": "raise"}])
+    with pytest.raises(ValueError, match="bad point x=1") as excinfo:
+        run_sweep(spec, workers=2)
+    assert "_hostile_target" in str(excinfo.value.__cause__)
+    assert not multiprocessing.active_children()
+
+
+def test_forked_error_records_match_in_process_ones():
+    spec = SweepSpec("exec-hostile", points=[{"x": 0}, {"x": 1, "mode": "raise"}])
+    inline = run_sweep(spec, workers=1, strict=False)
+    forked = run_sweep(spec, workers=2, strict=False)
+    assert inline.points[1].error == forked.points[1].error
+    assert "attempt" not in forked.points[1].error
+
+
+def test_interrupt_kills_and_joins_every_worker():
+    points = [{"x": 0}, {"x": 1, "mode": "hang"}, {"x": 2, "mode": "hang"}]
+    spec = SweepSpec("exec-hostile", points=points)
+    settled = []
+    with pytest.raises(SweepInterrupted):
+        run_sweep(
+            spec,
+            workers=3,
+            on_point=settled.append,
+            interrupt=lambda: len(settled) >= 1,
+        )
+    assert not multiprocessing.active_children()
+
+
+def test_chaos_resolution_warms_the_inner_target():
+    # In a fresh interpreter: resolving the chaos target for serving
+    # points imports the serving simulator before any worker forks.
+    code = (
+        "import sys\n"
+        "from repro.sweep import resolve_target\n"
+        "assert 'repro.serving' not in sys.modules\n"
+        "resolve_target('chaos', [{'inner_target': 'serving'}, {'inner_target': 'nope'}])\n"
+        "assert 'repro.serving' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_resolve_target_rejects_unknown_names():
+    with pytest.raises(KeyError, match="unknown sweep target"):
+        resolve_target("no-such-target", [{}])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+def test_idle_workers_exit_when_the_parent_dies(tmp_path):
+    # The parent stalls in on_point after the first settled point (its
+    # workers go idle) and is then SIGKILL'd: no finally block runs, so
+    # only EOF on the task pipe can tell the workers to exit.
+    script = tmp_path / "parent.py"
+    script.write_text(
+        "import os, time\n"
+        "from repro.sweep import SweepSpec, grid, register_target, run_sweep\n"
+        "register_target('pid', lambda config, seed: {'pid': os.getpid()})\n"
+        "def stall(point):\n"
+        "    print(point.result['pid'], flush=True)\n"
+        "    time.sleep(60)\n"
+        "run_sweep(SweepSpec('pid', points=grid(x=[1, 2, 3])), workers=2, on_point=stall)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, env=env) as parent:
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60)
+            assert ready, "the sweep never settled a point"
+            worker = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+
+    def alive(pid: int) -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 10
+    while alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphaned = alive(worker)
+    if orphaned:
+        os.kill(worker, 9)  # leave no orphan behind a failing run
+    assert not orphaned
