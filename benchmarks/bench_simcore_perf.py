@@ -1,16 +1,20 @@
 """Perf baseline for the two discrete-event hot loops.
 
 Times the simulation cores themselves — not the modeled systems — on
-two fixed scenarios sized so the pre-optimization code took ~10 s each:
+three fixed scenarios:
 
 * serving: 8k requests through the disaggregated prefill/decode
   simulator (the §2.3.1 configuration at a saturating arrival rate);
 * flowsim: node-limited EP dispatch traffic (§4.3) — all-to-all within
   every leaf of an 8-leaf fat-tree, 1920 flows in 8 independent
-  sharing components, the shape the incremental solver exploits.
+  sharing components, the shape the incremental solver exploits;
+* flowsim_ring: the shifted-ring all-to-all (shifts 1..15) over the
+  same 8 x 16 hosts and 8 spines — 1920 flows in one coupled
+  component, where every completion re-solves the whole fabric and
+  the resumed progressive filling carries the cost.
 
 Default run rewrites ``BENCH_simcore_perf.json`` (the committed file is
-the baseline).  ``--check`` instead re-runs both scenarios and exits
+the baseline).  ``--check`` instead re-runs every scenario and exits
 nonzero if any metric drifts outside ``--rtol`` of the baseline — the
 CI perf-smoke gate.  The default tolerance is deliberately generous
 (0.9 ⇒ elapsed may vary ~10x across machines before tripping): the
@@ -32,13 +36,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import numpy as np
 from _report import compare, default_meta, print_table, write_json
 
-from repro.network import Flow, FlowSimulator, two_layer_fat_tree
+from repro.network import Flow, FlowSimulator, shifted_ring_flows, two_layer_fat_tree
 from repro.obs import MetricsRegistry
 from repro.serving import ServingSimulator, SimConfig, WorkloadSpec
 
 SERVING_REQUESTS = 8000
 FLOWSIM_LEAVES = 8
 FLOWSIM_HOSTS_PER_LEAF = 16
+RING_SPINES = 8
+RING_SHIFTS = range(1, 16)
 
 
 def run_serving(num_requests: int = SERVING_REQUESTS) -> dict:
@@ -89,6 +95,21 @@ def run_flowsim(
                             tag=f"leaf{leaf}",
                         )
                     )
+    return _time_flows(topo, flows)
+
+
+def run_flowsim_ring(
+    num_leaves: int = FLOWSIM_LEAVES, hosts_per_leaf: int = FLOWSIM_HOSTS_PER_LEAF
+) -> dict:
+    """Shifted-ring all-to-all, one coupled component; returns perf metrics."""
+    topo = two_layer_fat_tree(
+        num_leaves=num_leaves, hosts_per_leaf=hosts_per_leaf, num_spines=RING_SPINES
+    )
+    return _time_flows(topo, shifted_ring_flows(topo, RING_SHIFTS, 64e6))
+
+
+def _time_flows(topo, flows: list[Flow]) -> dict:
+    """One event-mode simulation of ``flows``, timed."""
     simulator = FlowSimulator(topo)
     start = time.perf_counter()
     result = simulator.simulate(flows)
@@ -126,7 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    current = {"serving": run_serving(), "flowsim": run_flowsim()}
+    current = {
+        "serving": run_serving(),
+        "flowsim": run_flowsim(),
+        "flowsim_ring": run_flowsim_ring(),
+    }
     print_table(
         "simulation-core performance", ["core", "metric", "value"], _rows(current)
     )
@@ -151,6 +176,11 @@ def main(argv: list[str] | None = None) -> int:
             flowsim=(
                 f"leaf-local all-to-all, {FLOWSIM_LEAVES} leaves x "
                 f"{FLOWSIM_HOSTS_PER_LEAF} hosts, seed 0"
+            ),
+            flowsim_ring=(
+                f"shifted ring, shifts {RING_SHIFTS.start}..{RING_SHIFTS.stop - 1}, "
+                f"{FLOWSIM_LEAVES} leaves x {FLOWSIM_HOSTS_PER_LEAF} hosts, "
+                f"{RING_SPINES} spines, 64 MB"
             ),
         ),
     )

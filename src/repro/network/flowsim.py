@@ -15,7 +15,10 @@ capacity in each direction, like a full-duplex cable.
 Event mode runs on an incremental engine (:class:`_EventEngine`): flows
 are grouped into connected components of the link-sharing graph, and a
 completion only re-solves the components that lost flows — everything
-else keeps its frozen rates.  :func:`max_min_rates` remains the
+else keeps its frozen rates — and each re-solve resumes the component's
+last progressive filling at the first round a finished flow froze in,
+since every earlier round is provably unchanged (the rule and its proof
+are on :class:`_EventEngine`).  :func:`max_min_rates` remains the
 dict-based reference definition of the policy (and the ``fixed``-mode
 solver); the engine is cross-checked against it in the test suite.
 """
@@ -147,9 +150,20 @@ class _Component:
     when flows complete, only the components they belong to are
     re-solved, every other flow keeps its frozen rate — the
     O(flows x links) per-event re-solve becomes O(affected).
+
+    It also keeps what its last solve needs to be resumed (see
+    :meth:`_EventEngine.solve_component`): the active mask it solved
+    for, each flow's freeze round, and a log of the capacity every
+    round left on the links it touched.  All of it is preallocated at
+    the component's incidence size; ``solved = None`` forces the next
+    solve to start cold.
     """
 
-    __slots__ = ("flows", "flat", "off", "links", "caps")
+    __slots__ = (
+        "flows", "flat", "off", "links", "caps",
+        "solved", "freeze", "rounds", "round_start",
+        "log_link", "log_cap", "log_prev", "last",
+    )
 
     def __init__(self, flows, flat, off, links, caps):
         self.flows = flows  # global engine flow ids, fixed order
@@ -157,6 +171,16 @@ class _Component:
         self.off = off  # per-flow offsets into `flat` (len(flows) + 1)
         self.links = links  # global link ids of the component
         self.caps = caps  # local link capacities
+        self.solved = None  # local active mask of the last solve
+        self.freeze = np.zeros(len(flows), dtype=np.int64)  # round each flow froze in
+        self.rounds = 0  # rounds the last solve ran
+        # Every round touches at most the links of the flows it freezes,
+        # so the log never outgrows the incidence and rounds <= flows.
+        self.round_start = np.zeros(len(flows) + 1, dtype=np.int64)  # log offset per round
+        self.log_link = np.empty(len(flat), dtype=np.int64)  # link a round touched
+        self.log_cap = np.empty(len(flat), dtype=np.float64)  # its capacity after the round
+        self.log_prev = np.empty(len(flat), dtype=np.int64)  # the link's previous entry, -1 if none
+        self.last = np.full(len(links), -1, dtype=np.int64)  # each link's latest entry
 
 
 def _ragged_rows(flat: np.ndarray, off: np.ndarray, rows: np.ndarray):
@@ -186,9 +210,31 @@ class _EventEngine:
       which matches the sequential reference to float rounding);
     * completions only re-solve the affected component(s); untouched
       components reuse their frozen rates bit-for-bit;
+    * a re-solve resumes the component's previous progressive filling
+      instead of restarting it (below);
     * the per-event "which flows finished" rescan and the per-flow
       remaining-bytes updates are single vector operations instead of
       the former O(flows) Python loops per event.
+
+    **Resume rule.**  Let ``k`` be the earliest round in which any flow
+    that went inactive since the component's last solve froze.  Rounds
+    ``0..k-1`` of a cold solve over the new active set are exactly the
+    old ones: in each of them a finished flow was still unfrozen, so
+    every link it crossed had a share strictly above that round's
+    freeze threshold.  Removing it only raises those shares (or drops
+    the link from the candidates), so the minimum share, the set of
+    frozen links, the flows they freeze and every ``cap -= share x
+    count`` update are the same floats as before.  The re-solve
+    therefore restores the link capacities left after round ``k - 1``
+    from the log, rebuilds the counts from the active flows whose
+    freeze round is ``>= k``, keeps the rates of the flows frozen
+    earlier, and runs only rounds ``k..``; ``k == 0`` is a cold solve.
+    The rates are bit-identical to a cold solve, and the saved state
+    (freeze rounds, per-round log offsets, one ``(link, capacity
+    after, previous entry)`` log entry per link a round touches) never
+    exceeds the component's incidence size.  On a shifted-ring
+    all-to-all, where one coupled component needs about a hundred
+    rounds per solve, nearly every re-solve resumes at its last round.
     """
 
     def __init__(self, flows: list[Flow], capacities: dict) -> None:
@@ -273,43 +319,81 @@ class _EventEngine:
         every link within the ``1e-9`` relative tolerance together,
         fixes their unfrozen flows at that share, and subtracts the
         committed bandwidth from every link those flows cross.
+
+        A re-solve resumes the last one at round ``k``, the earliest
+        round in which a flow that has since gone inactive froze, and
+        keeps the rates of the flows frozen before it.
         """
-        sel = np.flatnonzero(self.active[comp.flows])
+        act = self.active[comp.flows]
+        sel = np.flatnonzero(act)
         num_links = len(comp.caps)
         if len(sel) == 0:
             self.link_load[comp.links] = 0.0
             return
-        flat, lens = _ragged_rows(comp.flat, comp.off, sel)
-        off = np.zeros(len(sel) + 1, dtype=np.int64)
+        k = 0
+        if comp.solved is not None:
+            gone = comp.freeze[comp.solved & ~act]
+            k = int(gone.min()) if len(gone) else comp.rounds
+        pos = comp.round_start[k]
+        if k == 0:
+            cap = comp.caps.copy()
+            comp.last.fill(-1)
+            rest = sel
+        else:
+            # Truncate the log to rounds < k: each link touched later
+            # falls back to its entry before its first later touch.
+            tail = slice(pos, comp.round_start[comp.rounds])
+            prev = comp.log_prev[tail]
+            first = prev < pos
+            comp.last[comp.log_link[tail][first]] = prev[first]
+            cap = np.where(comp.last >= 0, comp.log_cap[comp.last], comp.caps)
+            rest = sel[comp.freeze[sel] >= k]
+        flat, lens = _ragged_rows(comp.flat, comp.off, rest)
+        off = np.zeros(len(rest) + 1, dtype=np.int64)
         np.cumsum(lens, out=off[1:])
-        cap = comp.caps.copy()
+        own = np.repeat(np.arange(len(rest)), lens)  # flow of each `flat` entry
         cnt = np.bincount(flat, minlength=num_links)
-        local_rates = np.zeros(len(sel), dtype=np.float64)
-        unfrozen = np.ones(len(sel), dtype=bool)
-        left = len(sel)
+        local_rates = np.zeros(len(rest), dtype=np.float64)
+        freeze = np.zeros(len(rest), dtype=np.int64)
+        unfrozen = np.ones(len(rest), dtype=bool)
+        left = len(rest)
+        rnd = k
         while left:
-            live = np.flatnonzero(cnt)
+            live = cnt.nonzero()[0]
             if len(live) == 0:  # flows crossing no capacitated link
                 local_rates[unfrozen] = np.inf
+                freeze[unfrozen] = rnd
+                rnd += 1
+                comp.round_start[rnd] = pos
                 break
             shares = cap[live] / cnt[live]
             share = shares.min()
             frozen_links = np.zeros(num_links, dtype=bool)
             frozen_links[live[shares <= share * (1 + 1e-9)]] = True
-            newly = np.flatnonzero(
-                np.logical_or.reduceat(frozen_links[flat], off[:-1]) & unfrozen
-            )
+            newly = np.logical_or.reduceat(frozen_links[flat], off[:-1]) & unfrozen
             local_rates[newly] = share
+            freeze[newly] = rnd
             unfrozen[newly] = False
-            left -= len(newly)
-            touched, _ = _ragged_rows(flat, off, newly)
-            delta = np.bincount(touched, minlength=num_links)
+            left -= np.count_nonzero(newly)
+            delta = np.bincount(flat[newly[own]], minlength=num_links)
             cap -= share * delta
             np.maximum(cap, 0.0, out=cap)
             cnt -= delta
-        self.rates[comp.flows[sel]] = local_rates
+            hit = delta.nonzero()[0]
+            end = pos + len(hit)
+            comp.log_link[pos:end] = hit
+            comp.log_cap[pos:end] = cap[hit]
+            comp.log_prev[pos:end] = comp.last[hit]
+            comp.last[hit] = np.arange(pos, end)
+            rnd, pos = rnd + 1, end
+            comp.round_start[rnd] = pos
+        comp.solved, comp.rounds = act, rnd
+        comp.freeze[rest] = freeze
+        self.rates[comp.flows[rest]] = local_rates
         # Refresh the component's link loads for utilization sampling.
-        finite = local_rates.copy()
+        if k:  # `flat` held only the refilled flows; loads need every active one
+            flat, lens = _ragged_rows(comp.flat, comp.off, sel)
+        finite = self.rates[comp.flows[sel]]
         finite[~np.isfinite(finite)] = 0.0
         self.link_load[comp.links] = np.bincount(
             flat, weights=np.repeat(finite, lens), minlength=num_links

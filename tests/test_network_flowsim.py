@@ -236,3 +236,180 @@ def test_rates_never_exceed_capacity(seed):
             per_edge[e] = per_edge.get(e, 0.0) + rates[i]
     for e, total in per_edge.items():
         assert total <= sim.capacities[e] * (1 + 1e-6)
+
+
+# -- warm-started re-solves ------------------------------------------------
+
+_LEAVES, _HOSTS, _SPINES = 3, 3, 2
+# A few sizes only, so shares and finish times tie; zero-size flows are
+# latency-only and never enter the engine.
+_SIZES = (0.0, 1e6, 2e6, 3e6, 4e6)
+
+
+def _spine0_flows(picks):
+    """Flows on a 3x3 fat tree from ``(src, dst, size index)`` picks.
+
+    Same-leaf pairs stay under their leaf (one component per leaf);
+    cross-leaf pairs all cross ``spine0``, coupling the leaves they
+    touch.  ``spine1`` carries nothing.
+    """
+    flows = []
+    for src, dst, size in picks:
+        if src == dst:
+            dst = (dst + 1) % (_LEAVES * _HOSTS)
+        s, d = f"h{src}", f"h{dst}"
+        ls, ld = f"FT2/leaf{src // _HOSTS}", f"FT2/leaf{dst // _HOSTS}"
+        path = [s, ls, d] if ls == ld else [s, ls, "FT2/spine0", ld, d]
+        flows.append(Flow(s, d, _SIZES[size], path))
+    return flows
+
+
+_picks = st.lists(
+    st.tuples(
+        st.integers(0, _LEAVES * _HOSTS - 1),
+        st.integers(0, _LEAVES * _HOSTS - 1),
+        st.integers(0, len(_SIZES) - 1),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _saved_state(comp):
+    """A component's resume state, as bytes for exact comparison."""
+    logged = comp.round_start[comp.rounds]
+    return (
+        comp.solved.tobytes(),
+        comp.freeze[comp.solved].tobytes(),
+        comp.rounds,
+        comp.round_start[: comp.rounds + 1].tobytes(),
+        comp.log_link[:logged].tobytes(),
+        comp.log_cap[:logged].tobytes(),
+        comp.log_prev[:logged].tobytes(),
+        comp.last.tobytes(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=_picks, time_epsilon=st.sampled_from([0.0, 0.02]))
+def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
+    """Every re-solve, cleared and redone cold, yields the same bits."""
+    from unittest import mock
+
+    from repro.network.flowsim import _EventEngine
+
+    solve = _EventEngine.solve_component
+    calls = []
+
+    def checked(engine, comp):
+        solve(engine, comp)
+        ids = comp.flows[engine.active[comp.flows]]
+        warm = (
+            engine.rates[ids].tobytes(),
+            engine.link_load[comp.links].tobytes(),
+            _saved_state(comp) if len(ids) else None,
+        )
+        comp.solved = None
+        solve(engine, comp)
+        cold = (
+            engine.rates[ids].tobytes(),
+            engine.link_load[comp.links].tobytes(),
+            _saved_state(comp) if len(ids) else None,
+        )
+        assert warm == cold
+        assert comp.round_start[comp.rounds] <= len(comp.flat)
+        assert comp.rounds <= len(comp.flows)
+        calls.append(comp)
+
+    flows = _spine0_flows(picks)
+    topo = two_layer_fat_tree(_LEAVES, _HOSTS, _SPINES, link_bandwidth=10e9)
+    with mock.patch.object(_EventEngine, "solve_component", checked):
+        result = FlowSimulator(topo).simulate(flows, time_epsilon=time_epsilon)
+    reference = FlowSimulator(topo).simulate(flows, time_epsilon=time_epsilon)
+    assert result.completion == reference.completion
+    assert len(calls) >= (1 if any(f.size for f in flows) else 0)
+
+
+def test_ring_resolves_resume_near_their_last_round():
+    """On a coupled shifted ring, re-solves refill only a few flows.
+
+    The first progressive-filling call of each re-solve runs over the
+    flows still unfrozen at the resume round; summed over the run it
+    must be a small fraction of the active flows a cold re-solve would
+    refill.
+    """
+    from unittest import mock
+
+    from repro.network import shifted_ring_flows
+    from repro.network import flowsim
+
+    topo = two_layer_fat_tree(4, 8, 4)
+    flows = shifted_ring_flows(topo, range(1, 8), 64e6)
+    solve = flowsim._EventEngine.solve_component
+    gather = flowsim._ragged_rows
+    refilled, active = [], []
+
+    def spy(engine, comp):
+        rows = []
+
+        def counted(flat, off, sel):
+            rows.append(len(sel))
+            return gather(flat, off, sel)
+
+        with mock.patch.object(flowsim, "_ragged_rows", counted):
+            solve(engine, comp)
+        if rows:  # the last re-solve finds no active flow
+            refilled.append(rows[0])
+            active.append(int(engine.active[comp.flows].sum()))
+
+    with mock.patch.object(flowsim._EventEngine, "solve_component", spy):
+        FlowSimulator(topo).simulate(flows)
+    assert len(refilled) > 10
+    assert refilled[0] == active[0] == len(flows)  # the first solve is cold
+    assert sum(refilled[1:]) < 0.1 * sum(active[1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    picks=_picks,
+    faults=st.lists(
+        st.tuples(
+            st.sampled_from(["link", "switch"]),
+            st.floats(0.05, 0.95),
+            st.sampled_from([0.1, 0.3, float("inf")]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_fault_runner_agrees_with_event_engine_on_idle_faults(picks, faults):
+    """Differential oracle: the fault-timeline runner, built on the
+    ``max_min_rates`` reference, against the event engine, under
+    failures of ``spine1``, which no flow crosses."""
+    from repro.faults import FaultEvent, FaultSchedule, link_target
+
+    flows = _spine0_flows(picks)
+    topo = two_layer_fat_tree(_LEAVES, _HOSTS, _SPINES, link_bandwidth=10e9)
+    plain = FlowSimulator(topo).simulate(flows)
+    horizon = max(plain.makespan, 1e-6)
+    events = tuple(
+        FaultEvent(
+            time=at * horizon,
+            kind=kind,
+            target=(
+                link_target(f"FT2/leaf{i % _LEAVES}", "FT2/spine1")
+                if kind == "link"
+                else "FT2/spine1"
+            ),
+            mttr=mttr * horizon,
+        )
+        for i, (kind, at, mttr) in enumerate(faults)
+    )
+    sim = FlowSimulator(topo)
+    faulty = sim.simulate(flows, faults=FaultSchedule(events=events))
+    assert sim.fault_report.stalled == ()
+    assert sim.fault_report.unfinished == ()
+    assert set(faulty.completion) == set(plain.completion)
+    for idx, t in plain.completion.items():
+        assert faulty.completion[idx] == pytest.approx(t, rel=1e-9)
+    assert faulty.makespan == pytest.approx(plain.makespan, rel=1e-9)
