@@ -50,6 +50,13 @@ deterministic fire/resolve alert timeline.  ``sweep --windows`` /
 ``--slo`` do the same per point; the ``--json`` document then gains a
 cross-point ``windows`` section merged via ``Histogram.merge``.
 
+``serve-sim`` and ``trace`` build their scenarios with the sweep targets'
+builders (:mod:`repro.sweep.targets`), on flat keys that state their own
+defaults: disaggregated, 2+6 GPUs, 200 Poisson requests at 2 req/s; under
+``--smoke``, 40 requests at 4 req/s with 256/64-token prompts/outputs
+(``--requests``/``--rate`` are then ignored).  Unset keys take the
+dataclass defaults, as in a ``sweep --target serving`` point (colocated).
+
 ``repro --version`` prints the package version.  An unknown subcommand
 exits 2 with the usage message (pinned by ``tests/test_cli_summary.py``).
 
@@ -189,53 +196,54 @@ def _run_profiled(args: argparse.Namespace, thunk):
     return result
 
 
-def _serving_config(args: argparse.Namespace):
-    """Build the ``SimConfig`` shared by ``serve-sim`` and ``trace``."""
-    from .serving import MTPConfig, SimConfig, StepCostModel, WorkloadSpec
+#: ``serve-sim``'s scenario as serving sweep-target flat keys.  Its flags
+#: default to these (each flag's dest is its key), and ``trace --scenario
+#: serving`` runs them unchanged.
+_SERVE_SIM = {
+    "mode": "disaggregated",
+    "num_requests": 200,
+    "request_rate": 2.0,
+    "arrival": "poisson",
+    "prefill_gpus": 2,
+    "decode_gpus": 6,
+}
 
-    if args.smoke:
-        workload = WorkloadSpec(
-            request_rate=4.0,
-            num_requests=40,
-            prompt_mean=256,
-            prompt_cv=0.3,
-            output_mean=64,
-            output_cv=0.3,
-            arrival=args.arrival,
-        )
-    else:
-        workload = WorkloadSpec(
-            request_rate=args.rate,
-            num_requests=args.requests,
-            arrival=args.arrival,
-        )
-    faults = None
-    if getattr(args, "faults", None):
+#: ``--smoke``: a small fast workload that overrides ``--requests``/``--rate``.
+_SMOKE_WORKLOAD = {
+    "request_rate": 4.0,
+    "num_requests": 40,
+    "prompt_mean": 256,
+    "prompt_cv": 0.3,
+    "output_mean": 64,
+    "output_cv": 0.3,
+}
+
+
+def _serving_config(args: argparse.Namespace, flat: dict):
+    """Build the ``SimConfig`` of ``serve-sim``/``trace`` from flat keys.
+
+    The serving sweep target's builder does the work, so the CLI and
+    sweeps share one schema.  ``--smoke`` swaps in the smoke workload and
+    ``--faults`` becomes the target's ``faults`` schedule dict.
+    """
+    from .sweep.targets import serving_scenario
+
+    cfg = {**flat, **(_SMOKE_WORKLOAD if args.smoke else {})}
+    if args.faults:
         from .faults import parse_faults_arg
 
         # Sampled schedules need a horizon: twice the mean arrival span
         # comfortably covers the decode tail of the workload.
-        horizon = 2.0 * workload.num_requests / workload.request_rate
-        targets = ("pool",) if args.mode == "colocated" else ("prefill", "decode")
-        faults = parse_faults_arg(
+        horizon = 2.0 * cfg["num_requests"] / cfg["request_rate"]
+        targets = ("pool",) if cfg["mode"] == "colocated" else ("prefill", "decode")
+        schedule = parse_faults_arg(
             args.faults, horizon=horizon, seed=args.seed, kind="gpu", targets=targets
         )
-    window = getattr(args, "window", None)
-    slo_rules = getattr(args, "slo", None) or []
-    if slo_rules and window is None:
-        raise SystemExit("--slo requires --window SECONDS")
-    return SimConfig(
-        workload=workload,
-        costs=StepCostModel(mtp=MTPConfig(enabled=args.mtp)),
-        mode=args.mode,
-        prefill_gpus=args.prefill_gpus,
-        decode_gpus=args.decode_gpus,
-        seed=args.seed,
-        faults=faults,
-        record_requests=bool(getattr(args, "record", False)),
-        **({"window_s": window} if window is not None else {}),
-        **({"slo_rules": tuple(slo_rules)} if slo_rules else {}),
-    )
+        cfg["faults"] = json.loads(schedule.to_json())
+    try:
+        return serving_scenario(cfg, args.seed)[0]
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 #: serve-sim prints periodic progress only past this size — small runs
@@ -243,14 +251,14 @@ def _serving_config(args: argparse.Namespace):
 _PROGRESS_MIN_REQUESTS = 10_000
 
 
-def _serve_sim_progress(args: argparse.Namespace):
+def _serve_sim_progress(args: argparse.Namespace, config):
     """Progress callback for large ``serve-sim`` runs, or ``None``.
 
     Bounded output: the simulator fires every 5% of retired requests
     (≤ 21 lines for any request count).  Lines go to stderr so they
     never pollute piped output, and ``--json`` silences them entirely.
     """
-    if args.json or args.requests < _PROGRESS_MIN_REQUESTS:
+    if args.json or config.workload.num_requests < _PROGRESS_MIN_REQUESTS:
         return None
 
     def on_progress(done: int, total: int, sim_time: float) -> None:
@@ -290,9 +298,9 @@ def _print_degradation(degradation) -> None:
 def _cmd_serve_sim(args: argparse.Namespace) -> None:
     from .serving import ServingSimulator, report_asdict
 
-    simulator = ServingSimulator(
-        _serving_config(args), on_progress=_serve_sim_progress(args)
-    )
+    keys = (*_SERVE_SIM, "mtp", "record_requests", "window_s", "slo")
+    config = _serving_config(args, {k: getattr(args, k) for k in keys})
+    simulator = ServingSimulator(config, on_progress=_serve_sim_progress(args, config))
     report = _run_profiled(args, simulator.run)
     if args.json:
         print(json.dumps(report_asdict(report), indent=2, sort_keys=True))
@@ -338,7 +346,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> None:
             for s in summaries
         ]
         print(
-            f"windows ({len(summaries)} x {args.window:g}s)  "
+            f"windows ({len(summaries)} x {args.window_s:g}s)  "
             f"throughput {sparkline(throughput)}  attainment {sparkline(attainment)}"
         )
     if report.alerts is not None:
@@ -359,7 +367,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> None:
 def _trace_serving(args: argparse.Namespace, tracer, metrics) -> str:
     from .serving import ServingSimulator
 
-    report = ServingSimulator(_serving_config(args), tracer=tracer, metrics=metrics).run()
+    config = _serving_config(args, _SERVE_SIM)
+    report = ServingSimulator(config, tracer=tracer, metrics=metrics).run()
     return (
         f"serving: {report.completed} requests, {report.preemptions} preemptions, "
         f"TPOT p99 {report.tpot.p99 * 1e3:.2f} ms over {report.duration:.2f} s"
@@ -367,23 +376,13 @@ def _trace_serving(args: argparse.Namespace, tracer, metrics) -> str:
 
 
 def _trace_network(args: argparse.Namespace, tracer, metrics) -> str:
-    from .network import FlowSimulator, two_layer_fat_tree
-    from .network.routing import RoutingPolicy, route_flow
+    from .network import FlowSimulator
+    from .sweep.targets import flowsim_scenario
 
-    topo = two_layer_fat_tree(num_leaves=4, hosts_per_leaf=4, num_spines=4)
-    hosts = topo.hosts
-    shifts = range(1, 4 if args.smoke else len(hosts))
-    size = 64e6 if args.smoke else 1e9
-    flows = []
-    for shift in shifts:
-        for i, src in enumerate(hosts):
-            dst = hosts[(i + shift) % len(hosts)]
-            flows.extend(
-                route_flow(topo, src, dst, size, RoutingPolicy.ECMP, tag=f"shift{shift}")
-            )
+    topo, flows, mode = flowsim_scenario({} if args.smoke else {"shifts": 15, "size_bytes": 1e9})
     sim = FlowSimulator(topo, tracer=tracer, metrics=metrics)
     faults = None
-    if getattr(args, "faults", None):
+    if args.faults:
         from .faults import link_target, parse_faults_arg
         from .network import INTERSWITCH_LINK
 
@@ -395,7 +394,7 @@ def _trace_network(args: argparse.Namespace, tracer, metrics) -> str:
         faults = parse_faults_arg(
             args.faults, horizon=1.0, seed=args.seed, kind="link", targets=links
         )
-    result = sim.simulate(flows, faults=faults)
+    result = sim.simulate(flows, mode=mode, faults=faults)
     headline = (
         f"network: {len(flows)} flows over {topo.name}, "
         f"makespan {result.makespan * 1e3:.2f} ms"
@@ -416,29 +415,31 @@ def _trace_training(args: argparse.Namespace, tracer, metrics) -> str:
     from .model.config import TINY_MLA_MOE
     from .training import TrainableTransformer, markov_corpus, train
 
-    if getattr(args, "faults", None):
+    if args.faults:
         from .faults import parse_faults_arg
         from .reliability import optimal_checkpoint_interval
+        from .sweep.targets import training_scenario
         from .training import simulate_checkpointed_training
 
         work = 4 * 3600.0 if args.smoke else 48 * 3600.0
-        checkpoint_cost, restart_cost = 60.0, 300.0
+        cfg = {"work_s": work, "checkpoint_s": 60.0, "restart_s": 300.0}
         schedule = parse_faults_arg(
             args.faults, horizon=3 * work, seed=args.seed, kind="step", targets=("trainer",)
         )
         if args.faults.startswith("mtbf:"):
             mtbf = float(args.faults.split(":")[1])
-            interval = optimal_checkpoint_interval(checkpoint_cost, mtbf)
+            cfg["interval_s"] = optimal_checkpoint_interval(cfg["checkpoint_s"], mtbf)
         else:
-            interval = work / 48
+            cfg["interval_s"] = work / 48
+        cfg["faults"] = json.loads(schedule.to_json())
+        positional, keywords = training_scenario(cfg, args.seed)
         report = simulate_checkpointed_training(
-            work, interval, checkpoint_cost, restart_cost,
-            faults=schedule, seed=args.seed, tracer=tracer, metrics=metrics,
+            *positional, **keywords, tracer=tracer, metrics=metrics
         )
         return (
             f"training: checkpointed goodput sim, {report.failures} failures, "
             f"{report.checkpoints} checkpoints, goodput {report.goodput:.1%} "
-            f"(work {work / 3600:.0f} h, interval {interval:.0f} s)"
+            f"(work {work / 3600:.0f} h, interval {cfg['interval_s']:.0f} s)"
         )
 
     steps = 5 if args.smoke else 50
@@ -823,25 +824,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve-sim", help="request-level serving simulation (Sections 2.3.1-2.3.3)"
     )
+    p.add_argument("--mode", choices=["colocated", "disaggregated"])
     p.add_argument(
-        "--mode", choices=["colocated", "disaggregated"], default="disaggregated"
+        "--requests", dest="num_requests", type=int, metavar="REQUESTS",
+        help="requests to simulate",
     )
-    p.add_argument("--requests", type=int, default=200, help="requests to simulate")
-    p.add_argument("--rate", type=float, default=2.0, help="mean arrival rate, req/s")
-    p.add_argument("--arrival", choices=["poisson", "bursty"], default="poisson")
-    p.add_argument("--prefill-gpus", type=int, default=2)
-    p.add_argument("--decode-gpus", type=int, default=6)
+    p.add_argument(
+        "--rate", dest="request_rate", type=float, metavar="RATE",
+        help="mean arrival rate, req/s",
+    )
+    p.add_argument("--arrival", choices=["poisson", "bursty"])
+    p.add_argument("--prefill-gpus", type=int)
+    p.add_argument("--decode-gpus", type=int)
     p.add_argument("--mtp", action="store_true", help="enable MTP speculative decoding")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoke", action="store_true", help="small fast workload")
-    mode_group = p.add_mutually_exclusive_group()
-    mode_group.add_argument(
-        "--stream", action="store_true",
-        help="constant-memory streaming aggregation (the default): "
-        "histogram-derived percentiles, no per-request records",
-    )
-    mode_group.add_argument(
-        "--record", action="store_true",
+    p.add_argument(
+        "--record", dest="record_requests", action="store_true",
         help="keep exact per-request records (O(requests) memory; "
         "enables the per-request degradation breakdown)",
     )
@@ -854,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject failures: schedule JSON path or mtbf:MTBF[:MTTR[:HORIZON]]",
     )
     p.add_argument(
-        "--window", type=float, default=None, metavar="SECONDS",
+        "--window", dest="window_s", type=float, default=None, metavar="SECONDS",
         help="windowed telemetry: tumbling window width on the sim clock "
         "(adds the 'windows' section to --json output)",
     )
@@ -870,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile-top", type=int, default=15, help="functions to list with --profile"
     )
-    p.set_defaults(func=_cmd_serve_sim)
+    p.set_defaults(func=_cmd_serve_sim, **_SERVE_SIM)
 
     p = sub.add_parser(
         "sweep",
@@ -1095,17 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile-top", type=int, default=15, help="functions to list with --profile"
     )
-    # Serving-scenario knobs shared with serve-sim (fixed to its defaults).
-    p.set_defaults(
-        func=_cmd_trace,
-        mode="disaggregated",
-        rate=2.0,
-        requests=200,
-        arrival="poisson",
-        mtp=False,
-        prefill_gpus=2,
-        decode_gpus=6,
-    )
+    p.set_defaults(func=_cmd_trace)
     return parser
 
 

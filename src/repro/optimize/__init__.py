@@ -29,7 +29,7 @@ job — journaled, resumable, progress over SSE — or even swept over
 from __future__ import annotations
 
 from ..sweep import SweepCache, register_target
-from ..sweep.targets import warm_inner
+from ..sweep.targets import reject_unknown_keys, warm_inner
 from .ladder import FidelityLadder, get_ladder, ladder_names, register_ladder
 from .objective import (
     Constraint,
@@ -98,6 +98,5 @@ def _optimize_target(config: dict, seed: int) -> dict:
     )
     workers = int(cfg.pop("workers", 1))
     cache = None if cfg.pop("no_cache", False) else SweepCache(cfg.pop("cache_dir", None))
-    if cfg:
-        raise ValueError(f"unknown optimize keys: {sorted(cfg)}")
+    reject_unknown_keys("optimize", cfg)
     return run_search(spec, workers=workers, cache=cache).report_payload()

@@ -22,26 +22,36 @@ visible to them, and its ``warm`` hook (the imports a built-in target
 would otherwise pay lazily on its first call) runs once, not once per
 worker or per attempt.
 
-``serving`` — :class:`repro.serving.ServingSimulator`.  Flat config
-keys map onto ``WorkloadSpec`` (``request_rate``, ``num_requests``,
+Each built-in target is a pure builder, shared with ``repro serve-sim``
+and ``repro trace``, plus a run.  A builder rejects any key it did not
+consume with ``unknown <target> sweep keys: [...]``.
+
+``serving`` — :func:`serving_scenario` builds the ``SimConfig`` for
+:class:`repro.serving.ServingSimulator`.  The flat keys are every
+scalar field of ``WorkloadSpec`` (``request_rate``, ``num_requests``,
 ``prompt_mean``, …), ``SchedulerConfig`` (``max_concurrent_per_gpu``,
 …) and ``SimConfig`` (``mode``, ``prefill_gpus``, ``decode_gpus``,
-``kv_blocks_per_gpu``, ``block_tokens``, ``context_bucket``); plus
+``kv_blocks_per_gpu``, ``block_tokens``, ``context_bucket``,
+``window_s``, ``record_requests``), with the dataclass defaults; plus
 ``mtp``/``mtp_acceptance``, a ``faults`` schedule dict
-(``FaultSchedule.to_json`` shape), a ``recovery`` kwargs dict, and the
-telemetry pair ``window_s`` (window width) / ``slo`` (a rule list for
-:func:`repro.obs.parse_slo_rules`) — when set, each point's record
-gains mergeable ``windows`` and an ``alerts`` timeline.  Points run in
-constant-memory streaming mode unless ``record_requests`` is true.
+(``FaultSchedule.to_json`` shape), a ``recovery`` kwargs dict, ``slo``
+(a rule list for :func:`repro.obs.parse_slo_rules`, i.e.
+``SimConfig.slo_rules``) and ``gpu_cost_per_hour`` (economics fields in
+the record).  With ``window_s`` set, each point's record gains
+mergeable ``windows`` and, with ``slo``, an ``alerts`` timeline.
+Points run in constant-memory streaming mode unless ``record_requests``
+is true.
 
-``flowsim`` — shifted-ring all-to-all on a two-layer fat tree through
-:class:`repro.network.FlowSimulator` (``num_leaves``,
-``hosts_per_leaf``, ``num_spines``, ``shifts``, ``size_bytes``,
-``sim_mode``).  Deterministic: the seed is accepted but unused.
+``flowsim`` — :func:`flowsim_scenario` builds a shifted-ring all-to-all
+on a two-layer fat tree for :class:`repro.network.FlowSimulator`
+(``num_leaves``, ``hosts_per_leaf``, ``num_spines``, ``shifts``,
+``size_bytes``, ``sim_mode``).  Deterministic: the seed is accepted but
+unused.
 
-``training`` — :func:`repro.training.simulate_checkpointed_training`
-(``work_s``, ``interval_s``, ``checkpoint_s``, ``restart_s``,
-``mtbf_s``, optional ``faults``).
+``training`` — :func:`training_scenario` builds the arguments of
+:func:`repro.training.simulate_checkpointed_training` (``work_s``,
+``interval_s``, ``checkpoint_s``, ``restart_s``, ``mtbf_s``, optional
+``faults``).
 """
 
 from __future__ import annotations
@@ -139,80 +149,83 @@ def target_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _split_kwargs(cfg: dict, cls) -> dict:
-    """Pop every key of ``cfg`` that is a dataclass field of ``cls``."""
-    names = {f.name for f in fields(cls)}
+def _split_kwargs(cfg: dict, cls, skip: tuple[str, ...] = ()) -> dict:
+    """Pop every key of ``cfg`` that is a dataclass field of ``cls``,
+    except the fields named in ``skip``."""
+    names = {f.name for f in fields(cls)} - set(skip)
     return {k: cfg.pop(k) for k in list(cfg) if k in names}
 
 
-@register_target("serving", warm=warm_imports("repro.faults", "repro.serving"))
-def _serving_target(config: dict, seed: int) -> dict:
+def reject_unknown_keys(target: str, cfg: dict) -> None:
+    """Fail on the keys a builder left unconsumed in ``cfg``."""
+    if cfg:
+        raise ValueError(f"unknown {target} sweep keys: {sorted(cfg)}")
+
+
+#: ``SimConfig`` fields built from structured values, never set flat.
+_STRUCTURED_SIM_FIELDS = (
+    "workload", "costs", "scheduler", "slo", "seed", "faults", "recovery", "slo_rules"
+)
+
+
+def serving_scenario(config: dict, seed: int):
+    """Build ``(SimConfig, economics)`` from the serving target's flat keys.
+
+    ``economics`` holds the ``compact_record`` keyword arguments that turn
+    on its cost fields; it is empty unless ``gpu_cost_per_hour`` is set.
+    """
     from ..faults import FaultSchedule, RecoveryPolicy
-    from ..serving import (
-        MTPConfig,
-        SchedulerConfig,
-        ServingSimulator,
-        SimConfig,
-        StepCostModel,
-        WorkloadSpec,
-        compact_record,
-    )
+    from ..serving import MTPConfig, SchedulerConfig, SimConfig, StepCostModel, WorkloadSpec
 
     cfg = dict(config)
     cfg.pop("seed", None)  # already folded into the point seed
-    workload = WorkloadSpec(**_split_kwargs(cfg, WorkloadSpec))
-    scheduler = SchedulerConfig(**_split_kwargs(cfg, SchedulerConfig))
     mtp = MTPConfig(
         enabled=bool(cfg.pop("mtp", False)),
         **({"acceptance_rate": cfg.pop("mtp_acceptance")} if "mtp_acceptance" in cfg else {}),
     )
     faults = cfg.pop("faults", None)
     recovery = cfg.pop("recovery", None)
-    # Telemetry opts: a window width plus SLO monitor rules (compact
-    # strings or SloRule.to_dict() shapes — both JSON-able, so they are
-    # legal cache-key material like every other config key).
-    window_s = cfg.pop("window_s", None)
+    # The flat key ``slo`` is the SLO monitor rule list (compact strings or
+    # SloRule.to_dict() shapes), i.e. SimConfig.slo_rules, not SimConfig.slo.
     slo_rules = cfg.pop("slo", None)
     # Economics opt-in: a $/GPU-hour figure turns on the objective-ready
     # cost_per_token / goodput_tokens_per_s fields in the compact record
     # (repro.serving.report).  Absent, payloads are byte-identical to
     # pre-economics output.
     gpu_cost_per_hour = cfg.pop("gpu_cost_per_hour", None)
+    workload = WorkloadSpec(**_split_kwargs(cfg, WorkloadSpec))
+    scheduler = SchedulerConfig(**_split_kwargs(cfg, SchedulerConfig))
+    scalars = _split_kwargs(cfg, SimConfig, skip=_STRUCTURED_SIM_FIELDS)
+    reject_unknown_keys("serving", cfg)
     sim = SimConfig(
         workload=workload,
         costs=StepCostModel(mtp=mtp),
         scheduler=scheduler,
-        mode=cfg.pop("mode", "colocated"),
-        prefill_gpus=cfg.pop("prefill_gpus", 2),
-        decode_gpus=cfg.pop("decode_gpus", 6),
-        kv_blocks_per_gpu=cfg.pop("kv_blocks_per_gpu", None),
-        block_tokens=cfg.pop("block_tokens", 64),
-        context_bucket=cfg.pop("context_bucket", 512),
         seed=seed,
-        # Streaming aggregation by default — sweep points routinely run
-        # large request counts, and compact_record only reads aggregate
-        # fields.  record_requests=True opts back into exact per-request
-        # records (identical aggregates, O(requests) memory).
-        record_requests=bool(cfg.pop("record_requests", False)),
         faults=FaultSchedule.from_json(faults) if faults else None,
         **({"recovery": RecoveryPolicy(**recovery)} if recovery else {}),
-        **({"window_s": window_s} if window_s is not None else {}),
         **({"slo_rules": tuple(slo_rules)} if slo_rules else {}),
+        **scalars,
     )
-    if cfg:
-        raise ValueError(f"unknown serving sweep keys: {sorted(cfg)}")
     economics = (
         {"gpus": sim.prefill_gpus + sim.decode_gpus, "gpu_cost_per_hour": gpu_cost_per_hour}
         if gpu_cost_per_hour is not None
         else {}
     )
+    return sim, economics
+
+
+@register_target("serving", warm=warm_imports("repro.faults", "repro.serving"))
+def _serving_target(config: dict, seed: int) -> dict:
+    from ..serving import ServingSimulator, compact_record
+
+    sim, economics = serving_scenario(config, seed)
     return compact_record(ServingSimulator(sim).run(), **economics)
 
 
-@register_target("flowsim", warm=warm_imports("repro.network", "networkx"))
-def _flowsim_target(config: dict, seed: int) -> dict:
-    del seed  # the routed shifted-ring pattern is fully deterministic
-    from ..network import FlowSimulator, shifted_ring_flows, two_layer_fat_tree
+def flowsim_scenario(config: dict):
+    """Build ``(topology, flows, sim_mode)`` from the flowsim target's flat keys."""
+    from ..network import shifted_ring_flows, two_layer_fat_tree
 
     cfg = dict(config)
     cfg.pop("seed", None)
@@ -225,8 +238,16 @@ def _flowsim_target(config: dict, seed: int) -> dict:
         topo, range(1, 1 + cfg.pop("shifts", 3)), cfg.pop("size_bytes", 64e6)
     )
     mode = cfg.pop("sim_mode", "event")
-    if cfg:
-        raise ValueError(f"unknown flowsim sweep keys: {sorted(cfg)}")
+    reject_unknown_keys("flowsim", cfg)
+    return topo, flows, mode
+
+
+@register_target("flowsim", warm=warm_imports("repro.network", "networkx"))
+def _flowsim_target(config: dict, seed: int) -> dict:
+    del seed  # the routed shifted-ring pattern is fully deterministic
+    from ..network import FlowSimulator
+
+    topo, flows, mode = flowsim_scenario(config)
     result = FlowSimulator(topo).simulate(flows, mode=mode)
     total = sum(f.size for f in flows)
     return {
@@ -236,23 +257,33 @@ def _flowsim_target(config: dict, seed: int) -> dict:
     }
 
 
-@register_target("training", warm=warm_imports("repro.faults", "repro.training"))
-def _training_target(config: dict, seed: int) -> dict:
+def training_scenario(config: dict, seed: int):
+    """Build the ``(args, kwargs)`` of
+    :func:`repro.training.simulate_checkpointed_training` from the
+    training target's flat keys."""
     from ..faults import FaultSchedule
-    from ..training import simulate_checkpointed_training
 
     cfg = dict(config)
     cfg.pop("seed", None)
     faults = cfg.pop("faults", None)
-    report = simulate_checkpointed_training(
+    args = (
         cfg.pop("work_s", 48 * 3600.0),
         cfg.pop("interval_s", 3600.0),
         cfg.pop("checkpoint_s", 60.0),
         cfg.pop("restart_s", 300.0),
-        mtbf=cfg.pop("mtbf_s", None),
-        faults=FaultSchedule.from_json(faults) if faults else None,
-        seed=seed,
     )
-    if cfg:
-        raise ValueError(f"unknown training sweep keys: {sorted(cfg)}")
-    return report.asdict()
+    kwargs = {
+        "mtbf": cfg.pop("mtbf_s", None),
+        "faults": FaultSchedule.from_json(faults) if faults else None,
+        "seed": seed,
+    }
+    reject_unknown_keys("training", cfg)
+    return args, kwargs
+
+
+@register_target("training", warm=warm_imports("repro.faults", "repro.training"))
+def _training_target(config: dict, seed: int) -> dict:
+    from ..training import simulate_checkpointed_training
+
+    args, kwargs = training_scenario(config, seed)
+    return simulate_checkpointed_training(*args, **kwargs).asdict()

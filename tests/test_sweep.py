@@ -222,6 +222,105 @@ def test_serving_target_rejects_unknown_keys():
         )
 
 
+#: A non-default value for every scalar field of WorkloadSpec,
+#: SchedulerConfig and SimConfig — the serving target's flat schema.
+SERVING_SCALARS = {
+    "request_rate": 3.5,
+    "num_requests": 17,
+    "prompt_mean": 300,
+    "prompt_cv": 0.2,
+    "output_mean": 40,
+    "output_cv": 0.1,
+    "arrival": "bursty",
+    "burst_fraction": 0.8,
+    "burst_factor": 10.0,
+    "max_concurrent_per_gpu": 32,
+    "max_prefill_tokens": 4096,
+    "max_prefill_requests": 8,
+    "mode": "disaggregated",
+    "prefill_gpus": 3,
+    "decode_gpus": 5,
+    "kv_blocks_per_gpu": 1000,
+    "block_tokens": 32,
+    "context_bucket": 256,
+    "window_s": 2.0,
+    "record_requests": True,
+}
+
+
+def test_serving_scenario_accepts_every_scalar_field():
+    from dataclasses import fields
+
+    from repro.serving import SchedulerConfig, SimConfig, WorkloadSpec
+    from repro.sweep.targets import serving_scenario
+
+    structured = {
+        "workload", "costs", "scheduler", "slo", "seed", "faults", "recovery", "slo_rules"
+    }
+    owners = {
+        "workload": WorkloadSpec(),
+        "scheduler": SchedulerConfig(),
+        None: SimConfig(),
+    }
+    scalars = {
+        f.name: attr
+        for attr, default in owners.items()
+        for f in fields(default)
+        if f.name not in structured
+    }
+    assert set(SERVING_SCALARS) == set(scalars)
+
+    sim, economics = serving_scenario(SERVING_SCALARS, 9)
+    assert sim.seed == 9 and economics == {}
+    for key, value in SERVING_SCALARS.items():
+        attr = scalars[key]
+        built = sim if attr is None else getattr(sim, attr)
+        assert getattr(owners[attr], key) != value, key  # a real override
+        assert getattr(built, key) == value, key
+
+
+def test_serving_scenario_maps_slo_to_slo_rules():
+    from repro.obs import parse_slo_rules
+    from repro.serving import SLO
+    from repro.sweep.targets import serving_scenario
+
+    rules = ["tpot_p99<0.05", "burn>2@0.9"]
+    sim, _ = serving_scenario({"window_s": 5.0, "slo": rules}, 0)
+    assert sim.slo_rules == parse_slo_rules(rules)
+    assert sim.slo == SLO()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("workload", {}),
+        ("costs", {}),
+        ("scheduler", {}),
+        ("slo_rules", ["tpot_p99<0.05"]),
+        ("request_rte", 2.0),
+    ],
+)
+def test_serving_scenario_rejects_structured_and_typo_keys(key, value):
+    from repro.sweep.targets import serving_scenario
+
+    with pytest.raises(ValueError, match=rf"unknown serving sweep keys: \['{key}'\]"):
+        serving_scenario({key: value}, 0)
+
+
+@pytest.mark.parametrize("target", ["flowsim", "training", "optimize"])
+def test_builtin_targets_share_one_unknown_key_error(target):
+    from repro.sweep import get_target
+
+    config = {"bogus": 1}
+    if target == "optimize":
+        config.update(
+            target="serving", objective="maximize goodput",
+            space={"request_rate": [2.0]}, no_cache=True,
+        )
+    with pytest.raises(ValueError, match=rf"unknown {target} sweep keys: \['bogus'\]"):
+        get_target(target)(config, 0)
+
+
 def test_unknown_target_raises():
     with pytest.raises(KeyError, match="unknown sweep target"):
         run_sweep(SweepSpec(target="no-such-target", points=[{"x": 1}]), cache=None)
