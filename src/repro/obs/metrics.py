@@ -354,6 +354,16 @@ class MetricsRegistry:
             name, lambda n: TimeSeries(n, max_points=max_points, mode=mode), TimeSeries
         )
 
+    def fresh_series(
+        self, name: str, *, max_points: int | None = None, mode: str = "ring"
+    ) -> TimeSeries:
+        """A new, empty time series bound to ``name``, replacing any
+        earlier one — for a channel that covers one run (a simulation
+        whose clock restarts at zero) rather than the registry's life."""
+        self._get(name, TimeSeries, TimeSeries)  # the name must be free or a series
+        series = self._instruments[name] = TimeSeries(name, max_points=max_points, mode=mode)
+        return series
+
     def histogram(self, name: str, growth: float = 1.02) -> Histogram:
         return self._get(name, lambda n: Histogram(n, growth=growth), Histogram)
 

@@ -43,7 +43,8 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
 * Requests cache the token capacity of their held KV blocks
   (``Request.kv_tokens``); a decode step only calls into the allocator
   when the next token actually crosses a block boundary.
-* Event counters accumulate in plain ints and flush into the
+* Event counters accumulate in plain ints (the six fault tallies in
+  one dict keyed by counter suffix) and flush into the
   :class:`MetricsRegistry` once per run, so tracing-off runs pay no
   per-event instrument overhead.
 
@@ -55,12 +56,16 @@ Memory design (million-request runs, gated by
   a mutable :class:`Request` is materialized only when its arrival
   fires, and each arrival event feeds the next, so live Python objects
   are O(active requests).
-* Reporting streams by default: retired requests fold into
-  geometric-bucket histograms and running sums, traces decimate to
-  ``STREAM_TRACE_POINTS``, and the report is assembled by
-  :func:`repro.serving.report.build_streaming_report`.  Exact
-  per-request records return behind ``SimConfig.record_requests`` (and
-  automatically for fault runs, whose degradation report needs them).
+* One aggregation path: in both modes every retired request folds
+  into geometric-bucket histograms and running sums (judged against
+  the SLO once), and every channel sample into running sums.  The
+  default streaming report is assembled from that fold by
+  :func:`repro.serving.report.build_streaming_report`, with traces
+  decimated to ``STREAM_TRACE_POINTS``.  Record mode
+  (``SimConfig.record_requests``, implied by fault runs, whose
+  degradation report needs per-request timelines) only adds the kept
+  request lists and full-resolution traces, from which
+  :func:`repro.serving.report.build_report` computes exact statistics.
 """
 
 from __future__ import annotations
@@ -156,16 +161,18 @@ class SimConfig:
             dicts, or compact strings like ``"burn>2@0.9"``).
             Requires ``window_s``; the resulting alert timeline lands
             in ``SimReport.alerts``.
-        record_requests: Keep exact per-request records and full-
-            resolution traces (O(total requests) memory) and build the
-            report from them — the bit-exact mode the golden tests pin.
-            The default is *streaming*: latency distributions fold into
-            geometric-bucket histograms as requests finish, traces
-            decimate to a bounded point budget, and steady-state memory
-            is O(active requests + histogram buckets + windows), so
-            million-request runs fit in a flat footprint.  Runs with a
-            non-empty fault schedule always keep records — the
-            degradation report needs per-request timelines.
+        record_requests: Record mode is the streaming fold plus kept
+            records: the run folds every request and sample exactly as
+            in the default *streaming* mode, and additionally keeps the
+            per-request records and full-resolution traces (O(total
+            requests) memory) to build the exact report from — the mode
+            the golden tests pin.  Streaming alone keeps latency
+            distributions as geometric-bucket histograms and traces at
+            a bounded point budget, so steady-state memory is O(active
+            requests + histogram buckets + windows) and million-request
+            runs fit in a flat footprint.  Runs with a non-empty fault
+            schedule always keep records — the degradation report needs
+            per-request timelines.
     """
 
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -316,7 +323,6 @@ class ServingSimulator:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._metrics_arg = metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._mtp_rng = seeded_generator(config.seed, "mtp")
         self._windowed: WindowedMetrics | None = None
         self._on_progress = on_progress
         self._progress_total = config.workload.num_requests
@@ -365,6 +371,8 @@ class ServingSimulator:
         tracer = self.tracer
         metrics = self._metrics_arg if self._metrics_arg is not None else MetricsRegistry()
         self.metrics = metrics
+        # Seeded per run, so a second run() replays the same MTP draws.
+        self._mtp_rng = seeded_generator(cfg.seed, "mtp")
         pools = self._make_pools()
         prefill_pool = pools[0]
         decode_pool = pools[-1]
@@ -430,15 +438,16 @@ class ServingSimulator:
         windowed = WindowedMetrics(cfg.window_s) if cfg.window_s is not None else None
         self._windowed = windowed
         self._active_faults = 0
-        self._n_retries = 0
-        self._n_retry_dropped = 0
-        self._n_shed = 0
-        self._n_evicted = 0
-        self._n_steps_aborted = 0
-        self._lost_tokens = 0
+        # Fault tallies: each key is both the ``serving.fault_<key>``
+        # counter suffix and a build_degradation keyword.
+        faults = self._faults = dict.fromkeys(
+            ("retries", "retry_dropped", "shed", "evicted", "steps_aborted", "lost_tokens"),
+            0,
+        )
 
-        finished: list[Request] = []
+        finished: list[Request] | None = [] if records_kept else None
         dropped: list[int] = []  # rids only — drop records are counters
+        self._dropped = dropped
         # Event counters accumulate in plain ints; they flush into the
         # registry once at the end of the run (nothing reads them
         # mid-run, and per-event Counter.inc() calls are pure overhead).
@@ -448,11 +457,10 @@ class ServingSimulator:
         self._n_draft_attempts = 0
         self._n_draft_accepted = 0
         self._n_completed = 0
-        self._n_dropped = 0
         self._batch_profile: dict[int, list] = {}
-        # Streaming aggregation state: latency histograms plus running
-        # sums over the sampled channels replace per-request lists.
-        self._record_finished = finished if records_kept else None
+        # The aggregate fold, run in both modes: latency histograms plus
+        # running sums over requests and sampled channels.  Record mode
+        # only adds the kept lists and full-resolution channels.
         self._n_slo_met = 0
         self._tokens_generated = 0
         self._ttft_hist = Histogram("ttft")
@@ -463,18 +471,15 @@ class ServingSimulator:
         queue_max = 0
         kv_sum = 0.0
         kv_peak = 0.0
-        if records_kept:
-            queue_series = metrics.series(QUEUE_DEPTH)
-            kv_series = metrics.series(KV_OCCUPANCY)
-        else:
-            queue_series = metrics.series(
-                QUEUE_DEPTH, max_points=STREAM_TRACE_POINTS, mode="decimate"
-            )
-            kv_series = metrics.series(
-                KV_OCCUPANCY, max_points=STREAM_TRACE_POINTS, mode="decimate"
-            )
-        queue_append = queue_series.samples.append
-        kv_append = kv_series.samples.append
+        # Fresh channels per run: a caller's registry may still hold the
+        # previous run's samples, and the report reads only this run's.
+        trace_points = None if records_kept else STREAM_TRACE_POINTS
+        queue_series = metrics.fresh_series(
+            QUEUE_DEPTH, max_points=trace_points, mode="decimate"
+        )
+        kv_series = metrics.fresh_series(
+            KV_OCCUPANCY, max_points=trace_points, mode="decimate"
+        )
         total_blocks = sum(p.kv.config.total_blocks for p in pools)
         now = 0.0
 
@@ -486,19 +491,15 @@ class ServingSimulator:
                 depth += len(p.prefill_queue) + len(p.entry_queue)
                 used += p.kv.used_blocks
             occupancy = used / total_blocks
-            if records_kept:
-                queue_append((t, depth))
-                kv_append((t, occupancy))
-            else:
-                channel_samples += 1
-                queue_sum += depth
-                kv_sum += occupancy
-                if depth > queue_max:
-                    queue_max = depth
-                if occupancy > kv_peak:
-                    kv_peak = occupancy
-                queue_series.record(t, depth)
-                kv_series.record(t, occupancy)
+            channel_samples += 1
+            queue_sum += depth
+            kv_sum += occupancy
+            if depth > queue_max:
+                queue_max = depth
+            if occupancy > kv_peak:
+                kv_peak = occupancy
+            queue_series.record(t, depth)
+            kv_series.record(t, occupancy)
             if windowed is not None:
                 windowed.sample("queue_depth", t, depth)
                 windowed.sample("kv_occupancy", t, occupancy)
@@ -518,9 +519,7 @@ class ServingSimulator:
                     feed_arrival()
                 if windowed is not None:
                     windowed.count("arrivals", now)  # offered load, pre-shed
-                if self._active_faults and self._shed_arrival(
-                    payload, now, pools, dropped
-                ):
+                if self._active_faults and self._shed_arrival(payload, now, pools):
                     continue
                 payload.queued_since = now
                 prefill_pool.prefill_queue.append(payload)
@@ -537,7 +536,7 @@ class ServingSimulator:
                 sample_channels(now)
             elif kind == _FAULT:
                 assert isinstance(payload, FaultEvent)
-                self._apply_fault(payload, now, pools, dropped, push)
+                self._apply_fault(payload, now, pools, push)
                 sample_channels(now)
             elif kind == _REPAIR:
                 self._apply_repair(payload, now)
@@ -547,7 +546,7 @@ class ServingSimulator:
                 payload.queued_since = now
                 prefill_pool.prefill_queue.append(payload)
             for pool in pools:
-                self._try_start(pool, now, pools, dropped, push)
+                self._try_start(pool, now, pools, push)
 
         duration = now
         for name, value in (
@@ -557,22 +556,15 @@ class ServingSimulator:
             ("serving.mtp_draft_attempts", self._n_draft_attempts),
             ("serving.mtp_draft_accepted", self._n_draft_accepted),
             ("serving.requests_completed", self._n_completed),
-            ("serving.requests_dropped", self._n_dropped),
+            ("serving.requests_dropped", len(dropped)),
         ):
             metrics.counter(name).inc(value)
         degradation = None
         if fault_events:
             # Fault channels exist only on faulty runs, so fault-free
             # registries (and their snapshots) are untouched.
-            for name, value in (
-                ("serving.fault_retries", self._n_retries),
-                ("serving.fault_retry_dropped", self._n_retry_dropped),
-                ("serving.fault_shed", self._n_shed),
-                ("serving.fault_evicted", self._n_evicted),
-                ("serving.fault_steps_aborted", self._n_steps_aborted),
-                ("serving.fault_lost_tokens", self._lost_tokens),
-            ):
-                metrics.counter(name).inc(value)
+            for key, value in faults.items():
+                metrics.counter(f"serving.fault_{key}").inc(value)
             degradation = build_degradation(
                 all_requests,
                 fault_events,
@@ -580,13 +572,8 @@ class ServingSimulator:
                 horizon=duration,
                 admitted=total_requests,
                 finished=self._n_completed,
-                dropped=self._n_dropped,
-                shed=self._n_shed,
-                retry_dropped=self._n_retry_dropped,
-                retries=self._n_retries,
-                evicted=self._n_evicted,
-                steps_aborted=self._n_steps_aborted,
-                lost_tokens=self._lost_tokens,
+                dropped=len(dropped),
+                **faults,
             )
         windows = None
         alerts = None
@@ -661,7 +648,7 @@ class ServingSimulator:
             for batch, (count, total) in sorted(self._batch_profile.items())
         )
         self.dropped = tuple(dropped)
-        self.finished_requests = tuple(finished)  # finish order; () when streaming
+        self.finished_requests = tuple(finished or ())  # finish order; () when streaming
         return report
 
     # -- per-request trace helpers ---------------------------------------
@@ -672,22 +659,21 @@ class ServingSimulator:
             args=args or None,
         )
 
-    def _drop(self, request: Request, now: float, dropped: list[int]) -> None:
-        dropped.append(request.rid)
-        self._n_dropped += 1
+    def _instant(self, name: str, request: Request, now: float, **args) -> None:
+        self.tracer.instant(name, "request", self._requests_pid, request.rid, now, args=args)
+
+    def _drop(self, request: Request, now: float) -> None:
+        self._dropped.append(request.rid)
         if self._windowed is not None:
             self._windowed.count("dropped", now)
         if self.tracer.enabled:
-            self.tracer.instant(
-                "drop", "request", self._requests_pid, request.rid, now,
-                args={"context_tokens": request.context_tokens},
-            )
+            self._instant("drop", request, now, context_tokens=request.context_tokens)
         if self._on_progress is not None:
             self._progress(now)
 
     def _progress(self, now: float) -> None:
         """Fire the progress callback on every 5% of retired requests."""
-        done = self._n_completed + self._n_dropped
+        done = self._n_completed + len(self._dropped)
         if done % self._progress_every == 0 or done == self._progress_total:
             self._on_progress(done, self._progress_total, now)
 
@@ -711,7 +697,6 @@ class ServingSimulator:
         event: FaultEvent,
         now: float,
         pools: tuple[_Pool, ...],
-        dropped: list[int],
         push,
     ) -> None:
         """Inject one gpu/node failure: abort the in-flight step, shrink
@@ -726,7 +711,7 @@ class ServingSimulator:
             pool.busy = False
             pool.current_batch, pool.current_kind = [], None
             pool.step_epoch += 1
-            self._n_steps_aborted += 1
+            self._faults["steps_aborted"] += 1
             if step_kind == "prefill":
                 # Partial prefill produced nothing durable: release the
                 # batch's KV and put it back at the head of the queue.
@@ -752,7 +737,7 @@ class ServingSimulator:
             victim.decoding = False
             pool.kv.free(victim.rid)
             victim.kv_tokens = 0
-            self._fail_request(victim, now, dropped, push)
+            self._fail_request(victim, now, push)
         self._active_faults += 1
         if math.isfinite(event.mttr):
             push(event.time + event.mttr, _REPAIR, (pool, lost))
@@ -776,14 +761,13 @@ class ServingSimulator:
             )
         self._emit_failed_gpus(pool, now)
 
-    def _fail_request(
-        self, request: Request, now: float, dropped: list[int], push
-    ) -> None:
+    def _fail_request(self, request: Request, now: float, push) -> None:
         """An in-flight request lost its GPU: retry with exponential
         backoff until the budget runs out, then drop."""
         policy = self.config.recovery
-        self._n_evicted += 1
-        self._lost_tokens += request.generated
+        faults = self._faults
+        faults["evicted"] += 1
+        faults["lost_tokens"] += request.generated
         request.retries += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -791,19 +775,15 @@ class ServingSimulator:
                 args={"retries": request.retries, "generated": request.generated},
             )
         if request.retries > policy.retry_budget:
-            self._n_retry_dropped += 1
-            self._drop(request, now, dropped)
+            faults["retry_dropped"] += 1
+            self._drop(request, now)
             return
-        self._n_retries += 1
+        faults["retries"] += 1
         delay = policy.backoff_base * policy.backoff_factor ** (request.retries - 1)
         push(now + delay, _RETRY, request)
 
     def _shed_arrival(
-        self,
-        request: Request,
-        now: float,
-        pools: tuple[_Pool, ...],
-        dropped: list[int],
+        self, request: Request, now: float, pools: tuple[_Pool, ...]
     ) -> bool:
         """Degraded admission control: while a fault window is open,
         arrivals beyond the queue limit are shed at the door (FCFS makes
@@ -813,25 +793,20 @@ class ServingSimulator:
             depth += len(pool.prefill_queue) + len(pool.entry_queue)
         if depth < self.config.recovery.degraded_queue_limit:
             return False
-        self._n_shed += 1
-        self._drop(request, now, dropped)
+        self._faults["shed"] += 1
+        self._drop(request, now)
         return True
 
     # -- scheduling ------------------------------------------------------
 
     def _try_start(
-        self,
-        pool: _Pool,
-        now: float,
-        pools: tuple[_Pool, ...],
-        dropped: list[int],
-        push,
+        self, pool: _Pool, now: float, pools: tuple[_Pool, ...], push
     ) -> None:
         if pool.busy or pool.num_gpus < 1:
             return
         cfg = self.config
         tracer = self.tracer
-        self._admit_entrants(pool, now, dropped)
+        self._admit_entrants(pool, now)
         if pool.does_prefill and pool.prefill_queue:
             decode_pool = pools[-1]
             inflight = len(decode_pool.active) + len(decode_pool.entry_queue)
@@ -848,8 +823,8 @@ class ServingSimulator:
                     # Larger than the whole pool: can never fit, drop it.
                     # (While a fault window is open the pool is shrunk —
                     # the head may fit again after repair, so it waits.)
-                    self._drop(pool.prefill_queue.popleft(), now, dropped)
-                    return self._try_start(pool, now, pools, dropped, push)
+                    self._drop(pool.prefill_queue.popleft(), now)
+                    return self._try_start(pool, now, pools, push)
             if batch:
                 tokens = sum(r.prompt_tokens + r.generated for r in batch)
                 duration = cfg.costs.prefill_time(tokens, pool.num_gpus)
@@ -882,7 +857,7 @@ class ServingSimulator:
                 profile[1] += duration
             push(now + duration, _STEP_DONE, (pool, pool.step_epoch))
 
-    def _admit_entrants(self, pool: _Pool, now: float, dropped: list[int]) -> None:
+    def _admit_entrants(self, pool: _Pool, now: float) -> None:
         kv = pool.kv
         while pool.entry_queue and len(pool.active) < pool.decode_cap:
             head = pool.entry_queue[0]
@@ -890,7 +865,7 @@ class ServingSimulator:
                 if kv.blocks_for(head.context_tokens + 1) > kv.config.total_blocks:
                     if self._active_faults:
                         break  # pool is shrunk; may fit again after repair
-                    self._drop(pool.entry_queue.popleft(), now, dropped)
+                    self._drop(pool.entry_queue.popleft(), now)
                     continue
                 break
             pool.entry_queue.popleft()
@@ -905,7 +880,7 @@ class ServingSimulator:
         pool: _Pool,
         now: float,
         pools: tuple[_Pool, ...],
-        finished: list[Request],
+        finished: list[Request] | None,
         push,
     ) -> None:
         cfg = self.config
@@ -998,10 +973,7 @@ class ServingSimulator:
                         "decode", victim, victim.decode_since, now,
                         tokens=victim.generated, preempted=True,
                     )
-                    tracer.instant(
-                        "preempt", "request", self._requests_pid, victim.rid, now,
-                        args={"generated": victim.generated},
-                    )
+                    self._instant("preempt", victim, now, generated=victim.generated)
                 target = pools[0]  # recompute re-runs prefill (front of queue)
                 victim.queued_since = now
                 target.prefill_queue.appendleft(victim)
@@ -1015,24 +987,23 @@ class ServingSimulator:
         request: Request,
         now: float,
         pool: _Pool,
-        finished: list[Request],
+        finished: list[Request] | None,
         from_active: bool,
     ) -> None:
         request.finish_time = now
         pool.kv.free(request.rid)
         request.kv_tokens = 0
-        if self._record_finished is not None:
+        # Fold the request into the run-level aggregates; only record
+        # mode keeps the object past here.
+        if finished is not None:
             finished.append(request)
-        else:
-            # Streaming: fold the request into the run-level aggregates
-            # and let the object die — nothing retains it past here.
-            self._ttft_hist.observe(request.ttft)
-            if request.has_tpot:
-                self._tpot_hist.observe(request.tpot)
-            self._e2e_hist.observe(request.e2e)
-            self._tokens_generated += request.generated
-            if self.config.slo.met_by(request):
-                self._n_slo_met += 1
+        met = self.config.slo.met_by(request)
+        self._ttft_hist.observe(request.ttft)
+        if request.has_tpot:
+            self._tpot_hist.observe(request.tpot)
+        self._e2e_hist.observe(request.e2e)
+        self._tokens_generated += request.generated
+        self._n_slo_met += met
         self._n_completed += 1
         if self._on_progress is not None:
             self._progress(now)
@@ -1040,7 +1011,7 @@ class ServingSimulator:
         if windowed is not None:
             windowed.count("finished", now)
             windowed.count("tokens", now, request.generated)
-            if self.config.slo.met_by(request):
+            if met:
                 windowed.count("slo_met", now)
             windowed.observe("ttft", now, request.ttft)
             if request.has_tpot:
@@ -1052,7 +1023,4 @@ class ServingSimulator:
                     "decode", request, request.decode_since, now,
                     tokens=request.generated,
                 )
-            self.tracer.instant(
-                "finish", "request", self._requests_pid, request.rid, now,
-                args={"generated": request.generated},
-            )
+            self._instant("finish", request, now, generated=request.generated)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.rng import seeded_generator
 from repro.inference.serving import ServingConfig, serving_point
@@ -12,6 +13,7 @@ from repro.serving import (
     DISAGGREGATED,
     KVPoolConfig,
     MTPConfig,
+    SLO,
     PagedKVPool,
     SchedulerConfig,
     ServingSimulator,
@@ -145,6 +147,31 @@ def test_different_seeds_differ():
     first = ServingSimulator(_smoke_config(seed=1)).run()
     second = ServingSimulator(_smoke_config(seed=2)).run()
     assert first != second
+
+
+def test_rerun_with_mtp_replays_the_same_draws():
+    mtp = StepCostModel(mtp=MTPConfig(enabled=True, acceptance_rate=0.85))
+    simulator = ServingSimulator(_smoke_config(costs=mtp))
+    first = simulator.run()
+    assert first.mtp_acceptance_measured > 0
+    assert simulator.run() == first
+
+
+@pytest.mark.parametrize("record_requests", [False, True])
+def test_caller_registry_report_reads_only_its_own_run(record_requests):
+    from repro.obs import MetricsRegistry
+
+    config = _smoke_config(mode=DISAGGREGATED, record_requests=record_requests)
+    fresh = ServingSimulator(config).run()
+    registry = MetricsRegistry()
+    simulator = ServingSimulator(config, metrics=registry)
+    assert simulator.run() == fresh
+    assert simulator.run() == fresh  # repeated run on one registry
+    assert ServingSimulator(config, metrics=registry).run() == fresh  # shared registry
+    # The registry's channels hold the latest run; its counters add up.
+    snapshot = registry.snapshot()
+    assert snapshot["serving.queue_depth"] == [list(s) for s in fresh.queue_depth_trace]
+    assert snapshot["serving.requests_completed"] == 3 * fresh.completed
 
 
 # -- calibration against the closed forms ---------------------------------
@@ -304,21 +331,47 @@ def test_report_traces_and_rates_consistent():
 # -- streaming vs record equivalence --------------------------------------
 
 
-def test_streaming_matches_record_mode_exactly():
-    """One event engine, two aggregation modes: every exact aggregate is
-    identical, and the streaming latency stats equal a reference
-    histogram fed the record run's per-request latencies."""
+def _record_and_stream(**base):
+    """Run one scenario in record mode and in streaming mode."""
+    recorder = ServingSimulator(SimConfig(record_requests=True, **base))
+    streamer = ServingSimulator(SimConfig(**base))
+    return recorder, recorder.run(), streamer, streamer.run()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from([COLOCATED, DISAGGREGATED]),
+    mtp=st.booleans(),
+    arrival=st.sampled_from(["poisson", "bursty"]),
+    num_requests=st.integers(1, 120),
+    kv_blocks_per_gpu=st.sampled_from([None, 4, 6, 12]),  # 4-12: preemption
+    window_s=st.sampled_from([None, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_streaming_matches_record_mode_exactly(
+    mode, mtp, arrival, num_requests, kv_blocks_per_gpu, window_s, seed
+):
+    """One event engine, one aggregate fold, two report builders: every
+    exact aggregate and every window is identical across the modes,
+    and the streaming latency stats equal a reference histogram fed
+    the record run's per-request latencies."""
     from repro.obs.metrics import Histogram
 
-    base = dict(
-        workload=WorkloadSpec(request_rate=6.0, num_requests=300, arrival="bursty"),
-        mode=DISAGGREGATED,
-        seed=5,
+    recorder, rec, streamer, stream = _record_and_stream(
+        workload=WorkloadSpec(
+            request_rate=8.0,
+            num_requests=num_requests,
+            prompt_mean=256,
+            output_mean=64,
+            arrival=arrival,
+        ),
+        costs=StepCostModel(mtp=MTPConfig(enabled=mtp)),
+        mode=mode,
+        kv_blocks_per_gpu=kv_blocks_per_gpu,
+        slo=SLO(ttft=0.05, tpot=0.015),  # tight, so some requests miss it
+        window_s=window_s,
+        seed=seed,
     )
-    recorder = ServingSimulator(SimConfig(record_requests=True, **base))
-    rec = recorder.run()
-    streamer = ServingSimulator(SimConfig(**base))
-    stream = streamer.run()
 
     for field in (
         "completed",
@@ -327,11 +380,13 @@ def test_streaming_matches_record_mode_exactly():
         "preemptions",
         "decode_steps",
         "prefill_batches",
+        "mtp_acceptance_measured",
         "slo_attainment",
         "throughput_tokens_per_s",
         "goodput_requests_per_s",
         "max_queue_depth",
         "peak_kv_occupancy",
+        "windows",
     ):
         assert getattr(stream, field) == getattr(rec, field), field
     # Running sums vs numpy pairwise summation differ only in the last
@@ -343,6 +398,18 @@ def test_streaming_matches_record_mode_exactly():
     assert len(recorder.finished_requests) == rec.completed
     assert streamer.finished_requests == ()
     assert rec.degradation is None and stream.degradation is None
+    assert recorder.dropped == streamer.dropped
+
+    # Every request either finished or was dropped, and the registry's
+    # counters agree with the report.
+    for simulator, report in ((recorder, rec), (streamer, stream)):
+        assert report.completed + len(simulator.dropped) == num_requests
+        counters = simulator.metrics.snapshot()
+        assert counters["serving.requests_completed"] == report.completed
+        assert counters["serving.requests_dropped"] == len(simulator.dropped)
+        assert counters["serving.preemptions"] == report.preemptions
+        assert counters["serving.decode_steps"] == report.decode_steps
+        assert counters["serving.prefill_batches"] == report.prefill_batches
 
     ttft, tpot, e2e = Histogram("ttft"), Histogram("tpot"), Histogram("e2e")
     for request in recorder.finished_requests:  # finish order, like streaming
@@ -351,15 +418,24 @@ def test_streaming_matches_record_mode_exactly():
             tpot.observe(request.tpot)
         e2e.observe(request.e2e)
     for hist, stats in ((ttft, stream.ttft), (tpot, stream.tpot), (e2e, stream.e2e)):
+        if hist.count == 0:
+            continue  # both report the all-zero stats
         assert stats.mean == hist.mean
         assert stats.max == hist.max
         assert stats.p50 == hist.percentile(50)
         assert stats.p95 == hist.percentile(95)
         assert stats.p99 == hist.percentile(99)
 
-    # Histogram percentiles track the exact (record-mode) ones closely:
-    # ~1% bucket error at growth 1.02, plus the nearest-rank vs
-    # linear-interpolation definition gap on finite samples.
+
+def test_streaming_percentiles_track_record_mode():
+    """Histogram percentiles track the exact (record-mode) ones closely:
+    ~1% bucket error at growth 1.02, plus the nearest-rank vs
+    linear-interpolation definition gap on finite samples."""
+    _, rec, _, stream = _record_and_stream(
+        workload=WorkloadSpec(request_rate=6.0, num_requests=300, arrival="bursty"),
+        mode=DISAGGREGATED,
+        seed=5,
+    )
     for exact, approx in ((rec.ttft, stream.ttft), (rec.e2e, stream.e2e)):
         for q in ("p50", "p95", "p99"):
             assert getattr(approx, q) == pytest.approx(getattr(exact, q), rel=0.05)
