@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -58,6 +59,21 @@ class ServiceBusy(Exception):
     def __init__(self, retry_after: float) -> None:
         super().__init__("job queue at capacity")
         self.retry_after = retry_after
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value) -> bool:
+    """A finite positive JSON number; ``NaN`` would pass ``<= 0``."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -151,9 +167,7 @@ class JobSpec:
             base["recovery"] = recovery
         window_s = payload.get("window_s")
         if window_s is not None:
-            if not isinstance(window_s, (int, float)) or isinstance(
-                window_s, bool
-            ) or window_s <= 0:
+            if not _is_positive_number(window_s):
                 raise ValueError("'window_s' must be a positive number")
             base["window_s"] = window_s
         slo = payload.get("slo")
@@ -173,25 +187,21 @@ class JobSpec:
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
         workers = payload.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
+        if not _is_int(workers) or workers < 1:
             raise ValueError("'workers' must be a positive integer")
         name = payload.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError("'name' must be a string")
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ValueError("'seed' must be an integer")
         deadline_s = payload.get("deadline_s")
         timeout_s = payload.get("timeout_s")
         for label, value in (("deadline_s", deadline_s), ("timeout_s", timeout_s)):
-            if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or value <= 0
-            ):
+            if value is not None and not _is_positive_number(value):
                 raise ValueError(f"'{label}' must be a positive number")
         max_attempts = payload.get("max_attempts", 1)
-        if not isinstance(max_attempts, int) or max_attempts < 1:
+        if not _is_int(max_attempts) or max_attempts < 1:
             raise ValueError("'max_attempts' must be a positive integer")
         return cls(
             target=target,

@@ -20,6 +20,8 @@ time buckets, and the simulation clock sweeps the buckets in order.
 * The bucket at the simulation clock is heapified once (C-speed) and
   drained with ``heappop``; same-bucket pushes land directly in that
   heap, preserving order for events scheduled at the current instant.
+* ``peek_time`` reads the next entry's time without popping it, so the
+  simulator can tell how far it may run ahead before the next event.
 
 Entries are plain ``(time, kind, seq, payload)`` tuples — the exact
 shape the simulator previously fed to :mod:`heapq` — and the pop order
@@ -89,17 +91,29 @@ class CalendarQueue:
 
     def pop(self) -> tuple:
         """Remove and return the minimum entry by ``(time, kind, seq)``."""
-        cur = self._cur
-        heads = self._heads
-        while True:
-            if cur and (not heads or self._cur_index < heads[0]):
-                return heappop(cur)
-            if not heads:
-                raise IndexError("pop from an empty CalendarQueue")
-            # cur is empty here: every index in _heads exceeds
-            # _cur_index, so while cur holds entries they are the min.
-            index = heappop(heads)
-            bucket = self._buckets.pop(index)
-            heapify(bucket)
-            self._cur = cur = bucket
-            self._cur_index = index
+        if not self._cur:
+            self._advance()
+        return heappop(self._cur)
+
+    def peek_time(self) -> float:
+        """Time of the entry :meth:`pop` would return next, without
+        removing it."""
+        if not self._cur:
+            self._advance()
+        return self._cur[0][0]
+
+    def _advance(self) -> None:
+        """Make the next non-empty bucket the live heap.
+
+        Called only while the live heap is empty.  Every index in
+        ``_heads`` exceeds ``_cur_index``, so while the live heap holds
+        entries they are the global minimum, and a peek that advances
+        early leaves the pop order unchanged.
+        """
+        if not self._heads:
+            raise IndexError("empty CalendarQueue")
+        index = heappop(self._heads)
+        bucket = self._buckets.pop(index)
+        heapify(bucket)
+        self._cur = bucket
+        self._cur_index = index

@@ -70,6 +70,7 @@ class StepCostModel:
         if self.kv_transfer_bandwidth <= 0:
             raise ValueError("kv_transfer_bandwidth must be positive")
         self._decode_cache: dict[tuple[int, int], float] = {}
+        self._prefill_cache: dict[tuple[int, int], float] = {}
         self._kv_bytes_per_token: float | None = None
 
     def decode_step_time(self, per_device_batch: int, context_tokens: int) -> float:
@@ -96,6 +97,10 @@ class StepCostModel:
 
     def prefill_time(self, total_prompt_tokens: int, num_gpus: int) -> float:
         """Process a prefill batch of ``total_prompt_tokens`` tokens."""
+        key = (total_prompt_tokens, num_gpus)
+        cached = self._prefill_cache.get(key)
+        if cached is not None:
+            return cached
         if total_prompt_tokens < 1 or num_gpus < 1:
             raise ValueError("prefill needs positive tokens and GPUs")
         model = self.serving.model
@@ -103,7 +108,9 @@ class StepCostModel:
             forward_flops_per_token(model, total_prompt_tokens, causal=True)
             * total_prompt_tokens
         )
-        return flops / (num_gpus * self.serving.gpu.bf16_flops * self.prefill_efficiency)
+        time = flops / (num_gpus * self.serving.gpu.bf16_flops * self.prefill_efficiency)
+        self._prefill_cache[key] = time
+        return time
 
     def kv_transfer_time(self, context_tokens: int) -> float:
         """Migrate one request's KV cache from prefill to decode pool."""

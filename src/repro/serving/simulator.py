@@ -43,6 +43,16 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
 * Requests cache the token capacity of their held KV blocks
   (``Request.kv_tokens``); a decode step only calls into the allocator
   when the next token actually crosses a block boundary.
+* Quiescent decode steps fold into one *horizon*.  When a decode step
+  starts and nothing else could happen before it ends — no queued
+  event is due, no request finishes, every KV extend fits and no other
+  pool could start work — it completes inline, and so do the steps
+  after it, up to the first that cannot.  Each folded step replays the
+  clock addition, step-cost lookup (only when the context bucket
+  changes), batch profile, channel samples and block-crossing extends
+  in order; token counts advance once per horizon.  Traced and MTP
+  runs keep one step per event.  ``_HORIZON = 1`` is the plain
+  one-event-per-step loop the tests compare against.
 * Event counters accumulate in plain ints (the six fault tallies in
   one dict keyed by counter suffix) and flush into the
   :class:`MetricsRegistry` once per run, so tracing-off runs pay no
@@ -110,6 +120,11 @@ _STEP_DONE = 2
 _FAULT = 3
 _REPAIR = 4
 _RETRY = 5
+
+#: Most decode steps one queued event may advance (the horizon cap).
+#: 1 runs every step through the event queue; tests patch it to prove
+#: the folded run identical to that one.
+_HORIZON = 1 << 30
 
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
@@ -207,6 +222,16 @@ class SimConfig:
             if self.window_s is None:
                 raise ValueError("slo_rules require window_s")
             object.__setattr__(self, "slo_rules", parse_slo_rules(self.slo_rules))
+
+
+def _channel_levels(pools) -> tuple[int, int]:
+    """Queued requests and used KV blocks, summed over the pools."""
+    depth = 0
+    used = 0
+    for p in pools:
+        depth += len(p.prefill_queue) + len(p.entry_queue)
+        used += p.kv.used_blocks
+    return depth, used
 
 
 class _Pool:
@@ -483,13 +508,11 @@ class ServingSimulator:
         total_blocks = sum(p.kv.config.total_blocks for p in pools)
         now = 0.0
 
-        def sample_channels(t: float) -> None:
+        def next_event_time() -> float:
+            return events.peek_time() if events else math.inf
+
+        def record_sample(t: float, depth: int, used: int) -> None:
             nonlocal channel_samples, queue_sum, queue_max, kv_sum, kv_peak
-            depth = 0
-            used = 0
-            for p in pools:
-                depth += len(p.prefill_queue) + len(p.entry_queue)
-                used += p.kv.used_blocks
             occupancy = used / total_blocks
             channel_samples += 1
             queue_sum += depth
@@ -503,6 +526,9 @@ class ServingSimulator:
             if windowed is not None:
                 windowed.sample("queue_depth", t, depth)
                 windowed.sample("kv_occupancy", t, occupancy)
+
+        def sample_channels(t: float) -> None:
+            record_sample(t, *_channel_levels(pools))
             if tracer.enabled:
                 for p in pools:
                     pool_depth = len(p.prefill_queue) + len(p.entry_queue)
@@ -511,6 +537,12 @@ class ServingSimulator:
                     tracer.counter("kv_occupancy", p.pid, t, {"fraction": pool_occ})
                     tracer.counter("active_streams", p.pid, t, {"requests": len(p.active)})
 
+        # Decode steps fold into horizons only where the fold is exact:
+        # traced runs keep one step span per event, and MTP draws its
+        # per-request acceptance in step order.
+        self._can_fold = _HORIZON > 1 and not tracer.enabled and not cfg.costs.mtp.enabled
+        self._next_event_time = next_event_time
+        self._record_sample = record_sample
         while events:
             now, kind, _, payload = events.pop()
             if kind == _ARRIVAL:
@@ -839,23 +871,125 @@ class ServingSimulator:
                 push(now + duration, _STEP_DONE, (pool, pool.step_epoch))
                 return
         if pool.does_decode and pool.active:
-            batch, context_tokens = pool.select_batch(pool.decode_cap)
-            per_device = max(1, math.ceil(len(batch) / (2 * pool.num_gpus)))
-            mean_ctx = context_tokens / len(batch)
-            bucket = max(1, math.ceil(mean_ctx / cfg.context_bucket)) * cfg.context_bucket
-            duration = cfg.costs.decode_step_time(per_device, bucket)
-            pool.busy = True
-            pool.current_kind = "decode"
-            pool.current_batch = batch
-            pool.step_start = now
-            self._n_decode_steps += 1
-            profile = self._batch_profile.get(len(batch))
-            if profile is None:
-                self._batch_profile[len(batch)] = [1, duration]
-            else:
-                profile[0] += 1
-                profile[1] += duration
-            push(now + duration, _STEP_DONE, (pool, pool.step_epoch))
+            self._advance_decode(pool, now, pools, push)
+
+    def _advance_decode(
+        self, pool: _Pool, now: float, pools: tuple[_Pool, ...], push
+    ) -> None:
+        """Start a decode step, run every step after it that nothing
+        else could interleave with inline, and queue the completion of
+        the first step that cannot be.
+
+        The inline steps form the *horizon* (see :meth:`_horizon`): the
+        batch is fixed, every member emits one token per step, and no
+        extend fails, so a step's completion reduces to the clock,
+        channel samples and the KV extends of block-crossing requests,
+        while the token counts advance once for the whole horizon.
+        With ``_HORIZON = 1`` the horizon is always empty: one step per
+        queued event.
+        """
+        cfg = self.config
+        kv = pool.kv
+        block_tokens = kv.config.block_tokens
+        context_bucket = cfg.context_bucket
+        decode_step_time = cfg.costs.decode_step_time
+        batch, context_tokens = pool.select_batch(pool.decode_cap)
+        size = len(batch)
+        per_device = max(1, math.ceil(size / (2 * pool.num_gpus)))
+        profile = self._batch_profile.setdefault(size, [0, 0.0])
+        bucket = duration = None
+        limit = folded = 0
+        due: dict[int, list[Request]] = {}
+        while True:
+            # Step start: its cost is memoized per context bucket.
+            step_bucket = max(1, math.ceil(context_tokens / size / context_bucket))
+            if step_bucket != bucket:
+                bucket = step_bucket
+                duration = decode_step_time(per_device, bucket * context_bucket)
+            profile[0] += 1
+            profile[1] += duration
+            end = now + duration
+            if not folded and self._can_fold:
+                next_time = self._next_event_time()
+                if end < next_time:
+                    limit, due = self._horizon(pool, batch, pools)
+            if folded >= limit or end >= next_time:
+                break
+            crossing = due.get(folded + 1)
+            if crossing and len(crossing) > kv.free_blocks:
+                break  # an extend would fail: preempt in _finish_step
+            # The step completes inline: one token per batch member.
+            if not folded:
+                # Queues and other pools stay put across a horizon, so
+                # only this pool's extends move the samples.
+                depth, used = _channel_levels(pools)
+            if crossing:
+                for request in crossing:
+                    need = request.prompt_tokens + request.generated + folded + 2
+                    kv.extend(request.rid, need)
+                    request.kv_tokens = -(-need // block_tokens) * block_tokens
+                used += len(crossing)  # one block per crossing
+            folded += 1
+            now = end
+            context_tokens += size
+            self._record_sample(now, depth, used)
+        self._n_decode_steps += folded + 1
+        if folded:
+            for request in batch:
+                request.generated += folded
+            pool.active_ctx += folded * size
+        pool.busy = True
+        pool.current_kind = "decode"
+        pool.current_batch = batch
+        pool.step_start = now
+        push(end, _STEP_DONE, (pool, pool.step_epoch))
+
+    def _horizon(
+        self, pool: _Pool, batch: list[Request], pools: tuple[_Pool, ...]
+    ) -> tuple[int, dict[int, list[Request]]]:
+        """Steps after the one just started that may complete inline,
+        and the requests whose next token crosses a KV block boundary
+        at each of them (step index → requests).
+
+        The horizon ends before the first step that finishes a request,
+        and is empty while this pool has entrants or prefill work, or
+        an idle peer has any work (a later ``_try_start`` could act).
+        Busy peers cannot act before their queued completion, which
+        bounds the horizon in time.  Time
+        and KV capacity are checked step by step by the caller.
+        """
+        limit = _HORIZON - 1
+        due: dict[int, list[Request]] = {}
+        if pool.entry_queue or (pool.does_prefill and pool.prefill_queue):
+            return 0, due
+        for p in pools:
+            if p is not pool and not p.busy and p.num_gpus >= 1 and (
+                p.prefill_queue or p.entry_queue or (p.does_decode and p.active)
+            ):
+                return 0, due
+        block_tokens = pool.kv.config.block_tokens
+        for request in batch:
+            generated = request.generated
+            left = request.output_tokens - generated - 1
+            if left < limit:
+                if left < 1:
+                    return 0, due
+                limit = left
+            # The token of step s needs prompt + generated + s + 1 slots,
+            # so the first crossing is at step kv_tokens - context, then
+            # every block_tokens steps, one block each.
+            step = request.kv_tokens - request.prompt_tokens - generated
+            if step <= limit:
+                if step < 1:
+                    return 0, due  # under-covered (re-prefill): multi-block extend
+                while step <= limit:
+                    crossing = due.get(step)
+                    if crossing is None:
+                        due[step] = [request]
+                    else:
+                        crossing.append(request)
+                    step += block_tokens
+        return limit, due
 
     def _admit_entrants(self, pool: _Pool, now: float) -> None:
         kv = pool.kv

@@ -6,7 +6,8 @@ structures agree on the order of *every* event, including same-time
 ties broken by ``(kind, seq)``.  These tests hammer that equivalence
 with seeded random event streams across bucket widths and arrival
 regimes — clustered, sparse, heavily tied, interleaved push/pop —
-against a plain ``heapq`` reference.
+against a plain ``heapq`` reference, and check that ``peek_time``
+always names the time of the next pop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving.calqueue import CalendarQueue
 
@@ -133,3 +135,59 @@ def test_width_validation():
         CalendarQueue(bucket_width=0.0)
     with pytest.raises(ValueError):
         CalendarQueue(bucket_width=-1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([0.05, 0.5, 1.0, 17.0]),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # pushes before the next pop
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0, 40.0]), min_size=3, max_size=3
+            ),
+            st.lists(st.integers(0, 5), min_size=3, max_size=3),
+            st.booleans(),  # pop after peeking
+        ),
+        max_size=120,
+    ),
+)
+def test_peek_time_matches_heapq_under_interleaving(width, ops):
+    """``peek_time`` is the time of the entry ``pop`` returns next, at
+    every point of an interleaved push/pop stream with same-time ties
+    (delay 0 and a coarse delay grid), and peeking never changes the
+    pop order."""
+    queue = CalendarQueue(bucket_width=width)
+    reference: list = []
+    seq = 0
+    now = 0.0
+    for pushes, delays, kinds, pop in ops:
+        for delay, kind in list(zip(delays, kinds))[:pushes]:
+            event = (now + delay, kind, seq, seq)
+            seq += 1
+            queue.push(event)
+            heapq.heappush(reference, event)
+        if not reference:
+            assert not queue
+            continue
+        assert queue.peek_time() == reference[0][0]
+        assert queue.peek_time() == reference[0][0]  # idempotent
+        if pop:
+            expected = heapq.heappop(reference)
+            assert queue.pop() == expected
+            now = expected[0]
+    while reference:
+        assert queue.peek_time() == reference[0][0]
+        assert queue.pop() == heapq.heappop(reference)
+    assert not queue
+
+
+def test_peek_time_on_empty_queue_raises():
+    queue = CalendarQueue(bucket_width=1.0)
+    with pytest.raises(IndexError):
+        queue.peek_time()
+    queue.push((2.0, 0, 0, None))
+    assert queue.peek_time() == 2.0
+    queue.pop()
+    with pytest.raises(IndexError):
+        queue.peek_time()

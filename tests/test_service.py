@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import subprocess
@@ -629,6 +630,32 @@ def test_telemetry_payload_validation(tmp_path):
         await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
         _, detail = await client.get_json(f"/jobs/{job['id']}")
         assert detail["state"] == "done" and detail["errors"] == 0
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
+def test_non_finite_and_bool_numbers_rejected(tmp_path):
+    """``nan <= 0`` is false and ``True`` is an int, so both used to pass
+    validation: a NaN deadline never fired and ``seed: true`` keyed a
+    cache entry apart from ``seed: 1``.  Python's JSON reader accepts
+    ``NaN`` and ``Infinity`` literals, so the posted bodies carry them."""
+    spec = {"target": "serving", "grid": {"request_rate": [4]}, "base": SERVING_BASE}
+    bad = [
+        ("deadline_s", math.nan),
+        ("deadline_s", math.inf),
+        ("timeout_s", math.nan),
+        ("window_s", math.nan),
+        ("window_s", math.inf),
+        ("seed", True),
+    ]
+
+    async def body(server, client):
+        for key, value in bad:
+            status, payload = await client.post_json("/jobs", {**spec, key: value})
+            assert status == 400, (key, value)
+            assert key in payload["error"], (key, value)
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
 
     asyncio.run(_with_server(_config(tmp_path), body))
 

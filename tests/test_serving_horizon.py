@@ -1,0 +1,286 @@
+"""Decode-step horizons in the serving core.
+
+``ServingSimulator`` runs the quiescent decode steps between two queued
+events inline, in one pass (``repro.serving.simulator._HORIZON`` caps
+how many one event may advance).  With the cap patched to 1 every step
+goes through the calendar queue, which is the plain one-event-per-step
+loop.  These tests check that the two give identical results, pin the
+event counts the fold saves, and check conservation invariants at every
+popped event under both.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.serving.simulator as simulator
+from repro.faults import FaultEvent, FaultSchedule
+from repro.serving import (
+    COLOCATED,
+    DISAGGREGATED,
+    MTPConfig,
+    SchedulerConfig,
+    ServingSimulator,
+    SimConfig,
+    StepCostModel,
+    WorkloadSpec,
+    report_asdict,
+)
+from repro.serving.calqueue import CalendarQueue
+
+DEFAULT_HORIZON = simulator._HORIZON
+
+
+@contextlib.contextmanager
+def _patched(owner, name: str, value):
+    """Set ``owner.name`` for the block (hypothesis tests cannot take the
+    function-scoped ``monkeypatch`` fixture)."""
+    original = vars(owner)[name]
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    """Small scenarios covering both modes, KV pressure and preemption,
+    batch caps below the active set, faults, windows and MTP."""
+    mode = draw(st.sampled_from([COLOCATED, DISAGGREGATED]))
+    block_tokens = draw(st.sampled_from([4, 16, 64]))
+    kv_blocks = draw(st.sampled_from([None, 3, 6, 12, 48]))
+    window_s = draw(st.sampled_from([None, 0.5]))
+    faults = None
+    if draw(st.booleans()):
+        faults = FaultSchedule(
+            tuple(
+                FaultEvent(
+                    draw(st.floats(0.0, 4.0)),
+                    draw(st.sampled_from(["gpu", "node"])),
+                    draw(st.sampled_from(["", "pool", "prefill", "decode"])),
+                    mttr=draw(st.sampled_from([0.3, 2.0, float("inf")])),
+                )
+                for _ in range(draw(st.integers(1, 2)))
+            )
+        )
+    return SimConfig(
+        workload=WorkloadSpec(
+            request_rate=draw(st.sampled_from([4.0, 16.0, 64.0])),
+            num_requests=draw(st.integers(1, 60)),
+            prompt_mean=128,
+            output_mean=draw(st.sampled_from([8, 48])),
+            arrival=draw(st.sampled_from(["poisson", "bursty"])),
+        ),
+        costs=StepCostModel(mtp=MTPConfig(enabled=draw(st.booleans()))),
+        mode=mode,
+        scheduler=SchedulerConfig(max_concurrent_per_gpu=draw(st.sampled_from([1, 2, 64]))),
+        kv_blocks_per_gpu=None if kv_blocks is None else kv_blocks * 64 // block_tokens,
+        block_tokens=block_tokens,
+        context_bucket=draw(st.sampled_from([16, 512])),
+        window_s=window_s,
+        slo_rules=("burn>2@0.9",) if window_s is not None and draw(st.booleans()) else (),
+        faults=faults,
+        record_requests=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _outputs(config: SimConfig, horizon: int) -> dict:
+    with _patched(simulator, "_HORIZON", horizon):
+        sim = ServingSimulator(config)
+        report = sim.run()
+    return {
+        "report": report_asdict(report),
+        "metrics": sim.metrics.snapshot(),
+        "decode_batch_profile": sim.decode_batch_profile,
+        "finished": [dataclasses.astuple(r) for r in sim.finished_requests],
+        "dropped": sim.dropped,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=sim_configs())
+def test_folded_horizons_match_one_step_per_event(config):
+    folded = _outputs(config, DEFAULT_HORIZON)
+    stepped = _outputs(config, 1)
+    for key in folded:
+        assert folded[key] == stepped[key], key
+
+
+# -- exact event counts ----------------------------------------------------
+
+
+def _serve_stream(num_requests: int) -> SimConfig:
+    """The ``serve-stream`` benchmark scenario: disaggregated 2+6,
+    Poisson 8 req/s, streaming report."""
+    return SimConfig(
+        workload=WorkloadSpec(request_rate=8, num_requests=num_requests),
+        mode=DISAGGREGATED,
+        prefill_gpus=2,
+        decode_gpus=6,
+        seed=0,
+    )
+
+
+def _count_events(config: SimConfig, horizon: int) -> tuple[int, int, Counter]:
+    """Popped events, decode steps, and the histogram of decode steps
+    advanced per started step (the horizon lengths)."""
+    popped = 0
+    horizons: Counter = Counter()
+    pop = CalendarQueue.pop
+    advance = ServingSimulator._advance_decode
+
+    def counting_pop(queue):
+        nonlocal popped
+        popped += 1
+        return pop(queue)
+
+    def measuring_advance(sim, *args):
+        before = sim._n_decode_steps
+        advance(sim, *args)
+        horizons[sim._n_decode_steps - before] += 1
+
+    with (
+        _patched(simulator, "_HORIZON", horizon),
+        _patched(CalendarQueue, "pop", counting_pop),
+        _patched(ServingSimulator, "_advance_decode", measuring_advance),
+    ):
+        sim = ServingSimulator(config)
+        sim.run()
+    return popped, int(sim.metrics.snapshot()["serving.decode_steps"]), horizons
+
+
+def test_serve_stream_horizon_pins():
+    """2,000 requests of ``serve-stream`` at seed 0: the fold keeps every
+    decode step and removes ~60% of the popped events."""
+    config = _serve_stream(2_000)
+    events, steps, horizons = _count_events(config, DEFAULT_HORIZON)
+    events_1, steps_1, horizons_1 = _count_events(config, 1)
+    assert steps == steps_1 == 20_660
+    assert (events, events_1) == (10_520, 26_134)
+    assert set(horizons_1) == {1}
+    assert sum(horizons_1.values()) == steps_1
+    assert sum(n * count for n, count in horizons.items()) == steps
+    # Each folded step is one STEP_DONE event the queue never saw.
+    assert events_1 - events == steps - sum(horizons.values())
+    assert sum(horizons.values()) == 5_046  # a mean horizon of 4.09 steps
+
+
+# -- invariants at every event --------------------------------------------
+
+
+class _InvariantChecker:
+    """Checks conservation laws between events, from outside the
+    simulator: ``CalendarQueue.pop`` is wrapped so the state is read
+    just before each event is taken, when the previous one is done."""
+
+    def __init__(self) -> None:
+        self.sim: ServingSimulator | None = None
+        self.pools: tuple = ()
+        self.finished: list = []
+        self.arrivals = 0
+        self.clock = 0.0
+        self.checks = 0
+        self.queue: CalendarQueue | None = None
+
+    def check(self, queue: CalendarQueue) -> None:
+        sim = self.sim
+        pending = [e for e in queue._cur] + [e for b in queue._buckets.values() for e in b]
+        in_flight = [
+            e[3] for e in pending if e[1] in (simulator._DECODE_ENTER, simulator._RETRY)
+        ]
+        held_by: dict[int, set[int]] = {}
+        for pool in self.pools:
+            in_flight += pool.prefill_queue
+            in_flight += pool.entry_queue
+            in_flight += pool.active
+            holders = {r.rid for r in pool.active}
+            if pool.busy and pool.current_kind == "prefill":
+                in_flight += pool.current_batch
+                holders |= {r.rid for r in pool.current_batch}
+            held_by[id(pool)] = holders
+            # Per-request state matches the pool's running aggregates.
+            assert pool.active_ctx == sum(r.prompt_tokens + r.generated for r in pool.active)
+            for r in pool.active:
+                assert 1 <= r.generated < r.output_tokens
+        # Every request is in exactly one place.
+        assert len({id(r) for r in in_flight}) == len(in_flight)
+        # admitted = finished + dropped + in flight
+        assert self.arrivals == sim._n_completed + len(sim._dropped) + len(in_flight)
+        # KV blocks: held + free = total, and only live requests hold any.
+        for pool in self.pools:
+            kv = pool.kv
+            held = kv._held
+            assert sum(held.values()) + kv.free_blocks == kv.config.total_blocks
+            assert set(held) == held_by[id(pool)]
+            for r in pool.active:
+                assert r.kv_tokens == held[r.rid] * kv.config.block_tokens
+        # tokens_generated = sum of generated over finished requests.
+        assert sim._tokens_generated == sum(r.generated for r in self.finished)
+        self.checks += 1
+
+    def run(self, config: SimConfig, horizon: int) -> ServingSimulator:
+        pop = CalendarQueue.pop
+        make_pools = ServingSimulator._make_pools
+        finish_request = ServingSimulator._finish_request
+
+        def checked_pop(queue):
+            self.queue = queue
+            self.check(queue)
+            entry = pop(queue)
+            assert entry[0] >= self.clock  # the clock never runs back
+            self.clock = entry[0]
+            self.arrivals += entry[1] == simulator._ARRIVAL
+            return entry
+
+        def capture_pools(sim):
+            self.sim = sim
+            self.pools = make_pools(sim)
+            return self.pools
+
+        def record_finish(sim, request, *args, **kwargs):
+            self.finished.append(request)
+            return finish_request(sim, request, *args, **kwargs)
+
+        with (
+            _patched(simulator, "_HORIZON", horizon),
+            _patched(CalendarQueue, "pop", checked_pop),
+            _patched(ServingSimulator, "_make_pools", capture_pools),
+            _patched(ServingSimulator, "_finish_request", record_finish),
+        ):
+            sim = ServingSimulator(config)
+            report = sim.run()
+        self.check_final(sim, report)
+        return sim
+
+    def check_final(self, sim: ServingSimulator, report) -> None:
+        # Requests still in flight at the end were never served (a
+        # pool that failed for good); the conservation law still holds.
+        self.check(self.queue)
+        assert self.arrivals == sim.config.workload.num_requests
+        unserved = report.degradation.unserved if report.degradation else 0
+        assert report.completed + len(sim.dropped) + unserved == self.arrivals
+        assert report.tokens_generated == sum(r.generated for r in self.finished)
+        for r in self.finished:
+            assert r.generated == r.output_tokens
+        # Samples taken inside a folded horizon keep the clock monotone.
+        snapshot = sim.metrics.snapshot()
+        for channel in (simulator.QUEUE_DEPTH, simulator.KV_OCCUPANCY):
+            times = [t for t, _ in snapshot[channel]]
+            assert times == sorted(times)
+            assert not times or times[-1] <= report.duration
+
+
+@pytest.mark.parametrize("horizon", [DEFAULT_HORIZON, 1], ids=["default", "one"])
+@settings(max_examples=30, deadline=None)
+@given(config=sim_configs())
+def test_invariants_hold_at_every_event(horizon, config):
+    checker = _InvariantChecker()
+    checker.run(config, horizon)
+    assert checker.checks > 0
