@@ -8,8 +8,9 @@ package makes failures happen **during** simulated runs:
   (explicit events or MTBF sampling) and the serving recovery policy;
 * :mod:`~repro.faults.report` — degradation accounting (goodput/SLO
   before/during/after each fault window, retry and lost-work totals);
-* :mod:`~repro.faults.network` — fault-timeline flow simulation with
-  reroute-or-stall semantics over multiplane clusters.
+* :mod:`~repro.faults.network` — link/switch schedule helpers, the
+  reroute policy and the report of a fault-timeline flow simulation
+  (reroute-or-stall semantics over multiplane clusters).
 
 Consumers: ``repro.serving.ServingSimulator`` (``SimConfig.faults``),
 ``repro.network.FlowSimulator.simulate(faults=...)`` and
@@ -35,7 +36,6 @@ from .network import (
     cluster_reroute,
     expand_plane_schedule,
     link_target,
-    run_flows_with_faults,
 )
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "expand_plane_schedule",
     "link_target",
     "parse_faults_arg",
-    "run_flows_with_faults",
 ]

@@ -1,39 +1,34 @@
 """Fault-mode flow simulation: link/switch/plane outages mid-transfer.
 
 §5.1.1's multi-plane argument is that a failure in one plane is
-invisible to traffic on the others.  This module turns that claim into
-a simulated experiment: a :class:`~repro.faults.schedule.FaultSchedule`
-of ``link``/``switch`` events drives a time-segmented max-min fair
-simulation — at every failure or repair boundary the surviving
-capacities change and the fair allocation is re-solved.  Flows whose
-path lost an edge either reroute onto the surviving fabric (via a
+invisible to traffic on the others.  This module holds what turns that
+claim into a simulated experiment: a
+:class:`~repro.faults.schedule.FaultSchedule` of ``link``/``switch``
+events, passed as ``FlowSimulator.simulate(faults=...)``, takes
+capacity away and gives it back at failure/repair instants.  Flows
+whose path lost an edge either reroute onto the surviving fabric (via a
 caller-supplied policy such as :func:`cluster_reroute`, which finds the
 NVLink/PXN detour through another plane) or stall at zero rate until
 repair; flows that never regain a path finish at infinity and are
-reported as unfinished.
+reported as unfinished in a :class:`NetworkFaultReport`.
 
-The runner deliberately uses the dict-based reference solver
-(:func:`repro.network.flowsim.max_min_rates`), not the incremental
-event engine: capacities mutate at arbitrary boundaries, which is
-exactly the case the engine's frozen-component optimization excludes.
-Fault-free runs never come through here —
-:meth:`~repro.network.flowsim.FlowSimulator.simulate` only delegates
-when the schedule is non-empty — so the hot path stays untouched.
+The timeline itself runs inside the flow simulator's one event loop
+(:meth:`~repro.network.flowsim.FlowSimulator.simulate`): each
+failure/repair instant is a loop boundary at which the incremental
+engine is rebuilt over the flows that still have a live path.  This
+module keeps the schedule helpers (:func:`link_target`,
+:func:`expand_plane_schedule`), the reroute policy and the report.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ..network.flowsim import Flow, FlowResult, FlowSimulator, max_min_rates
+from ..network.flowsim import Flow
 from ..network.multiplane import ClusterNetwork
 from ..reliability.failover import plane_switches
 from .schedule import FaultEvent, FaultSchedule
-
-#: Matches flowsim's fabric trace process.
-_FABRIC_PID = 1
 
 #: Fault kinds the flow simulator consumes.
 NETWORK_FAULT_KINDS = ("link", "switch")
@@ -64,15 +59,6 @@ class NetworkFaultReport:
     stall_time: float
 
 
-class _PathFlow:
-    """Duck-typed stand-in exposing ``.edges`` to the rate solver."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: list[tuple[str, str]]) -> None:
-        self.edges = edges
-
-
 def link_target(a: str, b: str) -> str:
     """Encode a link fault target (``"a|b"``, order-insensitive)."""
     return f"{a}|{b}"
@@ -94,7 +80,7 @@ def expand_plane_schedule(
     """Lower ``plane`` events to switch failures of that MPFT plane.
 
     Non-plane events pass through untouched, so a mixed schedule stays
-    one schedule.  The flow runner itself only understands links and
+    one schedule.  The flow simulator itself only understands links and
     switches — a plane is a topology-level concept.
     """
     events: list[FaultEvent] = []
@@ -134,160 +120,3 @@ def cluster_reroute(cluster: ClusterNetwork) -> ReroutePolicy:
             return None
 
     return reroute
-
-
-def run_flows_with_faults(
-    sim: FlowSimulator,
-    flows: list[Flow],
-    schedule: FaultSchedule,
-    reroute: ReroutePolicy | None = None,
-    time_epsilon: float = 1e-9,
-) -> FlowResult:
-    """Run flows through a fault timeline on ``sim``'s topology.
-
-    Advances time from boundary to boundary — the next flow completion
-    or the next failure/repair instant, whichever is sooner — solving
-    max-min fair rates over the currently-routable flows at the current
-    surviving capacities.  Populates ``sim.fault_report`` with a
-    :class:`NetworkFaultReport` and returns a normal
-    :class:`~repro.network.flowsim.FlowResult` (unfinished flows
-    complete at ``inf`` and are excluded from makespan and traces).
-    """
-    events = schedule.for_kinds(NETWORK_FAULT_KINDS)
-    if len(events) != len(schedule.events):
-        other = [e.kind for e in schedule.events if e.kind not in NETWORK_FAULT_KINDS]
-        if "plane" in other:
-            raise ValueError(
-                "plane events must be lowered first: see expand_plane_schedule()"
-            )
-    capacities = dict(sim.capacities)
-    metrics, tracer = sim.metrics, sim.tracer
-
-    # (time, order, action, event): repairs sort after failures at the
-    # same instant so a flapping component is down for its full window.
-    timeline: list[tuple[float, int, str, FaultEvent]] = []
-    for event in events:
-        timeline.append((event.time, 0, "fail", event))
-        if math.isfinite(event.mttr):
-            timeline.append((event.time + event.mttr, 1, "repair", event))
-    timeline.sort(key=lambda entry: (entry[0], entry[1]))
-
-    # Reference-count downed capacity entries: overlapping failures may
-    # claim the same edge, which only heals when the last claim repairs.
-    down_count: dict[tuple[str, str], int] = {}
-
-    def apply(action: str, event: FaultEvent, now: float) -> None:
-        for edge in _edges_of(event, sim.capacities):
-            if action == "fail":
-                down_count[edge] = down_count.get(edge, 0) + 1
-                capacities.pop(edge, None)
-            else:
-                down_count[edge] -= 1
-                if down_count[edge] == 0:
-                    capacities[edge] = sim.capacities[edge]
-        metrics.series("network.capacity_down").record(
-            now, sum(1 for c in down_count.values() if c) / 2
-        )
-        if tracer.enabled:
-            tracer.instant(
-                f"{event.kind}_{'down' if action == 'fail' else 'up'}",
-                "fault", _FABRIC_PID, 0, now, args={"target": event.target},
-            )
-
-    remaining = {i: f.size for i, f in enumerate(flows) if f.size > 0}
-    completion = {i: flows[i].latency for i, f in enumerate(flows) if f.size == 0}
-    paths: dict[int, list[tuple[str, str]]] = {
-        i: list(flows[i].edges) for i in remaining
-    }
-    rerouted: set[int] = set()
-    ever_stalled: set[int] = set()
-    stall_time = 0.0
-    now = 0.0
-    cursor = 0
-
-    while remaining:
-        # Route check: a flow runs iff every edge of its current path is
-        # alive; otherwise it reroutes once per outage or stalls.
-        runnable: dict[int, _PathFlow] = {}
-        stalled: list[int] = []
-        for i in remaining:
-            edges = paths[i]
-            if all(edge in capacities for edge in edges):
-                runnable[i] = _PathFlow(edges)
-                continue
-            path = reroute(flows[i], capacities) if reroute is not None else None
-            if path is not None and len(path) >= 2:
-                paths[i] = list(zip(path[:-1], path[1:]))
-                runnable[i] = _PathFlow(paths[i])
-                rerouted.add(i)
-                if tracer.enabled:
-                    tracer.instant(
-                        "reroute", "fault", _FABRIC_PID, i, now,
-                        args={"hops": len(path) - 1},
-                    )
-            else:
-                stalled.append(i)
-                ever_stalled.add(i)
-
-        rates = max_min_rates(runnable, capacities) if runnable else {}
-        if runnable:
-            sim._sample_utilization(now, runnable, rates)
-        next_boundary = timeline[cursor][0] if cursor < len(timeline) else math.inf
-        times: dict[int, float] = {}
-        dt_finish = math.inf
-        for i in runnable:
-            rate = rates[i]
-            if rate == math.inf:
-                t = 0.0
-            elif rate <= 0.0:
-                t = math.inf
-            else:
-                t = remaining[i] / rate
-            times[i] = t
-            if t < dt_finish:
-                dt_finish = t
-        # Advance to the sooner of the next completion and the next
-        # fault/repair boundary; landing on a boundary sets the clock to
-        # it exactly (no float drift, so the apply loop below fires).
-        if next_boundary - now <= dt_finish:
-            step, target_time = next_boundary - now, next_boundary
-        else:
-            step, target_time = dt_finish, now + dt_finish
-        if step == math.inf:
-            # No runnable flows and no boundaries left: the stalled
-            # remainder never completes.
-            for i in remaining:
-                completion[i] = math.inf
-            break
-        horizon = step * (1 + time_epsilon)
-        finished = [i for i, t in times.items() if t <= horizon]
-        for i in finished:
-            completion[i] = target_time + flows[i].latency
-            del remaining[i]
-            del paths[i]
-            del times[i]
-        for i, t in times.items():
-            if t < math.inf:
-                remaining[i] -= rates[i] * step
-        stall_time += len(stalled) * step
-        now = target_time
-        while cursor < len(timeline) and timeline[cursor][0] <= now:
-            _, _, action, event = timeline[cursor]
-            apply(action, event, now)
-            cursor += 1
-
-    unfinished = tuple(
-        sorted(i for i, t in completion.items() if t == math.inf)
-    )
-    sim.fault_report = NetworkFaultReport(
-        events=len(events),
-        rerouted=tuple(sorted(rerouted)),
-        stalled=tuple(sorted(ever_stalled)),
-        unfinished=unfinished,
-        stall_time=stall_time,
-    )
-    makespan = max(
-        (t for t in completion.values() if t != math.inf), default=0.0
-    )
-    sim._record_flows(flows, completion)
-    return FlowResult(completion=completion, makespan=makespan, rates={})

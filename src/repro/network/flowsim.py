@@ -18,14 +18,19 @@ completion only re-solves the components that lost flows — everything
 else keeps its frozen rates — and each re-solve resumes the component's
 last progressive filling at the first round a finished flow froze in,
 since every earlier round is provably unchanged (the rule and its proof
-are on :class:`_EventEngine`).  :func:`max_min_rates` remains the
-dict-based reference definition of the policy (and the ``fixed``-mode
-solver); the engine is cross-checked against it in the test suite.
+are on :class:`_EventEngine`).  Fault timelines run in the same event
+loop: each failure/repair instant is a boundary at which the engine is
+rebuilt over the flows that still have a live path (see
+:meth:`FlowSimulator.simulate`), and ``fixed`` mode solves once on the
+engine.  :func:`max_min_rates` remains the dict-based reference
+definition of the policy; the engine is cross-checked against it in the
+test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,8 +205,8 @@ class _EventEngine:
 
     Produces the same completion times as re-running
     :func:`max_min_rates` from scratch at every completion event (the
-    reference implementation, kept above for ``mode="fixed"`` and as
-    the tested definition of the policy), but:
+    reference implementation, kept above as the tested definition of
+    the policy), but:
 
     * link membership is interned once into integer ids and CSR-style
       incidence arrays instead of per-event dicts of sets;
@@ -237,15 +242,17 @@ class _EventEngine:
     rounds per solve, nearly every re-solve resumes at its last round.
     """
 
-    def __init__(self, flows: list[Flow], capacities: dict) -> None:
-        self.flow_ids = [i for i, f in enumerate(flows) if f.size > 0]
+    def __init__(
+        self, paths: dict[int, list[tuple[str, str]]], capacities: dict
+    ) -> None:
+        self.flow_ids = list(paths)  # flow index of each engine flow
         n = len(self.flow_ids)
         edge_ids: dict[tuple[str, str], int] = {}
         caps_list: list[float] = []
         links_of: list[np.ndarray] = []
-        for eng, idx in enumerate(self.flow_ids):
+        for idx, edges in paths.items():
             row = []
-            for edge in flows[idx].edges:
+            for edge in edges:
                 eid = edge_ids.get(edge)
                 if eid is None:
                     cap = capacities.get(edge)
@@ -445,30 +452,6 @@ class FlowSimulator:
             self.capacities[(a, b)] = data["bandwidth"]
             self.capacities[(b, a)] = data["bandwidth"]
 
-    def _sample_utilization(
-        self, now: float, active: dict[int, Flow], rates: dict[int, float]
-    ) -> None:
-        """Record mean/max utilization across links carrying traffic."""
-        load: dict[tuple[str, str], float] = {}
-        for idx, flow in active.items():
-            rate = rates.get(idx, 0.0)
-            if rate == float("inf"):
-                continue
-            for edge in flow.edges:
-                load[edge] = load.get(edge, 0.0) + rate
-        if not load:
-            return
-        utils = [min(1.0, load[e] / self.capacities[e]) for e in load]
-        mean_util = sum(utils) / len(utils)
-        max_util = max(utils)
-        self.metrics.series("network.link_utilization.mean").record(now, mean_util)
-        self.metrics.series("network.link_utilization.max").record(now, max_util)
-        if self.tracer.enabled:
-            self.tracer.counter(
-                "link_utilization", _FABRIC_PID, now,
-                {"mean": mean_util, "max": max_util, "links": float(len(load))},
-            )
-
     def _sample_engine(self, now: float, engine: _EventEngine) -> None:
         """Record utilization from the engine's maintained link loads."""
         sample = engine.utilization()
@@ -529,38 +512,38 @@ class FlowSimulator:
                 latency; exact whenever the bottleneck link stays busy
                 to the end, which holds for the saturated symmetric
                 collectives the benches run.
-            faults: Optional :class:`repro.faults.FaultSchedule` of
-                ``link``/``switch`` events (event mode only).  A
-                non-empty schedule hands the run to the fault-timeline
-                runner in :mod:`repro.faults.network`, which also sets
-                ``self.fault_report``; ``None`` or an empty schedule
-                leaves this method byte-identical to the fault-free
-                simulation.
+            faults: Optional :class:`repro.faults.FaultSchedule` (event
+                mode only).  Its ``link``/``switch`` events take
+                capacity away and give it back at failure/repair
+                instants; each instant is a boundary of the event loop
+                (see below), and ``self.fault_report`` records what the
+                timeline did.  A schedule without such events leaves
+                the run byte-identical to the fault-free simulation.
             reroute: Optional reroute policy for flows whose path lost
                 an edge (see :func:`repro.faults.cluster_reroute`);
                 without one, broken flows stall until repair.
 
         Returns:
             Completion times, makespan and the initial fair rates.
+            Flows that never regain a path complete at ``inf`` and are
+            left out of the makespan.
+
+        Event mode advances to whichever comes first, the next
+        completion or the next failure/repair boundary.  At a boundary
+        the downed capacity is updated, every unfinished flow is
+        route-checked once (it keeps its path, reroutes, or stalls),
+        and the engine is rebuilt over the flows with a live path on
+        the surviving capacities.  A fault-free run has no boundaries
+        and builds one engine.
         """
         if mode not in ("event", "fixed", "drain"):
             raise ValueError(f"unknown mode {mode!r}")
         self.fault_report = None  # stale reports must not outlive their run
-        if faults:
-            if mode != "event":
-                raise ValueError("fault injection requires event mode")
-            from ..faults.network import run_flows_with_faults
-
-            self.metrics = (
-                self._metrics_arg if self._metrics_arg is not None else MetricsRegistry()
-            )
-            return run_flows_with_faults(
-                self, flows, faults, reroute=reroute, time_epsilon=time_epsilon
-            )
+        if faults and mode != "event":
+            raise ValueError("fault injection requires event mode")
         self.metrics = (
             self._metrics_arg if self._metrics_arg is not None else MetricsRegistry()
         )
-        remaining = {i: f.size for i, f in enumerate(flows) if f.size > 0}
         if mode == "drain":
             traffic: dict[tuple[str, str], float] = {}
             for f in flows:
@@ -579,48 +562,149 @@ class FlowSimulator:
             makespan = drain + max((f.latency for f in flows), default=0.0)
             self._record_flows(flows, completion)
             return FlowResult(completion=completion, makespan=makespan, rates={})
+        paths = {i: f.edges for i, f in enumerate(flows) if f.size > 0}
         if mode == "fixed":
-            rates = max_min_rates({i: flows[i] for i in remaining}, self.capacities)
-            self._sample_utilization(0.0, {i: flows[i] for i in remaining}, rates)
-            completion = {}
-            for i, f in enumerate(flows):
-                transfer = remaining[i] / rates[i] if i in remaining else 0.0
-                completion[i] = f.latency + transfer
+            engine = _EventEngine(paths, self.capacities)
+            engine.solve_all()
+            self._sample_engine(0.0, engine)
+            rates = dict(zip(engine.flow_ids, engine.rates.tolist()))
+            completion = {
+                i: f.latency + (f.size / rates[i] if i in rates else 0.0)
+                for i, f in enumerate(flows)
+            }
             makespan = max(completion.values(), default=0.0)
             self._record_flows(flows, completion)
             return FlowResult(completion=completion, makespan=makespan, rates=rates)
-        completion = {i: flows[i].latency for i, f in enumerate(flows) if f.size == 0}
-        engine = _EventEngine(flows, self.capacities)
-        ids = np.asarray(engine.flow_ids, dtype=np.int64)
-        if len(ids) == 0:
-            makespan = max(completion.values(), default=0.0)
-            self._record_flows(flows, completion)
-            return FlowResult(completion=completion, makespan=makespan, rates={})
-        engine.solve_all()
-        initial_rates = {int(i): float(r) for i, r in zip(ids, engine.rates)}
-        latencies = np.asarray([flows[int(i)].latency for i in ids], dtype=np.float64)
-        left = np.asarray([flows[int(i)].size for i in ids], dtype=np.float64)
-        now = 0.0
-        self._sample_engine(now, engine)
-        active_count = len(ids)
-        while active_count:
-            act = np.flatnonzero(engine.active)
-            t = left[act] / engine.rates[act]
-            dt = float(t.min())
-            horizon = dt * (1 + time_epsilon)
-            fin = act[t <= horizon]
-            now += dt
-            left[act] -= engine.rates[act] * dt
-            engine.active[fin] = False
-            active_count -= len(fin)
-            for idx, lat in zip(ids[fin], latencies[fin]):
-                completion[int(idx)] = now + float(lat)
-            # Only the components that lost flows need a new allocation;
-            # every other component's rates are reused as-is.
-            for label in np.unique(engine.comp_of[fin]):
-                engine.solve_component(engine.components[label])
-            if active_count:
-                self._sample_engine(now, engine)
-        makespan = max(completion.values(), default=0.0)
+
+        events = ()
+        if faults:
+            from ..faults.network import NETWORK_FAULT_KINDS, NetworkFaultReport, _edges_of
+
+            if any(e.kind == "plane" for e in faults.events):
+                raise ValueError(
+                    "plane events must be lowered first: see expand_plane_schedule()"
+                )
+            events = faults.for_kinds(NETWORK_FAULT_KINDS)
+        # (time, failing, event): failures sort before repairs at the
+        # same instant so a flapping component is down for its full window.
+        timeline = []
+        for event in events:
+            timeline.append((event.time, True, event))
+            if math.isfinite(event.mttr):
+                timeline.append((event.time + event.mttr, False, event))
+        timeline.sort(key=lambda entry: (entry[0], not entry[1]))
+        alive = dict(self.capacities)
+        # Reference-count downed capacity entries: overlapping failures may
+        # claim the same edge, which only heals when the last claim repairs.
+        down: dict[tuple[str, str], int] = {}
+        tracer = self.tracer
+
+        def apply(failing: bool, event, now: float) -> None:
+            for edge in _edges_of(event, self.capacities):
+                if failing:
+                    down[edge] = down.get(edge, 0) + 1
+                    alive.pop(edge, None)
+                else:
+                    down[edge] -= 1
+                    if down[edge] == 0:
+                        alive[edge] = self.capacities[edge]
+            self.metrics.series("network.capacity_down").record(
+                now, sum(1 for c in down.values() if c) / 2
+            )
+            if tracer.enabled:
+                tracer.instant(
+                    f"{event.kind}_{'down' if failing else 'up'}",
+                    "fault", _FABRIC_PID, 0, now, args={"target": event.target},
+                )
+
+        completion = {i: f.latency for i, f in enumerate(flows) if f.size == 0}
+        remaining = {i: flows[i].size for i in paths}  # bytes left, unfinished flows
+        rerouted: set[int] = set()
+        ever_stalled: set[int] = set()
+        initial_rates = None
+        stall_time = now = 0.0
+        cursor = 0
+        while remaining:
+            while cursor < len(timeline) and timeline[cursor][0] <= now:
+                _, failing, event = timeline[cursor]
+                apply(failing, event, now)
+                cursor += 1
+            boundary = timeline[cursor][0] if cursor < len(timeline) else math.inf
+            # Route check, once per boundary: a flow runs iff no edge of
+            # its path is down; otherwise it reroutes or stalls.
+            live: dict[int, list[tuple[str, str]]] = {}
+            stalled: list[int] = []
+            for i in remaining:
+                if down and any(down.get(edge) for edge in paths[i]):
+                    path = reroute(flows[i], alive) if reroute is not None else None
+                    if path is None or len(path) < 2:
+                        stalled.append(i)
+                        continue
+                    paths[i] = list(zip(path[:-1], path[1:]))
+                    rerouted.add(i)
+                    if tracer.enabled:
+                        tracer.instant(
+                            "reroute", "fault", _FABRIC_PID, i, now,
+                            args={"hops": len(path) - 1},
+                        )
+                live[i] = paths[i]
+            ever_stalled.update(stalled)
+
+            engine = _EventEngine(live, alive)
+            ids = np.asarray(engine.flow_ids, dtype=np.int64)
+            engine.solve_all()
+            if initial_rates is None:
+                initial_rates = {int(i): float(r) for i, r in zip(ids, engine.rates)}
+            latencies = np.asarray([flows[i].latency for i in live], dtype=np.float64)
+            left = np.asarray([remaining[i] for i in live], dtype=np.float64)
+            self._sample_engine(now, engine)
+            active_count = len(ids)
+            start, at_boundary = now, False
+            while active_count:
+                act = np.flatnonzero(engine.active)
+                t = left[act] / engine.rates[act]
+                dt = float(t.min())
+                # A failure/repair instant due first ends the segment
+                # exactly on it; flows finishing with it still complete.
+                at_boundary = boundary != math.inf and boundary - now <= dt
+                if at_boundary:
+                    dt = boundary - now
+                horizon = dt * (1 + time_epsilon)
+                fin = act[t <= horizon]
+                now = boundary if at_boundary else now + dt
+                left[act] -= engine.rates[act] * dt
+                engine.active[fin] = False
+                active_count -= len(fin)
+                for idx, lat in zip(ids[fin], latencies[fin]):
+                    completion[int(idx)] = now + float(lat)
+                if at_boundary:
+                    break
+                # Only the components that lost flows need a new allocation;
+                # every other component's rates are reused as-is.
+                for label in np.unique(engine.comp_of[fin]):
+                    engine.solve_component(engine.components[label])
+                if active_count:
+                    self._sample_engine(now, engine)
+            if not at_boundary:  # every live flow finished first
+                if boundary == math.inf:  # no repair left: stalled flows never finish
+                    stall_time += len(stalled) * (now - start)
+                    completion.update(dict.fromkeys(stalled, math.inf))
+                    break
+                now = boundary
+            stall_time += len(stalled) * (now - start)
+            left_of = dict(zip(engine.flow_ids, left.tolist()))
+            remaining = {
+                i: left_of.get(i, b) for i, b in remaining.items() if i not in completion
+            }
+
+        if events:
+            self.fault_report = NetworkFaultReport(
+                events=len(events),
+                rerouted=tuple(sorted(rerouted)),
+                stalled=tuple(sorted(ever_stalled)),
+                unfinished=tuple(sorted(i for i, t in completion.items() if t == math.inf)),
+                stall_time=stall_time,
+            )
+        makespan = max((t for t in completion.values() if t != math.inf), default=0.0)
         self._record_flows(flows, completion)
-        return FlowResult(completion=completion, makespan=makespan, rates=initial_rates)
+        return FlowResult(completion=completion, makespan=makespan, rates=initial_rates or {})

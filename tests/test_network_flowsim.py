@@ -383,9 +383,8 @@ def test_ring_resolves_resume_near_their_last_round():
     ),
 )
 def test_fault_runner_agrees_with_event_engine_on_idle_faults(picks, faults):
-    """Differential oracle: the fault-timeline runner, built on the
-    ``max_min_rates`` reference, against the event engine, under
-    failures of ``spine1``, which no flow crosses."""
+    """Metamorphic relation: failures of ``spine1``, which no flow
+    crosses, leave every completion where the fault-free run put it."""
     from repro.faults import FaultEvent, FaultSchedule, link_target
 
     flows = _spine0_flows(picks)
@@ -413,3 +412,185 @@ def test_fault_runner_agrees_with_event_engine_on_idle_faults(picks, faults):
     for idx, t in plain.completion.items():
         assert faulty.completion[idx] == pytest.approx(t, rel=1e-9)
     assert faulty.makespan == pytest.approx(plain.makespan, rel=1e-9)
+
+
+# -- fault timelines -------------------------------------------------------
+
+
+def test_schedule_without_network_events_is_byte_identical():
+    """A schedule with no link/switch events is the fault-free run."""
+    import numpy as np
+
+    from repro.faults import FaultEvent, FaultSchedule
+
+    rng = np.random.default_rng(5)
+    topo = two_layer_fat_tree(4, 8, 4, link_bandwidth=10e9)
+    hosts = topo.hosts
+    flows = []
+    for _ in range(300):
+        s, d = rng.choice(hosts, size=2, replace=False)
+        path = min(topo.shortest_paths(s, d), key=len)
+        flows.append(Flow(s, d, float(rng.uniform(1e6, 1e8)), path))
+    sim = FlowSimulator(topo)
+    plain = sim.simulate(flows)
+    sim.simulate(flows, faults=FaultSchedule())
+    empty_report = sim.fault_report
+    gpu_only = FaultSchedule(events=(FaultEvent(time=1e-4, kind="gpu", target="0"),))
+    result = sim.simulate(flows, faults=gpu_only)
+    assert result.completion == plain.completion
+    assert result.makespan == plain.makespan
+    assert result.rates == plain.rates
+    assert sim.fault_report == empty_report is None
+
+
+def test_reroute_policy_called_once_per_broken_flow_per_boundary():
+    """Completions during an outage do not re-ask the policy."""
+    from repro.faults import FaultEvent, FaultSchedule
+
+    topo = two_layer_fat_tree(_LEAVES, _HOSTS, _SPINES, link_bandwidth=10e9)
+    # Three flows cross spine0; nine same-leaf flows of staggered
+    # sizes keep completing while spine0 is down.
+    picks = [(0, 3, 4), (1, 7, 4), (5, 8, 4)]
+    picks += [(h, h // _HOSTS * _HOSTS + (h + 1) % _HOSTS, 1 + h % 4) for h in range(9)]
+    flows = _spine0_flows(picks)
+    crossing = {i for i, f in enumerate(flows) if "FT2/spine0" in f.path}
+    assert len(crossing) == 3
+    calls = []
+
+    def policy(flow, capacities):
+        calls.append(next(i for i, f in enumerate(flows) if f is flow))
+        return None
+
+    down_at, mttr = 1e-5, 1e-3
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(time=down_at, kind="switch", target="FT2/spine0", mttr=mttr),
+        )
+    )
+    sim = FlowSimulator(topo)
+    result = sim.simulate(flows, faults=schedule, reroute=policy)
+    during = [
+        t for i, t in result.completion.items()
+        if i not in crossing and down_at < t < down_at + mttr
+    ]
+    assert len(during) >= 3  # completions while the crossing flows are broken
+    assert sorted(calls) == sorted(crossing)
+    assert sim.fault_report.stalled == tuple(sorted(crossing))
+    assert sim.fault_report.unfinished == ()
+
+
+def _reference_fault_run(topo, flows, events, reroute):
+    """Cold ``max_min_rates`` over the flows with a live path, re-solved
+    at every completion and every failure/repair boundary."""
+    import math
+
+    from repro.faults.network import _edges_of
+
+    caps = FlowSimulator(topo).capacities
+    timeline = sorted(
+        [(e.time, 0, e) for e in events]
+        + [(e.time + e.mttr, 1, e) for e in events if math.isfinite(e.mttr)],
+        key=lambda entry: entry[:2],
+    )
+    down: dict = {}
+    current = {i: f for i, f in enumerate(flows) if f.size > 0}
+    left = {i: f.size for i, f in current.items()}
+    done = {i: f.latency for i, f in enumerate(flows) if f.size == 0}
+    rerouted, stalled = set(), set()
+    now = 0.0
+    while left:
+        while timeline and timeline[0][0] <= now:
+            _, repair, event = timeline.pop(0)
+            for edge in _edges_of(event, caps):
+                down[edge] = down.get(edge, 0) + (-1 if repair else 1)
+        alive = {e: c for e, c in caps.items() if not down.get(e)}
+        live = {}
+        for i in left:
+            if any(down.get(e) for e in current[i].edges):
+                path = reroute(flows[i], alive) if reroute else None
+                if path is None:
+                    stalled.add(i)
+                    continue
+                current[i] = Flow(flows[i].src, flows[i].dst, flows[i].size, path)
+                rerouted.add(i)
+            live[i] = current[i]
+        rates = max_min_rates(live, caps)
+        times = {i: left[i] / rates[i] for i in live}
+        step = min(times.values(), default=math.inf)
+        boundary = timeline[0][0] if timeline else math.inf
+        if boundary - now <= step:
+            step = boundary - now
+        if step == math.inf:
+            done.update(dict.fromkeys(left, math.inf))
+            break
+        for i, t in times.items():
+            if t <= step * (1 + 1e-9):
+                done[i] = now + step + flows[i].latency
+                del left[i]
+            else:
+                left[i] -= rates[i] * step
+        now = boundary if step == boundary - now else now + step
+    return done, rerouted, stalled
+
+
+def _spine_reroute(flow, capacities):
+    """Detour a cross-leaf flow over the first spine it can fully use."""
+    s, ls, _, ld, d = flow.path
+    for k in range(_SPINES):
+        path = [s, ls, f"FT2/spine{k}", ld, d]
+        if all(edge in capacities for edge in zip(path[:-1], path[1:])):
+            return path
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=_picks,
+    faults=st.lists(
+        st.tuples(
+            st.sampled_from(["link", "switch"]),
+            st.integers(0, _SPINES - 1),
+            st.integers(0, _LEAVES - 1),
+            st.floats(0.05, 0.95),
+            st.sampled_from([0.1, 0.3, float("inf")]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    with_reroute=st.booleans(),
+)
+def test_fault_timeline_matches_cold_reference(picks, faults, with_reroute):
+    """Differential oracle: the event loop under link/switch faults on
+    used spines, against a cold max-min re-solve at every event."""
+    import math
+
+    from repro.faults import FaultEvent, FaultSchedule, link_target
+
+    flows = _spine0_flows(picks)
+    topo = two_layer_fat_tree(_LEAVES, _HOSTS, _SPINES, link_bandwidth=10e9)
+    horizon = max(FlowSimulator(topo).simulate(flows).makespan, 1e-6)
+    events = tuple(
+        FaultEvent(
+            time=at * horizon,
+            kind=kind,
+            target=(
+                link_target(f"FT2/leaf{leaf}", f"FT2/spine{spine}")
+                if kind == "link"
+                else f"FT2/spine{spine}"
+            ),
+            mttr=mttr * horizon,
+        )
+        for kind, spine, leaf, at, mttr in faults
+    )
+    reroute = _spine_reroute if with_reroute else None
+    sim = FlowSimulator(topo)
+    result = sim.simulate(flows, faults=FaultSchedule(events=events), reroute=reroute)
+    done, rerouted, stalled = _reference_fault_run(topo, flows, events, reroute)
+    report = sim.fault_report
+    assert report.events == len(events)
+    assert set(report.rerouted) == rerouted
+    assert set(report.stalled) == stalled
+    assert set(report.unfinished) == {i for i, t in done.items() if t == math.inf}
+    assert set(result.completion) == set(done)
+    for idx, t in done.items():
+        assert result.completion[idx] == pytest.approx(t, rel=1e-9)
