@@ -16,6 +16,8 @@ subsystems each need their own generator without accidental coupling
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -56,3 +58,17 @@ def seeded_generator(seed: int, stream: str | None = None) -> np.random.Generato
     if stream is None:
         return np.random.default_rng(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, _stream_key(stream)]))
+
+
+def uniform_stream(generator: np.random.Generator, block: int) -> Callable[[], float]:
+    """A zero-argument callable returning ``generator.uniform()`` values
+    one at a time, drawn ``block`` at a time.
+
+    ``Generator.uniform(size=n)`` yields exactly the values of ``n``
+    scalar ``uniform()`` calls, in order, so the stream returns the same
+    floats as calling ``generator.uniform()`` repeatedly, for a fraction
+    of the per-call cost.  It draws up to ``block - 1`` values past the
+    last one consumed, so the generator must be dedicated to the stream.
+    """
+    blocks = iter(lambda: generator.uniform(size=block).tolist(), None)
+    return chain.from_iterable(blocks).__next__

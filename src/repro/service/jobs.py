@@ -44,6 +44,7 @@ from ..sweep import (
     target_names,
 )
 from ..sweep.spec import canonical_config
+from ..sweep.targets import dry_build
 from .breaker import CircuitBreaker
 from .events import EventBroker
 from .state import StateStore
@@ -112,6 +113,11 @@ class JobSpec:
         (per point-attempt kill budget) / ``max_attempts`` (retries
         before quarantine) which route the sweep through
         :class:`repro.sweep.SupervisorPolicy`.
+
+        Every point, merged over ``base``, is dry-built with its
+        target's scenario builder (:func:`repro.sweep.targets.dry_build`),
+        so a point that could only fail is rejected here with the
+        builder's message rather than after a fork.
         """
         if not isinstance(payload, dict):
             raise ValueError("job spec must be a JSON object")
@@ -181,11 +187,13 @@ class JobSpec:
             except ValueError as exc:
                 raise ValueError(f"bad SLO rules: {exc}") from exc
             base["slo"] = [rule.to_dict() for rule in rules]
-        try:
-            for point in points:
-                canonical_config({**base, **point})
-        except TypeError as exc:
-            raise ValueError(str(exc)) from exc
+        for point in points:
+            merged = {**base, **point}
+            try:
+                canonical_config(merged)
+                dry_build(target, merged)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{target} point {point}: {exc}") from exc
         workers = payload.get("workers", 1)
         if not _is_int(workers) or workers < 1:
             raise ValueError("'workers' must be a positive integer")

@@ -53,6 +53,14 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   in order; token counts advance once per horizon.  Traced and MTP
   runs keep one step per event.  ``_HORIZON = 1`` is the plain
   one-event-per-step loop the tests compare against.
+* MTP acceptance draws come from a block-buffered stream
+  (:func:`repro.core.rng.uniform_stream`): ``_MTP_BLOCK`` uniforms are
+  drawn at once from the dedicated ``"mtp"`` generator and consumed one
+  per draft attempt, in the same rid/step order.  NumPy returns the
+  same values from ``uniform(size=n)`` as from ``n`` scalar calls, and
+  nothing else reads that generator, so the run is exact; only the
+  per-request numpy call is gone.  ``_MTP_BLOCK = 1`` is the scalar
+  reference the tests compare against.
 * Event counters accumulate in plain ints (the six fault tallies in
   one dict keyed by counter suffix) and flush into the
   :class:`MetricsRegistry` once per run, so tracing-off runs pay no
@@ -86,7 +94,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from ..core.rng import seeded_generator
+from ..core.rng import seeded_generator, uniform_stream
 from ..faults.report import annotate_alerts, build_degradation
 from ..faults.schedule import FaultEvent, FaultSchedule, RecoveryPolicy
 from ..obs import (
@@ -125,6 +133,10 @@ _RETRY = 5
 #: 1 runs every step through the event queue; tests patch it to prove
 #: the folded run identical to that one.
 _HORIZON = 1 << 30
+
+#: MTP acceptance uniforms drawn per numpy call.  1 is the scalar
+#: one-call-per-draft reference the tests compare against.
+_MTP_BLOCK = 1024
 
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
@@ -397,7 +409,7 @@ class ServingSimulator:
         metrics = self._metrics_arg if self._metrics_arg is not None else MetricsRegistry()
         self.metrics = metrics
         # Seeded per run, so a second run() replays the same MTP draws.
-        self._mtp_rng = seeded_generator(cfg.seed, "mtp")
+        self._mtp_uniform = uniform_stream(seeded_generator(cfg.seed, "mtp"), _MTP_BLOCK)
         pools = self._make_pools()
         prefill_pool = pools[0]
         decode_pool = pools[-1]
@@ -1066,7 +1078,7 @@ class ServingSimulator:
         mtp = cfg.costs.mtp
         mtp_enabled = mtp.enabled
         acceptance = mtp.acceptance_rate
-        uniform = self._mtp_rng.uniform
+        uniform = self._mtp_uniform
         kv = pool.kv
         block_tokens = kv.config.block_tokens
         active = pool.active

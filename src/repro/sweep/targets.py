@@ -24,7 +24,9 @@ worker or per attempt.
 
 Each built-in target is a pure builder, shared with ``repro serve-sim``
 and ``repro trace``, plus a run.  A builder rejects any key it did not
-consume with ``unknown <target> sweep keys: [...]``.
+consume with ``unknown <target> sweep keys: [...]``.  :func:`dry_build`
+runs a point's builder without the run, so a job can be checked before
+anything is forked.
 
 ``serving`` — :func:`serving_scenario` builds the ``SimConfig`` for
 :class:`repro.serving.ServingSimulator`.  The flat keys are every
@@ -287,3 +289,26 @@ def _training_target(config: dict, seed: int) -> dict:
 
     args, kwargs = training_scenario(config, seed)
     return simulate_checkpointed_training(*args, **kwargs).asdict()
+
+
+#: The pure builders of the built-in targets, by target name.
+_BUILDERS: dict[str, Callable[[dict], object]] = {
+    "serving": lambda config: serving_scenario(config, 0),
+    "flowsim": flowsim_scenario,
+    "training": lambda config: training_scenario(config, 0),
+}
+
+
+def dry_build(target: str, config: dict) -> None:
+    """Build the scenario of one ``target`` point without running it.
+
+    Raises ``ValueError`` with the builder's message when the point
+    would fail.  Targets without a pure builder are not checked.
+    """
+    build = _BUILDERS.get(target)
+    if build is None:
+        return
+    try:
+        build(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(str(exc)) from exc

@@ -1,8 +1,9 @@
 """Shared seeded-RNG factory (repro.core.rng)."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from repro.core.rng import derive_seed, seeded_generator
+from repro.core.rng import derive_seed, seeded_generator, uniform_stream
 
 
 def test_root_stream_matches_default_rng():
@@ -39,3 +40,19 @@ def test_derive_seed_is_a_valid_64_bit_seed():
         a = seeded_generator(child).uniform(size=4)
         b = seeded_generator(child).uniform(size=4)
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 300),
+    data=st.data(),
+)
+def test_uniform_stream_equals_scalar_draws(seed, block, data):
+    # Enough draws to cross several block boundaries, ending anywhere
+    # inside a block.
+    count = data.draw(st.integers(0, 4 * block + 5), label="count")
+    scalar = seeded_generator(seed, "mtp")
+    expected = [scalar.uniform() for _ in range(count)]
+    draw = uniform_stream(seeded_generator(seed, "mtp"), block)
+    assert [draw() for _ in range(count)] == expected

@@ -660,6 +660,31 @@ def test_non_finite_and_bool_numbers_rejected(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
+def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
+    """Each point is dry-built at submit, so a job that could only fail
+    per point is refused with the scenario builder's message."""
+    spec = {"target": "serving", "grid": {"request_rate": [4]}, "base": SERVING_BASE}
+    bad = [
+        # A bare string axis is one point whose value is the string.
+        ({**spec, "grid": {"request_rate": "abc"}}, "not supported"),
+        ({**spec, "grid": {"nosuchkey": [1, 2]}}, "unknown serving sweep keys: ['nosuchkey']"),
+        ({**spec, "base": {**SERVING_BASE, "num_requests": "many"}}, "not supported"),
+    ]
+
+    async def body(server, client):
+        for payload, message in bad:
+            status, reply = await client.post_json("/jobs", payload)
+            assert status == 400, payload
+            assert reply["error"].startswith("serving point {"), reply
+            assert message in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+        status, _ = await client.post_json("/jobs", spec)
+        assert status == 202
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
 def test_restart_lists_finished_jobs(tmp_path):
     """Terminal jobs survive a restart: listed, artifact-served, and
     their SSE stream replays to an immediate terminal event."""

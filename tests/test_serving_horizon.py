@@ -6,7 +6,9 @@ how many one event may advance).  With the cap patched to 1 every step
 goes through the calendar queue, which is the plain one-event-per-step
 loop.  These tests check that the two give identical results, pin the
 event counts the fold saves, and check conservation invariants at every
-popped event under both.
+popped event under both.  The block-buffered MTP acceptance stream gets
+the same treatment: ``_MTP_BLOCK`` patched to 1 is one numpy call per
+draft, and must give the same run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.serving import (
 from repro.serving.calqueue import CalendarQueue
 
 DEFAULT_HORIZON = simulator._HORIZON
+DEFAULT_MTP_BLOCK = simulator._MTP_BLOCK
 
 
 @contextlib.contextmanager
@@ -111,6 +114,50 @@ def test_folded_horizons_match_one_step_per_event(config):
     stepped = _outputs(config, 1)
     for key in folded:
         assert folded[key] == stepped[key], key
+
+
+def _mtp_outputs(config: SimConfig, block: int) -> dict:
+    with _patched(simulator, "_MTP_BLOCK", block):
+        return _outputs(config, DEFAULT_HORIZON)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=sim_configs(), acceptance=st.sampled_from([0.0, 0.5, 0.85, 1.0]))
+def test_buffered_mtp_draws_match_one_call_per_draft(config, acceptance):
+    config = dataclasses.replace(
+        config, costs=StepCostModel(mtp=MTPConfig(enabled=True, acceptance_rate=acceptance))
+    )
+    buffered = _mtp_outputs(config, DEFAULT_MTP_BLOCK)
+    scalar = _mtp_outputs(config, 1)
+    # "metrics" holds serving.mtp_draft_attempts and _accepted.
+    for key in buffered:
+        assert buffered[key] == scalar[key], key
+
+
+def test_mtp_draft_counter_pins():
+    """A tight-KV colocated MTP run with preemption: the draft counters
+    are exact at any block size."""
+    config = SimConfig(
+        workload=WorkloadSpec(
+            request_rate=16.0,
+            num_requests=400,
+            prompt_mean=256,
+            output_mean=96,
+            output_cv=0.6,
+            arrival="bursty",
+        ),
+        costs=StepCostModel(mtp=MTPConfig(enabled=True)),
+        mode=COLOCATED,
+        prefill_gpus=1,
+        decode_gpus=3,
+        kv_blocks_per_gpu=24,
+        seed=3,
+    )
+    for block in (DEFAULT_MTP_BLOCK, 7, 1):
+        metrics = _mtp_outputs(config, block)["metrics"]
+        assert metrics["serving.mtp_draft_attempts"] == 20_634
+        assert metrics["serving.mtp_draft_accepted"] == 17_540
+        assert metrics["serving.preemptions"] == 75
 
 
 # -- exact event counts ----------------------------------------------------

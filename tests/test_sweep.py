@@ -321,6 +321,32 @@ def test_builtin_targets_share_one_unknown_key_error(target):
         get_target(target)(config, 0)
 
 
+@pytest.mark.parametrize(
+    "target, config",
+    [
+        ("serving", {"request_rate": "abc"}),
+        ("serving", {"num_requests": "many"}),
+        ("flowsim", {"bogus": 1}),
+        ("flowsim", {"num_leaves": "four"}),
+        ("training", {"bogus": 1}),
+        ("training", {"faults": {"events": [{"time": -3, "kind": "gpu"}]}}),
+    ],
+)
+def test_dry_build_raises_value_error_for_bad_points(target, config):
+    from repro.sweep.targets import dry_build
+
+    with pytest.raises(ValueError):
+        dry_build(target, config)
+
+
+def test_dry_build_accepts_defaults_and_skips_other_targets():
+    from repro.sweep.targets import dry_build
+
+    for target in ("serving", "flowsim", "training"):
+        dry_build(target, {"seed": 3})
+    dry_build("svc-anything", {"bogus": 1})  # no pure builder: unchecked
+
+
 def test_unknown_target_raises():
     with pytest.raises(KeyError, match="unknown sweep target"):
         run_sweep(SweepSpec(target="no-such-target", points=[{"x": 1}]), cache=None)
