@@ -40,6 +40,9 @@ from .topology import Topology
 #: Trace process id for the fabric (flows are tracks inside it).
 _FABRIC_PID = 1
 
+#: The ``mode`` values :meth:`FlowSimulator.simulate` accepts.
+SIM_MODES = ("event", "fixed", "drain")
+
 
 @dataclass
 class Flow:
@@ -536,7 +539,7 @@ class FlowSimulator:
         the surviving capacities.  A fault-free run has no boundaries
         and builds one engine.
         """
-        if mode not in ("event", "fixed", "drain"):
+        if mode not in SIM_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.fault_report = None  # stale reports must not outlive their run
         if faults and mode != "event":

@@ -114,10 +114,11 @@ class JobSpec:
         before quarantine) which route the sweep through
         :class:`repro.sweep.SupervisorPolicy`.
 
-        Every point, merged over ``base``, is dry-built with its
-        target's scenario builder (:func:`repro.sweep.targets.dry_build`),
-        so a point that could only fail is rejected here with the
-        builder's message rather than after a fork.
+        Every point, merged over ``base``, is checked by its target's
+        scenario builder (:func:`repro.sweep.targets.dry_build`), so a
+        point that could only fail is rejected here with the builder's
+        message rather than after a fork.  The check runs on the event
+        loop, so it reads no file and routes no flowsim flows.
         """
         if not isinstance(payload, dict):
             raise ValueError("job spec must be a JSON object")

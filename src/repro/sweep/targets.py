@@ -25,8 +25,8 @@ worker or per attempt.
 Each built-in target is a pure builder, shared with ``repro serve-sim``
 and ``repro trace``, plus a run.  A builder rejects any key it did not
 consume with ``unknown <target> sweep keys: [...]``.  :func:`dry_build`
-runs a point's builder without the run, so a job can be checked before
-anything is forked.
+checks a point without the run, so a job can be checked before anything
+is forked.
 
 ``serving`` — :func:`serving_scenario` builds the ``SimConfig`` for
 :class:`repro.serving.ServingSimulator`.  The flat keys are every
@@ -47,18 +47,19 @@ is true.
 ``flowsim`` — :func:`flowsim_scenario` builds a shifted-ring all-to-all
 on a two-layer fat tree for :class:`repro.network.FlowSimulator`
 (``num_leaves``, ``hosts_per_leaf``, ``num_spines``, ``shifts``,
-``size_bytes``, ``sim_mode``).  Deterministic: the seed is accepted but
-unused.
+``size_bytes``, ``sim_mode``), after :func:`flowsim_params` has checked
+them.  Deterministic: the seed is accepted but unused.
 
 ``training`` — :func:`training_scenario` builds the arguments of
 :func:`repro.training.simulate_checkpointed_training` (``work_s``,
-``interval_s``, ``checkpoint_s``, ``restart_s``, ``mtbf_s``, optional
-``faults``).
+``interval_s``, ``checkpoint_s``, ``restart_s``, ``mtbf_s``, an optional
+``faults`` schedule dict).
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import fields
 from typing import Callable, Iterable
 
@@ -164,6 +165,19 @@ def reject_unknown_keys(target: str, cfg: dict) -> None:
         raise ValueError(f"unknown {target} sweep keys: {sorted(cfg)}")
 
 
+def _fault_schedule(faults):
+    """A point's ``faults`` value as a ``FaultSchedule``, ``None`` if empty.
+
+    Only the dict form is accepted: ``FaultSchedule.from_json`` reads a
+    string as a file path, and a point is data, not a file to open.
+    """
+    from ..faults import FaultSchedule
+
+    if faults is not None and not isinstance(faults, dict):
+        raise TypeError("'faults' must be a FaultSchedule JSON object")
+    return FaultSchedule.from_json(faults) if faults else None
+
+
 #: ``SimConfig`` fields built from structured values, never set flat.
 _STRUCTURED_SIM_FIELDS = (
     "workload", "costs", "scheduler", "slo", "seed", "faults", "recovery", "slo_rules"
@@ -176,7 +190,7 @@ def serving_scenario(config: dict, seed: int):
     ``economics`` holds the ``compact_record`` keyword arguments that turn
     on its cost fields; it is empty unless ``gpu_cost_per_hour`` is set.
     """
-    from ..faults import FaultSchedule, RecoveryPolicy
+    from ..faults import RecoveryPolicy
     from ..serving import MTPConfig, SchedulerConfig, SimConfig, StepCostModel, WorkloadSpec
 
     cfg = dict(config)
@@ -187,6 +201,8 @@ def serving_scenario(config: dict, seed: int):
     )
     faults = cfg.pop("faults", None)
     recovery = cfg.pop("recovery", None)
+    if recovery is not None and not isinstance(recovery, dict):
+        raise TypeError("'recovery' must be an object of RecoveryPolicy kwargs")
     # The flat key ``slo`` is the SLO monitor rule list (compact strings or
     # SloRule.to_dict() shapes), i.e. SimConfig.slo_rules, not SimConfig.slo.
     slo_rules = cfg.pop("slo", None)
@@ -204,7 +220,7 @@ def serving_scenario(config: dict, seed: int):
         costs=StepCostModel(mtp=mtp),
         scheduler=scheduler,
         seed=seed,
-        faults=FaultSchedule.from_json(faults) if faults else None,
+        faults=_fault_schedule(faults),
         **({"recovery": RecoveryPolicy(**recovery)} if recovery else {}),
         **({"slo_rules": tuple(slo_rules)} if slo_rules else {}),
         **scalars,
@@ -225,23 +241,54 @@ def _serving_target(config: dict, seed: int) -> dict:
     return compact_record(ServingSimulator(sim).run(), **economics)
 
 
+#: The flowsim target's flat keys and their defaults.
+_FLOWSIM_DEFAULTS = {
+    "num_leaves": 4,
+    "hosts_per_leaf": 4,
+    "num_spines": 4,
+    "shifts": 3,
+    "size_bytes": 64e6,
+    "sim_mode": "event",
+}
+
+
+def flowsim_params(config: dict) -> dict:
+    """Check the flowsim target's flat keys and fill in the defaults.
+
+    Builds nothing: the topology and the routed flows grow with the
+    counts, so this is the check a point can pass cheaply.
+    """
+    from ..network.flowsim import SIM_MODES
+
+    cfg = dict(config)
+    cfg.pop("seed", None)
+    params = {key: cfg.pop(key, default) for key, default in _FLOWSIM_DEFAULTS.items()}
+    reject_unknown_keys("flowsim", cfg)
+    for key in ("num_leaves", "hosts_per_leaf", "num_spines", "shifts"):
+        value = params[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"flowsim {key!r} must be a positive integer, got {value!r}")
+    size = params["size_bytes"]
+    if not isinstance(size, (int, float)) or isinstance(size, bool) or not 0 < size < math.inf:
+        raise ValueError(f"flowsim 'size_bytes' must be a positive number, got {size!r}")
+    mode = params["sim_mode"]
+    if mode not in SIM_MODES:
+        raise ValueError(f"flowsim 'sim_mode' must be one of {SIM_MODES}, got {mode!r}")
+    return params
+
+
 def flowsim_scenario(config: dict):
     """Build ``(topology, flows, sim_mode)`` from the flowsim target's flat keys."""
     from ..network import shifted_ring_flows, two_layer_fat_tree
 
-    cfg = dict(config)
-    cfg.pop("seed", None)
+    params = flowsim_params(config)
     topo = two_layer_fat_tree(
-        num_leaves=cfg.pop("num_leaves", 4),
-        hosts_per_leaf=cfg.pop("hosts_per_leaf", 4),
-        num_spines=cfg.pop("num_spines", 4),
+        num_leaves=params["num_leaves"],
+        hosts_per_leaf=params["hosts_per_leaf"],
+        num_spines=params["num_spines"],
     )
-    flows = shifted_ring_flows(
-        topo, range(1, 1 + cfg.pop("shifts", 3)), cfg.pop("size_bytes", 64e6)
-    )
-    mode = cfg.pop("sim_mode", "event")
-    reject_unknown_keys("flowsim", cfg)
-    return topo, flows, mode
+    flows = shifted_ring_flows(topo, range(1, 1 + params["shifts"]), params["size_bytes"])
+    return topo, flows, params["sim_mode"]
 
 
 @register_target("flowsim", warm=warm_imports("repro.network", "networkx"))
@@ -263,8 +310,6 @@ def training_scenario(config: dict, seed: int):
     """Build the ``(args, kwargs)`` of
     :func:`repro.training.simulate_checkpointed_training` from the
     training target's flat keys."""
-    from ..faults import FaultSchedule
-
     cfg = dict(config)
     cfg.pop("seed", None)
     faults = cfg.pop("faults", None)
@@ -276,7 +321,7 @@ def training_scenario(config: dict, seed: int):
     )
     kwargs = {
         "mtbf": cfg.pop("mtbf_s", None),
-        "faults": FaultSchedule.from_json(faults) if faults else None,
+        "faults": _fault_schedule(faults),
         "seed": seed,
     }
     reject_unknown_keys("training", cfg)
@@ -291,19 +336,23 @@ def _training_target(config: dict, seed: int) -> dict:
     return simulate_checkpointed_training(*args, **kwargs).asdict()
 
 
-#: The pure builders of the built-in targets, by target name.
+#: The submit-time checks of the built-in targets, by target name: the
+#: pure builder, except for flowsim, whose flows are routed at run time.
 _BUILDERS: dict[str, Callable[[dict], object]] = {
     "serving": lambda config: serving_scenario(config, 0),
-    "flowsim": flowsim_scenario,
+    "flowsim": flowsim_params,
     "training": lambda config: training_scenario(config, 0),
 }
 
 
 def dry_build(target: str, config: dict) -> None:
-    """Build the scenario of one ``target`` point without running it.
+    """Check one ``target`` point without running it.
 
     Raises ``ValueError`` with the builder's message when the point
-    would fail.  Targets without a pure builder are not checked.
+    would fail.  A serving or training point is built; a flowsim point
+    only has its keys checked (:func:`flowsim_params`).  The check reads
+    no file and does work bounded by the size of the point.  Targets
+    without a pure builder are not checked.
     """
     build = _BUILDERS.get(target)
     if build is None:

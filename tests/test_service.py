@@ -685,6 +685,51 @@ def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
+def test_submit_check_reads_no_file_and_routes_no_flows(tmp_path, monkeypatch):
+    """The submit check runs on the server's event loop, so it must stay
+    cheap and touch nothing: a point's ``faults`` string (which the
+    schedule loader would read as a file path) or list gets a 400, and a
+    flowsim point with huge counts is checked without building its
+    fabric, which only the run does."""
+    import repro.network
+
+    def no_fabric(*args, **kwargs):
+        raise RuntimeError("fabric built")
+
+    monkeypatch.setattr(repro.network, "two_layer_fat_tree", no_fabric)
+    monkeypatch.setattr(repro.network, "shifted_ring_flows", no_fabric)
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"events": [{"time": 1.0, "kind": "gpu"}]}))
+    serving = {"target": "serving", "base": SERVING_BASE}
+    huge = {"num_leaves": 1000, "hosts_per_leaf": 1000, "shifts": 100}
+    not_a_schedule = "'faults' must be a FaultSchedule JSON object"
+    bad = [
+        ({**serving, "points": [{"faults": str(schedule)}]}, not_a_schedule),
+        ({**serving, "points": [{"faults": str(tmp_path / "missing.json")}]}, not_a_schedule),
+        ({**serving, "points": [{"faults": [1]}]}, not_a_schedule),
+        ({**serving, "points": [{"recovery": [1]}]}, "'recovery' must be an object"),
+        ({"target": "training", "points": [{"faults": str(schedule)}]}, not_a_schedule),
+        ({"target": "flowsim", "points": [{**huge, "sim_mode": "bogus"}]}, "'sim_mode'"),
+        ({"target": "flowsim", "points": [{**huge, "shifts": 0}]}, "'shifts'"),
+    ]
+
+    async def body(server, client):
+        for payload, message in bad:
+            status, reply = await client.post_json("/jobs", payload)
+            assert status == 400, payload
+            assert message in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+        # A well-formed huge point is accepted; its fabric is built by the run.
+        status, job = await client.post_json("/jobs", {"target": "flowsim", "points": [huge]})
+        assert status == 202
+        await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+        _, detail = await client.get_json(f"/jobs/{job['id']}")
+        assert detail["errors"] == 1
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
 def test_restart_lists_finished_jobs(tmp_path):
     """Terminal jobs survive a restart: listed, artifact-served, and
     their SSE stream replays to an immediate terminal event."""

@@ -17,6 +17,7 @@ from repro.sweep import (
     SweepCache,
     SweepSpec,
     canonical_config,
+    get_target,
     grid,
     point_key,
     register_target,
@@ -309,8 +310,6 @@ def test_serving_scenario_rejects_structured_and_typo_keys(key, value):
 
 @pytest.mark.parametrize("target", ["flowsim", "training", "optimize"])
 def test_builtin_targets_share_one_unknown_key_error(target):
-    from repro.sweep import get_target
-
     config = {"bogus": 1}
     if target == "optimize":
         config.update(
@@ -326,10 +325,16 @@ def test_builtin_targets_share_one_unknown_key_error(target):
     [
         ("serving", {"request_rate": "abc"}),
         ("serving", {"num_requests": "many"}),
+        ("serving", {"faults": [1]}),
+        ("serving", {"recovery": [1]}),
         ("flowsim", {"bogus": 1}),
         ("flowsim", {"num_leaves": "four"}),
+        ("flowsim", {"shifts": 0}),
+        ("flowsim", {"size_bytes": -1.0}),
+        ("flowsim", {"sim_mode": "bogus"}),
         ("training", {"bogus": 1}),
         ("training", {"faults": {"events": [{"time": -3, "kind": "gpu"}]}}),
+        ("training", {"faults": [1]}),
     ],
 )
 def test_dry_build_raises_value_error_for_bad_points(target, config):
@@ -337,6 +342,37 @@ def test_dry_build_raises_value_error_for_bad_points(target, config):
 
     with pytest.raises(ValueError):
         dry_build(target, config)
+
+
+@pytest.mark.parametrize("target", ["serving", "training"])
+def test_faults_path_strings_are_refused_unread(target, tmp_path):
+    """``FaultSchedule.from_json`` reads a string as a file path; a point
+    names its schedule as an object, so even a readable, valid schedule
+    file is refused."""
+    from repro.sweep.targets import dry_build
+
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"events": [{"time": 1.0, "kind": "gpu"}]}))
+    with pytest.raises(ValueError, match="'faults' must be a FaultSchedule JSON object"):
+        dry_build(target, {"faults": str(path)})
+    with pytest.raises(TypeError, match="'faults' must be a FaultSchedule JSON object"):
+        get_target(target)({"faults": str(path)}, 0)
+
+
+def test_flowsim_dry_build_checks_keys_without_building(monkeypatch):
+    """A flowsim point's fabric and routed flows grow with its counts, so
+    the submit check stops at the keys; the run builds them."""
+    import repro.network
+    from repro.sweep.targets import dry_build
+
+    def no_fabric(*args, **kwargs):
+        raise AssertionError("dry_build built the fabric")
+
+    monkeypatch.setattr(repro.network, "two_layer_fat_tree", no_fabric)
+    monkeypatch.setattr(repro.network, "shifted_ring_flows", no_fabric)
+    dry_build("flowsim", {"num_leaves": 1000, "hosts_per_leaf": 1000, "shifts": 100})
+    with pytest.raises(AssertionError, match="built the fabric"):
+        get_target("flowsim")({"num_leaves": 2}, 0)
 
 
 def test_dry_build_accepts_defaults_and_skips_other_targets():
