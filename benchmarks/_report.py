@@ -78,23 +78,23 @@ def write_json(name: str, payload: dict, meta: dict | None = None) -> Path:
     return path
 
 
-def compare(current: dict, baseline: dict, rtol: float = 0.5) -> list[str]:
+def compare(current: dict, baseline: dict) -> list[str]:
     """Diff ``current`` against a committed ``baseline`` payload.
 
     Walks the baseline recursively (skipping the ``"_meta"`` block):
-    every numeric leaf must satisfy ``|cur - base| <= rtol * |base|``,
-    every other leaf must match exactly, and every baseline key must be
-    present.  Returns human-readable drift messages — empty means the
-    run is within tolerance of the baseline.
+    every baseline key must be present and every leaf must serialize to
+    the same JSON as its baseline value, so an int off by one, a float
+    one ulp off or an ``8`` that became ``8.0`` all drift.  Committed
+    payloads hold only deterministic leaves; wall-clock numbers are
+    printed, never pinned.  Returns human-readable drift messages —
+    empty means the run matches the baseline exactly.
     """
     drifts: list[str] = []
-    _compare_into(current, baseline, rtol, "", drifts)
+    _compare_into(current, baseline, "", drifts)
     return drifts
 
 
-def _compare_into(
-    current: object, baseline: object, rtol: float, path: str, drifts: list[str]
-) -> None:
+def _compare_into(current: object, baseline: object, path: str, drifts: list[str]) -> None:
     label = path or "<root>"
     if isinstance(baseline, dict):
         if not isinstance(current, dict):
@@ -107,20 +107,17 @@ def _compare_into(
             if key not in current:
                 drifts.append(f"{child}: missing from current results")
             else:
-                _compare_into(current[key], baseline[key], rtol, child, drifts)
+                _compare_into(current[key], baseline[key], child, drifts)
         return
-    numeric = isinstance(baseline, (int, float)) and not isinstance(baseline, bool)
-    if not numeric:
-        if current != baseline:
-            drifts.append(f"{label}: {current!r} != baseline {baseline!r}")
-        return
-    if not isinstance(current, (int, float)) or isinstance(current, bool):
-        drifts.append(f"{label}: expected number, got {current!r}")
-        return
-    if abs(current - baseline) > rtol * abs(baseline):
-        drifts.append(
-            f"{label}: {current:g} outside +-{rtol:g} rtol of baseline {baseline:g}"
-        )
+    if _canonical(current) != _canonical(baseline):
+        drifts.append(f"{label}: {current!r} != baseline {baseline!r}")
+
+
+def _canonical(value: object) -> str:
+    """The JSON text :func:`write_json` commits for ``value`` (``repr``
+    stands in for what JSON cannot encode, so it drifts instead of
+    raising)."""
+    return json.dumps(value, sort_keys=True, default=repr)
 
 
 def paper_vs_measured(

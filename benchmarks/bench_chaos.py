@@ -5,7 +5,7 @@ Three sections, all gated on exact invariants rather than wall-clock:
 * **overhead** — a clean 10-point grid run plain (in-process) and
   supervised (a reused forked worker, ``timeout_s`` armed).  The
   reports must be byte-identical: supervision is an execution detail,
-  never an output change.  The overhead ratio is recorded but not
+  never an output change.  The overhead ratio is printed but not
   gated (it tracks the machine's fork and pipe round-trip cost).
 * **chaos** — the same grid wrapped in :func:`repro.chaos.chaos_spec`
   (seeded sabotage: worker kills, hangs the supervisor must time out,
@@ -22,9 +22,10 @@ Three sections, all gated on exact invariants rather than wall-clock:
   byte-identical too (failure handling is as deterministic as
   success).
 
-``BENCH_chaos.json`` is the committed baseline; ``--check`` re-runs
-everything, re-asserts the invariants, and compares the stable
-(non-timing) fields exactly.
+``BENCH_chaos.json`` is the committed baseline and holds only the
+seed-pinned fields; wall times are printed, never committed.
+``--check`` re-runs everything, re-asserts the invariants, and
+compares the payload exactly.
 """
 
 from __future__ import annotations
@@ -79,21 +80,21 @@ INNER_POINTS = grid(alpha=[1, 2, 3, 4, 5], beta=[1, 2])  # 10 points
 INNER_SPEC = SweepSpec(target="bench_chaos_inner", points=INNER_POINTS, seed=17)
 
 
-def _supervision_overhead() -> dict:
+def _supervision_overhead() -> tuple[dict, dict]:
     plain = run_sweep(INNER_SPEC, workers=1)
     supervised = run_sweep(INNER_SPEC, workers=1, supervise=POLICY)
     byte_identical = plain.to_json() == supervised.to_json()
     assert byte_identical, "supervision changed the report"
-    return {
-        "grid_points": len(INNER_POINTS),
+    exact = {"grid_points": len(INNER_POINTS), "byte_identical": byte_identical}
+    timed = {
         "plain_s": round(plain.wall_time, 4),
         "supervised_s": round(supervised.wall_time, 4),
         "overhead_x": round(supervised.wall_time / max(plain.wall_time, 1e-9), 1),
-        "byte_identical": byte_identical,
     }
+    return exact, timed
 
 
-def _chaos_drill(workers: int) -> dict:
+def _chaos_drill(workers: int) -> tuple[dict, dict]:
     # Seed 15 draws all four sabotage modes over this grid — including
     # exactly one hang, so the drill provably exercises the timeout
     # path without hangs dominating its wall time.
@@ -118,7 +119,7 @@ def _chaos_drill(workers: int) -> dict:
     reference = run_sweep(reference_spec(spec), workers=workers)
     assert_chaos_invariant(chaotic, reference)
     snapshot = metrics.snapshot()
-    return {
+    exact = {
         "grid_points": len(spec.points),
         "sabotaged": sabotaged,
         "errors": errors,
@@ -127,9 +128,12 @@ def _chaos_drill(workers: int) -> dict:
         "worker_deaths": int(snapshot.get("sweep.worker_deaths", 0)),
         "byte_identical_workers": byte_identical,
         "invariant_holds": True,
+    }
+    timed = {
         "parallel_s": round(chaotic.wall_time, 3),
         "serial_s": round(serial.wall_time, 3),
     }
+    return exact, timed
 
 
 def _poison_quarantine(workers: int) -> dict:
@@ -173,25 +177,18 @@ def _assert_no_orphans() -> None:
     assert not leftovers, f"orphaned worker processes: {leftovers}"
 
 
-def run_drill(workers: int) -> dict:
+def run_drill(workers: int) -> tuple[dict, dict]:
+    """The seed-pinned payload and, per section, its wall-clock timings."""
+    overhead, overhead_timed = _supervision_overhead()
+    chaos, chaos_timed = _chaos_drill(workers)
     payload = {
         "workers": workers,
-        "overhead": _supervision_overhead(),
-        "chaos": _chaos_drill(workers),
+        "overhead": overhead,
+        "chaos": chaos,
         "poison": _poison_quarantine(workers),
     }
     _assert_no_orphans()
-    return payload
-
-
-def _stable(payload: dict) -> dict:
-    """Strip machine-dependent wall-clock fields (``*_s``, ``*_x``)."""
-    out = {}
-    for key, value in payload.items():
-        if key.endswith("_s") or key.endswith("_x"):
-            continue
-        out[key] = _stable(value) if isinstance(value, dict) else value
-    return out
+    return payload, {"overhead": overhead_timed, "chaos": chaos_timed}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,11 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
-    payload = run_drill(args.workers)
+    payload, timings = run_drill(args.workers)
     rows = [
         [section, k, v]
         for section in ("overhead", "chaos", "poison")
-        for k, v in payload[section].items()
+        for k, v in {**payload[section], **timings.get(section, {})}.items()
     ]
     print_table(
         f"chaos drill, {payload['workers']} workers", ["section", "metric", "value"], rows
@@ -217,16 +214,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         path = Path(__file__).resolve().parent / "BENCH_chaos.json"
         baseline = json.loads(path.read_text())
-        # Everything that isn't wall-clock is seed-pinned and must
-        # match the baseline *exactly* (rtol 0): sabotage assignments,
+        # Every committed field is seed-pinned: sabotage assignments,
         # retry/timeout/kill counts, and the byte-identity flags.
-        drifts = compare(_stable(payload), _stable(baseline), rtol=0.0)
+        drifts = compare(payload, baseline)
         if drifts:
             print(f"\nchaos-drill drift vs {path.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nstable fields exactly match {path.name}")
+        print(f"\nexactly matches {path.name}")
         return 0
 
     write_json(

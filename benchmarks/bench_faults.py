@@ -5,11 +5,10 @@ what the outage costs — completed/dropped/shed requests and goodput for
 serving, stall and reroute makespans for the network, goodput versus
 the Young-Daly closed form for checkpointed training.
 
-Unlike the perf bench, every number here is **deterministic** (seeded
-simulations, no wall-clock measurements), so the committed
-``BENCH_faults.json`` is an exact behavioral baseline: ``--check``
-re-runs the ablation and exits nonzero on any drift beyond a tiny
-float tolerance — the CI fault-smoke gate.
+Every number here is **deterministic** (seeded simulations, no
+wall-clock measurements), so the committed ``BENCH_faults.json`` is an
+exact behavioral baseline: ``--check`` re-runs the ablation and exits
+nonzero on any drift — the CI fault-smoke gate.
 """
 
 from __future__ import annotations
@@ -183,12 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="compare against the committed baseline instead of rewriting it",
     )
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=1e-6,
-        help="relative drift tolerance for --check (deterministic payload)",
-    )
     args = parser.parse_args(argv)
 
     current = {
@@ -201,13 +194,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         path = Path(__file__).resolve().parent / "BENCH_faults.json"
         baseline = json.loads(path.read_text())
-        drifts = compare(current, baseline, rtol=args.rtol)
+        drifts = compare(current, baseline)
         if drifts:
-            print(f"\nfault-ablation drift vs {path.name} (rtol {args.rtol}):")
+            print(f"\nfault-ablation drift vs {path.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nwithin {args.rtol} rtol of {path.name}")
+        print(f"\nexactly matches {path.name}")
         return 0
 
     write_json(

@@ -28,10 +28,11 @@ A final section micro-benches :meth:`SweepCache.get_many` (the batched
 probe behind every search rung) against per-key ``get`` on warm hits
 and on an all-miss frontier probe.
 
-``BENCH_optimize.json`` is the committed baseline; ``--check`` re-runs
-everything, re-asserts every gate, and compares the deterministic
-payload (wall-clock fields are stripped; simulated seconds are not —
-they are pure functions of the records).
+``BENCH_optimize.json`` is the committed baseline and holds only
+deterministic fields (simulated seconds are pure functions of the
+records); wall times and the ``get_many`` timings are printed, never
+committed.  ``--check`` re-runs everything, re-asserts every gate, and
+compares the payload exactly.
 """
 
 from __future__ import annotations
@@ -250,6 +251,8 @@ def _run_scenario(spec: SearchSpec, workers: int) -> dict:
             "byte_identical": byte_identical,
             "frontier_identical": frontier_identical,
             "warm_evaluated": warm.evaluated,
+        },
+        "timings": {
             "search_wall_s": round(parallel.wall_time, 2),
             "grid_wall_s": round(full.wall_time, 2),
         },
@@ -267,7 +270,8 @@ def _max_feasible_rate(objective, points, mode: str) -> float | None:
     return max(rates) if rates else None
 
 
-def run_bench(workers: int) -> dict:
+def run_bench(workers: int) -> tuple[dict, dict]:
+    """The deterministic payload and, per section, its wall-clock timings."""
     # -- §2.3: the headline ≥10× scenario --------------------------------
     sec23 = _run_scenario(
         SearchSpec(
@@ -371,17 +375,25 @@ def run_bench(workers: int) -> dict:
         f"aggregate sim-seconds ratio {aggregate['sim_ratio']}x below 10x"
     )
 
-    return {
+    get_many, get_many_timed = _bench_get_many()
+    payload = {
         "workers": workers,
         "sec23": sec23["summary"],
         "sec43": sec43["summary"],
         "sec51": sec51["summary"],
         "aggregate": aggregate,
-        "get_many": _bench_get_many(),
+        "get_many": get_many,
     }
+    timings = {
+        "sec23": sec23["timings"],
+        "sec43": sec43["timings"],
+        "sec51": sec51["timings"],
+        "get_many": get_many_timed,
+    }
+    return payload, timings
 
 
-def _bench_get_many() -> dict:
+def _bench_get_many() -> tuple[dict, dict]:
     """Warm-hit and all-miss probes: per-key ``get`` vs ``get_many``."""
     spec = SweepSpec(
         target="bench_sec51_topology",
@@ -408,10 +420,12 @@ def _bench_get_many() -> dict:
         batched_miss, batched_miss_s = timed(lambda: SweepCache(root).get_many(miss_keys))
 
     assert batched_warm == per_key_warm and batched_miss == per_key_miss
-    return {
+    exact = {
         "warm_keys": len(warm_keys),
         "miss_keys": len(miss_keys),
         "identical_results": True,
+    }
+    timed = {
         "per_key_warm_s": round(per_key_warm_s, 4),
         "batched_warm_s": round(batched_warm_s, 4),
         "per_key_miss_s": round(per_key_miss_s, 4),
@@ -420,20 +434,7 @@ def _bench_get_many() -> dict:
         if batched_miss_s
         else float("inf"),
     }
-
-
-def _stable(payload: dict) -> dict:
-    """Strip machine-dependent wall-clock fields (``*_s``, speedups).
-
-    Simulated-seconds fields end in ``_seconds`` on purpose: they are
-    pure functions of the evaluated records and *are* compared.
-    """
-    out = {}
-    for key, value in payload.items():
-        if key.endswith("_s") or key.endswith("speedup"):
-            continue
-        out[key] = _stable(value) if isinstance(value, dict) else value
-    return out
+    return exact, timed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,20 +444,14 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="compare against the committed baseline instead of rewriting it",
     )
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=0.05,
-        help="relative drift tolerance for --check (deterministic payload)",
-    )
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
-    payload = run_bench(args.workers)
+    payload, timings = run_bench(args.workers)
     rows = [
         [section, k, v]
         for section in ("sec23", "sec43", "sec51", "aggregate", "get_many")
-        for k, v in payload[section].items()
+        for k, v in {**payload[section], **timings.get(section, {})}.items()
         if not isinstance(v, (list, dict))
     ]
     print_table(
@@ -468,13 +463,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         path = Path(__file__).resolve().parent / "BENCH_optimize.json"
         baseline = json.loads(path.read_text())
-        drifts = compare(_stable(payload), _stable(baseline), rtol=args.rtol)
+        drifts = compare(payload, baseline)
         if drifts:
-            print(f"\noptimize drift vs {path.name} (rtol {args.rtol}):")
+            print(f"\noptimize drift vs {path.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nwithin {args.rtol} rtol of {path.name}")
+        print(f"\nexactly matches {path.name}")
         return 0
 
     write_json(

@@ -101,7 +101,7 @@ def _baseline_path() -> Path:
     return Path(__file__).resolve().parent / "BENCH_simcore_scale.json"
 
 
-def _check(rtol_unused: float | None = None) -> int:
+def _check() -> int:
     """CI memory gate: 100k streaming run under the committed RSS bound."""
     baseline = json.loads(_baseline_path().read_text())
     gate = baseline["check"]

@@ -17,10 +17,10 @@ Two grids, each run cold-serial, cold-parallel (4 workers) and warm:
 Both grids pin the engine's exact, machine-independent invariants:
 serial and parallel runs serialize to **byte-identical** JSON, and a
 warm re-run evaluates **zero** points while running >= 10x faster than
-cold.  The committed ``BENCH_sweep.json`` is the baseline; ``--check``
-re-runs everything, re-asserts the invariants and floors, and
-compares at a generous tolerance (wall-clock moves with the machine;
-the invariants do not).
+cold.  The wall times and speedups are printed and asserted against
+those floors, never committed: ``BENCH_sweep.json`` holds only the
+deterministic counts and flags, and ``--check`` re-runs everything,
+re-asserts the floors and compares the payload exactly.
 """
 
 from __future__ import annotations
@@ -77,8 +77,11 @@ SERVING_SPEC = SweepSpec(
 )
 
 
-def _three_runs(spec: SweepSpec, workers: int) -> dict:
-    """Cold-serial / cold-parallel / warm, with the exact invariants."""
+def _three_runs(spec: SweepSpec, workers: int) -> tuple[dict, dict]:
+    """Cold-serial / cold-parallel / warm, with the exact invariants.
+
+    Returns the deterministic payload and the wall-clock timings.
+    """
     with tempfile.TemporaryDirectory() as serial_dir, tempfile.TemporaryDirectory() as par_dir:
         serial = run_sweep(spec, workers=1, cache=SweepCache(serial_dir))
         parallel = run_sweep(spec, workers=workers, cache=SweepCache(par_dir))
@@ -93,37 +96,32 @@ def _three_runs(spec: SweepSpec, workers: int) -> dict:
     assert warm_speedup >= 10, (
         f"{spec.target}: warm-cache speedup {warm_speedup:.1f}x below 10x"
     )
-    return {
+    exact = {
         "grid_points": len(spec.points),
+        "warm_evaluated": warm.evaluated,
+        "warm_cache_hits": warm.cache_hits,
+        "byte_identical": byte_identical,
+    }
+    timed = {
         "serial_s": round(serial.wall_time, 3),
         "parallel_s": round(parallel.wall_time, 3),
         "parallel_speedup": round(serial.wall_time / parallel.wall_time, 2),
         "warm_s": round(warm.wall_time, 4),
         "warm_speedup": round(warm_speedup, 1),
-        "warm_evaluated": warm.evaluated,
-        "warm_cache_hits": warm.cache_hits,
-        "byte_identical": byte_identical,
     }
+    return exact, timed
 
 
-def run_ablation(workers: int) -> dict:
-    probe = _three_runs(PROBE_SPEC, workers)
-    serving = _three_runs(SERVING_SPEC, workers)
+def run_ablation(workers: int) -> tuple[dict, dict]:
+    """The deterministic payload and, per grid, its wall-clock timings."""
+    probe, probe_timed = _three_runs(PROBE_SPEC, workers)
+    serving, serving_timed = _three_runs(SERVING_SPEC, workers)
     # The probe's floor is the gate: blocking points must fan out.
-    assert probe["parallel_speedup"] > 1.5, (
-        f"engine fan-out speedup {probe['parallel_speedup']}x below 1.5x"
+    assert probe_timed["parallel_speedup"] > 1.5, (
+        f"engine fan-out speedup {probe_timed['parallel_speedup']}x below 1.5x"
     )
-    return {"workers": workers, "probe": probe, "serving": serving}
-
-
-def _stable(payload: dict) -> dict:
-    """Strip machine-dependent wall-clock fields (``*_s``, speedups)."""
-    out = {}
-    for key, value in payload.items():
-        if key.endswith("_s") or key.endswith("speedup"):
-            continue
-        out[key] = _stable(value) if isinstance(value, dict) else value
-    return out
+    payload = {"workers": workers, "probe": probe, "serving": serving}
+    return payload, {"probe": probe_timed, "serving": serving_timed}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,20 +131,14 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="compare against the committed baseline instead of rewriting it",
     )
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=0.9,
-        help="relative drift tolerance for --check (wall-clock payload)",
-    )
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
-    payload = run_ablation(args.workers)
+    payload, timings = run_ablation(args.workers)
     rows = [
         [section, k, v]
         for section in ("probe", "serving")
-        for k, v in payload[section].items()
+        for k, v in {**payload[section], **timings[section]}.items()
     ]
     print_table(
         f"sweep engine scaling, {payload['workers']} workers",
@@ -157,16 +149,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         path = Path(__file__).resolve().parent / "BENCH_sweep.json"
         baseline = json.loads(path.read_text())
-        # Wall-clock fields drift freely across machines; the exact
-        # invariant fields plus the assertion floors above are the
-        # gate, so only non-timing keys are compared to the baseline.
-        drifts = compare(_stable(payload), _stable(baseline), rtol=args.rtol)
+        drifts = compare(payload, baseline)
         if drifts:
-            print(f"\nsweep-scaling drift vs {path.name} (rtol {args.rtol}):")
+            print(f"\nsweep-scaling drift vs {path.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nwithin {args.rtol} rtol of {path.name}")
+        print(f"\nexactly matches {path.name}")
         return 0
 
     write_json(

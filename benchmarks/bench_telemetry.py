@@ -158,12 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="compare against the committed baseline instead of rewriting it",
     )
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=1e-6,
-        help="relative drift tolerance for --check (deterministic payload)",
-    )
     args = parser.parse_args(argv)
 
     current = {
@@ -183,13 +177,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         path = Path(__file__).resolve().parent / "BENCH_telemetry.json"
         baseline = json.loads(path.read_text())
-        drifts = compare(current, baseline, rtol=args.rtol)
+        drifts = compare(current, baseline)
         if drifts:
-            print(f"\ntelemetry drift vs {path.name} (rtol {args.rtol}):")
+            print(f"\ntelemetry drift vs {path.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nwithin {args.rtol} rtol of {path.name}")
+        print(f"\nexactly matches {path.name}")
         return 0
 
     write_json(

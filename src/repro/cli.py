@@ -60,15 +60,18 @@ dataclass defaults, as in a ``sweep --target serving`` point (colocated).
 ``repro --version`` prints the package version.  An unknown subcommand
 exits 2 with the usage message (pinned by ``tests/test_cli_summary.py``).
 
-Both simulator commands accept ``--profile`` to run under cProfile and
-print the hottest functions as a table (``--profile-top`` rows), and
-``--faults`` to inject failures mid-run: either a schedule JSON file
-(``repro.faults.FaultSchedule.to_json``) or ``mtbf:MTBF[:MTTR[:HORIZON]]``
-for seeded Poisson sampling.  ``serve-sim --faults`` appends the
-degradation section (goodput before/during/after each outage, retry and
-lost-work totals); ``trace --scenario network --faults`` fails
-inter-switch links under the flow simulation; ``trace --scenario
-training --faults`` runs the checkpoint/restart goodput simulation.
+Both simulator commands accept ``--faults`` to inject failures mid-run:
+either a schedule JSON file (``repro.faults.FaultSchedule.to_json``) or
+``mtbf:MTBF[:MTTR[:HORIZON]]`` for seeded Poisson sampling.  ``serve-sim
+--faults`` appends the degradation section (goodput before/during/after
+each outage, retry and lost-work totals); ``trace --scenario network
+--faults`` fails inter-switch links under the flow simulation; ``trace
+--scenario training --faults`` runs the checkpoint/restart goodput
+simulation.
+
+Neither command profiles itself: per-layer timing comes from the
+``perf/`` harness, and ``python -m cProfile -s cumtime -m repro
+serve-sim ...`` lists the hottest functions.
 """
 
 from __future__ import annotations
@@ -162,38 +165,6 @@ def _cmd_budget(args: argparse.Namespace) -> None:
     print(f"step {report.step_time:.2f} s, {report.tokens_per_day / 1e9:.1f} B tokens/day")
     print(f"{args.tokens:.1f}T tokens: {training_gpu_hours(report, tokens) / 1e6:.3f} M GPU-hours")
     print(f"cost @ $2/GPU-hour: ${training_cost_usd(report, tokens) / 1e6:.2f} M")
-
-
-def _run_profiled(args: argparse.Namespace, thunk):
-    """Run ``thunk``, under cProfile when ``--profile`` is set.
-
-    The profile is rendered with the same fixed-width table formatter
-    the trace summaries use, so ``--profile`` output slots into the
-    existing observability report style.
-    """
-    if not getattr(args, "profile", False):
-        return thunk()
-    import cProfile
-    import pstats
-
-    from .obs.summary import print_table
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(thunk)
-    stats = pstats.Stats(profiler)
-    rows = []
-    ordered = sorted(stats.stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    for (filename, lineno, name), (_cc, ncalls, tottime, cumtime, _callers) in ordered:
-        if len(rows) >= args.profile_top:
-            break
-        where = f"{filename.rsplit('/', 1)[-1]}:{lineno}"
-        rows.append([name, where, ncalls, round(tottime, 4), round(cumtime, 4)])
-    print_table(
-        f"profile: top {len(rows)} functions by cumulative time",
-        ["function", "where", "calls", "tottime s", "cumtime s"],
-        rows,
-    )
-    return result
 
 
 #: ``serve-sim``'s scenario as serving sweep-target flat keys.  Its flags
@@ -301,7 +272,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> None:
     keys = (*_SERVE_SIM, "mtp", "record_requests", "window_s", "slo")
     config = _serving_config(args, {k: getattr(args, k) for k in keys})
     simulator = ServingSimulator(config, on_progress=_serve_sim_progress(args, config))
-    report = _run_profiled(args, simulator.run)
+    report = simulator.run()
     if args.json:
         print(json.dumps(report_asdict(report), indent=2, sort_keys=True))
         return
@@ -784,7 +755,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     }
     tracer = Tracer()
     metrics = MetricsRegistry()
-    headline = _run_profiled(args, lambda: runners[args.scenario](args, tracer, metrics))
+    headline = runners[args.scenario](args, tracer, metrics)
     out = args.out or f"{args.scenario}.trace.json"
     path = tracer.write(out)
     print(headline)
@@ -861,13 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", action="append", default=[], metavar="RULE",
         help="SLO monitor rule, repeatable: 'burn>RATE[@OBJECTIVE]' or "
         "'METRIC<OP>VALUE' (e.g. tpot_p99<0.05); requires --window",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the hottest functions",
-    )
-    p.add_argument(
-        "--profile-top", type=int, default=15, help="functions to list with --profile"
     )
     p.set_defaults(func=_cmd_serve_sim, **_SERVE_SIM)
 
@@ -1086,13 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="inject failures: schedule JSON path or mtbf:MTBF[:MTTR[:HORIZON]]",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="run the scenario under cProfile and print the hottest functions",
-    )
-    p.add_argument(
-        "--profile-top", type=int, default=15, help="functions to list with --profile"
     )
     p.set_defaults(func=_cmd_trace)
     return parser

@@ -53,7 +53,9 @@ them.  Deterministic: the seed is accepted but unused.
 ``training`` — :func:`training_scenario` builds the arguments of
 :func:`repro.training.simulate_checkpointed_training` (``work_s``,
 ``interval_s``, ``checkpoint_s``, ``restart_s``, ``mtbf_s``, an optional
-``faults`` schedule dict).
+``faults`` schedule dict).  ``work_s`` and ``interval_s`` must be finite
+and positive, ``checkpoint_s`` and ``restart_s`` finite and
+non-negative, and ``mtbf_s`` absent, ``None`` or finite and positive.
 """
 
 from __future__ import annotations
@@ -157,6 +159,23 @@ def _split_kwargs(cfg: dict, cls, skip: tuple[str, ...] = ()) -> dict:
     except the fields named in ``skip``."""
     names = {f.name for f in fields(cls)} - set(skip)
     return {k: cfg.pop(k) for k in list(cfg) if k in names}
+
+
+def _check_number(target: str, key: str, value, *, integer: bool = False, zero: bool = False):
+    """Return ``value`` if it is a finite number above 0 (or equal to 0
+    when ``zero``), and an ``int`` when ``integer``; raise ``ValueError``
+    naming ``target`` and ``key`` otherwise.  A ``bool`` is not a number."""
+    kinds = int if integer else (int, float)
+    if (
+        not isinstance(value, kinds)
+        or isinstance(value, bool)
+        or not (isinstance(value, int) or math.isfinite(value))
+        or not (value >= 0 if zero else value > 0)
+    ):
+        sign = "non-negative" if zero else "positive"
+        kind = "integer" if integer else "finite number"
+        raise ValueError(f"{target} {key!r} must be a {sign} {kind}, got {value!r}")
+    return value
 
 
 def reject_unknown_keys(target: str, cfg: dict) -> None:
@@ -265,12 +284,8 @@ def flowsim_params(config: dict) -> dict:
     params = {key: cfg.pop(key, default) for key, default in _FLOWSIM_DEFAULTS.items()}
     reject_unknown_keys("flowsim", cfg)
     for key in ("num_leaves", "hosts_per_leaf", "num_spines", "shifts"):
-        value = params[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"flowsim {key!r} must be a positive integer, got {value!r}")
-    size = params["size_bytes"]
-    if not isinstance(size, (int, float)) or isinstance(size, bool) or not 0 < size < math.inf:
-        raise ValueError(f"flowsim 'size_bytes' must be a positive number, got {size!r}")
+        _check_number("flowsim", key, params[key], integer=True)
+    _check_number("flowsim", "size_bytes", params["size_bytes"])
     mode = params["sim_mode"]
     if mode not in SIM_MODES:
         raise ValueError(f"flowsim 'sim_mode' must be one of {SIM_MODES}, got {mode!r}")
@@ -313,14 +328,18 @@ def training_scenario(config: dict, seed: int):
     cfg = dict(config)
     cfg.pop("seed", None)
     faults = cfg.pop("faults", None)
-    args = (
-        cfg.pop("work_s", 48 * 3600.0),
-        cfg.pop("interval_s", 3600.0),
-        cfg.pop("checkpoint_s", 60.0),
-        cfg.pop("restart_s", 300.0),
+    args = tuple(
+        _check_number("training", key, cfg.pop(key, default), zero=zero)
+        for key, default, zero in (
+            ("work_s", 48 * 3600.0, False),
+            ("interval_s", 3600.0, False),
+            ("checkpoint_s", 60.0, True),
+            ("restart_s", 300.0, True),
+        )
     )
+    mtbf = cfg.pop("mtbf_s", None)
     kwargs = {
-        "mtbf": cfg.pop("mtbf_s", None),
+        "mtbf": None if mtbf is None else _check_number("training", "mtbf_s", mtbf),
         "faults": _fault_schedule(faults),
         "seed": seed,
     }

@@ -730,6 +730,42 @@ def test_submit_check_reads_no_file_and_routes_no_flows(tmp_path, monkeypatch):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
+def test_training_points_with_bad_numbers_get_400_at_submit(tmp_path):
+    """The training builder checks its numbers, so a point that could
+    only fail at run time is refused with the builder's message."""
+    from repro.sweep.targets import dry_build
+
+    positive = "must be a positive finite number"
+    bad = [
+        ({"work_s": "x"}, f"training 'work_s' {positive}, got 'x'"),
+        ({"work_s": True}, f"training 'work_s' {positive}, got True"),
+        ({"interval_s": -1}, f"training 'interval_s' {positive}, got -1"),
+        ({"checkpoint_s": -0.5}, "training 'checkpoint_s' must be a non-negative finite number"),
+        ({"restart_s": "later"}, "training 'restart_s' must be a non-negative finite number"),
+        ({"mtbf_s": "soon"}, f"training 'mtbf_s' {positive}, got 'soon'"),
+        ({"mtbf_s": 0}, f"training 'mtbf_s' {positive}, got 0"),
+    ]
+    # NaN is not canonical JSON, so a POST carrying it is refused before
+    # any builder runs; the builder refuses it on its own too.
+    with pytest.raises(ValueError, match=f"'work_s' {positive}, got nan"):
+        dry_build("training", {"work_s": math.nan})
+
+    async def body(server, client):
+        for point, message in [*bad, ({"work_s": math.nan}, "JSON-serializable")]:
+            status, reply = await client.post_json(
+                "/jobs", {"target": "training", "points": [point]}
+            )
+            assert status == 400, point
+            assert message in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+        point = {"work_s": 3600, "interval_s": 600.0, "checkpoint_s": 0, "mtbf_s": None}
+        status, _ = await client.post_json("/jobs", {"target": "training", "points": [point]})
+        assert status == 202
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
 def test_restart_lists_finished_jobs(tmp_path):
     """Terminal jobs survive a restart: listed, artifact-served, and
     their SSE stream replays to an immediate terminal event."""

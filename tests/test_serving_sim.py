@@ -174,6 +174,34 @@ def test_caller_registry_report_reads_only_its_own_run(record_requests):
     assert snapshot["serving.requests_completed"] == 3 * fresh.completed
 
 
+def test_step_costs_are_computed_once_per_key():
+    """1,000 requests, disaggregated 2+6 at 40 req/s, seed 0: the step-cost
+    memo runs ``decode_stage_times`` once per distinct
+    ``(per_device_batch, context)`` key and counts prefill FLOPs once per
+    distinct ``(tokens, gpus)`` key.  Dropping a memo multiplies these
+    counts (1,781 decode calls without the decode store) while every
+    report stays the same, so only this pin sees it."""
+    from unittest import mock
+
+    from repro.serving import costmodel
+
+    config = SimConfig(
+        workload=WorkloadSpec(request_rate=40.0, num_requests=1000),
+        mode=DISAGGREGATED,
+        prefill_gpus=2,
+        decode_gpus=6,
+        seed=0,
+    )
+    decode = mock.Mock(wraps=costmodel.decode_stage_times)
+    prefill = mock.Mock(wraps=costmodel.forward_flops_per_token)
+    with mock.patch.object(costmodel, "decode_stage_times", decode), mock.patch.object(
+        costmodel, "forward_flops_per_token", prefill
+    ):
+        assert ServingSimulator(config).run().completed == 1000
+    assert decode.call_count == len(config.costs._decode_cache) == 12
+    assert prefill.call_count == len(config.costs._prefill_cache) == 126
+
+
 # -- calibration against the closed forms ---------------------------------
 
 
