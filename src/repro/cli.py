@@ -641,10 +641,12 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"jobs {len(server.manager.jobs)} ({resumed} resumed)",
             flush=True,
         )
-        # SIGTERM/SIGINT drain instead of dying mid-point: stop
-        # accepting (503 + Retry-After), interrupt running jobs at a
-        # point boundary, journal the drain, then exit — a restarted
-        # server resumes the interrupted jobs from the cache.
+        # SIGTERM/SIGINT drain instead of dying at once: stop
+        # accepting (503 + Retry-After), interrupt running jobs (their
+        # forked workers are killed mid-point), journal the drain, then
+        # exit — a restarted server resumes the interrupted jobs from
+        # the cache.  A signal sent to a sweep worker alone never lands
+        # here: workers detach the inherited signal wakeup fd.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):

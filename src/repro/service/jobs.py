@@ -9,9 +9,15 @@ turns into ``429`` + ``Retry-After`` (the service never queues
 unboundedly — the paper's goodput lesson applied to the service
 itself).
 
-Each job runs inside a thread from the event loop's default executor;
-the sweep engine's ``on_point`` hook pushes every settled point back
-onto the loop via ``call_soon_threadsafe``, where it is journaled
+Each job's sweep is driven from a thread of the event loop's default
+executor, but no point evaluates there: the job runs with
+``run_sweep(..., isolate=True)``, so every cache miss is evaluated in a
+forked worker (:func:`repro.sweep.supervise.run_forked`), even at
+``workers=1`` with no policy, and the server's interpreter is left to
+the HTTP/SSE loop.  A cancel, blown deadline or drain kills a running
+point within one supervisor tick.  The sweep engine's ``on_point`` hook
+pushes every settled point back onto the loop via
+``call_soon_threadsafe``, where it is journaled
 (:class:`repro.service.state.StateStore`) and published to SSE
 subscribers (:class:`repro.service.events.EventBroker`).  Because the
 sweep writes every evaluated point to the shared
@@ -52,6 +58,11 @@ from .state import StateStore
 __all__ = ["Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES"]
 
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: Most points one job may hold.  Submission checks every point on the
+#: event loop (about 41 µs for a serving point), so this bounds that
+#: check to well under a second.
+MAX_JOB_POINTS = 10_000
 
 
 class ServiceBusy(Exception):
@@ -108,13 +119,16 @@ class JobSpec:
         independent).
 
         Robustness knobs: ``deadline_s`` (whole-job wall-clock budget;
-        an overdue job is interrupted at a point boundary and ends
+        an overdue job has its running points killed and ends
         ``failed``), and the supervised-execution pair ``timeout_s``
         (per point-attempt kill budget) / ``max_attempts`` (retries
         before quarantine) which route the sweep through
         :class:`repro.sweep.SupervisorPolicy`.
 
-        Every point, merged over ``base``, is checked by its target's
+        A job holds at most :data:`MAX_JOB_POINTS` points (grid plus
+        ``points``); the grid's size is computed from its axis lengths
+        before any point is built.  Every point, merged over ``base``,
+        is checked by its target's
         scenario builder (:func:`repro.sweep.targets.dry_build`), so a
         point that could only fail is rejected here with the builder's
         message rather than after a fork.  The check runs on the event
@@ -140,13 +154,23 @@ class JobSpec:
             raise ValueError(
                 f"unknown target {target!r} (registered: {', '.join(target_names())})"
             ) from None
-        points: list[dict] = []
         axes = payload.get("grid")
-        if axes is not None:
-            if not isinstance(axes, dict) or not axes:
-                raise ValueError("'grid' must be a non-empty object of axes")
-            points.extend(grid(**axes))
-        for point in payload.get("points", []):
+        if axes is not None and (not isinstance(axes, dict) or not axes):
+            raise ValueError("'grid' must be a non-empty object of axes")
+        listed = payload.get("points", [])
+        if not isinstance(listed, list):
+            raise ValueError("'points' must be a list of objects")
+        size = len(listed)
+        if axes:  # sized from the axis lengths: grid() builds every point
+            size += math.prod(
+                len(v) if isinstance(v, (list, tuple)) else 1 for v in axes.values()
+            )
+        if size > MAX_JOB_POINTS:
+            raise ValueError(
+                f"a job may hold at most {MAX_JOB_POINTS} points; this one has {size}"
+            )
+        points = grid(**axes) if axes else []
+        for point in listed:
             if not isinstance(point, dict):
                 raise ValueError("'points' entries must be objects")
             points.append(point)
@@ -409,7 +433,7 @@ class JobManager:
         return self._drain.is_set()
 
     async def drain(self, grace_s: float) -> bool:
-        """Stop gracefully: interrupt running jobs at a point boundary.
+        """Stop gracefully: interrupt running jobs, killing running points.
 
         Sets the drain flag (the HTTP layer turns new submissions into
         ``503`` + ``Retry-After``), journals a ``drain`` record for
@@ -564,9 +588,9 @@ class JobManager:
     async def _watchdog(self) -> None:
         """Deadline + hung-job sentinel over every running job.
 
-        Deadlines fire the job's ``deadline_exceeded`` event (the sweep
-        interrupt picks it up at the next point boundary — under
-        supervised execution that boundary is bounded by ``timeout_s``).
+        Deadlines fire the job's ``deadline_exceeded`` event; the sweep
+        interrupt picks it up within one supervisor tick and kills the
+        job's running points.
         A job with no settled point for ``hung_after_s`` is flagged
         hung: journaled, published as a critical SSE frame, counted —
         and un-flagged the moment progress resumes.  The watchdog never
@@ -637,6 +661,7 @@ class JobManager:
                 on_point=on_point,
                 interrupt=interrupted,
                 supervise=job.spec.supervisor_policy(),
+                isolate=True,
             )
 
         try:

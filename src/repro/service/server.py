@@ -161,10 +161,10 @@ class ExperimentServer:
 
         Idempotent; flips the manager into draining (new ``POST /jobs``
         answer ``503`` + ``Retry-After`` immediately) and waits up to
-        ``drain_grace_s`` for running jobs to stop at a point boundary
-        and journal their ``drain`` records.  The listener stays up the
-        whole time so health checks and SSE clients see the drain
-        happen.  Call :meth:`stop` afterwards to close the socket.
+        ``drain_grace_s`` for running jobs to stop (their running
+        points are killed) and journal their ``drain`` records.  The
+        listener stays up the whole time so health checks and SSE
+        clients see the drain happen.  Call :meth:`stop` afterwards to close the socket.
         """
         return await self.manager.drain(self.config.drain_grace_s)
 

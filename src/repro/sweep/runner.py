@@ -7,8 +7,9 @@
    evaluation entirely.
 2. **Evaluation** — the target is resolved and warmed once, in this
    process (:func:`~repro.sweep.targets.resolve_target`).  Misses then
-   run in-process at ``workers=1``, or on forked workers that inherit
-   the warm target and are reused point after point
+   run in-process at ``workers=1`` (unless ``isolate`` or ``supervise``
+   is set), or on forked workers that inherit the warm target and are
+   reused point after point
    (:func:`~repro.sweep.supervise.run_forked`, the one multi-process
    executor).  Each point carries its own child seed derived from the
    root seed and the point's canonical config
@@ -33,11 +34,12 @@ never on worker count).  :meth:`SweepResult.to_report_json` is the
 cache-*independent* variant — identical bytes whether the sweep ran
 cold, warm, or was interrupted and resumed.
 
-Long-lived callers (the experiment service) hook in three ways: an
+Long-lived callers (the experiment service) hook in four ways: an
 ``on_point`` callback pushes each settled point as it happens, an
 ``interrupt`` callable cancels mid-sweep (:class:`SweepInterrupted`),
-and ``strict=False`` turns per-point failures into structured error
-records instead of aborting the whole sweep.
+``strict=False`` turns per-point failures into structured error
+records instead of aborting the whole sweep, and ``isolate=True``
+keeps every evaluation off the caller's interpreter.
 
 Hostile points — ones that hang, kill their own worker, or fail
 transiently — are what ``supervise=SupervisorPolicy(...)`` is for: the
@@ -266,13 +268,14 @@ def run_sweep(
     on_point: Callable[[PointResult], None] | None = None,
     interrupt: Callable[[], bool] | None = None,
     supervise: SupervisorPolicy | None = None,
+    isolate: bool = False,
 ) -> SweepResult:
     """Evaluate every point of ``spec``; see the module docstring.
 
     Args:
         spec: The sweep declaration.
         workers: Forked workers for cache misses (1 = in-process,
-            unless ``supervise`` is given).
+            unless ``supervise`` or ``isolate`` is given).
         cache: Result cache; ``None`` disables caching entirely.
         tracer: Optional span tracer (defaults to the null object).
         metrics: Optional registry for counters and the progress gauge.
@@ -302,6 +305,13 @@ def run_sweep(
             :class:`~repro.sweep.supervise.PointQuarantined`; with
             ``strict=False`` it becomes a worker-count-independent
             ``PointQuarantined`` error record (never cached).
+        isolate: Evaluate every cache miss in a forked worker, even at
+            ``workers=1`` without a policy, so no point runs on the
+            caller's interpreter and ``interrupt`` stops a running
+            point within one supervisor tick.  Results and error
+            records are those of in-process evaluation; only a worker
+            death differs (a ``WorkerDied`` quarantine).  The
+            experiment service sets it for every job.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -380,7 +390,8 @@ def run_sweep(
         raise SweepInterrupted(done, total)
     # Resolved (and warmed) once, here, before any fork: workers inherit it.
     fn = resolve_target(spec.target, [configs[i] for i in missing]) if missing else None
-    if missing and (supervise is not None or (workers > 1 and len(missing) > 1)):
+    forked = isolate or supervise is not None or (workers > 1 and len(missing) > 1)
+    if missing and forked:
         try:
             run_forked(
                 fn=fn,

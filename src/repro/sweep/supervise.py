@@ -2,9 +2,9 @@
 
 :func:`run_forked` is the sweep engine's one multi-process executor.
 :func:`repro.sweep.run_sweep` hands it every cache miss that leaves the
-parent process — at ``workers > 1``, or under a
-:class:`SupervisorPolicy` at any worker count — and evaluates
-in-process otherwise.
+parent process — at ``workers > 1``, under a :class:`SupervisorPolicy`
+at any worker count, or with ``isolate=True`` (every experiment-service
+job) — and evaluates in-process otherwise.
 
 Workers are forked *after* the parent has resolved and warmed the
 target (:func:`repro.sweep.targets.resolve_target`), so no worker pays
@@ -40,7 +40,16 @@ quarantines the point.
 
 Every worker is joined (or killed and joined) before
 :func:`run_forked` returns — including on interrupt and on exception —
-so a sweep never leaks orphan workers.
+so a sweep never leaks orphan workers.  An interrupt kills a running
+point within one supervisor tick (``_TICK_S``) instead of waiting for
+it to finish.
+
+A worker holds nothing of its parent's but its own pipe: it detaches
+the inherited signal wakeup fd and releases every other inherited
+socket (listening sockets, accepted connections, sibling pipe ends)
+before its first task, so a server's clients see EOF when the server
+closes a connection, and a signal sent to a worker stays in the
+worker.
 
 The observable counters (``sweep.retries``, ``sweep.timeouts``,
 ``sweep.worker_deaths``, ``sweep.quarantined``,
@@ -52,6 +61,9 @@ caller, which is how the experiment service exports them as
 from __future__ import annotations
 
 import heapq
+import os
+import signal
+import stat
 import time
 import traceback
 from dataclasses import dataclass
@@ -195,7 +207,32 @@ def _quarantine_record(
     }
 
 
-def _worker_main(conn, inherited, fn, target: str, epoch: float, capture: bool) -> None:
+def _release_inherited_sockets(keep: int) -> None:
+    """Release every socket fork copied into this worker except ``keep``.
+
+    A forked worker inherits the parent's listening socket, its
+    accepted connections and every sibling's pipe end (a duplex
+    :func:`multiprocessing.Pipe` is a socketpair).  Holding a copy of
+    an accepted connection delays the EOF its client waits for, and
+    holding a parent-side pipe end hides a dead parent from this
+    worker.  Each such descriptor is pointed at ``/dev/null`` rather
+    than closed, so its number is never reused while a stale socket
+    object in the inherited heap still owns it.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in map(int, os.listdir(fd_dir)):
+            try:
+                if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+    finally:
+        os.close(devnull)
+
+
+def _worker_main(conn, fn, target: str, epoch: float, capture: bool) -> None:
     """Worker loop: evaluate ``(config, seed, attempt)`` tasks from the
     pipe until the parent sends ``None`` (or goes away).
 
@@ -208,10 +245,11 @@ def _worker_main(conn, inherited, fn, target: str, epoch: float, capture: bool) 
     global _ATTEMPT
     from .runner import _evaluate
 
-    # Drop the parent-side pipe ends fork copied in (this worker's own
-    # and its siblings'), so a dead parent reads as EOF here.
-    for other in inherited:
-        other.close()
+    # A signal sent to this worker alone must not reach the parent's
+    # event loop through the inherited wakeup socket, so detach it
+    # before the sockets go.
+    signal.set_wakeup_fd(-1)
+    _release_inherited_sockets(conn.fileno())
     with conn:
         while True:
             try:
@@ -303,9 +341,8 @@ def run_forked(
 
     def _spawn() -> _Worker:
         conn, child = ctx.Pipe()
-        inherited = [conn, *(w.conn for w in pool)]
         proc = ctx.Process(
-            target=_worker_main, args=(child, inherited, fn, target, epoch, capture)
+            target=_worker_main, args=(child, fn, target, epoch, capture)
         )
         proc.start()
         child.close()  # the parent keeps only its end: EOF == worker gone

@@ -23,6 +23,7 @@ import pytest
 from repro.service import (
     EventBroker,
     ExperimentServer,
+    JobSpec,
     ServiceClient,
     ServiceConfig,
 )
@@ -728,6 +729,38 @@ def test_submit_check_reads_no_file_and_routes_no_flows(tmp_path, monkeypatch):
         assert detail["errors"] == 1
 
     asyncio.run(_with_server(_config(tmp_path), body))
+
+
+def test_oversized_jobs_get_400_before_any_point_is_built(tmp_path, monkeypatch):
+    """A job's size is checked from its axis lengths, so a million-point
+    grid is refused with its count and never materialized."""
+    import repro.service.jobs
+
+    def no_grid(**axes):
+        raise RuntimeError("grid built")
+
+    monkeypatch.setattr(repro.service.jobs, "grid", no_grid)
+    axis = list(range(100))
+    cube = {"request_rate": axis, "num_requests": axis, "seed": axis}
+    just_over = {"request_rate": list(range(100)), "num_requests": list(range(100))}
+
+    async def body(server, client):
+        for payload, count in [
+            ({"target": "serving", "grid": cube}, "1000000"),
+            ({"target": "serving", "grid": just_over, "points": [{}]}, "10001"),
+        ]:
+            status, reply = await client.post_json("/jobs", payload)
+            assert status == 400, payload
+            assert f"at most 10000 points; this one has {count}" in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+    monkeypatch.undo()
+    full = {"target": "svc-sleepy", "grid": {"x": list(range(10_000))}}
+    assert len(JobSpec.from_payload(full).points) == 10_000
+    with pytest.raises(ValueError, match="this one has 10001"):
+        JobSpec.from_payload({**full, "points": [{"x": -1}]})
 
 
 def test_training_points_with_bad_numbers_get_400_at_submit(tmp_path):

@@ -3,14 +3,16 @@
 Covers graceful drain (503 + Retry-After, journaled ``drain`` record,
 byte-identical resume), per-job deadlines, the hung-job watchdog, the
 per-target circuit breaker, bounded SSE replay history, the client's
-bounded 429 retry, journal crash-truncation at every byte offset, and
-supervised (chaos-hardened) job execution end to end.
+bounded 429 retry, journal crash-truncation at every byte offset,
+evaluation off the server's process, and supervised (chaos-hardened)
+job execution end to end.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 from pathlib import Path
 
@@ -39,6 +41,11 @@ def _sleepy(config: dict, seed: int) -> dict:
 @register_target("robust-doomed")
 def _doomed(config: dict, seed: int) -> dict:
     raise RuntimeError("this target never works")
+
+
+@register_target("robust-pid")
+def _pid(config: dict, seed: int) -> dict:
+    return {"x": config["x"], "pid": os.getpid()}
 
 
 @register_target("robust-inner")
@@ -238,6 +245,32 @@ def test_job_deadline_interrupts_at_point_boundary(tmp_path):
         assert "deadline" in kinds
         snapshot = server.metrics.snapshot()
         assert snapshot["service.jobs.deadline_exceeded"] == 1
+
+    asyncio.run(_with_server(config, body))
+
+
+def test_job_deadline_kills_a_running_point(tmp_path):
+    """A job's points run in a forked worker, so a blown deadline kills
+    the point that is running instead of waiting for it to end."""
+    config = _config(tmp_path)
+    spec = {
+        "target": "robust-sleepy",
+        "points": [{"x": 0, "sleep_s": 5.0}],
+        "deadline_s": 0.3,
+        "seed": 1,
+    }
+
+    async def body(server, client):
+        await client.wait_healthy()
+        started = time.monotonic()
+        status, job = await client.post_json("/jobs", spec)
+        assert status == 202
+        events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+        assert time.monotonic() - started < 2.0
+        assert events[-1][0] == "failed"
+        _, detail = await client.get_json(f"/jobs/{job['id']}")
+        assert detail["error"].startswith("JobDeadlineExceeded")
+        assert detail["done"] == 0
 
     asyncio.run(_with_server(config, body))
 
@@ -468,6 +501,38 @@ def test_event_broker_bounded_replay_with_truncated_marker():
     small.publish("progress", {"index": 0})
     replay, queue = small.subscribe()
     assert replay == [("progress", {"index": 0})]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation off the server's process
+# ---------------------------------------------------------------------------
+
+
+def test_single_worker_job_evaluates_outside_the_server(tmp_path):
+    """Even a ``workers: 1`` job with no policy evaluates in a forked
+    worker, and its report matches an in-process sweep byte for byte."""
+    points = [{"x": i} for i in range(3)]
+    spec = {"target": "robust-pid", "points": points, "workers": 1, "seed": 5}
+    reports = []
+
+    async def body(server, client):
+        await client.wait_healthy()
+        status, job = await client.post_json("/jobs", spec)
+        assert status == 202
+        events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+        assert events[-1][0] == "done"
+        _, _, report = await client.request("GET", f"/jobs/{job['id']}/report")
+        reports.append(json.loads(report))
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+    (report,) = reports
+    pids = {point["result"]["pid"] for point in report["points"]}
+    assert len(pids) == 1 and os.getpid() not in pids
+    worker = pids.pop()
+    inline = run_sweep(SweepSpec("robust-pid", points=points, seed=5)).report_payload()
+    for point in inline["points"]:
+        point["result"]["pid"] = worker
+    assert report == inline
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,33 @@ def test_mtp_speeds_up_decode():
     assert spec.tokens_generated == plain.tokens_generated  # same outputs
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    mtp=st.booleans(),
+    batch=st.integers(1, 1024),
+    more_batch=st.integers(1, 1024),
+    context=st.integers(1, 131_072),
+    more_context=st.integers(1, 131_072),
+)
+def test_decode_step_time_never_falls_as_load_grows(
+    mtp, batch, more_batch, context, more_context
+):
+    """Metamorphic: a bigger per-device batch or a longer context never
+    makes a decode step cheaper, with speculation on or off.  The
+    neighbouring batch and context are checked too, since a dip can be
+    one step wide."""
+    costs = StepCostModel(mtp=MTPConfig(enabled=mtp))
+    step = costs.decode_step_time(batch, context)
+    for grown in (
+        (batch + 1, context),
+        (batch + more_batch, context),
+        (batch, context + 1),
+        (batch, context + more_context),
+        (batch + more_batch, context + more_context),
+    ):
+        assert costs.decode_step_time(*grown) >= step, grown
+
+
 # -- KV pressure and preemption -------------------------------------------
 
 

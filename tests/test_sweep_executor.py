@@ -8,12 +8,18 @@ runs on the same warm, reusable workers:
 * a worker evaluates point after point until the sweep ends, and is
   replaced only when the supervisor kills it or it dies;
 * failures surface exactly as in-process evaluation surfaces them,
-  and no worker outlives the sweep.
+  and no worker outlives the sweep;
+* a worker holds no socket of its parent's but its own pipe, and a
+  signal sent to a worker never reaches the parent's event loop.
 """
 
+import asyncio
 import multiprocessing
 import os
 import select
+import signal
+import socket
+import stat
 import subprocess
 import sys
 import time
@@ -68,6 +74,23 @@ def _hostile_target(config: dict, seed: int) -> dict:
     if mode == "raise":
         raise ValueError(f"bad point x={config['x']}")
     return {"x": config["x"], "pid": os.getpid()}
+
+
+@register_target("exec-sockets")
+def _socket_target(config: dict, seed: int) -> dict:
+    count = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            count += stat.S_ISSOCK(os.stat(f"/proc/self/fd/{name}").st_mode)
+        except OSError:
+            pass  # the listing's own descriptor
+    return {"x": config["x"], "sockets": count}
+
+
+@register_target("exec-sigint")
+def _sigint_target(config: dict, seed: int) -> dict:
+    os.kill(os.getpid(), signal.SIGINT)
+    return {"x": config["x"]}
 
 
 def _pids(result) -> set[int]:
@@ -228,3 +251,41 @@ def test_idle_workers_exit_when_the_parent_dies(tmp_path):
     if orphaned:
         os.kill(worker, 9)  # leave no orphan behind a failing run
     assert not orphaned
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+def test_workers_hold_only_their_own_pipe():
+    # Like a server mid-request: a listening socket and an accepted
+    # connection.  A worker holding copies would keep the client from
+    # reading EOF after the parent closes its end.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.create_connection(listener.getsockname()) as client:
+            accepted, _ = listener.accept()
+            with accepted:
+                result = run_sweep(
+                    SweepSpec("exec-sockets", points=grid(x=list(range(4)))),
+                    workers=2,
+                )
+    assert [p.result["sockets"] for p in result.points] == [1, 1, 1, 1]
+
+
+def test_a_signal_to_a_worker_stays_in_the_worker():
+    # The worker inherits the loop's handler and its wakeup fd; without
+    # detaching the fd, the worker's SIGINT would wake the parent's
+    # handler (which, in ``repro serve``, starts a drain).
+    fired = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGINT, fired.append, "SIGINT")
+        try:
+            spec = SweepSpec("exec-sigint", points=grid(x=[0, 1]))
+            result = await loop.run_in_executor(None, lambda: run_sweep(spec, workers=2))
+            await asyncio.sleep(0.2)  # room for a stray wakeup byte to land
+        finally:
+            loop.remove_signal_handler(signal.SIGINT)
+        return result
+
+    result = asyncio.run(scenario())
+    assert [p.result for p in result.points] == [{"x": 0}, {"x": 1}]
+    assert fired == []
