@@ -40,6 +40,25 @@ NODE_GPUS = 8
 FAULT_STREAM = "faults"
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a bool (``True`` is an int to Python)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _seconds(entry: dict, key: str, default: float | None = None) -> float:
+    """A schedule entry's time field as a float; ValueError if it is
+    missing (with no default) or not a number."""
+    if default is None and key not in entry:
+        raise ValueError(f"fault event needs {key!r}: {entry!r}")
+    value = entry.get(key, default)
+    if not _is_number(value):
+        raise ValueError(f"fault event {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"fault event {key!r} is out of range: {value!r}") from None
+
+
 @dataclass(frozen=True, order=True)
 class FaultEvent:
     """One injected failure.
@@ -65,14 +84,16 @@ class FaultEvent:
     mttr: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be non-negative")
+        if not (_is_number(self.time) and 0 <= self.time < math.inf):
+            raise ValueError(f"fault time must be finite and non-negative, got {self.time!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} (expected one of {KINDS})")
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if self.mttr <= 0:
-            raise ValueError("mttr must be positive (inf = never repaired)")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"count must be a positive integer, got {self.count!r}")
+        if not (_is_number(self.mttr) and self.mttr > 0):  # NaN fails too
+            raise ValueError(
+                f"mttr must be positive (inf = never repaired), got {self.mttr!r}"
+            )
 
     @property
     def gpus_lost(self) -> int:
@@ -127,7 +148,12 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "FaultSchedule":
-        """Load a schedule from a JSON file path, JSON text, or dict."""
+        """Load a schedule from a JSON file path, JSON text, or dict.
+
+        Any malformed schedule — not an object, ``events`` not a list,
+        an entry that is not an object or lacks ``time``/``kind``, or a
+        field :class:`FaultEvent` refuses — raises ``ValueError``.
+        """
         if isinstance(source, dict):
             payload = source
         else:
@@ -136,15 +162,22 @@ class FaultSchedule:
                 payload = json.loads(text)
             else:
                 payload = json.loads(Path(source).read_text())
+        entries = payload.get("events", []) if isinstance(payload, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("a fault schedule is an object with an 'events' list")
         events = []
-        for entry in payload.get("events", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"fault event must be an object, got {entry!r}")
+            if "kind" not in entry:
+                raise ValueError(f"fault event needs 'kind': {entry!r}")
             events.append(
                 FaultEvent(
-                    time=float(entry["time"]),
+                    time=_seconds(entry, "time"),
                     kind=entry["kind"],
                     target=str(entry.get("target", "")),
-                    count=int(entry.get("count", 1)),
-                    mttr=float(entry.get("mttr", math.inf)),
+                    count=entry.get("count", 1),
+                    mttr=_seconds(entry, "mttr", math.inf),
                 )
             )
         return cls(events=tuple(events))

@@ -186,7 +186,7 @@ class JobSpec:
                 raise ValueError("'faults' must be a FaultSchedule JSON object")
             try:
                 schedule = FaultSchedule.from_json(faults)
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"bad fault schedule: {exc}") from exc
             # Store the canonical re-serialized form so the journal and
             # cache keys never depend on client-side key ordering.

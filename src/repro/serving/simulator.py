@@ -50,9 +50,14 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   after it, up to the first that cannot.  Each folded step replays the
   clock addition, step-cost lookup (only when the context bucket
   changes), batch profile, channel samples and block-crossing extends
-  in order; token counts advance once per horizon.  Traced and MTP
-  runs keep one step per event.  ``_HORIZON = 1`` is the plain
-  one-event-per-step loop the tests compare against.
+  in order (a traced run also emits each step's ``decode_step`` span
+  and per-pool counters inline); token counts advance once per
+  horizon.  MTP runs complete each folded step through the queued
+  event's own code, drawing acceptance in the same rid/step order, so
+  a horizon covers at most half the tokens any member has left and
+  needs the two-tokens-each worst case to fit the free KV blocks.
+  Tracing never changes which steps fold.  ``_HORIZON = 1`` is the
+  plain one-event-per-step loop the tests compare against.
 * MTP acceptance draws come from a block-buffered stream
   (:func:`repro.core.rng.uniform_stream`): ``_MTP_BLOCK`` uniforms are
   drawn at once from the dedicated ``"mtp"`` generator and consumed one
@@ -549,12 +554,10 @@ class ServingSimulator:
                     tracer.counter("kv_occupancy", p.pid, t, {"fraction": pool_occ})
                     tracer.counter("active_streams", p.pid, t, {"requests": len(p.active)})
 
-        # Decode steps fold into horizons only where the fold is exact:
-        # traced runs keep one step span per event, and MTP draws its
-        # per-request acceptance in step order.
-        self._can_fold = _HORIZON > 1 and not tracer.enabled and not cfg.costs.mtp.enabled
         self._next_event_time = next_event_time
         self._record_sample = record_sample
+        self._sample_channels = sample_channels
+        self._finished = finished
         while events:
             now, kind, _, payload = events.pop()
             if kind == _ARRIVAL:
@@ -892,15 +895,20 @@ class ServingSimulator:
         else could interleave with inline, and queue the completion of
         the first step that cannot be.
 
-        The inline steps form the *horizon* (see :meth:`_horizon`): the
-        batch is fixed, every member emits one token per step, and no
-        extend fails, so a step's completion reduces to the clock,
-        channel samples and the KV extends of block-crossing requests,
-        while the token counts advance once for the whole horizon.
-        With ``_HORIZON = 1`` the horizon is always empty: one step per
-        queued event.
+        The inline steps form the *horizon* (see :meth:`_horizon`).
+        Without MTP the batch is fixed, every member emits one token per
+        step, and no extend fails, so a step's completion is replayed:
+        the clock, the step's trace span and channel samples, and the KV
+        extends of block-crossing requests, while the token counts
+        advance once for the whole horizon.  With MTP each inline step
+        runs :meth:`_finish_step` itself (same draws, same rid order),
+        once the worst case of two tokens per member fits the free KV
+        blocks.  With ``_HORIZON = 1`` the horizon is always empty: one
+        step per queued event.
         """
         cfg = self.config
+        traced = self.tracer.enabled
+        mtp = cfg.costs.mtp.enabled
         kv = pool.kv
         block_tokens = kv.config.block_tokens
         context_bucket = cfg.context_bucket
@@ -921,32 +929,53 @@ class ServingSimulator:
             profile[0] += 1
             profile[1] += duration
             end = now + duration
-            if not folded and self._can_fold:
+            if not folded:
                 next_time = self._next_event_time()
                 if end < next_time:
                     limit, due = self._horizon(pool, batch, pools)
             if folded >= limit or end >= next_time:
                 break
-            crossing = due.get(folded + 1)
-            if crossing and len(crossing) > kv.free_blocks:
-                break  # an extend would fail: preempt in _finish_step
-            # The step completes inline: one token per batch member.
-            if not folded:
-                # Queues and other pools stay put across a horizon, so
-                # only this pool's extends move the samples.
-                depth, used = _channel_levels(pools)
-            if crossing:
-                for request in crossing:
-                    need = request.prompt_tokens + request.generated + folded + 2
-                    kv.extend(request.rid, need)
-                    request.kv_tokens = -(-need // block_tokens) * block_tokens
-                used += len(crossing)  # one block per crossing
+            if mtp:
+                short = 0  # blocks needed if every member emits two tokens
+                for request in batch:
+                    over = request.prompt_tokens + request.generated + 3 - request.kv_tokens
+                    if over > 0:
+                        short += -(-over // block_tokens)
+                if short > kv.free_blocks:
+                    break  # an extend could fail: preempt in _finish_step
+                pool.current_batch, pool.current_kind, pool.step_start = batch, "decode", now
+                self._finish_step(pool, end, pools, self._finished, push)
+                self._sample_channels(end)
+                batch, context_tokens = pool.select_batch(pool.decode_cap)
+            else:
+                crossing = due.get(folded + 1)
+                if crossing and len(crossing) > kv.free_blocks:
+                    break  # an extend would fail: preempt in _finish_step
+                # The step completes inline: one token per batch member.
+                if not folded:
+                    # Queues and other pools stay put across a horizon,
+                    # so only this pool's extends move the samples.
+                    depth, used = _channel_levels(pools)
+                if crossing:
+                    for request in crossing:
+                        need = request.prompt_tokens + request.generated + folded + 2
+                        kv.extend(request.rid, need)
+                        request.kv_tokens = -(-need // block_tokens) * block_tokens
+                    used += len(crossing)  # one block per crossing
+                context_tokens += size
+                if traced:
+                    # end - now, as the queued completion computes it.
+                    self.tracer.complete(
+                        "decode_step", "step", pool.pid, 0, now, end - now,
+                        args={"batch": size},
+                    )
+                    self._sample_channels(end)
+                else:
+                    self._record_sample(end, depth, used)
             folded += 1
             now = end
-            context_tokens += size
-            self._record_sample(now, depth, used)
         self._n_decode_steps += folded + 1
-        if folded:
+        if folded and not mtp:
             for request in batch:
                 request.generated += folded
             pool.active_ctx += folded * size
@@ -961,14 +990,16 @@ class ServingSimulator:
     ) -> tuple[int, dict[int, list[Request]]]:
         """Steps after the one just started that may complete inline,
         and the requests whose next token crosses a KV block boundary
-        at each of them (step index → requests).
+        at each of them (step index → requests; empty under MTP, whose
+        caller checks KV capacity step by step instead).
 
-        The horizon ends before the first step that finishes a request,
-        and is empty while this pool has entrants or prefill work, or
-        an idle peer has any work (a later ``_try_start`` could act).
-        Busy peers cannot act before their queued completion, which
-        bounds the horizon in time.  Time
-        and KV capacity are checked step by step by the caller.
+        The horizon ends before the first step that could finish a
+        request — under MTP a step may emit two tokens, so it covers at
+        most half the tokens left — and is empty while this pool has
+        entrants or prefill work, or an idle peer has any work (a later
+        ``_try_start`` could act).  Busy peers cannot act before their
+        queued completion, which bounds the horizon in time.  Time and
+        KV capacity are checked step by step by the caller.
         """
         limit = _HORIZON - 1
         due: dict[int, list[Request]] = {}
@@ -979,6 +1010,9 @@ class ServingSimulator:
                 p.prefill_queue or p.entry_queue or (p.does_decode and p.active)
             ):
                 return 0, due
+        if self.config.costs.mtp.enabled:
+            left = min(r.output_tokens - r.generated - 1 for r in batch) // 2
+            return min(limit, left), due
         block_tokens = pool.kv.config.block_tokens
         for request in batch:
             generated = request.generated

@@ -14,6 +14,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
     NEVER,
@@ -50,6 +51,37 @@ from repro.training import simulate_checkpointed_training
 
 
 # -- schedules -----------------------------------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["gpu", "node", "link", "step", "pool", ""]),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _schedule_payloads(draw) -> dict:
+    """Dicts shaped more or less like a fault schedule: mostly lists of
+    event objects with the real keys, sometimes anything at all."""
+    entry = st.dictionaries(
+        st.sampled_from(["time", "kind", "target", "count", "mttr", "extra"]),
+        _JSON_SCALARS,
+        max_size=6,
+    )
+    events = draw(st.one_of(st.lists(entry | _JSON_VALUES, max_size=4), _JSON_VALUES))
+    payload = draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=2))
+    if draw(st.booleans()):
+        payload["events"] = events
+    return payload
 
 
 class TestFaultSchedule:
@@ -141,6 +173,68 @@ class TestFaultSchedule:
         path = tmp_path / "sched.json"
         path.write_text(sched.to_json())
         assert parse_faults_arg(str(path), horizon=10.0, seed=0) == sched
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time": math.inf},
+            {"time": math.nan},
+            {"time": True},
+            {"time": "1.0"},
+            {"mttr": math.nan},
+            {"mttr": -math.inf},
+            {"mttr": False},
+            {"count": True},
+            {"count": 1.5},
+            {"count": 2.0},
+        ],
+        ids=repr,
+    )
+    def test_event_refuses_values_that_crash_or_change_meaning(self, kwargs):
+        """Non-finite times crash the event queues, a NaN mttr would read
+        as "never repaired", and a bool or float count would be coerced."""
+        with pytest.raises(ValueError):
+            FaultEvent(**{"time": 1.0, "kind": "gpu", **kwargs})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"events": {"time": 1.0, "kind": "gpu"}},
+            {"events": "gpu"},
+            {"events": [1.0]},
+            {"events": [["time", 1.0]]},
+            {"events": [{"kind": "gpu"}]},
+            {"events": [{"time": 1.0}]},
+            {"events": [{"time": 10**400, "kind": "gpu"}]},
+            {"events": [{"time": 1, "kind": "gpu", "count": True, "mttr": math.nan}]},
+            {"events": [{"time": 1, "kind": "gpu", "count": 2.5}]},
+            {"events": [{"time": None, "kind": "gpu"}]},
+        ],
+        ids=lambda payload: repr(payload)[:60],
+    )
+    def test_from_json_malformed_schedule_is_value_error(self, payload):
+        with pytest.raises(ValueError):
+            FaultSchedule.from_json(payload)
+
+    def test_from_json_text_form_is_checked_the_same_way(self):
+        with pytest.raises(ValueError):
+            FaultSchedule.from_json('{"events": [1]}')
+        with pytest.raises(ValueError):
+            FaultSchedule.from_json('{"events": [{"time": NaN, "kind": "gpu"}]}')
+        assert FaultSchedule.from_json("{}") == FaultSchedule()
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_schedule_payloads())
+    def test_from_json_fuzz_ends_in_schedule_or_value_error(self, payload):
+        try:
+            sched = FaultSchedule.from_json(payload)
+        except ValueError:
+            return
+        # Whatever is accepted is a well-formed schedule that round-trips.
+        for event in sched.events:
+            assert math.isfinite(event.time) and event.time >= 0
+            assert event.mttr > 0 and type(event.count) is int and event.count >= 1
+        assert FaultSchedule.from_json(sched.to_json()) == sched
 
     def test_recovery_policy_validation(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """Decode serving frontier (§2.3.1-2.3.2 combined model)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.inference import (
+    EPInferenceConfig,
     ServingConfig,
     compute_comm_crossover_context,
     decode_stage_times,
     serving_point,
     throughput_latency_frontier,
+    tpot_limit,
 )
-from repro.model import TINY_DENSE_GQA
+from repro.model import DEEPSEEK_V2, DEEPSEEK_V3, TINY_DENSE_GQA, TINY_MLA_MOE
 
 
 def _paper_config(**overrides):
@@ -25,6 +28,46 @@ def test_comm_bound_regime_reproduces_paper_tpot():
     assert point.bound == "communication"
     assert point.tpot == pytest.approx(15.11e-3, rel=0.01)
     assert 1 / point.tpot == pytest.approx(66, abs=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from([DEEPSEEK_V3, DEEPSEEK_V2, TINY_MLA_MOE]),
+    batch=st.integers(1, 512),
+    # Log-uniform 1 GB/s .. 2 TB/s and short to very long contexts, so
+    # both bounds are common (about half the points are comm-bound).
+    bandwidth=st.floats(9.0, 12.3).map(lambda exponent: 10.0**exponent),
+    ep_fraction=st.floats(0.0, 1.0),
+    context=st.sampled_from([0, 1, 128, 1024, 4096, 32_768, 131_072]),
+)
+def test_frontier_reduces_to_the_closed_form_tpot_limit(
+    model, batch, bandwidth, ep_fraction, context
+):
+    """§2.3.2 two ways: where the frontier model is communication-bound
+    its TPOT is the closed-form limit of ``inference/tpot.py`` for the
+    same model and tokens per device; elsewhere it is never faster."""
+    moe = model.moe
+    ep_degree = max(1, round(ep_fraction * moe.num_routed_experts))
+    point = serving_point(
+        ServingConfig(
+            model=model, nic_bandwidth=bandwidth, ep_degree=ep_degree, context_tokens=context
+        ),
+        batch,
+    )
+    limit = tpot_limit(
+        EPInferenceConfig(
+            tokens_per_device=batch,
+            routed_experts_per_token=moe.experts_per_token,
+            shared_experts_per_token=moe.num_shared_experts,
+            hidden_size=model.hidden_size,
+            num_layers=model.num_layers,
+        ),
+        bandwidth,
+    )
+    if point.bound == "communication":
+        assert point.tpot == pytest.approx(limit, rel=1e-12)
+    else:
+        assert point.tpot >= limit * (1 - 1e-12)
 
 
 def test_comm_time_scales_inverse_bandwidth():

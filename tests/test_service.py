@@ -324,6 +324,15 @@ def test_faults_payload_accepted_and_validated(tmp_path):
         bad = dict(spec, faults={"events": [{"time": -3, "kind": "gpu"}]})
         status, payload = await client.post_json("/jobs", bad)
         assert status == 400 and "fault" in payload["error"]
+        # A bool count and a NaN mttr used to store a never-repaired
+        # 1-GPU fault; a non-list ``events`` used to raise TypeError.
+        for faults in (
+            {"events": [{"time": 1, "kind": "gpu", "count": True, "mttr": math.nan}]},
+            {"events": [{"time": math.inf, "kind": "gpu"}]},
+            {"events": {"time": 1, "kind": "gpu"}},
+        ):
+            status, payload = await client.post_json("/jobs", dict(spec, faults=faults))
+            assert status == 400 and "bad fault schedule" in payload["error"]
 
     asyncio.run(_with_server(_config(tmp_path), body))
 

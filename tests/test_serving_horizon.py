@@ -2,13 +2,14 @@
 
 ``ServingSimulator`` runs the quiescent decode steps between two queued
 events inline, in one pass (``repro.serving.simulator._HORIZON`` caps
-how many one event may advance).  With the cap patched to 1 every step
-goes through the calendar queue, which is the plain one-event-per-step
-loop.  These tests check that the two give identical results, pin the
-event counts the fold saves, and check conservation invariants at every
-popped event under both.  The block-buffered MTP acceptance stream gets
-the same treatment: ``_MTP_BLOCK`` patched to 1 is one numpy call per
-draft, and must give the same run.
+how many one event may advance), traced or not, with MTP or without.
+With the cap patched to 1 every step goes through the calendar queue,
+which is the plain one-event-per-step loop.  These tests check that the
+two give identical results and traces, pin the event counts the fold
+saves (and that tracing leaves them unchanged), and check conservation
+invariants at every popped event under both.  The block-buffered MTP
+acceptance stream gets the same treatment: ``_MTP_BLOCK`` patched to 1
+is one numpy call per draft, and must give the same run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.serving.simulator as simulator
 from repro.faults import FaultEvent, FaultSchedule
+from repro.obs import Tracer
 from repro.serving import (
     COLOCATED,
     DISAGGREGATED,
@@ -94,9 +96,10 @@ def sim_configs(draw) -> SimConfig:
     )
 
 
-def _outputs(config: SimConfig, horizon: int) -> dict:
+def _outputs(config: SimConfig, horizon: int, traced: bool = True) -> dict:
+    tracer = Tracer() if traced else None
     with _patched(simulator, "_HORIZON", horizon):
-        sim = ServingSimulator(config)
+        sim = ServingSimulator(config, tracer=tracer)
         report = sim.run()
     return {
         "report": report_asdict(report),
@@ -104,6 +107,7 @@ def _outputs(config: SimConfig, horizon: int) -> dict:
         "decode_batch_profile": sim.decode_batch_profile,
         "finished": [dataclasses.astuple(r) for r in sim.finished_requests],
         "dropped": sim.dropped,
+        "trace": tracer.to_json() if traced else None,
     }
 
 
@@ -114,6 +118,10 @@ def test_folded_horizons_match_one_step_per_event(config):
     stepped = _outputs(config, 1)
     for key in folded:
         assert folded[key] == stepped[key], key
+    # The untraced fold takes the sample-replay branch; same results.
+    untraced = _outputs(config, DEFAULT_HORIZON, traced=False)
+    for key in untraced.keys() - {"trace"}:
+        assert untraced[key] == folded[key], key
 
 
 def _mtp_outputs(config: SimConfig, block: int) -> dict:
@@ -175,7 +183,9 @@ def _serve_stream(num_requests: int) -> SimConfig:
     )
 
 
-def _count_events(config: SimConfig, horizon: int) -> tuple[int, int, Counter]:
+def _count_events(
+    config: SimConfig, horizon: int, traced: bool = False
+) -> tuple[int, int, Counter]:
     """Popped events, decode steps, and the histogram of decode steps
     advanced per started step (the horizon lengths)."""
     popped = 0
@@ -198,7 +208,7 @@ def _count_events(config: SimConfig, horizon: int) -> tuple[int, int, Counter]:
         _patched(CalendarQueue, "pop", counting_pop),
         _patched(ServingSimulator, "_advance_decode", measuring_advance),
     ):
-        sim = ServingSimulator(config)
+        sim = ServingSimulator(config, tracer=Tracer() if traced else None)
         sim.run()
     return popped, int(sim.metrics.snapshot()["serving.decode_steps"]), horizons
 
@@ -217,6 +227,45 @@ def test_serve_stream_horizon_pins():
     # Each folded step is one STEP_DONE event the queue never saw.
     assert events_1 - events == steps - sum(horizons.values())
     assert sum(horizons.values()) == 5_046  # a mean horizon of 4.09 steps
+
+
+def test_tracing_does_not_change_the_event_count():
+    """A traced run folds the same steps, so it pops exactly the events
+    of the untraced run (2,000 ``serve-stream`` requests, seed 0)."""
+    config = _serve_stream(2_000)
+    assert _count_events(config, DEFAULT_HORIZON, traced=True) == _count_events(
+        config, DEFAULT_HORIZON
+    )
+
+
+def test_mtp_horizons_save_events():
+    """An MTP run under KV pressure, preemption, faults and windows (600
+    requests of the ``serve-pressure`` scenario, seed 0) folds some steps:
+    it pops fewer events for the same decode steps."""
+    config = SimConfig(
+        workload=WorkloadSpec(
+            request_rate=16.0, num_requests=600, arrival="bursty", output_cv=0.6
+        ),
+        costs=StepCostModel(mtp=MTPConfig(enabled=True)),
+        mode=COLOCATED,
+        prefill_gpus=2,
+        decode_gpus=6,
+        kv_blocks_per_gpu=64,
+        window_s=30.0,
+        slo_rules=("burn>2@0.9",),
+        faults=FaultSchedule(
+            (
+                FaultEvent(6.0, "node", "pool", mttr=60.0),
+                FaultEvent(21.0, "gpu", "pool", mttr=30.0),
+            )
+        ),
+        seed=0,
+    )
+    events, steps, horizons = _count_events(config, DEFAULT_HORIZON)
+    events_1, steps_1, _ = _count_events(config, 1)
+    assert steps == steps_1 == 1_828
+    assert (events, events_1) == (2_161, 2_681)
+    assert events_1 - events == steps - sum(horizons.values())
 
 
 # -- invariants at every event --------------------------------------------

@@ -171,17 +171,40 @@ def test_cache_entry_is_self_describing(tmp_path):
 # -- determinism across worker counts ------------------------------------
 
 
-def test_worker_count_does_not_change_bytes():
-    spec = SweepSpec(
-        target="serving",
-        points=grid(request_rate=[2.0, 6.0], mode=["colocated", "disaggregated"]),
-        base=SERVING_BASE,
-        seed=9,
-    )
+#: Four-point sweeps per built-in target (serving with MTP on).
+ORDER_SWEEPS = {
+    "serving": (
+        grid(request_rate=[2.0, 6.0], mode=["colocated", "disaggregated"]),
+        dict(SERVING_BASE, mtp=True),
+    ),
+    "flowsim": (
+        grid(shifts=[1, 2], sim_mode=["event", "drain"]),
+        {"num_leaves": 2, "hosts_per_leaf": 2, "num_spines": 2},
+    ),
+    "training": (
+        grid(interval_s=[1800.0, 3600.0], mtbf_s=[4 * 3600.0, 12 * 3600.0]),
+        {"work_s": 24 * 3600.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(ORDER_SWEEPS))
+def test_worker_count_does_not_change_bytes(target):
+    """Worker count and point order change no byte of a point's result."""
+    points, base = ORDER_SWEEPS[target]
+    spec = SweepSpec(target=target, points=points, base=base, seed=9)
     serial = run_sweep(spec, workers=1, cache=None)
     fanned = run_sweep(spec, workers=3, cache=None)
     assert serial.to_json() == fanned.to_json()
     assert fanned.evaluated == 4
+    reversed_spec = SweepSpec(target=target, points=points[::-1], base=base, seed=9)
+    reordered = run_sweep(reversed_spec, workers=2, cache=None)
+
+    def by_key(result):
+        return {p.key: json.dumps(p.result, sort_keys=True) for p in result.points}
+
+    assert by_key(reordered) == by_key(serial)
+    assert len(by_key(serial)) == 4
 
 
 def test_custom_target_runs_in_worker_processes():
