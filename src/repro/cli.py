@@ -546,7 +546,8 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
         print_search_summary,
         run_search,
     )
-    from .sweep import SweepCache, get_target
+    from .sweep import SweepCache, get_target, grid
+    from .sweep.targets import dry_build
 
     try:
         get_target(args.target)  # resolves lazy targets (chaos, optimize)
@@ -576,7 +577,16 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
             initial=args.initial,
             ladder=ladder,
         )
-        spec.resolved_ladder()  # fail fast on a missing/clashing ladder
+        resolved = spec.resolved_ladder()  # fail fast on a missing/clashing ladder
+        # Every point the search could evaluate, at every rung, is built
+        # now, so a bad value stops the search before its first batch.
+        for point in grid(**spec.space):
+            for fidelity in resolved.rungs:
+                config = {**spec.base, **point, resolved.key: fidelity}
+                try:
+                    dry_build(spec.target, config)
+                except ValueError as exc:
+                    raise ValueError(f"{spec.target} point {config}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"bad search spec: {exc}")
     cache = None if args.no_cache else SweepCache(args.cache_dir)

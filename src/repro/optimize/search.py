@@ -18,8 +18,11 @@ without evaluating the full grid at full fidelity:
 3. **Repeat** until the top rung; the reported frontier is read
    exclusively from evaluations at the highest rung reached.
 
-Every evaluation is routed through :func:`repro.sweep.run_sweep`, so
-the search inherits the engine's guarantees wholesale: per-point
+Every evaluation is routed through :func:`repro.sweep.run_sweep`, one
+call per batch, and every batch that forks borrows from the one
+:class:`repro.sweep.WorkerSet` the search owns, so a search forks its
+workers once rather than once per batch.  The search inherits the
+engine's guarantees wholesale: per-point
 content-derived seeds and worker-count byte-identity (the trajectory
 is a pure function of root seed + spec — pinned at workers 1 vs 4 by
 ``tests/test_optimize.py``), content-addressed caching (a re-search is
@@ -47,7 +50,7 @@ import repro
 from ..core.rng import derive_seed
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..obs.summary import print_table
-from ..sweep import SweepCache, SweepSpec, canonical_config, grid, run_sweep
+from ..sweep import SweepCache, SweepSpec, WorkerSet, canonical_config, grid, run_sweep
 from ..sweep.supervise import SupervisorPolicy
 from .ladder import FidelityLadder, get_ladder
 from .objective import Objective, parse_objective, pareto_front
@@ -295,8 +298,33 @@ def run_search(
     All keyword arguments are forwarded to the underlying
     :func:`repro.sweep.run_sweep` calls (one per batch per rung), so
     caching, tracing, metrics, progress lines and supervised execution
-    behave exactly as they do for a plain sweep.
+    behave exactly as they do for a plain sweep.  The batches share one
+    worker set, closed when the search returns.
     """
+    with WorkerSet() as worker_set:
+        return _search(
+            spec,
+            workers=workers,
+            cache=cache,
+            tracer=tracer,
+            metrics=metrics,
+            progress=progress,
+            supervise=supervise,
+            worker_set=worker_set,
+        )
+
+
+def _search(
+    spec: SearchSpec,
+    *,
+    workers: int,
+    cache: SweepCache | None,
+    tracer: Tracer | None,
+    metrics: MetricsRegistry | None,
+    progress: bool,
+    supervise: SupervisorPolicy | None,
+    worker_set: WorkerSet,
+) -> SearchResult:
     tracer = NULL_TRACER if tracer is None else tracer
     objective = parse_objective(spec.objective)
     ladder = spec.resolved_ladder()
@@ -343,6 +371,7 @@ def run_search(
             metrics=metrics,
             progress=progress,
             supervise=supervise,
+            worker_set=worker_set,
         )
         evaluated += result.evaluated
         cache_hits += result.cache_hits

@@ -83,9 +83,20 @@ class HttpRequest:
         return payload
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # longer than the stream's limit
+        raise HttpError(400, "request or header line too long") from exc
+
+
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one request, or ``None`` if the peer closed the connection."""
-    line = await reader.readline()
+    """Parse one request, or ``None`` if the peer closed the connection.
+
+    A malformed request is an :class:`HttpError` with a 4xx status; a
+    peer that closes mid-body raises :class:`asyncio.IncompleteReadError`.
+    """
+    line = await _read_line(reader)
     if not line:
         return None
     parts = line.split()
@@ -95,7 +106,7 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     headers: dict[str, str] = {}
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         header_bytes += len(raw)
@@ -104,14 +115,17 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         name, sep, value = raw.decode("latin-1").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError as exc:
-        raise HttpError(400, "bad Content-Length") from exc
+    declared = headers.get("content-length", "") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(400, "bad Content-Length")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length > 0 else b""
-    split = urlsplit(target.decode("latin-1"))
+    try:
+        split = urlsplit(target.decode("latin-1"))
+    except ValueError as exc:  # e.g. an unbalanced "[" in the authority
+        raise HttpError(400, "malformed request target") from exc
     query = {k: v[-1] for k, v in parse_qs(split.query).items()}
     return HttpRequest(
         method=method.decode("latin-1").upper(),

@@ -14,8 +14,13 @@ executor, but no point evaluates there: the job runs with
 ``run_sweep(..., isolate=True)``, so every cache miss is evaluated in a
 forked worker (:func:`repro.sweep.supervise.run_forked`), even at
 ``workers=1`` with no policy, and the server's interpreter is left to
-the HTTP/SSE loop.  A cancel, blown deadline or drain kills a running
-point within one supervisor tick.  The sweep engine's ``on_point`` hook
+the HTTP/SSE loop.  The workers come from the manager's one
+:class:`repro.sweep.WorkerSet`: :meth:`JobManager.start` forks one per
+job slot before any executor thread exists, jobs borrow and return
+them, and the set forks more only when jobs ask for more workers than
+are idle or a worker was killed.  A cancel, blown deadline or drain
+kills a running point within one supervisor tick, and a killed worker
+is never lent again.  The sweep engine's ``on_point`` hook
 pushes every settled point back onto the loop via
 ``call_soon_threadsafe``, where it is journaled
 (:class:`repro.service.state.StateStore`) and published to SSE
@@ -44,6 +49,7 @@ from ..sweep import (
     SweepCache,
     SweepInterrupted,
     SweepSpec,
+    WorkerSet,
     get_target,
     grid,
     run_sweep,
@@ -408,11 +414,16 @@ class JobManager:
         # Drain is a threading.Event because the sweep's interrupt
         # callable polls it from the executor thread.
         self._drain = threading.Event()
+        self.worker_set: WorkerSet | None = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        # Fork while this process has one thread: the executor threads
+        # that drive jobs start with the first job.
+        self.worker_set = WorkerSet(max_idle=self.job_workers * self.max_sweep_workers)
+        self.worker_set.prefork(self.job_workers)
         self._restore()
         for _ in range(self.job_workers):
             self._tasks.append(asyncio.create_task(self._worker()))
@@ -427,6 +438,8 @@ class JobManager:
             except asyncio.CancelledError:
                 pass
         self._tasks.clear()
+        if self.worker_set is not None:
+            self.worker_set.close()
 
     @property
     def draining(self) -> bool:
@@ -662,6 +675,7 @@ class JobManager:
                 interrupt=interrupted,
                 supervise=job.spec.supervisor_policy(),
                 isolate=True,
+                worker_set=self.worker_set,
             )
 
         try:

@@ -35,6 +35,7 @@ from .spec import SweepSpec, canonical_config, grid, point_key
 from .supervise import (
     PointQuarantined,
     SupervisorPolicy,
+    WorkerSet,
     current_attempt,
     retry_delay_s,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "SupervisorPolicy",
     "SweepInterrupted",
     "SweepResult",
+    "WorkerSet",
     "current_attempt",
     "merged_windows_section",
     "print_sweep_summary",

@@ -8,10 +8,13 @@
 2. **Evaluation** — the target is resolved and warmed once, in this
    process (:func:`~repro.sweep.targets.resolve_target`).  Misses then
    run in-process at ``workers=1`` (unless ``isolate`` or ``supervise``
-   is set), or on forked workers that inherit the warm target and are
-   reused point after point
-   (:func:`~repro.sweep.supervise.run_forked`, the one multi-process
-   executor).  Each point carries its own child seed derived from the
+   is set), or on forked workers borrowed from a
+   :class:`~repro.sweep.supervise.WorkerSet` and reused point after
+   point (:func:`~repro.sweep.supervise.run_forked`, the one
+   multi-process executor).  A caller that runs many sweeps passes its
+   own ``worker_set`` and forks once; otherwise the sweep forks a
+   private set after warming the target and closes it on return.  Each
+   point carries its own child seed derived from the
    root seed and the point's canonical config
    (:meth:`SweepSpec.point_seed`), so results are byte-identical
    regardless of worker count or completion order — pinned by
@@ -60,7 +63,7 @@ from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..obs.summary import print_table
 from .cache import SweepCache
 from .spec import SweepSpec, canonical_config
-from .supervise import SupervisorPolicy, run_forked
+from .supervise import SupervisorPolicy, WorkerSet, run_forked
 from .targets import Target, resolve_target
 
 __all__ = [
@@ -269,6 +272,7 @@ def run_sweep(
     interrupt: Callable[[], bool] | None = None,
     supervise: SupervisorPolicy | None = None,
     isolate: bool = False,
+    worker_set: WorkerSet | None = None,
 ) -> SweepResult:
     """Evaluate every point of ``spec``; see the module docstring.
 
@@ -312,6 +316,10 @@ def run_sweep(
             records are those of in-process evaluation; only a worker
             death differs (a ``WorkerDied`` quarantine).  The
             experiment service sets it for every job.
+        worker_set: Borrow forked workers from this
+            :class:`~repro.sweep.supervise.WorkerSet` and return the
+            healthy ones to it, instead of forking a private set for
+            this sweep alone.  Results do not depend on it.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -388,13 +396,13 @@ def run_sweep(
 
     if _interrupted():
         raise SweepInterrupted(done, total)
-    # Resolved (and warmed) once, here, before any fork: workers inherit it.
+    # Resolved (and warmed) once, here, before any worker is borrowed:
+    # a worker forked for this sweep inherits it.
     fn = resolve_target(spec.target, [configs[i] for i in missing]) if missing else None
     forked = isolate or supervise is not None or (workers > 1 and len(missing) > 1)
     if missing and forked:
         try:
             run_forked(
-                fn=fn,
                 target=spec.target,
                 configs=configs,
                 seeds=seeds,
@@ -406,6 +414,7 @@ def run_sweep(
                 finish=_finish,
                 interrupted=_interrupted,
                 metrics=metrics,
+                worker_set=worker_set,
             )
         except InterruptedError:
             raise SweepInterrupted(done, total) from None

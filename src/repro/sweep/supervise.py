@@ -6,17 +6,23 @@ parent process — at ``workers > 1``, under a :class:`SupervisorPolicy`
 at any worker count, or with ``isolate=True`` (every experiment-service
 job) — and evaluates in-process otherwise.
 
-Workers are forked *after* the parent has resolved and warmed the
-target (:func:`repro.sweep.targets.resolve_target`), so no worker pays
-the target's imports, and each worker is reused, point after point over
-its own pipe, until the sweep ends or the supervisor has to kill it.
+Workers are not forked per sweep: :func:`run_forked` borrows them from
+a :class:`WorkerSet` and returns them when the sweep ends.  A
+long-lived caller owns one set — the experiment service forks its
+first workers at start, before any thread exists, and an optimizer
+search keeps one set for all its batches — while a plain sweep gets a
+private set that forks on demand, after the parent has resolved and
+warmed the target (:func:`repro.sweep.targets.resolve_target`), and is
+closed on return.  Each task names its target, and a worker resolves
+the name on first use, so one worker serves any sweep of its set.
 Owning every worker process (rather than sharing a pool) is what lets
 the supervisor observe and act on each failure mode independently —
 exactly the failure model the paper's reliability sections (§5) argue
 a control plane must survive:
 
 * **timeout** — an attempt that exceeds ``timeout_s`` has its worker
-  SIGKILL'd (a fresh one is forked on demand) and is recorded as a
+  SIGKILL'd (the set forks a replacement on demand; a killed worker is
+  never returned to it) and is recorded as a
   structured ``PointTimeout`` failure;
 * **worker death** — an attempt whose worker exits without reporting
   (killed from outside, or from *inside* by the point itself) is a
@@ -38,11 +44,11 @@ re-raised under ``strict``, otherwise the same error record.  Only a
 worker death — which in-process evaluation cannot survive at all —
 quarantines the point.
 
-Every worker is joined (or killed and joined) before
-:func:`run_forked` returns — including on interrupt and on exception —
-so a sweep never leaks orphan workers.  An interrupt kills a running
-point within one supervisor tick (``_TICK_S``) instead of waiting for
-it to finish.
+Before :func:`run_forked` returns — including on interrupt and on
+exception — every busy worker is killed and joined and every idle one
+goes back to its set, so a sweep never leaks orphan workers.  An
+interrupt kills a running point within one supervisor tick
+(``_TICK_S``) instead of waiting for it to finish.
 
 A worker holds nothing of its parent's but its own pipe: it detaches
 the inherited signal wakeup fd and releases every other inherited
@@ -53,30 +59,34 @@ worker.
 
 The observable counters (``sweep.retries``, ``sweep.timeouts``,
 ``sweep.worker_deaths``, ``sweep.quarantined``,
-``sweep.workers_spawned``) land in the metrics registry passed by the
-caller, which is how the experiment service exports them as
-``/metrics`` families per job.
+``sweep.workers_spawned``, the workers a sweep had to fork rather than
+borrow) land in the metrics registry passed by the caller, which is how
+the experiment service exports them as ``/metrics`` families per job.
 """
 
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import os
 import signal
 import stat
+import threading
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection
+from multiprocessing import connection, util
 from typing import Callable
 
 from ..core.rng import derive_seed
 from ..obs import MetricsRegistry
 from .spec import canonical_config
+from .targets import get_target, registry_generation
 
 __all__ = [
     "PointQuarantined",
     "SupervisorPolicy",
+    "WorkerSet",
     "current_attempt",
     "retry_delay_s",
     "run_forked",
@@ -232,10 +242,13 @@ def _release_inherited_sockets(keep: int) -> None:
         os.close(devnull)
 
 
-def _worker_main(conn, fn, target: str, epoch: float, capture: bool) -> None:
-    """Worker loop: evaluate ``(config, seed, attempt)`` tasks from the
-    pipe until the parent sends ``None`` (or goes away).
+def _worker_main(conn) -> None:
+    """Worker loop: evaluate ``(target, config, seed, attempt, epoch,
+    capture)`` tasks from the pipe until the parent sends ``None`` (or
+    goes away).
 
+    A worker serves any sweep of the set it belongs to, so each task
+    names its target; the name is resolved here on first use and kept.
     Each reply is ``_evaluate``'s ``(result, error, start, elapsed)``
     or — only without ``capture`` — the target's exception paired with
     its formatted traceback, for the parent to re-raise.  A point that
@@ -250,6 +263,7 @@ def _worker_main(conn, fn, target: str, epoch: float, capture: bool) -> None:
     # before the sockets go.
     signal.set_wakeup_fd(-1)
     _release_inherited_sockets(conn.fileno())
+    resolved: dict[str, Callable[[dict, int], dict]] = {}
     with conn:
         while True:
             try:
@@ -258,9 +272,12 @@ def _worker_main(conn, fn, target: str, epoch: float, capture: bool) -> None:
                 return
             if task is None:
                 return
-            config, seed, attempt = task
+            target, config, seed, attempt, epoch, capture = task
             _ATTEMPT = attempt
             try:
+                fn = resolved.get(target)
+                if fn is None:
+                    fn = resolved[target] = get_target(target)
                 reply = _evaluate(fn, target, config, seed, epoch, capture)
             except Exception as exc:  # noqa: BLE001 - re-raised by the parent
                 reply = (exc, "".join(traceback.format_exception(exc)))
@@ -271,22 +288,133 @@ def _worker_main(conn, fn, target: str, epoch: float, capture: bool) -> None:
 
 
 class _Worker:
-    """One forked worker: its process, its pipe, and the attempt it runs
-    (``task`` is ``None`` while idle)."""
+    """One forked worker: its process, its pipe, the registry generation
+    it was forked at, and the attempt it runs (``task`` is ``None``
+    while idle)."""
 
-    __slots__ = ("proc", "conn", "task", "deadline", "started")
+    __slots__ = ("proc", "conn", "generation", "task", "deadline", "started")
 
-    def __init__(self, proc, conn) -> None:
-        self.proc = proc
-        self.conn = conn
+    def __init__(self) -> None:
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self.generation = registry_generation()
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child,))
+        self.proc.start()
+        child.close()  # the parent keeps only its end: EOF == worker gone
         self.task: tuple[int, int] | None = None
         self.deadline: float | None = None
         self.started = 0.0
 
+    def healthy(self) -> bool:
+        """Idle, alive, and with nothing unread on its pipe (a dead
+        worker's pipe reads EOF)."""
+        return self.task is None and self.proc.exitcode is None and not self.conn.poll()
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Tell idle ``workers`` to exit and join them; kill any that
+    outlive ``_EXIT_GRACE_S``."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass  # already gone
+        worker.conn.close()
+    for worker in workers:
+        worker.proc.join(_EXIT_GRACE_S)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join()
+
+
+class WorkerSet:
+    """Idle forked sweep workers, borrowed by sweeps and returned between
+    them, so a long-lived caller forks once instead of once per sweep.
+
+    :func:`run_forked` borrows a worker per concurrent point and returns
+    it when the sweep ends — but only an idle, healthy one: a worker the
+    supervisor killed (timeout, or a busy worker at a deadline, cancel,
+    drain or interrupt) or one that died is never returned, and the next
+    borrow forks its replacement.  A worker forked before the newest
+    target registration (:func:`repro.sweep.targets.registry_generation`)
+    is retired on borrow, not lent: a target may evaluate another by
+    name (``chaos``), so any newer registration may matter to it.
+
+    Borrowing and returning are thread-safe (a server's job threads
+    share one set).  At most ``max_idle`` workers wait in the set
+    (``None``: no bound); a returned worker beyond that exits.
+    :meth:`close` tells every idle worker to exit and joins it; a
+    worker still borrowed then exits when it is returned.  Forking from
+    a multi-threaded process is unsafe, so a server calls
+    :meth:`prefork` before it starts any thread.
+    """
+
+    def __init__(self, max_idle: int | None = None) -> None:
+        self.max_idle = max_idle
+        self._idle: list[_Worker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+        # Idle workers block on their pipe, and multiprocessing joins
+        # live children at exit: an unclosed set stops its idle workers
+        # first (exit finalizers with a priority run before that join).
+        util.Finalize(self, _stop, args=(self._idle,), exitpriority=0)
+
+    def __enter__(self) -> "WorkerSet":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def prefork(self, count: int) -> None:
+        """Fork ``count`` idle workers now."""
+        for _ in range(count):
+            self.give_back(_Worker())
+
+    def borrow(self) -> tuple[_Worker, bool]:
+        """An idle worker that knows every registered target, and whether
+        it had to be forked for this borrow."""
+        generation = registry_generation()
+        retired = []
+        try:
+            with self._lock:
+                while self._idle:
+                    worker = self._idle.pop()
+                    if worker.generation == generation and worker.healthy():
+                        return worker, False
+                    retired.append(worker)
+        finally:
+            _stop(retired)
+        return _Worker(), True
+
+    def give_back(self, worker: _Worker) -> None:
+        """Return a borrowed worker; one that is not healthy, or that the
+        set has no room for, exits instead."""
+        if worker.healthy():
+            with self._lock:
+                if not self._closed and (
+                    self.max_idle is None or len(self._idle) < self.max_idle
+                ):
+                    self._idle.append(worker)
+                    return
+        _stop([worker])
+
+    def pids(self) -> list[int]:
+        """The process ids of the idle workers."""
+        with self._lock:
+            return [worker.proc.pid for worker in self._idle]
+
+    def close(self) -> None:
+        """Stop every idle worker; later returns stop theirs too."""
+        with self._lock:
+            self._closed = True
+            idle = self._idle[:]
+            self._idle.clear()
+        _stop(idle)
+
 
 def run_forked(
     *,
-    fn: Callable[[dict, int], dict],
     target: str,
     configs: list[dict],
     seeds: list[int],
@@ -298,27 +426,25 @@ def run_forked(
     finish: Callable[[int, dict | None, dict | None, float, float], None],
     interrupted: Callable[[], bool],
     metrics: MetricsRegistry | None = None,
+    worker_set: WorkerSet | None = None,
 ) -> None:
-    """Evaluate ``indices`` of ``configs`` on up to ``workers`` forked
-    workers running the already-resolved target ``fn``.
+    """Evaluate ``indices`` of ``configs`` of the already-resolved
+    ``target`` on up to ``workers`` workers borrowed from ``worker_set``
+    (a private set, closed on return, when ``None``).
 
     Settled points (success, error record, or terminal quarantine) are
     delivered through ``finish`` exactly as in-process evaluation
     delivers them; with ``strict`` the first failure raises instead
     (see the module docstring for what each failure becomes).
 
-    ``interrupted`` is polled every tick; when it fires, every worker
-    is killed and joined before the :class:`InterruptedError` sentinel
-    propagates to the runner (which re-raises its public
+    ``interrupted`` is polled every tick; when it fires, every busy
+    worker is killed and joined before the :class:`InterruptedError`
+    sentinel propagates to the runner (which re-raises its public
     :class:`repro.sweep.SweepInterrupted`).
     """
-    import multiprocessing
-
-    ctx = (
-        multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_context()
-    )
+    own = worker_set is None
+    if own:
+        worker_set = WorkerSet()
     supervised = policy is not None
     if policy is None:
         policy = SupervisorPolicy(max_attempts=1)
@@ -339,16 +465,10 @@ def run_forked(
     pool: list[_Worker] = []
     failures: dict[int, list[dict]] = {}
 
-    def _spawn() -> _Worker:
-        conn, child = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main, args=(child, fn, target, epoch, capture)
-        )
-        proc.start()
-        child.close()  # the parent keeps only its end: EOF == worker gone
-        worker = _Worker(proc, conn)
+    def _borrow() -> _Worker:
+        worker, forked = worker_set.borrow()
         pool.append(worker)
-        if spawned is not None:
+        if forked and spawned is not None:
             spawned.inc()
         return worker
 
@@ -361,7 +481,9 @@ def run_forked(
 
     def _assign(worker: _Worker, index: int, attempt: int) -> bool:
         try:
-            worker.conn.send((configs[index], seeds[index], attempt))
+            worker.conn.send(
+                (target, configs[index], seeds[index], attempt, epoch, capture)
+            )
         except OSError:
             _retire(worker)  # died while idle: the task waits for another
             return False
@@ -400,14 +522,14 @@ def run_forked(
             if interrupted():
                 raise InterruptedError
             now = time.monotonic()
-            # Hand every eligible attempt to an idle worker, forking a
-            # new one only while the pool is below its budget.
+            # Hand every eligible attempt to an idle worker, borrowing
+            # another only while the pool is below its budget.
             while pending and pending[0][0] <= now:
                 worker = next((w for w in pool if w.task is None), None)
                 if worker is None:
                     if len(pool) >= limit:
                         break
-                    worker = _spawn()
+                    worker = _borrow()
                 if not _assign(worker, *pending[0][1:]):
                     break  # retry on the next tick
                 heapq.heappop(pending)
@@ -454,20 +576,16 @@ def run_forked(
                 message = f"attempt exceeded timeout_s={policy.timeout_s:g}"
                 _fail(*task, _parent_failure("PointTimeout", message, *task), started)
     finally:
-        # Whatever path exits — done, interrupt, strict raise — no worker
-        # may outlive the sweep: busy ones are killed, idle ones told to exit.
+        # Whatever path exits — done, interrupt, strict raise — no busy
+        # worker outlives the sweep: it is killed, and only idle ones go
+        # back to the set.
         for worker in pool:
-            if worker.task is not None:
-                worker.proc.kill()
+            if worker.task is None:
+                worker_set.give_back(worker)
             else:
-                try:
-                    worker.conn.send(None)
-                except OSError:
-                    pass  # already gone
-            worker.conn.close()
-        for worker in pool:
-            worker.proc.join(_EXIT_GRACE_S)
-            if worker.proc.is_alive():
                 worker.proc.kill()
+                worker.conn.close()
                 worker.proc.join()
         pool.clear()
+        if own:
+            worker_set.close()

@@ -5,9 +5,9 @@ plain JSON-able data in, plain JSON-able data out.  That shape is what
 makes the engine's three promises possible:
 
 * **fan-out** — configs and results cross process boundaries, so they
-  must pickle trivially; the target itself is resolved by *name* from
-  this registry in the parent and inherited by forked workers, never
-  shipped as a code object;
+  must pickle trivially; the target itself travels by *name* and is
+  resolved from this registry in the parent and, on first use, in each
+  forked worker — never shipped as a code object;
 * **determinism** — the result must be a pure function of
   ``(config, seed)``; the engine derives ``seed`` per point, so a
   target must route every stochastic choice through it;
@@ -17,10 +17,12 @@ makes the engine's three promises possible:
 Built-in targets wrap the three discrete-event simulators.  Register a
 custom one with :func:`register_target`.  :func:`repro.sweep.run_sweep`
 resolves the target with :func:`resolve_target` in the parent process
-*before* it forks workers, so a target registered at runtime is
-visible to them, and its ``warm`` hook (the imports a built-in target
-would otherwise pay lazily on its first call) runs once, not once per
-worker or per attempt.
+before it borrows workers, so its ``warm`` hook (the imports a built-in
+target would otherwise pay lazily on its first call) runs once, and a
+worker forked afterwards inherits it.  Every registration bumps
+:func:`registry_generation`; a worker forked before the newest
+registration is retired rather than lent out, so a target registered
+at run time is always visible to the worker that evaluates it.
 
 Each built-in target is a pure builder, shared with ``repro serve-sim``
 and ``repro trace``, plus a run.  A builder rejects any key it did not
@@ -65,13 +67,22 @@ import math
 from dataclasses import fields
 from typing import Callable, Iterable
 
-__all__ = ["get_target", "register_target", "resolve_target", "target_names"]
+__all__ = [
+    "get_target",
+    "register_target",
+    "registry_generation",
+    "resolve_target",
+    "target_names",
+]
 
 Target = Callable[[dict, int], dict]
 Warm = Callable[[list[dict]], None]
 
 _REGISTRY: dict[str, Target] = {}
 _WARM: dict[str, Warm | None] = {}
+#: Bumped by every registration, so a forked worker knows exactly the
+#: registrations made before its fork (:func:`registry_generation`).
+_GENERATION = 0
 
 
 def register_target(name: str, fn: Target | None = None, *, warm: Warm | None = None):
@@ -83,8 +94,10 @@ def register_target(name: str, fn: Target | None = None, *, warm: Warm | None = 
     """
 
     def _register(fn: Target) -> Target:
+        global _GENERATION
         _REGISTRY[name] = fn
         _WARM[name] = warm
+        _GENERATION += 1
         return fn
 
     return _register(fn) if fn is not None else _register
@@ -121,6 +134,17 @@ def resolve_target(name: str, configs: Iterable[dict]) -> Target:
     if warm is not None:
         warm(list(configs))
     return fn
+
+
+def registry_generation() -> int:
+    """How many registrations this process has made.
+
+    A worker forked at generation ``g`` resolves by name exactly the
+    targets registered before it; :class:`repro.sweep.supervise.WorkerSet`
+    retires a worker older than the current generation instead of
+    lending it out.
+    """
+    return _GENERATION
 
 
 def warm_imports(*modules: str) -> Warm:

@@ -628,3 +628,76 @@ def test_fault_timeline_matches_cold_reference(picks, faults, with_reroute):
     assert set(result.completion) == set(done)
     for idx, t in done.items():
         assert result.completion[idx] == pytest.approx(t, rel=1e-9)
+
+
+# -- metamorphic: time scaling ---------------------------------------------
+
+
+def _scaled_flows(pattern: str, k: float):
+    """A leaf-local or shifted-ring flow set on a fat tree whose link
+    capacities are ``k`` times the base, with every startup latency
+    divided by ``k``."""
+    import numpy as np
+
+    from repro.network import shifted_ring_flows
+
+    topo = two_layer_fat_tree(4, 6, 3, link_bandwidth=10e9 * k)
+    if pattern == "ring":
+        flows = shifted_ring_flows(topo, range(1, 6), 32e6)
+        latencies = [(2 + i % 5) * 1e-6 for i in range(len(flows))]
+    else:
+        rng = np.random.default_rng(3)
+        flows = []
+        for leaf in range(4):
+            hosts = [f"h{leaf * 6 + i}" for i in range(6)]
+            for src in hosts:
+                for dst in hosts:
+                    if src != dst:
+                        path = [src, f"FT2/leaf{leaf}", dst]
+                        flows.append(Flow(src, dst, float(rng.uniform(8e6, 64e6)), path))
+        latencies = [float(x) for x in rng.uniform(1e-6, 5e-6, len(flows))]
+    return topo, [
+        Flow(f.src, f.dst, f.size, f.path, latency=lat / k, tag=f.tag)
+        for f, lat in zip(flows, latencies)
+    ]
+
+
+def _scaled_faults(pattern: str, k: float):
+    """Link faults the flow set crosses: a leaf-spine link for the ring
+    (flows reroute or stall) and a host link for the leaf pattern, with
+    failure and repair times divided by ``k``."""
+    from repro.faults import FaultEvent, FaultSchedule, link_target
+
+    if pattern == "ring":
+        events = (
+            FaultEvent(time=2e-3 / k, kind="link",
+                       target=link_target("FT2/leaf0", "FT2/spine0"), mttr=4e-3 / k),
+            FaultEvent(time=5e-3 / k, kind="switch", target="FT2/spine1", mttr=3e-3 / k),
+        )
+    else:
+        events = (
+            FaultEvent(time=1e-3 / k, kind="link",
+                       target=link_target("h0", "FT2/leaf0"), mttr=2e-3 / k),
+        )
+    return FaultSchedule(events=events)
+
+
+@pytest.mark.parametrize("pattern", ["leaf", "ring"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "faults"])
+@pytest.mark.parametrize("k", [2.0, 3.0, 0.4])
+def test_scaling_capacities_and_latencies_scales_time(pattern, faulted, k):
+    """Metamorphic relation: k times the link capacity and 1/k of every
+    startup latency (and of every fault time) is the same run on a
+    clock k times faster, so every completion time and the makespan
+    divide by k."""
+    results = []
+    for scale in (1.0, k):
+        topo, flows = _scaled_flows(pattern, scale)
+        faults = _scaled_faults(pattern, scale) if faulted else None
+        reroute = _spine_reroute if faulted and pattern == "ring" else None
+        results.append(FlowSimulator(topo).simulate(flows, faults=faults, reroute=reroute))
+    base, scaled = results
+    assert base.completion and set(scaled.completion) == set(base.completion)
+    for idx, t in base.completion.items():
+        assert scaled.completion[idx] == pytest.approx(t / k, rel=1e-9)
+    assert scaled.makespan == pytest.approx(base.makespan / k, rel=1e-9)

@@ -174,6 +174,17 @@ def test_search_is_byte_identical_at_workers_1_vs_4(tmp_path):
     assert r1.to_json() == r4.to_json()  # provenance counts match too (both cold)
 
 
+def test_a_search_forks_its_workers_once_for_every_batch():
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    result = run_search(_spec(initial=12), workers=2, metrics=registry)
+    assert len(result.rungs) == 3 and result.rungs[0]["batches"] > 1
+    # Every batch that forks borrows the search's two workers; a set per
+    # batch would fork two for each.
+    assert registry.snapshot()["sweep.workers_spawned"] == 2
+
+
 def test_warm_research_evaluates_zero_points(tmp_path):
     cache = SweepCache(tmp_path)
     cold = run_search(_spec(), cache=cache)
@@ -339,3 +350,17 @@ def test_cli_optimize_table_and_errors(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["optimize", "--target", "no_such_target",
               "--objective", "minimize loss", "--space", "x=1,2"])
+
+
+def test_cli_optimize_refuses_a_bad_space_point_before_searching(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["optimize", "--target", "serving", "--objective", "minimize p99_ttft_s",
+              "--space", "mode=colocated,bogus", "--space", "request_rate=2,4",
+              "--cache-dir", str(tmp_path)])
+    message = str(excinfo.value)
+    assert message.startswith("bad search spec: serving point ")
+    assert "'mode': 'bogus'" in message and "unknown mode 'bogus'" in message
+    assert not list(tmp_path.rglob("*.json"))  # no point was evaluated
+    assert capsys.readouterr().out == ""

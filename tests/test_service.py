@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     EventBroker,
@@ -27,6 +29,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service.http import HttpError, HttpRequest, read_request
 from repro.sweep import SweepSpec, grid, register_target, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -365,6 +368,198 @@ def test_http_error_paths(tmp_path):
         assert status == 404
 
     asyncio.run(_with_server(_config(tmp_path), body))
+
+
+def test_oversized_lines_and_bad_lengths_are_400_not_500(tmp_path):
+    long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+    long_header = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+    negative = b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+
+    async def body(server, client):
+        for raw in (long_line, long_header, negative):
+            reader, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(raw)
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request", raw[:40]
+        assert server.metrics.snapshot().get("service.http.errors", 0) == 0
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
+_REQUESTS = (
+    b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 19\r\n\r\n{\"target\": \"serving\"}",
+    b"GET /jobs/j0001/report?windows=1 HTTP/1.1\r\n\r\n",
+)
+_TOKENS = (
+    b"\r\n", b"\n", b":", b" ", b"%", b"?", b"[", b"//", b"-1", b"+7", b"\xff",
+    b"Content-Length: ",
+)
+
+
+@st.composite
+def _mutated_requests(draw) -> bytes:
+    data = bytearray(draw(st.sampled_from(_REQUESTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("insert", "delete", "repeat")))
+        if kind == "insert":
+            data[at:at] = draw(st.one_of(st.sampled_from(_TOKENS), st.binary(max_size=8)))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 16))]
+        else:  # a run long enough to cross the stream's 64 KiB line limit
+            data[at:at] = draw(st.binary(min_size=1, max_size=2)) * draw(
+                st.sampled_from((100, 40_000, 70_000))
+            )
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@example(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+@example(b"GET / HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n")
+@example(b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
+@example(b"GET //[ HTTP/1.1\r\n\r\n")
+@given(_mutated_requests())
+def test_read_request_fuzz_ends_in_a_request_or_a_4xx(raw):
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    try:
+        request = asyncio.run(parse())
+    except HttpError as exc:
+        assert 400 <= exc.status < 500
+    except asyncio.IncompleteReadError:
+        pass  # the peer closed mid-body
+    else:
+        assert request is None or isinstance(request, HttpRequest)
+
+
+# ---------------------------------------------------------------------------
+# one warm worker set per server
+# ---------------------------------------------------------------------------
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+async def _run_job(client: ServiceClient, spec: dict) -> tuple[dict, bytes]:
+    status, job = await client.post_json("/jobs", spec)
+    assert status == 202, job
+    events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+    assert events[-1][0] == "done", events[-1]
+    _, detail = await client.get_json(f"/jobs/{job['id']}")
+    _, _, report = await client.request("GET", f"/jobs/{job['id']}/report")
+    return detail, report
+
+
+def test_jobs_borrow_the_workers_forked_at_start(tmp_path):
+    pids = []
+
+    async def body(server, client):
+        await client.wait_healthy()
+        prestarted = set(server.manager.worker_set.pids())
+        assert len(prestarted) == server.config.job_workers
+        for seed in (1, 2, 3):
+            spec = {"target": "serving", "grid": {"request_rate": [4, 8]},
+                    "base": SERVING_BASE, "seed": seed}
+            detail, _ = await _run_job(client, spec)
+            assert detail["metrics"]["sweep.workers_spawned"] == 0
+        assert set(server.manager.worker_set.pids()) == prestarted
+        pids.extend(prestarted)
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+    # stop() leaves no live worker behind.
+    assert pids and not any(_alive(pid) for pid in pids)
+
+
+def test_a_job_after_another_reports_what_it_reports_alone(tmp_path):
+    a = {"target": "serving", "grid": {"request_rate": [4, 8], "mtp": [False, True]},
+         "base": SERVING_BASE, "seed": 11}
+    b = {"target": "serving", "grid": {"request_rate": [2, 6]},
+         "base": {**SERVING_BASE, "window_s": 1.0}, "seed": 12}
+    reports = {}
+
+    async def after_a(server, client):
+        await client.wait_healthy()
+        await _run_job(client, a)
+        detail, reports["after_a"] = await _run_job(client, b)
+        assert detail["metrics"]["sweep.workers_spawned"] == 0  # A's worker
+
+    async def alone(server, client):
+        await client.wait_healthy()
+        _, reports["alone"] = await _run_job(client, b)
+
+    asyncio.run(_with_server(_config(tmp_path / "1", job_workers=1), after_a))
+    asyncio.run(_with_server(_config(tmp_path / "2", job_workers=1), alone))
+    assert reports["after_a"] == reports["alone"]
+
+
+def test_a_killed_worker_is_replaced_and_the_next_job_succeeds(tmp_path):
+    hang = {"target": "svc-sleepy", "points": [{"x": 0, "sleep_s": 30}],
+            "timeout_s": 0.3, "max_attempts": 1}
+    after = {"target": "svc-sleepy", "points": [{"x": 1, "sleep_s": 0}], "seed": 4}
+
+    async def body(server, client):
+        await client.wait_healthy()
+        (prestarted,) = server.manager.worker_set.pids()
+        detail, _ = await _run_job(client, hang)
+        assert detail["errors"] == 1
+        assert detail["metrics"]["sweep.timeouts"] == 1
+        # The killed worker is reaped and not lent again.
+        assert server.manager.worker_set.pids() == [] and not _alive(prestarted)
+        detail, report = await _run_job(client, after)
+        assert detail["errors"] == 0 and detail["metrics"]["sweep.workers_spawned"] == 1
+        assert json.loads(report)["points"][0]["result"]["x"] == 1
+        detail, _ = await _run_job(client, dict(after, seed=5))
+        assert detail["metrics"]["sweep.workers_spawned"] == 0
+
+    asyncio.run(_with_server(_config(tmp_path, job_workers=1), body))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists /proc/self/task")
+def test_the_server_forks_only_while_it_has_one_thread(tmp_path):
+    """CPython 3.12 warns when a process is multi-threaded right after
+    it forks (it counts the threads the kernel lists, as this test
+    does).  The server forks its workers before its first executor
+    thread starts, so two cold jobs fork nothing from a threaded
+    process."""
+    script = tmp_path / "serve.py"
+    script.write_text(
+        "import asyncio, os, sys\n"
+        "from repro.service import ExperimentServer, ServiceClient, ServiceConfig\n"
+        "threads = []\n"
+        "os.register_at_fork(after_in_parent=lambda: threads.append(len(os.listdir('/proc/self/task'))))\n"
+        "async def main():\n"
+        "    server = ExperimentServer(ServiceConfig(state_dir=sys.argv[1], cache_dir=sys.argv[2]))\n"
+        "    await server.start()\n"
+        "    client = ServiceClient(server.host, server.port)\n"
+        "    for seed in (1, 2):\n"
+        "        _, job = await client.post_json('/jobs', {'target': 'serving',\n"
+        "            'grid': {'request_rate': [2, 4]}, 'base': {'num_requests': 20}, 'seed': seed})\n"
+        "        events = await client.collect_events(f\"/jobs/{job['id']}/events\", timeout=60)\n"
+        "        assert events[-1][0] == 'done', events[-1]\n"
+        "    await server.stop()\n"
+        "asyncio.run(main())\n"
+        "print(threads)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "state"), str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    forks = json.loads(out)
+    assert forks and all(count == 1 for count in forks), forks
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ runs on the same warm, reusable workers:
 * failures surface exactly as in-process evaluation surfaces them,
   and no worker outlives the sweep;
 * a worker holds no socket of its parent's but its own pipe, and a
-  signal sent to a worker never reaches the parent's event loop.
+  signal sent to a worker never reaches the parent's event loop;
+* a caller-owned :class:`WorkerSet` lends the same workers to sweep
+  after sweep, never lends a killed one, and retires a worker forked
+  before a target was registered.
 """
 
 import asyncio
@@ -33,6 +36,7 @@ from repro.sweep import (
     SweepCache,
     SweepInterrupted,
     SweepSpec,
+    WorkerSet,
     current_attempt,
     grid,
     register_target,
@@ -289,3 +293,115 @@ def test_a_signal_to_a_worker_stays_in_the_worker():
     result = asyncio.run(scenario())
     assert [p.result for p in result.points] == [{"x": 0}, {"x": 1}]
     assert fired == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_a_shared_set_lends_the_same_workers_to_every_sweep():
+    with WorkerSet() as workers:
+        workers.prefork(2)
+        pids = set(workers.pids())
+        for first in (0, 10, 20):
+            registry = MetricsRegistry()
+            spec = SweepSpec("exec-pid", points=grid(x=list(range(first, first + 6))))
+            result = run_sweep(spec, workers=2, metrics=registry, worker_set=workers)
+            assert registry.snapshot()["sweep.workers_spawned"] == 0
+            assert _pids(result) <= pids
+            assert set(workers.pids()) == pids
+    assert not any(_alive(pid) for pid in pids)
+    assert not multiprocessing.active_children()
+
+
+def test_a_killed_worker_never_goes_back_to_the_set():
+    points = [{"x": 0, "mode": "hang"}, {"x": 1}]
+    with WorkerSet() as workers:
+        workers.prefork(1)
+        (first,) = workers.pids()
+        registry = MetricsRegistry()
+        result = run_sweep(
+            SweepSpec("exec-hostile", points=points),
+            supervise=FAST,
+            metrics=registry,
+            worker_set=workers,
+        )
+        assert result.errors == 0
+        assert registry.snapshot()["sweep.workers_spawned"] == 1  # the replacement
+        assert first not in workers.pids() and not _alive(first)
+        (replacement,) = workers.pids()
+        # The next sweep runs on the replacement, forking nothing.
+        registry = MetricsRegistry()
+        result = run_sweep(
+            SweepSpec("exec-pid", points=grid(x=[1, 2])),
+            isolate=True,
+            metrics=registry,
+            worker_set=workers,
+        )
+        assert _pids(result) == {replacement}
+        assert registry.snapshot()["sweep.workers_spawned"] == 0
+
+
+def test_an_interrupt_kills_busy_workers_and_returns_idle_ones():
+    points = [{"x": 0}, {"x": 1, "mode": "hang"}]
+    settled = []
+    with WorkerSet() as workers:
+        workers.prefork(2)
+        prestarted = set(workers.pids())
+        with pytest.raises(SweepInterrupted):
+            run_sweep(
+                SweepSpec("exec-hostile", points=points),
+                workers=2,
+                on_point=settled.append,
+                interrupt=lambda: len(settled) >= 1,
+                worker_set=workers,
+            )
+        (idle,) = {settled[0].result["pid"]}
+        (hung,) = prestarted - {idle}
+        assert workers.pids() == [idle] and not _alive(hung)
+
+
+def test_a_target_registered_after_the_set_forked_still_evaluates():
+    with WorkerSet() as workers:
+        workers.prefork(1)
+        (stale,) = workers.pids()
+        register_target("exec-late", lambda config, seed: {"x": config["x"], "pid": os.getpid()})
+        registry = MetricsRegistry()
+        result = run_sweep(
+            SweepSpec("exec-late", points=grid(x=[1, 2])),
+            isolate=True,
+            metrics=registry,
+            worker_set=workers,
+        )
+        assert [p.result["x"] for p in result.points] == [1, 2]
+        assert stale not in _pids(result) and not _alive(stale)
+        assert registry.snapshot()["sweep.workers_spawned"] == 1
+
+
+def test_a_sweep_borrowing_from_a_set_reports_what_it_reports_alone():
+    serving = {"num_requests": 30, "prompt_mean": 64, "output_mean": 16}
+    a = SweepSpec("serving", points=grid(request_rate=[4, 8], mtp=[False, True]), base=serving, seed=1)
+    b = SweepSpec("serving", points=grid(request_rate=[2, 6]), base=serving, seed=2)
+    alone = run_sweep(b, isolate=True).to_report_json()
+    with WorkerSet() as workers:
+        workers.prefork(1)
+        run_sweep(a, isolate=True, worker_set=workers)
+        after_a = run_sweep(b, isolate=True, worker_set=workers).to_report_json()
+    assert after_a == alone
+
+
+def test_close_stops_idle_workers_and_workers_returned_later():
+    workers = WorkerSet()
+    workers.prefork(1)
+    (idle,) = workers.pids()
+    borrowed, forked = workers.borrow()
+    assert borrowed.proc.pid == idle and not forked
+    workers.close()
+    assert _alive(idle)  # still lent out
+    workers.give_back(borrowed)
+    assert not _alive(idle) and workers.pids() == []
+    assert not multiprocessing.active_children()
