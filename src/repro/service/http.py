@@ -118,9 +118,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     declared = headers.get("content-length", "") or "0"
     if not (declared.isascii() and declared.isdigit()):
         raise HttpError(400, "bad Content-Length")
-    length = int(declared)
-    if length > MAX_BODY_BYTES:
+    # Compare digit counts before int(), which raises ValueError for a
+    # run longer than sys.get_int_max_str_digits().
+    digits = declared.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    length = int(digits)
     body = await reader.readexactly(length) if length > 0 else b""
     try:
         split = urlsplit(target.decode("latin-1"))

@@ -421,8 +421,12 @@ class JobManager:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         # Fork while this process has one thread: the executor threads
-        # that drive jobs start with the first job.
-        self.worker_set = WorkerSet(max_idle=self.job_workers * self.max_sweep_workers)
+        # that drive jobs start with the first job.  Register the lazily
+        # imported built-in targets first, so that naming one in a job
+        # does not retire every worker forked here (see WorkerSet).
+        for name in ("chaos", "optimize"):
+            get_target(name)
+        self.worker_set = WorkerSet()
         self.worker_set.prefork(self.job_workers)
         self._restore()
         for _ in range(self.job_workers):

@@ -342,16 +342,13 @@ class WorkerSet:
     name (``chaos``), so any newer registration may matter to it.
 
     Borrowing and returning are thread-safe (a server's job threads
-    share one set).  At most ``max_idle`` workers wait in the set
-    (``None``: no bound); a returned worker beyond that exits.
-    :meth:`close` tells every idle worker to exit and joins it; a
-    worker still borrowed then exits when it is returned.  Forking from
-    a multi-threaded process is unsafe, so a server calls
+    share one set).  :meth:`close` tells every idle worker to exit and
+    joins it; a worker still borrowed then exits when it is returned.
+    Forking from a multi-threaded process is unsafe, so a server calls
     :meth:`prefork` before it starts any thread.
     """
 
-    def __init__(self, max_idle: int | None = None) -> None:
-        self.max_idle = max_idle
+    def __init__(self) -> None:
         self._idle: list[_Worker] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -388,21 +385,14 @@ class WorkerSet:
         return _Worker(), True
 
     def give_back(self, worker: _Worker) -> None:
-        """Return a borrowed worker; one that is not healthy, or that the
-        set has no room for, exits instead."""
+        """Return a borrowed worker; one that is not healthy, or that
+        comes back after :meth:`close`, exits instead."""
         if worker.healthy():
             with self._lock:
-                if not self._closed and (
-                    self.max_idle is None or len(self._idle) < self.max_idle
-                ):
+                if not self._closed:
                     self._idle.append(worker)
                     return
         _stop([worker])
-
-    def pids(self) -> list[int]:
-        """The process ids of the idle workers."""
-        with self._lock:
-            return [worker.proc.pid for worker in self._idle]
 
     def close(self) -> None:
         """Stop every idle worker; later returns stop theirs too."""

@@ -374,15 +374,23 @@ def test_oversized_lines_and_bad_lengths_are_400_not_500(tmp_path):
     long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
     long_header = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
     negative = b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+    # More digits than int() parses (sys.get_int_max_str_digits()).
+    long_length = b"POST /jobs HTTP/1.1\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n"
+    cases = {
+        long_line: b"400 Bad Request",
+        long_header: b"400 Bad Request",
+        negative: b"400 Bad Request",
+        long_length: b"413 Payload Too Large",
+    }
 
     async def body(server, client):
-        for raw in (long_line, long_header, negative):
+        for raw, status in cases.items():
             reader, writer = await asyncio.open_connection(client.host, client.port)
             writer.write(raw)
             await writer.drain()
             response = await reader.read()
             writer.close()
-            assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request", raw[:40]
+            assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status, raw[:40]
         assert server.metrics.snapshot().get("service.http.errors", 0) == 0
 
     asyncio.run(_with_server(_config(tmp_path), body))
@@ -396,7 +404,7 @@ _REQUESTS = (
 )
 _TOKENS = (
     b"\r\n", b"\n", b":", b" ", b"%", b"?", b"[", b"//", b"-1", b"+7", b"\xff",
-    b"Content-Length: ",
+    b"Content-Length: ", b"9" * 5000,
 )
 
 
@@ -422,6 +430,7 @@ def _mutated_requests(draw) -> bytes:
 @example(b"GET / HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n")
 @example(b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
 @example(b"GET //[ HTTP/1.1\r\n\r\n")
+@example(b"POST /jobs HTTP/1.1\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n")
 @given(_mutated_requests())
 def test_read_request_fuzz_ends_in_a_request_or_a_4xx(raw):
     async def parse():
@@ -453,6 +462,10 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _idle_pids(workers) -> list[int]:
+    return [worker.proc.pid for worker in workers._idle]
+
+
 async def _run_job(client: ServiceClient, spec: dict) -> tuple[dict, bytes]:
     status, job = await client.post_json("/jobs", spec)
     assert status == 202, job
@@ -468,14 +481,14 @@ def test_jobs_borrow_the_workers_forked_at_start(tmp_path):
 
     async def body(server, client):
         await client.wait_healthy()
-        prestarted = set(server.manager.worker_set.pids())
+        prestarted = set(_idle_pids(server.manager.worker_set))
         assert len(prestarted) == server.config.job_workers
         for seed in (1, 2, 3):
             spec = {"target": "serving", "grid": {"request_rate": [4, 8]},
                     "base": SERVING_BASE, "seed": seed}
             detail, _ = await _run_job(client, spec)
             assert detail["metrics"]["sweep.workers_spawned"] == 0
-        assert set(server.manager.worker_set.pids()) == prestarted
+        assert set(_idle_pids(server.manager.worker_set)) == prestarted
         pids.extend(prestarted)
 
     asyncio.run(_with_server(_config(tmp_path), body))
@@ -512,12 +525,12 @@ def test_a_killed_worker_is_replaced_and_the_next_job_succeeds(tmp_path):
 
     async def body(server, client):
         await client.wait_healthy()
-        (prestarted,) = server.manager.worker_set.pids()
+        (prestarted,) = _idle_pids(server.manager.worker_set)
         detail, _ = await _run_job(client, hang)
         assert detail["errors"] == 1
         assert detail["metrics"]["sweep.timeouts"] == 1
         # The killed worker is reaped and not lent again.
-        assert server.manager.worker_set.pids() == [] and not _alive(prestarted)
+        assert _idle_pids(server.manager.worker_set) == [] and not _alive(prestarted)
         detail, report = await _run_job(client, after)
         assert detail["errors"] == 0 and detail["metrics"]["sweep.workers_spawned"] == 1
         assert json.loads(report)["points"][0]["result"]["x"] == 1
@@ -532,7 +545,8 @@ def test_the_server_forks_only_while_it_has_one_thread(tmp_path):
     """CPython 3.12 warns when a process is multi-threaded right after
     it forks (it counts the threads the kernel lists, as this test
     does).  The server forks its workers before its first executor
-    thread starts, so two cold jobs fork nothing from a threaded
+    thread starts, so cold serving and chaos jobs (the first import
+    of a lazily registered target) fork nothing from a threaded
     process."""
     script = tmp_path / "serve.py"
     script.write_text(
@@ -544,11 +558,15 @@ def test_the_server_forks_only_while_it_has_one_thread(tmp_path):
         "    server = ExperimentServer(ServiceConfig(state_dir=sys.argv[1], cache_dir=sys.argv[2]))\n"
         "    await server.start()\n"
         "    client = ServiceClient(server.host, server.port)\n"
+        "    chaos = {'target': 'chaos', 'points': [{'chaos_mode': 'none', 'chaos_attempts': 1,\n"
+        "        'chaos_hang_s': 1.0, 'chaos_slow_s': 0.0, 'inner_target': 'serving',\n"
+        "        'inner': {'num_requests': 20, 'request_rate': 2}, 'inner_seed': 7}]}\n"
         "    for seed in (1, 2):\n"
-        "        _, job = await client.post_json('/jobs', {'target': 'serving',\n"
-        "            'grid': {'request_rate': [2, 4]}, 'base': {'num_requests': 20}, 'seed': seed})\n"
-        "        events = await client.collect_events(f\"/jobs/{job['id']}/events\", timeout=60)\n"
-        "        assert events[-1][0] == 'done', events[-1]\n"
+        "        for spec in ({'target': 'serving', 'grid': {'request_rate': [2, 4]},\n"
+        "                      'base': {'num_requests': 20}}, chaos):\n"
+        "            _, job = await client.post_json('/jobs', dict(spec, seed=seed))\n"
+        "            events = await client.collect_events(f\"/jobs/{job['id']}/events\", timeout=60)\n"
+        "            assert events[-1][0] == 'done', events[-1]\n"
         "    await server.stop()\n"
         "asyncio.run(main())\n"
         "print(threads)\n"
@@ -559,7 +577,8 @@ def test_the_server_forks_only_while_it_has_one_thread(tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     forks = json.loads(out)
-    assert forks and all(count == 1 for count in forks), forks
+    # One fork per job slot at start, and none after it.
+    assert forks == [1] * ServiceConfig(state_dir=tmp_path).job_workers, forks
 
 
 # ---------------------------------------------------------------------------

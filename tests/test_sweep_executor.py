@@ -303,17 +303,21 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _idle_pids(workers: WorkerSet) -> list[int]:
+    return [worker.proc.pid for worker in workers._idle]
+
+
 def test_a_shared_set_lends_the_same_workers_to_every_sweep():
     with WorkerSet() as workers:
         workers.prefork(2)
-        pids = set(workers.pids())
+        pids = set(_idle_pids(workers))
         for first in (0, 10, 20):
             registry = MetricsRegistry()
             spec = SweepSpec("exec-pid", points=grid(x=list(range(first, first + 6))))
             result = run_sweep(spec, workers=2, metrics=registry, worker_set=workers)
             assert registry.snapshot()["sweep.workers_spawned"] == 0
             assert _pids(result) <= pids
-            assert set(workers.pids()) == pids
+            assert set(_idle_pids(workers)) == pids
     assert not any(_alive(pid) for pid in pids)
     assert not multiprocessing.active_children()
 
@@ -322,7 +326,7 @@ def test_a_killed_worker_never_goes_back_to_the_set():
     points = [{"x": 0, "mode": "hang"}, {"x": 1}]
     with WorkerSet() as workers:
         workers.prefork(1)
-        (first,) = workers.pids()
+        (first,) = _idle_pids(workers)
         registry = MetricsRegistry()
         result = run_sweep(
             SweepSpec("exec-hostile", points=points),
@@ -332,8 +336,8 @@ def test_a_killed_worker_never_goes_back_to_the_set():
         )
         assert result.errors == 0
         assert registry.snapshot()["sweep.workers_spawned"] == 1  # the replacement
-        assert first not in workers.pids() and not _alive(first)
-        (replacement,) = workers.pids()
+        assert first not in _idle_pids(workers) and not _alive(first)
+        (replacement,) = _idle_pids(workers)
         # The next sweep runs on the replacement, forking nothing.
         registry = MetricsRegistry()
         result = run_sweep(
@@ -351,7 +355,7 @@ def test_an_interrupt_kills_busy_workers_and_returns_idle_ones():
     settled = []
     with WorkerSet() as workers:
         workers.prefork(2)
-        prestarted = set(workers.pids())
+        prestarted = set(_idle_pids(workers))
         with pytest.raises(SweepInterrupted):
             run_sweep(
                 SweepSpec("exec-hostile", points=points),
@@ -362,13 +366,13 @@ def test_an_interrupt_kills_busy_workers_and_returns_idle_ones():
             )
         (idle,) = {settled[0].result["pid"]}
         (hung,) = prestarted - {idle}
-        assert workers.pids() == [idle] and not _alive(hung)
+        assert _idle_pids(workers) == [idle] and not _alive(hung)
 
 
 def test_a_target_registered_after_the_set_forked_still_evaluates():
     with WorkerSet() as workers:
         workers.prefork(1)
-        (stale,) = workers.pids()
+        (stale,) = _idle_pids(workers)
         register_target("exec-late", lambda config, seed: {"x": config["x"], "pid": os.getpid()})
         registry = MetricsRegistry()
         result = run_sweep(
@@ -397,11 +401,11 @@ def test_a_sweep_borrowing_from_a_set_reports_what_it_reports_alone():
 def test_close_stops_idle_workers_and_workers_returned_later():
     workers = WorkerSet()
     workers.prefork(1)
-    (idle,) = workers.pids()
+    (idle,) = _idle_pids(workers)
     borrowed, forked = workers.borrow()
     assert borrowed.proc.pid == idle and not forked
     workers.close()
     assert _alive(idle)  # still lent out
     workers.give_back(borrowed)
-    assert not _alive(idle) and workers.pids() == []
+    assert not _alive(idle) and _idle_pids(workers) == []
     assert not multiprocessing.active_children()
