@@ -2,8 +2,8 @@
 
 Three sections, all gated on exact invariants rather than wall-clock:
 
-* **overhead** — a clean 10-point grid run plain (in-process) and
-  supervised (a reused forked worker, ``timeout_s`` armed).  The
+* **overhead** — a clean 10-point grid run plain (one forked worker,
+  no policy) and supervised (the same, ``timeout_s`` armed).  The
   reports must be byte-identical: supervision is an execution detail,
   never an output change.  The overhead ratio is printed but not
   gated (it tracks the machine's fork and pipe round-trip cost).

@@ -75,12 +75,31 @@ class MissingMetric(KeyError):
     """A DSL name resolved against neither record, aliases nor config."""
 
 
+#: Deepest expression tree the DSL accepts.  :meth:`Expr.evaluate`
+#: recurses once per level, so a deeper tree (a sum of a thousand terms
+#: is a thousand levels) would overflow the stack mid-search.
+_MAX_DEPTH = 200
+
+
 def _check_expr(tree: ast.AST, text: str) -> None:
     allowed_ops = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-    for node in ast.walk(tree):
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ValueError(
+                f"objective expression nests deeper than {_MAX_DEPTH} levels: {text[:60]!r}"
+            )
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
         if isinstance(node, (ast.Expression, ast.Name, ast.Load)):
             continue
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            try:
+                float(node.value)
+            except OverflowError:
+                raise ValueError(
+                    f"numeric literal out of range in objective expression {text[:60]!r}"
+                ) from None
             continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, allowed_ops):
             continue
@@ -98,7 +117,15 @@ class Expr:
     text: str
 
     def __post_init__(self) -> None:
-        tree = ast.parse(self.text, mode="eval")
+        try:
+            tree = ast.parse(self.text, mode="eval")
+        except (SyntaxError, RecursionError, MemoryError) as exc:
+            # The parser's own limits (a huge sum, a long run of unary
+            # minus) surface as RecursionError / MemoryError.
+            reason = getattr(exc, "msg", None) or "too deeply nested"
+            raise ValueError(
+                f"bad objective expression {self.text[:60]!r}: {reason}"
+            ) from None
         _check_expr(tree, self.text)
         object.__setattr__(self, "_tree", tree)
 
@@ -119,7 +146,7 @@ class Expr:
                 raise MissingMetric(name)
             try:
                 return float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise MissingMetric(name) from None
 
         def resolve(name: str) -> float:

@@ -10,11 +10,11 @@ unboundedly — the paper's goodput lesson applied to the service
 itself).
 
 Each job's sweep is driven from a thread of the event loop's default
-executor, but no point evaluates there: the job runs with
-``run_sweep(..., isolate=True)``, so every cache miss is evaluated in a
-forked worker (:func:`repro.sweep.supervise.run_forked`), even at
-``workers=1`` with no policy, and the server's interpreter is left to
-the HTTP/SSE loop.  The workers come from the manager's one
+executor, but no point evaluates there: :func:`repro.sweep.run_sweep`
+evaluates every cache miss in a forked worker
+(:func:`repro.sweep.supervise.run_forked`), even at ``workers=1`` with
+no policy, and the server's interpreter is left to the HTTP/SSE loop.
+The workers come from the manager's one
 :class:`repro.sweep.WorkerSet`: :meth:`JobManager.start` forks one per
 job slot before any executor thread exists, jobs borrow and return
 them, and the set forks more only when jobs ask for more workers than
@@ -678,7 +678,6 @@ class JobManager:
                 on_point=on_point,
                 interrupt=interrupted,
                 supervise=job.spec.supervisor_policy(),
-                isolate=True,
                 worker_set=self.worker_set,
             )
 

@@ -7,10 +7,10 @@ package is the shared fan-out + memoization layer those sweeps run on:
 
 * :func:`grid` / :class:`SweepSpec` — declare a Cartesian grid or an
   explicit point list over any registered target;
-* :func:`run_sweep` — evaluate the points in-process or on reusable
-  forked workers, each point with a child seed derived from the root
-  seed and its canonical config, so output is byte-identical at any
-  worker count;
+* :func:`run_sweep` — evaluate the points on reusable forked workers
+  (one at ``workers=1``), each point with a child seed derived from the
+  root seed and its canonical config, so output is byte-identical at
+  any worker count;
 * :class:`SweepCache` — a content-addressed on-disk cache keyed by
   target + canonical config + seed + package version, so an unchanged
   point is never recomputed and an edited sweep re-runs incrementally;

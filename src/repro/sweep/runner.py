@@ -6,19 +6,19 @@
    in the :class:`SweepCache` (when one is given); hits skip
    evaluation entirely.
 2. **Evaluation** — the target is resolved and warmed once, in this
-   process (:func:`~repro.sweep.targets.resolve_target`).  Misses then
-   run in-process at ``workers=1`` (unless ``isolate`` or ``supervise``
-   is set), or on forked workers borrowed from a
+   process (:func:`~repro.sweep.targets.resolve_target`).  Every miss
+   then runs on a forked worker borrowed from a
    :class:`~repro.sweep.supervise.WorkerSet` and reused point after
-   point (:func:`~repro.sweep.supervise.run_forked`, the one
-   multi-process executor).  A caller that runs many sweeps passes its
-   own ``worker_set`` and forks once; otherwise the sweep forks a
-   private set after warming the target and closes it on return.  Each
-   point carries its own child seed derived from the
-   root seed and the point's canonical config
-   (:meth:`SweepSpec.point_seed`), so results are byte-identical
-   regardless of worker count or completion order — pinned by
-   ``tests/test_sweep.py``.
+   point (:func:`~repro.sweep.supervise.run_forked`, the one executor),
+   whatever the worker count — no point runs on the caller's
+   interpreter, so a point that kills its own process costs only that
+   point.  A caller that runs many sweeps passes its own
+   ``worker_set`` and forks once; otherwise the sweep forks a private
+   set after warming the target and closes it on return.  Each point
+   carries its own child seed derived from the root seed and the
+   point's canonical config (:meth:`SweepSpec.point_seed`), so results
+   are byte-identical regardless of worker count or completion order —
+   pinned by ``tests/test_sweep.py``.
 3. **Cache fill** — fresh results are written back atomically, so an
    interrupted sweep resumes where it stopped and a re-run after a
    config edit recomputes only the new/changed points.
@@ -37,17 +37,19 @@ never on worker count).  :meth:`SweepResult.to_report_json` is the
 cache-*independent* variant — identical bytes whether the sweep ran
 cold, warm, or was interrupted and resumed.
 
-Long-lived callers (the experiment service) hook in four ways: an
+Long-lived callers (the experiment service) hook in three ways: an
 ``on_point`` callback pushes each settled point as it happens, an
-``interrupt`` callable cancels mid-sweep (:class:`SweepInterrupted`),
+``interrupt`` callable cancels mid-sweep (:class:`SweepInterrupted`)
+and kills a running point within one supervisor tick, and
 ``strict=False`` turns per-point failures into structured error
-records instead of aborting the whole sweep, and ``isolate=True``
-keeps every evaluation off the caller's interpreter.
+records instead of aborting the whole sweep.
 
 Hostile points — ones that hang, kill their own worker, or fail
 transiently — are what ``supervise=SupervisorPolicy(...)`` is for: the
-same forked executor (even at ``workers=1``) then adds per-attempt
-timeouts, deterministic-backoff retries, and poison-point quarantine.
+same forked executor then adds per-attempt timeouts,
+deterministic-backoff retries, and poison-point quarantine.  Without a
+policy a point that kills its worker is still survived, as a
+``WorkerDied`` quarantine record.
 """
 
 from __future__ import annotations
@@ -55,16 +57,15 @@ from __future__ import annotations
 import json
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Callable
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..obs.summary import print_table
 from .cache import SweepCache
-from .spec import SweepSpec, canonical_config
+from .spec import SweepSpec
 from .supervise import SupervisorPolicy, WorkerSet, run_forked
-from .targets import Target, resolve_target
+from .targets import resolve_target
 
 __all__ = [
     "PointResult",
@@ -223,42 +224,6 @@ def merged_windows_section(points) -> dict | None:
     }
 
 
-def _evaluate(
-    fn: Target, target: str, config: dict, seed: int, epoch: float, capture: bool = False
-) -> tuple[dict | None, dict | None, float, float]:
-    """Run one point of the resolved target ``fn`` and time it.
-
-    Returns ``(result, error, start_offset, elapsed)`` with the start
-    offset relative to the sweep's epoch, so the parent can lay the
-    point out as a span on a shared wall-clock timeline.  With
-    ``capture`` (the ``strict=False`` path) an exception becomes a
-    structured error record instead of propagating — the traceback is
-    formatted *here*, in the failing process, so the record is
-    identical whether the point ran in-process or in a forked worker.
-    """
-    start = time.perf_counter()
-    error = None
-    if capture:
-        try:
-            result = fn(config, seed)
-        except Exception as exc:  # noqa: BLE001 - converted to a record
-            result = None
-            error = {
-                "target": target,
-                "config": canonical_config(config),
-                "seed": seed,
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-            }
-    else:
-        result = fn(config, seed)
-    end = time.perf_counter()
-    return result, error, start - epoch, end - start
-
-
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -271,21 +236,21 @@ def run_sweep(
     on_point: Callable[[PointResult], None] | None = None,
     interrupt: Callable[[], bool] | None = None,
     supervise: SupervisorPolicy | None = None,
-    isolate: bool = False,
     worker_set: WorkerSet | None = None,
 ) -> SweepResult:
     """Evaluate every point of ``spec``; see the module docstring.
 
     Args:
         spec: The sweep declaration.
-        workers: Forked workers for cache misses (1 = in-process,
-            unless ``supervise`` or ``isolate`` is given).
+        workers: The most forked workers evaluating cache misses at
+            once (1 = one forked worker).
         cache: Result cache; ``None`` disables caching entirely.
         tracer: Optional span tracer (defaults to the null object).
         metrics: Optional registry for counters and the progress gauge.
         progress: Print ``done/total`` lines to stderr as points finish.
         strict: With the default ``True``, the first failing point
-            raises immediately (the original exception, unchanged).
+            raises immediately (the target's own exception, with the
+            worker's traceback chained as its ``__cause__``).
             With ``False``, a failure becomes a structured error record
             on its :class:`PointResult` (target, canonical config,
             seed, traceback string); the sweep keeps going and failed
@@ -295,27 +260,20 @@ def run_sweep(
             order.  This is the push-style progress hook the experiment
             service streams SSE events from; it runs on the sweep
             thread, so callbacks must be cheap and must not raise.
-        interrupt: Polled between completions; returning ``True``
-            cancels the pending work and raises
+        interrupt: Polled every supervisor tick; returning ``True``
+            kills the running points and raises
             :class:`SweepInterrupted`.  Completed points are already
             cached, so the same spec resumes incrementally.
         supervise: Evaluate cache misses under a
-            :class:`~repro.sweep.supervise.SupervisorPolicy` — every
-            point (even at ``workers=1``) runs in a forked worker with
-            per-attempt timeouts, worker-death recovery,
-            deterministic-backoff retries, and quarantine after
-            ``max_attempts`` failures.  With ``strict=True`` a
-            quarantined point raises
+            :class:`~repro.sweep.supervise.SupervisorPolicy` — with
+            per-attempt timeouts, deterministic-backoff retries, and
+            quarantine after ``max_attempts`` failures.  With
+            ``strict=True`` a quarantined point raises
             :class:`~repro.sweep.supervise.PointQuarantined`; with
             ``strict=False`` it becomes a worker-count-independent
-            ``PointQuarantined`` error record (never cached).
-        isolate: Evaluate every cache miss in a forked worker, even at
-            ``workers=1`` without a policy, so no point runs on the
-            caller's interpreter and ``interrupt`` stops a running
-            point within one supervisor tick.  Results and error
-            records are those of in-process evaluation; only a worker
-            death differs (a ``WorkerDied`` quarantine).  The
-            experiment service sets it for every job.
+            ``PointQuarantined`` error record (never cached).  Without
+            a policy each point gets one attempt, and only a worker
+            death quarantines it.
         worker_set: Borrow forked workers from this
             :class:`~repro.sweep.supervise.WorkerSet` and return the
             healthy ones to it, instead of forking a private set for
@@ -396,11 +354,10 @@ def run_sweep(
 
     if _interrupted():
         raise SweepInterrupted(done, total)
-    # Resolved (and warmed) once, here, before any worker is borrowed:
-    # a worker forked for this sweep inherits it.
-    fn = resolve_target(spec.target, [configs[i] for i in missing]) if missing else None
-    forked = isolate or supervise is not None or (workers > 1 and len(missing) > 1)
-    if missing and forked:
+    if missing:
+        # Resolved (and warmed) once, here, before any worker is
+        # borrowed: a worker forked for this sweep inherits it.
+        resolve_target(spec.target, [configs[i] for i in missing])
         try:
             run_forked(
                 target=spec.target,
@@ -418,14 +375,6 @@ def run_sweep(
             )
         except InterruptedError:
             raise SweepInterrupted(done, total) from None
-    else:
-        for i in missing:
-            if _interrupted():
-                raise SweepInterrupted(done, total)
-            result, error, started, elapsed = _evaluate(
-                fn, spec.target, configs[i], seeds[i], epoch, capture=not strict
-            )
-            _finish(i, result, error, started, elapsed)
 
     wall = time.perf_counter() - epoch
     tracer.process(0, f"sweep:{spec.name or spec.target}")

@@ -1,10 +1,9 @@
 """Forked sweep execution: warm reusable workers, timeouts, retries, quarantine.
 
-:func:`run_forked` is the sweep engine's one multi-process executor.
-:func:`repro.sweep.run_sweep` hands it every cache miss that leaves the
-parent process — at ``workers > 1``, under a :class:`SupervisorPolicy`
-at any worker count, or with ``isolate=True`` (every experiment-service
-job) — and evaluates in-process otherwise.
+:func:`run_forked` is the sweep engine's one executor:
+:func:`repro.sweep.run_sweep` hands it every cache miss, at any worker
+count and with or without a :class:`SupervisorPolicy`, so no point is
+ever evaluated on the caller's interpreter.
 
 Workers are not forked per sweep: :func:`run_forked` borrows them from
 a :class:`WorkerSet` and returns them when the sweep ends.  A
@@ -39,10 +38,9 @@ a control plane must survive:
   (with the poison fixed) retries them.
 
 Without a policy a point gets one attempt and no watchdog, and its own
-exception is delivered exactly as in-process evaluation delivers it:
-re-raised under ``strict``, otherwise the same error record.  Only a
-worker death — which in-process evaluation cannot survive at all —
-quarantines the point.
+exception is delivered as the point raised it: re-raised in the parent
+under ``strict``, otherwise as the error record :func:`_evaluate`
+formats in the worker.  Only a worker death quarantines the point.
 
 Before :func:`run_forked` returns — including on interrupt and on
 exception — every busy worker is killed and joined and every idle one
@@ -81,7 +79,7 @@ from typing import Callable
 from ..core.rng import derive_seed
 from ..obs import MetricsRegistry
 from .spec import canonical_config
-from .targets import get_target, registry_generation
+from .targets import Target, get_target, registry_generation
 
 __all__ = [
     "PointQuarantined",
@@ -94,8 +92,8 @@ __all__ = [
 
 #: Attempt number of the point evaluation running in *this* process
 #: (1-based).  Set in the forked worker before each attempt; stays 1 in
-#: in-process evaluation.  Chaos policies (:mod:`repro.chaos`) read it
-#: to sabotage only early attempts.
+#: a process that evaluates no sweep point.  Chaos policies
+#: (:mod:`repro.chaos`) read it to sabotage only early attempts.
 _ATTEMPT = 1
 
 #: Supervisor poll tick (seconds): the upper bound on how late a
@@ -242,6 +240,42 @@ def _release_inherited_sockets(keep: int) -> None:
         os.close(devnull)
 
 
+def _evaluate(
+    fn: Target, target: str, config: dict, seed: int, epoch: float, capture: bool
+) -> tuple[dict | None, dict | None, float, float]:
+    """Run one point of the resolved target ``fn`` and time it.
+
+    Returns ``(result, error, start_offset, elapsed)`` with the start
+    offset relative to the sweep's epoch, so the parent can lay the
+    point out as a span on a shared wall-clock timeline.  With
+    ``capture`` (``strict=False`` or a policy) an exception becomes a
+    structured error record instead of propagating — the traceback is
+    formatted *here*, in the failing worker, so the record names the
+    target's own frames.
+    """
+    start = time.perf_counter()
+    error = None
+    if capture:
+        try:
+            result = fn(config, seed)
+        except Exception as exc:  # noqa: BLE001 - converted to a record
+            result = None
+            error = {
+                "target": target,
+                "config": canonical_config(config),
+                "seed": seed,
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "traceback": "".join(
+                    traceback.format_exception(type(exc), exc, exc.__traceback__)
+                ),
+            }
+    else:
+        result = fn(config, seed)
+    end = time.perf_counter()
+    return result, error, start - epoch, end - start
+
+
 def _worker_main(conn) -> None:
     """Worker loop: evaluate ``(target, config, seed, attempt, epoch,
     capture)`` tasks from the pipe until the parent sends ``None`` (or
@@ -256,8 +290,6 @@ def _worker_main(conn) -> None:
     precisely the worker-death signal.
     """
     global _ATTEMPT
-    from .runner import _evaluate
-
     # A signal sent to this worker alone must not reach the parent's
     # event loop through the inherited wakeup socket, so detach it
     # before the sockets go.
@@ -423,8 +455,8 @@ def run_forked(
     (a private set, closed on return, when ``None``).
 
     Settled points (success, error record, or terminal quarantine) are
-    delivered through ``finish`` exactly as in-process evaluation
-    delivers them; with ``strict`` the first failure raises instead
+    delivered through ``finish``; with ``strict`` the first failure
+    raises instead
     (see the module docstring for what each failure becomes).
 
     ``interrupted`` is polled every tick; when it fires, every busy

@@ -4,10 +4,11 @@ A *target* is a function ``fn(config: dict, seed: int) -> dict`` —
 plain JSON-able data in, plain JSON-able data out.  That shape is what
 makes the engine's three promises possible:
 
-* **fan-out** — configs and results cross process boundaries, so they
-  must pickle trivially; the target itself travels by *name* and is
-  resolved from this registry in the parent and, on first use, in each
-  forked worker — never shipped as a code object;
+* **fan-out** — every point is evaluated in a forked worker, so
+  configs and results cross process boundaries and must pickle
+  trivially; the target itself travels by *name* and is resolved from
+  this registry in the parent (to warm it) and, on first use, in each
+  worker — never shipped as a code object;
 * **determinism** — the result must be a pure function of
   ``(config, seed)``; the engine derives ``seed`` per point, so a
   target must route every stochastic choice through it;

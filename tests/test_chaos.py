@@ -9,9 +9,11 @@ same grid run chaos-free.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
+import sys
 import time
 
 import pytest
@@ -340,3 +342,23 @@ def test_chaos_target_resolves_lazily():
     from repro.sweep.targets import get_target
 
     assert callable(get_target("chaos"))
+
+
+def test_cli_sweep_survives_a_self_killing_point_at_one_worker():
+    # Unsupervised, at --workers 1: the kill point costs only itself.  In
+    # a subprocess, so a point run on the sweep's own interpreter fails
+    # this test (exit -9) rather than killing the test run.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--target", "chaos",
+         "--grid", "chaos_mode=kill,none", "--set", "chaos_attempts=1",
+         "--set", "chaos_hang_s=0", "--set", "chaos_slow_s=0",
+         "--set", "inner_target=training", "--set", 'inner={"work_s":3600.0}',
+         "--set", "inner_seed=1", "--no-cache", "--keep-going", "--workers", "1", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, (run.returncode, run.stderr)
+    killed, clean = json.loads(run.stdout)["points"]
+    assert killed["result"] is None and killed["error"]["type"] == "PointQuarantined"
+    assert [f["type"] for f in killed["error"]["failures"]] == ["WorkerDied"]
+    assert clean["result"] is not None and "error" not in clean

@@ -11,8 +11,11 @@ The engine guarantees the PR's acceptance criteria pin:
 """
 
 import json
+import multiprocessing
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.optimize import (
     FidelityLadder,
@@ -28,7 +31,9 @@ from repro.optimize import (
 )
 from repro.sweep import SweepCache, get_target, register_target
 
-CALLS = {"count": 0}
+#: Evaluation counter shared with the forked workers that evaluate every
+#: point: created at import, before any worker forks.
+CALLS = multiprocessing.Value("i", 0)
 
 
 def _quad_target(config: dict, seed: int) -> dict:
@@ -38,7 +43,8 @@ def _quad_target(config: dict, seed: int) -> dict:
     fidelity ``n`` — low rungs rank roughly right, the top rung ranks
     exactly right.  ``steps`` doubles as the simulated-seconds cost.
     """
-    CALLS["count"] += 1
+    with CALLS.get_lock():
+        CALLS.value += 1
     x, y, n = config["x"], config["y"], config["n"]
     bias = 16.0 / n
     return {"loss": (x - 3) ** 2 + (y - 5) ** 2 + bias, "steps": float(n), "seed": seed}
@@ -121,6 +127,53 @@ def test_division_by_zero_is_unscorable():
         obj.metrics[0].expr.evaluate({"goodput": 1.0, "cost": 0.0}, {})
 
 
+#: Fragments the DSL fuzz splices together, so most texts get past the
+#: keyword and into the expression and constraint parsers.
+_DSL_TOKENS = (
+    "maximize ", "minimize ", "pareto(", ")", "(", ",", " s.t. ", "min:", "max:",
+    "x", "goodput", "cost", "tpot_p99", "1", "0.5", "1e999", "1" + "0" * 400,
+    "+", "-", "*", "/", "**", "<=", ">=", "<", ">", " and ", "[", "'", "\x00", "lambda",
+)
+
+
+@st.composite
+def _objective_texts(draw) -> str:
+    parts = draw(st.lists(st.one_of(st.sampled_from(_DSL_TOKENS), st.text(max_size=4)), max_size=12))
+    if draw(st.booleans()):  # a run long enough to reach the parser's limits
+        parts.insert(draw(st.integers(0, len(parts))),
+                     draw(st.sampled_from(("-", "x+", "("))) * draw(st.sampled_from((10, 300, 5000))))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@example("maximize (")
+@example("maximize x s.t. y <= 1 and")
+@example("maximize " + "+".join(["x"] * 200_000))
+@example("maximize " + "-" * 100_000 + "x")
+@example("maximize " + "+".join(["x"] * 1_000))  # parses, but too deep to evaluate
+@example("maximize 1" + "0" * 400)  # an int no float can hold
+@example("maximize x\x00")
+@given(_objective_texts())
+def test_any_objective_text_parses_or_raises_value_error(text):
+    try:
+        obj = parse_objective(text)
+    except ValueError:
+        return
+    # Whatever parses also scores without raising.
+    record = {"x": 1.0, "y": 2.0, "goodput_tokens_per_s": 3.0, "cost_per_token": 0.0}
+    obj.values(record, {})
+    obj.feasible(record, {})
+
+
+def test_cli_optimize_reports_a_bad_objective_as_a_bad_search_spec(tmp_path):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["optimize", "--target", "serving", "--objective", "maximize (",
+              "--space", "request_rate=1,2", "--cache-dir", str(tmp_path)])
+    assert str(excinfo.value).startswith("bad search spec: bad objective expression '('")
+
+
 def test_dominates_and_pareto_front():
     assert dominates((1.0, 1.0), (2.0, 2.0))
     assert not dominates((1.0, 3.0), (2.0, 2.0))
@@ -187,10 +240,12 @@ def test_a_search_forks_its_workers_once_for_every_batch():
 
 def test_warm_research_evaluates_zero_points(tmp_path):
     cache = SweepCache(tmp_path)
+    CALLS.value = 0
     cold = run_search(_spec(), cache=cache)
-    CALLS["count"] = 0
+    assert CALLS.value == cold.evaluated > 0  # the counter sees the workers
+    CALLS.value = 0
     warm = run_search(_spec(), cache=cache)
-    assert CALLS["count"] == 0
+    assert CALLS.value == 0
     assert warm.evaluated == 0
     assert warm.cache_hits == len(warm.trajectory)
     assert warm.to_report_json() == cold.to_report_json()

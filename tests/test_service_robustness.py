@@ -17,6 +17,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import ChaosPolicy, chaos_spec, reference_spec
 from repro.service import (
@@ -148,6 +150,59 @@ def test_jobspec_resolves_lazily_registered_chaos_target():
         }
     )
     assert spec.target == "chaos"
+
+
+#: JSON leaves as ``json.loads`` can produce them (NaN and infinities too).
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 2**64) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(("colocated", "event", "kill", "serving", "none"))
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+#: Mostly plausible values, so many points get past type checks.
+_VALUES = st.integers(0, 64) | st.floats(0.0, 100.0) | _JSON
+#: Config keys the built-in targets read, so points reach their builders.
+_CONFIG_KEYS = (
+    "request_rate", "num_requests", "prompt_mean", "output_mean", "mode", "mtp",
+    "window_s", "slo", "faults", "recovery", "num_leaves", "hosts_per_leaf",
+    "num_spines", "shifts", "size_bytes", "sim_mode", "work_s", "interval_s",
+    "checkpoint_s", "mtbf_s", "chaos_mode", "chaos_attempts", "inner_target",
+    "inner", "inner_seed", "objective", "space", "target", "x",
+)
+_CONFIGS = st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=4), _VALUES, max_size=4)
+#: Well-formed payloads whose values may still be wrong; a bare
+#: ``_JSON`` document covers the malformed rest.
+_JOB_PAYLOADS = st.fixed_dictionaries(
+    {"target": st.sampled_from(("serving", "flowsim", "training", "chaos", "optimize", "nope"))},
+    optional={
+        "grid": st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.lists(_VALUES, max_size=3) | _VALUES, max_size=2),
+        "points": st.lists(_CONFIGS, min_size=1, max_size=3),
+        "base": _CONFIGS,
+        "seed": _VALUES,
+        "workers": _VALUES,
+        "name": st.text(max_size=4) | _JSON,
+        "faults": st.fixed_dictionaries({}, optional={"events": st.lists(_CONFIGS, max_size=2), "seed": _VALUES}),
+        "recovery": _CONFIGS,
+        "window_s": _VALUES,
+        "slo": st.lists(_CONFIGS, min_size=1, max_size=2),
+        "deadline_s": _VALUES,
+        "timeout_s": _VALUES,
+        "max_attempts": _VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_JOB_PAYLOADS | _JSON)
+def test_jobspec_fuzz_ends_in_a_spec_or_a_value_error(payload):
+    try:
+        spec = JobSpec.from_payload(payload)
+    except ValueError:
+        return
+    assert isinstance(spec, JobSpec) and spec.points
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ The two engine guarantees the PR's acceptance criteria pin:
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -25,13 +26,15 @@ from repro.sweep import (
     target_names,
 )
 
-#: In-process call counter for cache-behavior tests (workers=1 runs the
-#: target in this process, so the module global observes every call).
-CALLS = {"count": 0}
+#: Evaluation counter for cache-behavior tests.  Every point runs in a
+#: forked worker, so the count lives in shared memory created here, at
+#: import, before any worker forks: each worker increments this value.
+CALLS = multiprocessing.Value("i", 0)
 
 
 def _counting_target(config: dict, seed: int) -> dict:
-    CALLS["count"] += 1
+    with CALLS.get_lock():
+        CALLS.value += 1
     return {"value": 2 * config["x"] + config.get("bias", 0), "seed": seed}
 
 
@@ -109,11 +112,11 @@ def test_explicit_seed_in_config_wins():
 def test_cache_hit_skips_evaluation_and_preserves_results(tmp_path):
     cache = SweepCache(tmp_path)
     spec = _counting_spec()
-    CALLS["count"] = 0
+    CALLS.value = 0
     cold = run_sweep(spec, cache=cache)
-    assert CALLS["count"] == 3 and cold.evaluated == 3 and cold.cache_hits == 0
+    assert CALLS.value == 3 and cold.evaluated == 3 and cold.cache_hits == 0
     warm = run_sweep(spec, cache=cache)
-    assert CALLS["count"] == 3, "warm re-run must execute zero target evaluations"
+    assert CALLS.value == 3, "warm re-run must execute zero target evaluations"
     assert warm.evaluated == 0 and warm.cache_hits == 3
     assert warm.records() == cold.records()
     assert len(cache) == 3
@@ -122,23 +125,23 @@ def test_cache_hit_skips_evaluation_and_preserves_results(tmp_path):
 def test_cache_misses_on_config_seed_and_version_change(tmp_path):
     cache = SweepCache(tmp_path)
     run_sweep(_counting_spec(), cache=cache)
-    CALLS["count"] = 0
+    CALLS.value = 0
     # A changed config recomputes only the changed points...
     assert run_sweep(_counting_spec(base={"bias": 2}), cache=cache).evaluated == 3
     # ...a changed root seed recomputes (derived seeds moved)...
     assert run_sweep(_counting_spec(seed=6), cache=cache).evaluated == 3
     # ...and so does a version bump.
     assert run_sweep(_counting_spec(version="0.0.0-test"), cache=cache).evaluated == 3
-    assert CALLS["count"] == 9
+    assert CALLS.value == 9
 
 
 def test_incremental_rerun_recomputes_only_new_points(tmp_path):
     cache = SweepCache(tmp_path)
     run_sweep(_counting_spec(points=grid(x=[1, 2, 3])), cache=cache)
-    CALLS["count"] = 0
+    CALLS.value = 0
     grown = run_sweep(_counting_spec(points=grid(x=[1, 2, 3, 4, 5])), cache=cache)
     assert grown.evaluated == 2 and grown.cache_hits == 3
-    assert CALLS["count"] == 2
+    assert CALLS.value == 2
     assert [p.cached for p in grown.points] == [True, True, True, False, False]
 
 
@@ -149,9 +152,9 @@ def test_corrupted_cache_entry_is_recomputed_not_crashed(tmp_path):
     path = cache.path_for(first.points[0].key)
     for garbage in ("not json {", json.dumps({"key": "wrong", "result": {}}), ""):
         path.write_text(garbage)
-        CALLS["count"] = 0
+        CALLS.value = 0
         again = run_sweep(spec, cache=cache)
-        assert CALLS["count"] == 1 and again.evaluated == 1
+        assert CALLS.value == 1 and again.evaluated == 1
         assert again.records() == first.records()
         # The entry is repaired in place and serves the next run.
         assert cache.get(first.points[0].key) == first.points[0].result
@@ -558,11 +561,18 @@ def test_interrupt_raises_and_the_cache_resumes(tmp_path):
     from repro.sweep import SweepInterrupted
 
     cache = SweepCache(tmp_path)
-    CALLS["count"] = 0
+    CALLS.value = 0
     spec = _counting_spec()
+    settled = []
     with pytest.raises(SweepInterrupted) as excinfo:
-        run_sweep(spec, cache=cache, interrupt=lambda: CALLS["count"] >= 1)
+        run_sweep(
+            spec,
+            cache=cache,
+            on_point=settled.append,
+            interrupt=lambda: len(settled) >= 1,
+        )
     assert excinfo.value.done == 1 and excinfo.value.total == 3
+    assert CALLS.value == 1  # the interrupt fired before a second launch
     assert len(cache) == 1  # the completed point is durable
     resumed = run_sweep(spec, cache=cache)
     assert resumed.cache_hits == 1 and resumed.evaluated == 2

@@ -1,14 +1,16 @@
-"""The sweep engine's forked executor (repro.sweep.supervise.run_forked).
+"""The sweep engine's one executor (repro.sweep.supervise.run_forked).
 
-Every multi-process sweep — ``workers > 1``, or any supervised sweep —
-runs on the same warm, reusable workers:
+Every sweep — at any worker count, supervised or not — evaluates its
+cache misses on the same warm, reusable forked workers:
 
 * the target is resolved (and its ``warm`` hook run) once, in the
   parent, before any fork;
 * a worker evaluates point after point until the sweep ends, and is
   replaced only when the supervisor kills it or it dies;
-* failures surface exactly as in-process evaluation surfaces them,
-  and no worker outlives the sweep;
+* failures surface as the point raised them — the same error record a
+  direct evaluation formats — and no worker outlives the sweep;
+* a point that kills its own worker costs only that point, at
+  ``workers=1`` and for a single miss alike;
 * a worker holds no socket of its parent's but its own pipe, and a
   signal sent to a worker never reaches the parent's event loop;
 * a caller-owned :class:`WorkerSet` lends the same workers to sweep
@@ -17,6 +19,7 @@ runs on the same warm, reusable workers:
 """
 
 import asyncio
+import json
 import multiprocessing
 import os
 import select
@@ -38,11 +41,13 @@ from repro.sweep import (
     SweepSpec,
     WorkerSet,
     current_attempt,
+    get_target,
     grid,
     register_target,
     resolve_target,
     run_sweep,
 )
+from repro.sweep.supervise import _evaluate
 
 FAST = SupervisorPolicy(timeout_s=1.0, max_attempts=2, backoff_base_s=0.0)
 
@@ -168,6 +173,54 @@ def test_unsupervised_worker_death_quarantines_only_that_point():
     assert not multiprocessing.active_children()
 
 
+#: Run in a fresh interpreter: were the kill point evaluated on the
+#: caller's interpreter, it would SIGKILL the process running the sweep
+#: (the subprocess exits -9) instead of failing the assertions below.
+HOSTILE_SWEEPS = """
+import json, os
+from repro.sweep import PointQuarantined, SweepSpec, register_target, run_sweep
+
+@register_target("kill")
+def _kill(config, seed):
+    if config["mode"] == "kill":
+        os.kill(os.getpid(), 9)
+    return {"x": config["x"], "pid": os.getpid()}
+
+def outcome(points, workers):
+    spec = SweepSpec("kill", points=points)
+    loose = run_sweep(spec, workers=workers, strict=False)
+    try:
+        run_sweep(spec, workers=workers)
+        raised = None
+    except PointQuarantined as exc:
+        raised = exc.record
+    return {"points": [[p.result, p.error] for p in loose.points], "raised": raised}
+
+print(json.dumps({
+    "pid": os.getpid(),
+    "pair@1": outcome([{"x": 0, "mode": "kill"}, {"x": 1, "mode": "none"}], 1),
+    "single@2": outcome([{"x": 0, "mode": "kill"}], 2),
+}))
+"""
+
+
+def test_a_point_that_kills_its_worker_is_quarantined_at_any_worker_count():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", HOSTILE_SWEEPS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, (run.returncode, run.stderr)
+    doc = json.loads(run.stdout)
+    for case in ("pair@1", "single@2"):
+        (result, error), *siblings = doc[case]["points"]
+        assert result is None and error["type"] == "PointQuarantined"
+        assert [f["type"] for f in error["failures"]] == ["WorkerDied"]
+        assert doc[case]["raised"] == error  # strict raises the same record
+        for result, error in siblings:
+            assert error is None and result["x"] == 1 and result["pid"] != doc["pid"]
+
+
 def test_strict_forked_failure_raises_the_original_exception_with_its_traceback():
     spec = SweepSpec("exec-hostile", points=[{"x": 0}, {"x": 1, "mode": "raise"}])
     with pytest.raises(ValueError, match="bad point x=1") as excinfo:
@@ -177,11 +230,18 @@ def test_strict_forked_failure_raises_the_original_exception_with_its_traceback(
 
 
 def test_forked_error_records_match_in_process_ones():
+    # The reference is one direct evaluation in this process.
     spec = SweepSpec("exec-hostile", points=[{"x": 0}, {"x": 1, "mode": "raise"}])
-    inline = run_sweep(spec, workers=1, strict=False)
-    forked = run_sweep(spec, workers=2, strict=False)
-    assert inline.points[1].error == forked.points[1].error
-    assert "attempt" not in forked.points[1].error
+    config = spec.configs()[1]
+    _, direct, _, _ = _evaluate(
+        get_target("exec-hostile"), "exec-hostile", config, spec.point_seed(config),
+        0.0, capture=True,
+    )
+    assert direct["type"] == "ValueError"
+    for workers in (1, 2):
+        forked = run_sweep(spec, workers=workers, strict=False)
+        assert forked.points[1].error == direct
+        assert "attempt" not in forked.points[1].error
 
 
 def test_interrupt_kills_and_joins_every_worker():
@@ -342,7 +402,6 @@ def test_a_killed_worker_never_goes_back_to_the_set():
         registry = MetricsRegistry()
         result = run_sweep(
             SweepSpec("exec-pid", points=grid(x=[1, 2])),
-            isolate=True,
             metrics=registry,
             worker_set=workers,
         )
@@ -377,7 +436,6 @@ def test_a_target_registered_after_the_set_forked_still_evaluates():
         registry = MetricsRegistry()
         result = run_sweep(
             SweepSpec("exec-late", points=grid(x=[1, 2])),
-            isolate=True,
             metrics=registry,
             worker_set=workers,
         )
@@ -390,11 +448,11 @@ def test_a_sweep_borrowing_from_a_set_reports_what_it_reports_alone():
     serving = {"num_requests": 30, "prompt_mean": 64, "output_mean": 16}
     a = SweepSpec("serving", points=grid(request_rate=[4, 8], mtp=[False, True]), base=serving, seed=1)
     b = SweepSpec("serving", points=grid(request_rate=[2, 6]), base=serving, seed=2)
-    alone = run_sweep(b, isolate=True).to_report_json()
+    alone = run_sweep(b).to_report_json()
     with WorkerSet() as workers:
         workers.prefork(1)
-        run_sweep(a, isolate=True, worker_set=workers)
-        after_a = run_sweep(b, isolate=True, worker_set=workers).to_report_json()
+        run_sweep(a, worker_set=workers)
+        after_a = run_sweep(b, worker_set=workers).to_report_json()
     assert after_a == alone
 
 
