@@ -46,9 +46,15 @@ windows over the sim clock: per-window throughput, goodput, queue
 depth, latency percentiles) and ``--slo RULE`` (repeatable) evaluates
 SLO rules — ``burn>RATE[@OBJECTIVE]`` burn-rate rules or
 ``METRIC<OP>VALUE`` threshold rules — over those windows into a
-deterministic fire/resolve alert timeline.  ``sweep --windows`` /
-``--slo`` do the same per point; the ``--json`` document then gains a
+deterministic fire/resolve alert timeline.  In a sweep the same pair
+is two flat keys, ``--set window_s=2.0 --set 'slo=["burn>2@0.9"]'``;
+whenever a point carries windows, the ``--json`` document gains a
 cross-point ``windows`` section merged via ``Histogram.merge``.
+
+``sweep`` and ``optimize`` check every point with the target's builder
+(:func:`repro.sweep.targets.check_points`) before anything forks, as
+the service does at submit: a bad point exits 1 with ``bad sweep spec:
+...`` or ``bad search spec: ...``.
 
 ``serve-sim`` and ``trace`` build their scenarios with the sweep targets'
 builders (:mod:`repro.sweep.targets`), on flat keys that state their own
@@ -269,8 +275,10 @@ def _print_degradation(degradation) -> None:
 def _cmd_serve_sim(args: argparse.Namespace) -> None:
     from .serving import ServingSimulator, report_asdict
 
-    keys = (*_SERVE_SIM, "mtp", "record_requests", "window_s", "slo")
-    config = _serving_config(args, {k: getattr(args, k) for k in keys})
+    keys = (*_SERVE_SIM, "mtp", "record_requests", "window_s")
+    config = _serving_config(
+        args, {**{k: getattr(args, k) for k in keys}, "slo": args.slo or None}
+    )
     simulator = ServingSimulator(config, on_progress=_serve_sim_progress(args, config))
     report = simulator.run()
     if args.json:
@@ -460,9 +468,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         SweepSpec,
         get_target,
         grid,
+        merged_windows_section,
         print_sweep_summary,
         run_sweep,
     )
+    from .sweep.targets import check_points
 
     try:
         # get_target rather than a target_names() membership test: it
@@ -474,13 +484,12 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     base = {k: v[0] for k, v in _sweep_pairs(args.set, "--set")}
     if not axes:
         raise SystemExit("need at least one --grid K=V1,V2,... axis")
-    if args.slo and args.windows is None:
-        raise SystemExit("--slo requires --windows SECONDS")
-    if args.windows is not None:
-        base["window_s"] = args.windows
-        if args.slo:
-            base["slo"] = list(args.slo)
-    spec = SweepSpec(target=args.target, points=grid(**axes), base=base, seed=args.seed)
+    points = grid(**axes)
+    try:
+        check_points(args.target, points, base)
+    except ValueError as exc:
+        raise SystemExit(f"bad sweep spec: {exc}")
+    spec = SweepSpec(target=args.target, points=points, base=base, seed=args.seed)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     metrics = MetricsRegistry()
     supervise = None
@@ -499,14 +508,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     )
     if args.json:
         payload = result.payload()
-        if args.windows is not None:
-            # Opt-in only: the default document stays byte-identical to
-            # a telemetry-unaware sweep of the same spec.
-            from .sweep import merged_windows_section
-
-            section = merged_windows_section(payload["points"])
-            if section is not None:
-                payload["windows"] = section
+        # Only points with windows add the section, so a sweep without
+        # telemetry prints the same document as a telemetry-unaware one.
+        section = merged_windows_section(payload["points"])
+        if section is not None:
+            payload["windows"] = section
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     print_sweep_summary(result)
@@ -515,39 +521,25 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         f"\n{len(result.points)} points  evaluated {result.evaluated}  "
         f"cache hits {result.cache_hits}  wall {result.wall_time:.2f}s  cache {where}"
     )
-    if args.windows is not None:
+    results = [p.result for p in result.points]
+    section = merged_windows_section([{"result": r} for r in results])
+    if section is not None:
         from .obs import sparkline
-        from .sweep import merged_windows_section
 
-        section = merged_windows_section(
-            [{"result": p.result} for p in result.points]
+        throughput = [s["throughput_tokens_per_s"] for s in section["summaries"]]
+        print(
+            f"windows: {len(section['merged'])} merged across "
+            f"{section['points']} points  throughput {sparkline(throughput)}"
         )
-        if section is not None:
-            throughput = [
-                s["throughput_tokens_per_s"] for s in section["summaries"]
-            ]
-            print(
-                f"windows: {len(section['merged'])} merged across "
-                f"{section['points']} points  throughput {sparkline(throughput)}"
-            )
-        alerts = sum(
-            len((p.result or {}).get("alerts") or ()) for p in result.points
-        )
-        if args.slo:
-            print(f"slo: {alerts} alert transitions across all points")
+    alerted = [r["alerts"] for r in results if isinstance(r, dict) and "alerts" in r]
+    if alerted:
+        print(f"slo: {sum(map(len, alerted))} alert transitions across all points")
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
     from .obs import MetricsRegistry
-    from .optimize import (
-        FidelityLadder,
-        SearchSpec,
-        parse_objective,
-        print_search_summary,
-        run_search,
-    )
-    from .sweep import SweepCache, get_target, grid
-    from .sweep.targets import dry_build
+    from .optimize import print_search_summary, run_search, search_scenario
+    from .sweep import SweepCache, get_target
 
     try:
         get_target(args.target)  # resolves lazy targets (chaos, optimize)
@@ -556,38 +548,26 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
     space = dict(_sweep_pairs(args.space, "--space"))
     if not space:
         raise SystemExit("need at least one --space K=V1,V2,... axis")
-    base = {k: v[0] for k, v in _sweep_pairs(args.set, "--set")}
-    ladder = None
+    # The flags as the optimize target's flat config: a search checks
+    # the same way from the CLI as from a sweep point or a service job.
+    config = {
+        "target": args.target,
+        "objective": args.objective,
+        "space": space,
+        "base": {k: v[0] for k, v in _sweep_pairs(args.set, "--set")},
+        "eta": args.eta,
+        "rungs": args.rungs,
+        "budget_s": args.budget,
+        "initial": args.initial,
+    }
     if args.ladder is not None:
         try:
-            ladder = FidelityLadder(**json.loads(args.ladder))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            config["ladder"] = json.loads(args.ladder)
+        except json.JSONDecodeError as exc:
             raise SystemExit(f"bad --ladder: {exc}")
     try:
-        parse_objective(args.objective)  # fail fast on DSL errors
-        spec = SearchSpec(
-            target=args.target,
-            objective=args.objective,
-            space=space,
-            base=base,
-            seed=args.seed,
-            eta=args.eta,
-            rungs=args.rungs,
-            budget_s=args.budget,
-            initial=args.initial,
-            ladder=ladder,
-        )
-        resolved = spec.resolved_ladder()  # fail fast on a missing/clashing ladder
-        # Every point the search could evaluate, at every rung, is built
-        # now, so a bad value stops the search before its first batch.
-        for point in grid(**spec.space):
-            for fidelity in resolved.rungs:
-                config = {**spec.base, **point, resolved.key: fidelity}
-                try:
-                    dry_build(spec.target, config)
-                except ValueError as exc:
-                    raise ValueError(f"{spec.target} point {config}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+        spec = search_scenario(config, args.seed)
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"bad search spec: {exc}")
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     result = run_search(
@@ -870,15 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", action="store_true",
         help="print the deterministic sweep document instead of the table",
-    )
-    p.add_argument(
-        "--windows", type=float, default=None, metavar="SECONDS",
-        help="per-point windowed telemetry (serving target); --json output "
-        "gains a merged cross-point 'windows' section",
-    )
-    p.add_argument(
-        "--slo", action="append", default=[], metavar="RULE",
-        help="SLO monitor rule per point (repeatable); requires --windows",
     )
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

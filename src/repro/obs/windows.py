@@ -1,4 +1,4 @@
-"""Windowed aggregation over simulation time (tumbling or sliding).
+"""Windowed aggregation over simulation time (tumbling windows).
 
 Post-hoc snapshots answer "how did the run end up"; the paper's SLO
 framing (§2.3, §5) asks "did TTFT/TPOT hold *continuously*" — through
@@ -16,9 +16,10 @@ counts, so rollups from different sweep points combine exactly via
 percentiles per window) are always derived *after* any merging.
 
 Window membership is half-open: window ``k`` covers sim-times in
-``[k * slide, k * slide + width)``.  ``slide == width`` (the default)
-gives tumbling windows; ``slide < width`` gives overlapping sliding
-windows, where one event lands in every window containing it.
+``[k * width, (k + 1) * width)``, so each event lands in exactly one
+window.  A run may touch at most :data:`MAX_WINDOWS` windows: the
+rollup materializes every window up to the last one touched, so a
+``window_s`` far below the run's span would otherwise exhaust memory.
 """
 
 from __future__ import annotations
@@ -28,74 +29,67 @@ import math
 from .metrics import Histogram
 
 __all__ = [
+    "MAX_WINDOWS",
     "WindowedMetrics",
     "merge_window_rollups",
     "window_summaries",
 ]
 
 
+#: Most windows one run may span.  Every committed scenario uses windows
+#: of 1 s or more, far below this; 40 requests at 4 req/s with
+#: ``window_s`` 1e-4 would need about 130,000.
+MAX_WINDOWS = 100_000
+
+
 class WindowedMetrics:
-    """Fixed-width window aggregation on a simulated clock.
+    """Fixed-width tumbling-window aggregation on a simulated clock.
 
     Args:
-        width_s: Window width in (sim) seconds.
-        slide_s: Stride between window starts; defaults to ``width_s``
-            (tumbling).  Must satisfy ``0 < slide_s <= width_s``.
-        growth: Geometric bucket growth for per-window histograms
-            (relative percentile error ``sqrt(growth) - 1``).
+        width_s: Window width in (sim) seconds.  Per-window histograms
+            use :class:`Histogram`'s default bucket growth.
     """
 
-    __slots__ = ("width", "slide", "growth", "_tumbling", "_windows")
+    __slots__ = ("width", "_windows")
 
-    def __init__(
-        self, width_s: float, slide_s: float | None = None, growth: float = 1.02
-    ) -> None:
+    def __init__(self, width_s: float) -> None:
         if width_s <= 0:
             raise ValueError("width_s must be positive")
-        slide = width_s if slide_s is None else slide_s
-        if not 0 < slide <= width_s:
-            raise ValueError("slide_s must be in (0, width_s]")
         self.width = float(width_s)
-        self.slide = float(slide)
-        self.growth = growth
-        self._tumbling = self.slide == self.width
         # index -> {"counters": {name: value}, "stats": {name: [n, total, max]},
         #           "hists": {name: Histogram}}
         self._windows: dict[int, dict] = {}
 
     # -- recording -------------------------------------------------------
 
-    def _indices(self, t: float) -> range:
-        """Indices of every window whose ``[start, start + width)``
-        interval contains ``t`` (empty for ``t < 0``)."""
-        hi = math.floor(t / self.slide)
-        if hi < 0:
-            return range(0)
-        if self._tumbling:
-            # Tumbling windows (the overwhelmingly common case — every
-            # serving run with --window) put each event in exactly one
-            # window; skip the second floor division on the hot path.
-            return range(hi, hi + 1)
-        lo = max(0, math.floor((t - self.width) / self.slide) + 1)
-        return range(lo, hi + 1)
-
-    def _window(self, index: int) -> dict:
+    def _window(self, t: float) -> dict | None:
+        """The window containing ``t`` (``None`` for ``t < 0``)."""
+        index = math.floor(t / self.width)
         window = self._windows.get(index)
         if window is None:
+            if index < 0:
+                return None
+            if index >= MAX_WINDOWS:
+                raise ValueError(
+                    f"window_s {self.width:g} needs more than {MAX_WINDOWS} windows "
+                    f"(an event at t={t:g}s); use a wider window_s"
+                )
             window = {"counters": {}, "stats": {}, "hists": {}}
             self._windows[index] = window
         return window
 
     def count(self, name: str, t: float, amount: float = 1.0) -> None:
         """Add ``amount`` to per-window counter ``name`` at time ``t``."""
-        for index in self._indices(t):
-            counters = self._window(index)["counters"]
+        window = self._window(t)
+        if window is not None:
+            counters = window["counters"]
             counters[name] = counters.get(name, 0) + amount
 
     def sample(self, name: str, t: float, value: float) -> None:
         """Fold one gauge-style observation (kept as count/total/max)."""
-        for index in self._indices(t):
-            stats = self._window(index)["stats"]
+        window = self._window(t)
+        if window is not None:
+            stats = window["stats"]
             entry = stats.get(name)
             if entry is None:
                 stats[name] = [1, value, value]
@@ -107,11 +101,12 @@ class WindowedMetrics:
 
     def observe(self, name: str, t: float, value: float) -> None:
         """Fold one sample into per-window histogram ``name``."""
-        for index in self._indices(t):
-            hists = self._window(index)["hists"]
+        window = self._window(t)
+        if window is not None:
+            hists = window["hists"]
             hist = hists.get(name)
             if hist is None:
-                hist = hists[name] = Histogram(name, growth=self.growth)
+                hist = hists[name] = Histogram(name)
             hist.observe(value)
 
     # -- export ----------------------------------------------------------
@@ -131,8 +126,8 @@ class WindowedMetrics:
             window = self._windows.get(index)
             entry = {
                 "index": index,
-                "start": index * self.slide,
-                "end": index * self.slide + self.width,
+                "start": index * self.width,
+                "end": index * self.width + self.width,
                 "counters": {},
                 "stats": {},
                 "histograms": {},

@@ -17,19 +17,22 @@ same Pareto frontier with ~10× fewer *simulated seconds* (gated by
 * :class:`SearchSpec` / :func:`run_search` / :class:`SearchResult` —
   the engine; every evaluation goes through
   :func:`repro.sweep.run_sweep`, inheriting caching, derived seeds,
-  worker-count byte-identity and supervision.
+  worker-count byte-identity and supervision;
+* :func:`search_scenario` — the ``optimize`` target's flat config as a
+  checked :class:`SearchSpec`.
 
-``repro optimize`` is the CLI face.  The module also registers an
-``optimize`` *sweep target* (resolved lazily by name, like ``chaos``),
-so a whole search can be submitted to the experiment service as a
-job — journaled, resumable, progress over SSE — or even swept over
-(e.g. one search per objective).
+The module registers an ``optimize`` *sweep target* (resolved lazily by
+name, like ``chaos``), so a whole search can be submitted to the
+experiment service as a job — journaled, resumable, progress over SSE —
+or even swept over (e.g. one search per objective).  ``repro optimize``
+is the CLI face: it turns its flags into that target's flat config, and
+both build the search with :func:`search_scenario`.
 """
 
 from __future__ import annotations
 
-from ..sweep import SweepCache, register_target
-from ..sweep.targets import reject_unknown_keys, warm_inner
+from ..sweep import SweepCache, grid, register_target
+from ..sweep.targets import check_points, reject_unknown_keys, warm_inner
 from .ladder import FidelityLadder, get_ladder, ladder_names, register_ladder
 from .objective import (
     Constraint,
@@ -65,25 +68,27 @@ __all__ = [
     "print_search_summary",
     "register_ladder",
     "run_search",
+    "search_scenario",
 ]
 
 
-@register_target("optimize", warm=warm_inner("target"))
-def _optimize_target(config: dict, seed: int) -> dict:
-    """A whole search as one sweep point (service-submittable).
+def search_scenario(config: dict, seed: int) -> SearchSpec:
+    """Build and check the :class:`SearchSpec` of the ``optimize``
+    target's flat config, with root seed ``seed``.
 
-    Config keys mirror :class:`SearchSpec` (``target``, ``objective``,
-    ``space``, optional ``base``/``eta``/``rungs``/``budget_s``/
-    ``initial``/``ladder``), plus the execution-only keys ``workers``
-    (inner fan-out, default 1) and ``cache_dir``/``no_cache``.  The
-    root seed is the point's derived seed, and the returned document is
-    :meth:`SearchResult.report_payload` — cache-independent, so the
-    entry cached for an optimize point is byte-stable however the inner
-    evaluations were obtained.
+    The keys mirror :class:`SearchSpec`: ``target``, ``objective`` and
+    ``space``, and optionally ``base``, ``eta``, ``rungs``,
+    ``budget_s``, ``initial`` and ``ladder`` (:class:`FidelityLadder`
+    kwargs).  The objective is parsed, the ladder resolved, and every
+    space point at every rung checked with
+    :func:`repro.sweep.targets.check_points`, so a bad spec raises
+    (``KeyError``, ``TypeError`` or ``ValueError``) before the search
+    evaluates its first batch.  ``repro optimize`` and the ``optimize``
+    sweep target both build their search here.
     """
     cfg = dict(config)
     cfg.pop("seed", None)  # already folded into the point seed
-    ladder_cfg = cfg.pop("ladder", None)
+    ladder = cfg.pop("ladder", None)
     spec = SearchSpec(
         target=cfg.pop("target"),
         objective=cfg.pop("objective"),
@@ -94,9 +99,35 @@ def _optimize_target(config: dict, seed: int) -> dict:
         rungs=cfg.pop("rungs", None),
         budget_s=cfg.pop("budget_s", None),
         initial=cfg.pop("initial", None),
-        ladder=FidelityLadder(**ladder_cfg) if ladder_cfg else None,
+        ladder=FidelityLadder(**ladder) if ladder else None,
     )
-    workers = int(cfg.pop("workers", 1))
-    cache = None if cfg.pop("no_cache", False) else SweepCache(cfg.pop("cache_dir", None))
     reject_unknown_keys("optimize", cfg)
+    parse_objective(spec.objective)
+    resolved = spec.resolved_ladder()
+    points = [
+        {**point, resolved.key: fidelity}
+        for point in grid(**spec.space)
+        for fidelity in resolved.rungs
+    ]
+    check_points(spec.target, points, spec.base)
+    return spec
+
+
+@register_target("optimize", warm=warm_inner("target"))
+def _optimize_target(config: dict, seed: int) -> dict:
+    """A whole search as one sweep point (service-submittable).
+
+    The config is :func:`search_scenario`'s, plus the execution-only
+    keys ``workers`` (inner fan-out, default 1) and ``cache_dir``/
+    ``no_cache``.  The root seed is the point's derived seed, and the
+    returned document is :meth:`SearchResult.report_payload` —
+    cache-independent, so the entry cached for an optimize point is
+    byte-stable however the inner evaluations were obtained.
+    """
+    cfg = dict(config)
+    workers = int(cfg.pop("workers", 1))
+    no_cache = cfg.pop("no_cache", False)
+    cache_dir = cfg.pop("cache_dir", None)
+    spec = search_scenario(cfg, seed)
+    cache = None if no_cache else SweepCache(cache_dir)
     return run_search(spec, workers=workers, cache=cache).report_payload()

@@ -7,8 +7,9 @@ service: a stdlib-only asyncio HTTP server (no runtime deps beyond
 numpy/networkx) that
 
 * accepts sweep **jobs** over ``POST /jobs`` — any registered sweep
-  target, a grid and/or explicit points, a root seed, an optional
-  :class:`repro.faults.FaultSchedule` payload — and fans each job out
+  target, a grid and/or explicit points, shared ``base`` keys (a
+  :class:`repro.faults.FaultSchedule` payload among them), a root seed
+  — checks every point before anything forks, and fans each job out
   through :func:`repro.sweep.run_sweep` with the shared
   content-addressed :class:`repro.sweep.SweepCache`, so warm work is
   served from cache;

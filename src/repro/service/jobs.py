@@ -35,14 +35,12 @@ hit — resume recomputes only unevaluated points.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import threading
 import time
 from dataclasses import dataclass, field
 
-from ..faults import FaultSchedule
-from ..obs import MetricsRegistry, Tracer, parse_slo_rules
+from ..obs import MetricsRegistry, Tracer
 from ..sweep import (
     PointResult,
     SupervisorPolicy,
@@ -55,8 +53,7 @@ from ..sweep import (
     run_sweep,
     target_names,
 )
-from ..sweep.spec import canonical_config
-from ..sweep.targets import dry_build
+from ..sweep.targets import check_points
 from .breaker import CircuitBreaker
 from .events import EventBroker
 from .state import StateStore
@@ -115,14 +112,10 @@ class JobSpec:
 
         Accepted keys: ``target`` (required, registered sweep target),
         ``grid`` (axes dict) and/or ``points`` (explicit config list),
-        ``base``, ``seed``, ``workers`` (clamped to ``max_workers``),
-        ``name``, ``faults`` (a :class:`repro.faults.FaultSchedule`
-        JSON payload, validated then folded into ``base``),
-        ``recovery`` (kwargs dict, folded likewise), and the telemetry
-        pair ``window_s`` / ``slo`` (rules for
-        :func:`repro.obs.parse_slo_rules`, canonicalized then folded
-        into ``base`` so journal and cache keys are client-order
-        independent).
+        ``base`` (keys shared by every point), ``seed``, ``workers``
+        (clamped to ``max_workers``) and ``name``.  Scenario keys —
+        ``faults``, ``recovery``, ``window_s``, ``slo`` and the rest —
+        belong in ``base`` or in a point, as in any sweep.
 
         Robustness knobs: ``deadline_s`` (whole-job wall-clock budget;
         an overdue job has its running points killed and ends
@@ -133,18 +126,17 @@ class JobSpec:
 
         A job holds at most :data:`MAX_JOB_POINTS` points (grid plus
         ``points``); the grid's size is computed from its axis lengths
-        before any point is built.  Every point, merged over ``base``,
-        is checked by its target's
-        scenario builder (:func:`repro.sweep.targets.dry_build`), so a
-        point that could only fail is rejected here with the builder's
-        message rather than after a fork.  The check runs on the event
-        loop, so it reads no file and routes no flowsim flows.
+        before any point is built.  Every point is checked by
+        :func:`repro.sweep.targets.check_points`, the one check ``repro
+        sweep`` and ``repro optimize`` run too, so a point that could
+        only fail is rejected here with its target builder's message
+        rather than after a fork.  The check runs on the event loop, so
+        it reads no file and routes no flowsim flows.
         """
         if not isinstance(payload, dict):
             raise ValueError("job spec must be a JSON object")
         unknown = set(payload) - {
             "target", "grid", "points", "base", "seed", "workers", "name",
-            "faults", "recovery", "window_s", "slo",
             "deadline_s", "timeout_s", "max_attempts",
         }
         if unknown:
@@ -185,46 +177,7 @@ class JobSpec:
         base = payload.get("base", {})
         if not isinstance(base, dict):
             raise ValueError("'base' must be an object")
-        base = dict(base)
-        faults = payload.get("faults")
-        if faults is not None:
-            if not isinstance(faults, dict):
-                raise ValueError("'faults' must be a FaultSchedule JSON object")
-            try:
-                schedule = FaultSchedule.from_json(faults)
-            except ValueError as exc:
-                raise ValueError(f"bad fault schedule: {exc}") from exc
-            # Store the canonical re-serialized form so the journal and
-            # cache keys never depend on client-side key ordering.
-            base["faults"] = json.loads(schedule.to_json())
-        recovery = payload.get("recovery")
-        if recovery is not None:
-            if not isinstance(recovery, dict):
-                raise ValueError("'recovery' must be an object of kwargs")
-            base["recovery"] = recovery
-        window_s = payload.get("window_s")
-        if window_s is not None:
-            if not _is_positive_number(window_s):
-                raise ValueError("'window_s' must be a positive number")
-            base["window_s"] = window_s
-        slo = payload.get("slo")
-        if slo is not None:
-            if not isinstance(slo, list) or not slo:
-                raise ValueError("'slo' must be a non-empty list of rules")
-            if "window_s" not in base:
-                raise ValueError("'slo' rules require 'window_s'")
-            try:
-                rules = parse_slo_rules(slo)
-            except ValueError as exc:
-                raise ValueError(f"bad SLO rules: {exc}") from exc
-            base["slo"] = [rule.to_dict() for rule in rules]
-        for point in points:
-            merged = {**base, **point}
-            try:
-                canonical_config(merged)
-                dry_build(target, merged)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{target} point {point}: {exc}") from exc
+        check_points(target, points, base)
         workers = payload.get("workers", 1)
         if not _is_int(workers) or workers < 1:
             raise ValueError("'workers' must be a positive integer")

@@ -28,8 +28,11 @@ at run time is always visible to the worker that evaluates it.
 Each built-in target is a pure builder, shared with ``repro serve-sim``
 and ``repro trace``, plus a run.  A builder rejects any key it did not
 consume with ``unknown <target> sweep keys: [...]``.  :func:`dry_build`
-checks a point without the run, so a job can be checked before anything
-is forked.
+checks a point without the run, and :func:`check_points` checks every
+point of a sweep with it before anything is forked.  That is the only
+point check: ``repro sweep``, ``repro optimize`` (through
+:func:`repro.optimize.search_scenario`) and the service's
+``POST /jobs`` all call it.
 
 ``serving`` — :func:`serving_scenario` builds the ``SimConfig`` for
 :class:`repro.serving.ServingSimulator`.  The flat keys are every
@@ -46,6 +49,14 @@ the record).  With ``window_s`` set, each point's record gains
 mergeable ``windows`` and, with ``slo``, an ``alerts`` timeline.
 Points run in constant-memory streaming mode unless ``record_requests``
 is true.
+
+One type rule covers every dataclass field: a flat value must have the
+type the field declares (``int``: not a ``bool``; ``float``: a finite
+number, not a ``bool``; ``bool``, ``str`` and ``X | None`` as
+declared), or the build raises ``<target> '<key>' must be <type>``.
+The keys the builder pops itself are checked alike: ``mtp`` is a
+``bool``, ``mtp_acceptance`` a finite number, ``gpu_cost_per_hour`` a
+non-negative one and ``slo`` a non-empty rule list.
 
 ``flowsim`` — :func:`flowsim_scenario` builds a shifted-ring all-to-all
 on a two-layer fat tree for :class:`repro.network.FlowSimulator`
@@ -68,7 +79,10 @@ import math
 from dataclasses import fields
 from typing import Callable, Iterable
 
+from .spec import canonical_config
+
 __all__ = [
+    "check_points",
     "get_target",
     "register_target",
     "registry_generation",
@@ -179,11 +193,38 @@ def target_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _split_kwargs(cfg: dict, cls, skip: tuple[str, ...] = ()) -> dict:
+#: What a flat value must be to pass as each declared scalar type.  A
+#: ``bool`` is an ``int`` to Python, but neither an ``int`` nor a
+#: ``float`` here; a ``float`` is any finite number.
+_TYPE_CHECKS: dict[str, Callable[[object], bool]] = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+    ),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def _check_type(target: str, key: str, value, declared: str):
+    """Return ``value`` if it is of the ``declared`` type (an annotation
+    string such as ``"int"`` or ``"float | None"``); raise ``ValueError``
+    naming ``target`` and ``key`` otherwise."""
+    if not any(_TYPE_CHECKS[kind.strip()](value) for kind in declared.split("|")):
+        raise ValueError(f"{target} {key!r} must be {declared}, got {value!r}")
+    return value
+
+
+def _split_kwargs(target: str, cfg: dict, cls, skip: tuple[str, ...] = ()) -> dict:
     """Pop every key of ``cfg`` that is a dataclass field of ``cls``,
-    except the fields named in ``skip``."""
-    names = {f.name for f in fields(cls)} - set(skip)
-    return {k: cfg.pop(k) for k in list(cfg) if k in names}
+    except the fields named in ``skip``, checking each value against the
+    type its field declares."""
+    return {
+        f.name: _check_type(target, f.name, cfg.pop(f.name), f.type)
+        for f in fields(cls)
+        if f.name in cfg and f.name not in skip
+    }
 
 
 def _check_number(target: str, key: str, value, *, integer: bool = False, zero: bool = False):
@@ -239,10 +280,10 @@ def serving_scenario(config: dict, seed: int):
 
     cfg = dict(config)
     cfg.pop("seed", None)  # already folded into the point seed
-    mtp = MTPConfig(
-        enabled=bool(cfg.pop("mtp", False)),
-        **({"acceptance_rate": cfg.pop("mtp_acceptance")} if "mtp_acceptance" in cfg else {}),
-    )
+    mtp = {"enabled": _check_type("serving", "mtp", cfg.pop("mtp", False), "bool")}
+    if "mtp_acceptance" in cfg:
+        acceptance = cfg.pop("mtp_acceptance")
+        mtp["acceptance_rate"] = _check_type("serving", "mtp_acceptance", acceptance, "float")
     faults = cfg.pop("faults", None)
     recovery = cfg.pop("recovery", None)
     if recovery is not None and not isinstance(recovery, dict):
@@ -250,18 +291,22 @@ def serving_scenario(config: dict, seed: int):
     # The flat key ``slo`` is the SLO monitor rule list (compact strings or
     # SloRule.to_dict() shapes), i.e. SimConfig.slo_rules, not SimConfig.slo.
     slo_rules = cfg.pop("slo", None)
+    if slo_rules is not None and (not isinstance(slo_rules, (list, tuple)) or not slo_rules):
+        raise ValueError("serving 'slo' must be a non-empty list of rules")
     # Economics opt-in: a $/GPU-hour figure turns on the objective-ready
     # cost_per_token / goodput_tokens_per_s fields in the compact record
     # (repro.serving.report).  Absent, payloads are byte-identical to
     # pre-economics output.
     gpu_cost_per_hour = cfg.pop("gpu_cost_per_hour", None)
-    workload = WorkloadSpec(**_split_kwargs(cfg, WorkloadSpec))
-    scheduler = SchedulerConfig(**_split_kwargs(cfg, SchedulerConfig))
-    scalars = _split_kwargs(cfg, SimConfig, skip=_STRUCTURED_SIM_FIELDS)
+    if gpu_cost_per_hour is not None:
+        _check_number("serving", "gpu_cost_per_hour", gpu_cost_per_hour, zero=True)
+    workload = WorkloadSpec(**_split_kwargs("serving", cfg, WorkloadSpec))
+    scheduler = SchedulerConfig(**_split_kwargs("serving", cfg, SchedulerConfig))
+    scalars = _split_kwargs("serving", cfg, SimConfig, skip=_STRUCTURED_SIM_FIELDS)
     reject_unknown_keys("serving", cfg)
     sim = SimConfig(
         workload=workload,
-        costs=StepCostModel(mtp=mtp),
+        costs=StepCostModel(mtp=MTPConfig(**mtp)),
         scheduler=scheduler,
         seed=seed,
         faults=_fault_schedule(faults),
@@ -387,6 +432,22 @@ _BUILDERS: dict[str, Callable[[dict], object]] = {
     "flowsim": flowsim_params,
     "training": lambda config: training_scenario(config, 0),
 }
+
+
+def check_points(target: str, points: Iterable[dict], base: dict) -> None:
+    """Check every point of a sweep of ``target`` before anything forks.
+
+    Each point is merged over ``base``, keyed (:func:`canonical_config`)
+    and checked by :func:`dry_build`.  The first bad point raises
+    ``ValueError("<target> point <point>: <reason>")``.
+    """
+    for point in points:
+        merged = {**base, **point}
+        try:
+            canonical_config(merged)
+            dry_build(target, merged)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{target} point {point}: {exc}") from exc
 
 
 def dry_build(target: str, config: dict) -> None:

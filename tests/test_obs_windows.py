@@ -1,4 +1,4 @@
-"""Windowed aggregation (repro.obs.windows): indices, rollups, merging."""
+"""Windowed aggregation (repro.obs.windows): membership, rollups, merging."""
 
 import json
 
@@ -16,32 +16,44 @@ from repro.obs import (
 # -- window membership -----------------------------------------------------
 
 
+def _hit_windows(w: WindowedMetrics) -> list[int]:
+    return [win["index"] for win in w.rollup() if win["counters"].get("arrivals")]
+
+
 def test_tumbling_indices_are_half_open():
+    for t, index in ((0.0, 0), (1.999, 0), (2.0, 1), (5.0, 2)):
+        w = WindowedMetrics(2.0)
+        w.count("arrivals", t)
+        assert _hit_windows(w) == [index], t  # a boundary opens the next window
     w = WindowedMetrics(2.0)
-    assert list(w._indices(0.0)) == [0]
-    assert list(w._indices(1.999)) == [0]
-    assert list(w._indices(2.0)) == [1]  # boundary belongs to the next window
-    assert list(w._indices(5.0)) == [2]
-    assert list(w._indices(-0.5)) == []
-
-
-def test_sliding_windows_overlap():
-    w = WindowedMetrics(4.0, slide_s=2.0)
-    # t=5 lies in [2, 6) and [4, 8): windows 1 and 2.
-    assert list(w._indices(5.0)) == [1, 2]
-    w.count("arrivals", 5.0)
-    rollup = w.rollup()
-    hit = [win["index"] for win in rollup if win["counters"].get("arrivals")]
-    assert hit == [1, 2]
+    w.count("arrivals", -0.5)
+    assert w.rollup() == []
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
         WindowedMetrics(0.0)
-    with pytest.raises(ValueError):
-        WindowedMetrics(2.0, slide_s=3.0)  # slide > width
-    with pytest.raises(ValueError):
-        WindowedMetrics(2.0, slide_s=0.0)
+
+
+def test_too_many_windows_raise_naming_window_s():
+    """A rollup materializes every window up to the last one touched, so
+    a window far narrower than the run would exhaust memory."""
+    from repro.obs.windows import MAX_WINDOWS
+
+    w = WindowedMetrics(1.0)
+    w.count("arrivals", MAX_WINDOWS - 0.5)  # the last window allowed
+    with pytest.raises(ValueError, match="window_s"):
+        w.count("arrivals", MAX_WINDOWS)
+
+
+def test_a_serving_run_with_a_tiny_window_s_is_refused():
+    """40 requests at 4 req/s with 1e-4 s windows would materialize about
+    130,000 windows; the run raises instead."""
+    from repro.sweep import get_target
+
+    config = {"request_rate": 4.0, "num_requests": 40, "window_s": 1e-4}
+    with pytest.raises(ValueError, match="window_s"):
+        get_target("serving")(config, 0)
 
 
 # -- rollup ----------------------------------------------------------------

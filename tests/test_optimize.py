@@ -354,6 +354,24 @@ def test_optimize_target_resolves_lazily_and_runs():
             "space": {"x": [1]}, "bogus": 1, "no_cache": True}, seed=0)
 
 
+def test_optimize_target_accepts_cache_dir_under_no_cache(tmp_path):
+    """``no_cache`` wins over ``cache_dir``, as ``repro optimize --no-cache
+    --cache-dir D`` does; the pair used to fail as an unknown key."""
+    cache_dir = tmp_path / "cache"
+    payload = get_target("optimize")(
+        {
+            "target": "test_quad",
+            "objective": "minimize loss",
+            "space": {"x": [2, 3, 4], "y": [4, 5, 6]},
+            "no_cache": True,
+            "cache_dir": str(cache_dir),
+        },
+        seed=7,
+    )
+    assert payload["frontier"][0]["config"]["x"] == 3
+    assert not cache_dir.exists()
+
+
 # --------------------------------------------------------------- CLI
 
 

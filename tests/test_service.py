@@ -310,11 +310,11 @@ def test_point_errors_stream_as_error_events(tmp_path):
 
 def test_faults_payload_accepted_and_validated(tmp_path):
     schedule = {"events": [{"time": 1.0, "kind": "gpu", "target": "decode", "mttr": 2.0}]}
+    base = {**SERVING_BASE, "num_requests": 40}
     spec = {
         "target": "serving",
         "grid": {"request_rate": [6]},
-        "base": {**SERVING_BASE, "num_requests": 40},
-        "faults": schedule,
+        "base": {**base, "faults": schedule},
         "seed": 1,
     }
 
@@ -323,19 +323,26 @@ def test_faults_payload_accepted_and_validated(tmp_path):
         assert status == 202
         events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
         assert events[-1][0] == "done" and events[-1][1]["errors"] == 0
-        # Malformed schedules are rejected up front, not at run time.
-        bad = dict(spec, faults={"events": [{"time": -3, "kind": "gpu"}]})
-        status, payload = await client.post_json("/jobs", bad)
-        assert status == 400 and "fault" in payload["error"]
-        # A bool count and a NaN mttr used to store a never-repaired
-        # 1-GPU fault; a non-list ``events`` used to raise TypeError.
-        for faults in (
-            {"events": [{"time": 1, "kind": "gpu", "count": True, "mttr": math.nan}]},
-            {"events": [{"time": math.inf, "kind": "gpu"}]},
-            {"events": {"time": 1, "kind": "gpu"}},
+        # Malformed schedules are rejected up front, not at run time.  A
+        # bool count and a NaN mttr used to store a never-repaired 1-GPU
+        # fault; a non-list ``events`` used to raise TypeError.
+        for faults, message in (
+            ({"events": [{"time": -3, "kind": "gpu"}]}, "fault time must be finite"),
+            ({"events": [{"time": 1, "kind": "gpu", "count": True}]},
+             "count must be a positive integer"),
+            ({"events": [{"time": 1, "kind": "gpu", "mttr": math.nan}]}, "JSON-serializable"),
+            ({"events": [{"time": math.inf, "kind": "gpu"}]}, "JSON-serializable"),
+            ({"events": {"time": 1, "kind": "gpu"}}, "an object with an 'events' list"),
         ):
-            status, payload = await client.post_json("/jobs", dict(spec, faults=faults))
-            assert status == 400 and "bad fault schedule" in payload["error"]
+            bad = dict(spec, base={**base, "faults": faults})
+            status, payload = await client.post_json("/jobs", bad)
+            assert status == 400, faults
+            assert payload["error"].startswith("serving point {") and message in payload["error"]
+        # The job-level spelling is gone: scenario keys live in ``base``.
+        status, payload = await client.post_json(
+            "/jobs", dict(spec, base=base, faults=schedule)
+        )
+        assert status == 400 and "unknown job spec keys: ['faults']" in payload["error"]
 
     asyncio.run(_with_server(_config(tmp_path), body))
 
@@ -705,11 +712,11 @@ def _telemetry_spec() -> dict:
             "mode": "disaggregated",
             "prompt_mean": 256,
             "output_mean": 64,
-        },
-        "window_s": 2.0,
-        "slo": ["burn>2@0.9"],
-        "faults": {
-            "events": [{"time": 3.0, "kind": "node", "target": "decode", "mttr": 3.0}]
+            "window_s": 2.0,
+            "slo": ["burn>2@0.9"],
+            "faults": {
+                "events": [{"time": 3.0, "kind": "node", "target": "decode", "mttr": 3.0}]
+            },
         },
         "seed": 17,
     }
@@ -828,27 +835,30 @@ def test_dash_page_embeds_jobs(tmp_path):
 
 def test_telemetry_payload_validation(tmp_path):
     spec = {"target": "serving", "grid": {"request_rate": [4]}, "base": SERVING_BASE}
+    bad = [
+        ({"window_s": -1.0}, "window_s must be positive"),
+        ({"window_s": True}, "serving 'window_s' must be float | None, got True"),
+        # NaN is not canonical JSON: refused before the builder runs.
+        ({"window_s": math.nan}, "JSON-serializable"),
+        ({"slo": ["burn>2@0.9"]}, "slo_rules require window_s"),
+        ({"window_s": 2.0, "slo": ["garbage"]}, "bad SLO rule 'garbage'"),
+        ({"window_s": 2.0, "slo": []}, "serving 'slo' must be a non-empty list of rules"),
+    ]
 
     async def body(server, client):
-        status, payload = await client.post_json("/jobs", {**spec, "window_s": -1.0})
-        assert status == 400 and "window_s" in payload["error"]
-        status, payload = await client.post_json("/jobs", {**spec, "window_s": True})
-        assert status == 400 and "window_s" in payload["error"]
-        status, payload = await client.post_json(
-            "/jobs", {**spec, "slo": ["burn>2@0.9"]}
-        )
-        assert status == 400 and "window_s" in payload["error"]
-        status, payload = await client.post_json(
-            "/jobs", {**spec, "window_s": 2.0, "slo": ["garbage"]}
-        )
-        assert status == 400 and "slo" in payload["error"].lower()
-        status, payload = await client.post_json(
-            "/jobs", {**spec, "window_s": 2.0, "slo": []}
-        )
-        assert status == 400 and "slo" in payload["error"].lower()
-        # A well-formed pair is accepted, with the rules canonicalized.
+        for extra, message in bad:
+            status, payload = await client.post_json(
+                "/jobs", {**spec, "base": {**SERVING_BASE, **extra}}
+            )
+            assert status == 400, extra
+            assert payload["error"].startswith("serving point {") and message in payload["error"]
+        # The job-level spelling is gone: scenario keys live in ``base``.
+        for key, value in (("window_s", 2.0), ("slo", ["burn>2@0.9"])):
+            status, payload = await client.post_json("/jobs", {**spec, key: value})
+            assert status == 400 and f"unknown job spec keys: ['{key}']" in payload["error"]
+        # A well-formed pair is accepted.
         status, job = await client.post_json(
-            "/jobs", {**spec, "window_s": 2.0, "slo": ["burn>2@0.9"]}
+            "/jobs", {**spec, "base": {**SERVING_BASE, "window_s": 2.0, "slo": ["burn>2@0.9"]}}
         )
         assert status == 202
         await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
@@ -890,9 +900,9 @@ def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
     spec = {"target": "serving", "grid": {"request_rate": [4]}, "base": SERVING_BASE}
     bad = [
         # A bare string axis is one point whose value is the string.
-        ({**spec, "grid": {"request_rate": "abc"}}, "not supported"),
+        ({**spec, "grid": {"request_rate": "abc"}}, "'request_rate' must be float"),
         ({**spec, "grid": {"nosuchkey": [1, 2]}}, "unknown serving sweep keys: ['nosuchkey']"),
-        ({**spec, "base": {**SERVING_BASE, "num_requests": "many"}}, "not supported"),
+        ({**spec, "base": {**SERVING_BASE, "num_requests": "many"}}, "'num_requests' must be int"),
     ]
 
     async def body(server, client):
@@ -907,6 +917,44 @@ def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
         assert status == 202
 
     asyncio.run(_with_server(_config(tmp_path), body))
+
+
+#: Serving values of the wrong type, each once accepted by the builder:
+#: ``"false"`` turned MTP on, ``20.5`` requests failed with a TypeError
+#: after a fork, and ``2.5`` GPUs ran.
+MISTYPED_SERVING = [
+    ("mtp", "false"),
+    ("record_requests", "no"),
+    ("num_requests", 20.5),
+    ("num_requests", True),
+    ("request_rate", True),
+    ("window_s", True),
+    ("prefill_gpus", 2.5),
+    ("block_tokens", 16.5),
+    ("max_concurrent_per_gpu", 1.5),
+    ("kv_blocks_per_gpu", 64.5),
+    ("mtp_acceptance", True),
+    ("gpu_cost_per_hour", -1),
+]
+
+
+@pytest.mark.parametrize("key, value", MISTYPED_SERVING)
+def test_mistyped_serving_values_are_refused_at_build_and_submit(tmp_path, key, value):
+    from repro.sweep.targets import dry_build
+
+    config = {**SERVING_BASE, key: value}
+    with pytest.raises(ValueError, match=f"serving '{key}' must be"):
+        dry_build("serving", config)
+    spec = {"target": "serving", "points": [{}], "base": config}
+
+    async def body(server, client):
+        status, reply = await client.post_json("/jobs", spec)
+        assert status == 400, reply
+        assert f"serving '{key}' must be" in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+
+    asyncio.run(_with_server(_config(tmp_path, job_workers=1), body))
 
 
 def test_submit_check_reads_no_file_and_routes_no_flows(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, Tracer
 from repro.sweep import (
@@ -409,6 +411,70 @@ def test_dry_build_accepts_defaults_and_skips_other_targets():
     dry_build("svc-anything", {"bogus": 1})  # no pure builder: unchecked
 
 
+#: Well-typed, in-range values for every serving flat key, small enough
+#: that a run of at most 64 requests finishes in milliseconds.
+_SERVING_VALUES = {
+    "request_rate": st.integers(1, 16) | st.floats(0.5, 16.0),
+    "num_requests": st.integers(1, 64),
+    "prompt_mean": st.integers(1, 512),
+    "prompt_cv": st.floats(0.0, 1.0),
+    "output_mean": st.integers(1, 128),
+    "output_cv": st.floats(0.0, 1.0),
+    "arrival": st.sampled_from(["poisson", "bursty"]),
+    "burst_fraction": st.floats(0.05, 0.95),
+    "burst_factor": st.floats(1.5, 20.0),
+    "max_concurrent_per_gpu": st.integers(1, 64),
+    "max_prefill_tokens": st.integers(1, 8192),
+    "max_prefill_requests": st.integers(1, 16),
+    "mode": st.sampled_from(["colocated", "disaggregated"]),
+    "prefill_gpus": st.integers(1, 4),
+    "decode_gpus": st.integers(1, 8),
+    "kv_blocks_per_gpu": st.none() | st.integers(1, 4096),
+    "block_tokens": st.integers(1, 128),
+    "context_bucket": st.integers(1, 1024),
+    "window_s": st.none() | st.floats(0.5, 10.0),
+    "record_requests": st.booleans(),
+    "mtp": st.booleans(),
+    "mtp_acceptance": st.floats(0.0, 1.0),
+    "gpu_cost_per_hour": st.floats(0.0, 10.0),
+}
+#: JSON scalars of the wrong type for some key: a bool, a float where an
+#: int is declared, a string, a null.
+_WRONG_SCALARS = st.sampled_from([True, False, 2.5, "4", None])
+
+
+def _mostly(good):
+    """``good`` nine draws in ten, else a wrong-typed scalar, so about a
+    third of the configs carry no wrong value and run."""
+    return st.integers(0, 9).flatmap(lambda roll: _WRONG_SCALARS if roll == 0 else good)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@example({"num_requests": 20.5})  # used to fail with a TypeError in the run
+@given(
+    st.fixed_dictionaries(
+        # num_requests is always drawn, so no run falls back to 200.
+        {"num_requests": _mostly(_SERVING_VALUES["num_requests"])},
+        optional={
+            key: _mostly(good)
+            for key, good in _SERVING_VALUES.items()
+            if key != "num_requests"
+        },
+    )
+)
+def test_a_serving_config_is_refused_by_its_build_or_runs(config):
+    """The builder is the only point check, so whatever it accepts must
+    run: a wrong-typed value is refused, never a crash after a fork."""
+    from repro.sweep.targets import dry_build
+
+    try:
+        dry_build("serving", config)
+    except ValueError:
+        return
+    record = get_target("serving")(config, 0)
+    assert 0 <= record["completed"] <= config["num_requests"]
+
+
 def test_unknown_target_raises():
     with pytest.raises(KeyError, match="unknown sweep target"):
         run_sweep(SweepSpec(target="no-such-target", points=[{"x": 1}]), cache=None)
@@ -455,6 +521,7 @@ def test_cli_sweep_json_document(tmp_path, capsys):
     ]
     assert [p["result"]["value"] for p in cold["points"]] == [5, 7]
     assert cold["evaluated"] == 2 and cold["cache_hits"] == 0
+    assert "windows" not in cold  # no point carried windows
 
     assert main(argv) == 0
     warm = json.loads(capsys.readouterr().out)
@@ -475,6 +542,40 @@ def test_cli_sweep_table_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sweep 'test_counting'" in out
     assert "evaluated 2" in out
+
+
+def test_cli_sweep_refuses_a_bad_point_before_any_fork(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--target", "serving", "--grid", "mode=colocated,bogus",
+              "--cache-dir", str(tmp_path)])
+    message = str(excinfo.value)
+    assert message.startswith("bad sweep spec: serving point {'mode': 'bogus'}: ")
+    assert "unknown mode 'bogus'" in message
+    assert not list(tmp_path.iterdir())  # the good point was not run either
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_sweep_windows_and_alerts_ride_set_keys(capsys):
+    from repro.cli import main
+    from repro.obs import merge_window_rollups
+
+    argv = [
+        "sweep", "--target", "serving", "--grid", "request_rate=4,8",
+        *("--set", "num_requests=20", "--set", "prompt_mean=64", "--set", "output_mean=16"),
+        *("--set", "window_s=2", "--set", 'slo=["burn>2@0.9"]'),
+        "--no-cache",
+    ]
+    assert main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rollups = [p["result"]["windows"] for p in doc["points"]]
+    assert doc["windows"]["points"] == 2
+    assert doc["windows"]["merged"] == json.loads(json.dumps(merge_window_rollups(rollups)))
+    assert all("alerts" in p["result"] for p in doc["points"])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "windows: " in out and "slo: " in out
 
 
 def test_cli_sweep_value_parsing():
