@@ -260,13 +260,17 @@ class Histogram:
         return sorted(self._buckets.items())
 
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s samples into this histogram, exactly.
+        """Fold ``other``'s samples into this histogram.
 
         Geometric buckets of equal ``growth`` are alignment-free: the
-        merged histogram is bit-identical to one that observed both
-        sample streams directly, which is what makes per-window and
-        per-sweep-point histograms roll up without re-observing.
-        Returns ``self`` for chaining.
+        merged count, buckets, min and max — and so every percentile —
+        equal those of one histogram that observed both sample streams
+        directly, which is what makes per-window and per-sweep-point
+        histograms roll up without re-observing.  ``total`` (and so
+        ``mean``) is a float sum taken in a different order, so it may
+        differ from the direct one in the last bits, as it does in over
+        half of random two-way splits of lognormal samples.  Returns
+        ``self`` for chaining.
         """
         if other.growth != self.growth:
             raise ValueError(

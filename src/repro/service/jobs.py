@@ -208,7 +208,7 @@ class JobSpec:
         )
 
     def to_payload(self) -> dict:
-        """The journal form; :meth:`from_journal` round-trips it."""
+        """The journal form; :meth:`from_payload` round-trips it."""
         return {
             "target": self.target,
             "points": list(self.points),
@@ -220,20 +220,6 @@ class JobSpec:
             "timeout_s": self.timeout_s,
             "max_attempts": self.max_attempts,
         }
-
-    @classmethod
-    def from_journal(cls, payload: dict) -> "JobSpec":
-        return cls(
-            target=payload["target"],
-            points=tuple(payload["points"]),
-            base=payload.get("base", {}),
-            seed=payload.get("seed", 0),
-            workers=payload.get("workers", 1),
-            name=payload.get("name"),
-            deadline_s=payload.get("deadline_s"),
-            timeout_s=payload.get("timeout_s"),
-            max_attempts=payload.get("max_attempts", 1),
-        )
 
     def supervisor_policy(self) -> SupervisorPolicy | None:
         """The supervised-execution policy, or ``None`` for unsupervised
@@ -497,15 +483,20 @@ class JobManager:
         """Rebuild jobs from journals; re-enqueue interrupted ones.
 
         Resume bypasses the capacity check on purpose — work the server
-        already accepted is never shed by a restart.
+        already accepted is never shed by a restart.  A journaled spec
+        gets the same check a submission does, so a job whose spec is
+        corrupt (or no longer valid) is skipped rather than resumed to
+        fail after a fork.
         """
         for job_id, records in sorted(self.state.load().items()):
             submit = next((r for r in records if r.get("kind") == "submit"), None)
             if submit is None:
                 continue
             try:
-                spec = JobSpec.from_journal(submit["spec"])
-            except (KeyError, TypeError):
+                spec = JobSpec.from_payload(
+                    submit.get("spec"), max_workers=self.max_sweep_workers
+                )
+            except ValueError:
                 continue
             terminal = next(
                 (

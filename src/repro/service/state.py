@@ -12,9 +12,9 @@ A journal line is one JSON object with a ``"kind"`` discriminator:
 ``point`` (one settled sweep point), ``resume`` (a restart picked the
 job back up), ``summary`` (terminal counts).  The journal is the only
 write path for job state, so a server killed at any instant loses at
-most the line it was writing — :meth:`StateStore.load` tolerates a
-truncated final line — and a restart reconstructs every job from the
-journals alone.  Results themselves are *not* journaled: they live in
+most the line it was writing — :meth:`StateStore.load` skips a
+truncated or corrupt line — and a restart reconstructs every job from
+the journals alone.  Results themselves are *not* journaled: they live in
 the :class:`repro.sweep.SweepCache`, which is what makes resume cheap
 (recompute only unevaluated points) and the report byte-identical.
 """
@@ -99,16 +99,17 @@ class StateStore:
     def load(self) -> dict[str, list[dict]]:
         """Every job's journal records, keyed by job id.
 
-        A truncated or corrupt trailing line (the server died
-        mid-append) is skipped, never fatal.
+        A line that is not one JSON object — truncated (the server died
+        mid-append), not UTF-8, or nested too deep to parse — is
+        skipped, never fatal.
         """
         journals: dict[str, list[dict]] = {}
         for path in sorted(self.jobs_dir.glob("*.jsonl")):
             records = []
-            for line in path.read_text(encoding="utf-8").splitlines():
+            for line in path.read_bytes().splitlines():
                 try:
-                    record = json.loads(line)
-                except ValueError:
+                    record = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):
                     continue
                 if isinstance(record, dict):
                     records.append(record)

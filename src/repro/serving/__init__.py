@@ -15,8 +15,11 @@ from .calqueue import CalendarQueue
 from .costmodel import MTPConfig, StepCostModel
 from .kvpool import KVPoolConfig, PagedKVPool, kv_pool_blocks
 from .report import (
+    KV_OCCUPANCY,
+    QUEUE_DEPTH,
     SLO,
     LatencyStats,
+    RunFold,
     SimReport,
     build_report,
     build_streaming_report,
@@ -32,8 +35,6 @@ from .scheduler import (
 from .simulator import (
     COLOCATED,
     DISAGGREGATED,
-    KV_OCCUPANCY,
-    QUEUE_DEPTH,
     ServingSimulator,
     SimConfig,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "kv_pool_blocks",
     "SLO",
     "LatencyStats",
+    "RunFold",
     "SimReport",
     "build_report",
     "build_streaming_report",

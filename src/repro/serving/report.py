@@ -6,22 +6,40 @@ TPOT / end-to-end *distributions*, queue-depth and KV-occupancy traces,
 and goodput under explicit SLOs — the quantities §2.3.1's
 disaggregation argument is actually about (tail latency under bursts).
 
+One run's aggregates live in one :class:`RunFold`, which the simulator
+feeds as requests arrive, drop and finish and as channels are sampled.
+Both report builders read only the fold:
+:func:`build_streaming_report` derives every field from its running
+aggregates and histograms (constant memory), and :func:`build_report`
+replaces what a record-mode run's kept requests and full-resolution
+traces make exact.
+
 Reports are frozen dataclasses of plain floats/tuples, so two runs of a
 seeded simulator can be compared with ``==`` to assert determinism.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.windows import WindowedMetrics
 from .workload import Request
 
 if TYPE_CHECKING:  # circular at runtime: repro.faults builds on this module
     from ..faults.report import DegradationReport
+
+#: Registry channel names the report is built from.
+QUEUE_DEPTH = "serving.queue_depth"
+KV_OCCUPANCY = "serving.kv_occupancy"
+
+#: Streaming mode keeps the queue/KV traces at decaying resolution
+#: (TimeSeries decimate mode) instead of one exact sample per event.
+STREAM_TRACE_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -227,113 +245,207 @@ def compact_record(
     return record
 
 
-def build_report(
-    finished: list[Request],
-    slo: SLO,
+class RunFold:
+    """Every run-level aggregate of one serving simulation.
+
+    The simulator owns the engine (queues, pools, clock, tracer); this
+    object owns what the run *measured*, folded as it happens:
+
+    * engine counters — ``preemptions``, ``decode_steps``,
+      ``prefill_batches``, ``draft_attempts`` and ``draft_accepted``,
+      which the simulator bumps in place, plus the six ``faults``
+      tallies (each key is a ``serving.fault_<key>`` counter suffix and
+      a :func:`repro.faults.report.build_degradation` keyword) and the
+      decode ``batch_profile`` (batch size → ``[steps, total seconds]``);
+    * the request fold — ``completed``, ``slo_met``, ``tokens`` and the
+      TTFT/TPOT/E2E histograms, judged against the SLO once per request;
+    * the channel fold — sample count, sums and maxima of queue depth
+      and KV occupancy, and the registry's two channel series, fresh
+      per run (decimated to ``STREAM_TRACE_POINTS`` unless records are
+      kept);
+    * the optional :class:`WindowedMetrics` (``window_s`` set);
+    * the ``dropped`` rids and, when records are kept, the ``admitted``
+      requests (for the degradation report) and the ``finished`` ones
+      in finish order.
+
+    :meth:`arrival`, :meth:`drop`, :meth:`finish` and :meth:`sample`
+    fold the run's events, each running the window hooks itself; the
+    simulator bumps the engine counters and fills ``admitted`` directly.
+    Both report builders read the fold and nothing else.
+    """
+
+    __slots__ = (
+        "slo", "total_blocks", "preemptions", "decode_steps", "prefill_batches",
+        "draft_attempts", "draft_accepted", "faults", "batch_profile",
+        "completed", "slo_met", "tokens", "ttft", "tpot", "e2e",
+        "samples", "queue_sum", "queue_max", "kv_sum", "kv_peak",
+        "queue_series", "kv_series", "windowed", "admitted", "finished", "dropped",
+    )
+
+    def __init__(
+        self,
+        slo: SLO,
+        metrics: MetricsRegistry,
+        total_blocks: int,
+        *,
+        records: bool,
+        window_s: float | None = None,
+    ) -> None:
+        self.slo = slo
+        self.total_blocks = total_blocks
+        self.preemptions = 0
+        self.decode_steps = 0
+        self.prefill_batches = 0
+        self.draft_attempts = 0
+        self.draft_accepted = 0
+        self.faults = dict.fromkeys(
+            ("retries", "retry_dropped", "shed", "evicted", "steps_aborted", "lost_tokens"),
+            0,
+        )
+        self.batch_profile: dict[int, list] = {}
+        self.completed = 0
+        self.slo_met = 0
+        self.tokens = 0
+        self.ttft = Histogram("ttft")
+        self.tpot = Histogram("tpot")
+        self.e2e = Histogram("e2e")
+        self.samples = 0
+        self.queue_sum = 0
+        self.queue_max = 0
+        self.kv_sum = 0.0
+        self.kv_peak = 0.0
+        # Fresh channels per run: a caller's registry may still hold the
+        # previous run's samples, and the report reads only this run's.
+        points = None if records else STREAM_TRACE_POINTS
+        self.queue_series = metrics.fresh_series(QUEUE_DEPTH, max_points=points, mode="decimate")
+        self.kv_series = metrics.fresh_series(KV_OCCUPANCY, max_points=points, mode="decimate")
+        self.windowed = WindowedMetrics(window_s) if window_s is not None else None
+        self.admitted: list[Request] | None = [] if records else None
+        self.finished: list[Request] | None = [] if records else None
+        self.dropped: list[int] = []
+
+    def arrival(self, now: float) -> None:
+        """One arrival, counted as offered load before any shedding."""
+        if self.windowed is not None:
+            self.windowed.count("arrivals", now)
+
+    def drop(self, rid: int, now: float) -> None:
+        """One request dropped unserved."""
+        self.dropped.append(rid)
+        if self.windowed is not None:
+            self.windowed.count("dropped", now)
+
+    def finish(self, request: Request, now: float) -> None:
+        """One request completed; only record mode keeps the object."""
+        if self.finished is not None:
+            self.finished.append(request)
+        met = self.slo.met_by(request)
+        self.ttft.observe(request.ttft)
+        if request.has_tpot:
+            self.tpot.observe(request.tpot)
+        self.e2e.observe(request.e2e)
+        self.tokens += request.generated
+        self.slo_met += met
+        self.completed += 1
+        windowed = self.windowed
+        if windowed is not None:
+            windowed.count("finished", now)
+            windowed.count("tokens", now, request.generated)
+            if met:
+                windowed.count("slo_met", now)
+            windowed.observe("ttft", now, request.ttft)
+            if request.has_tpot:
+                windowed.observe("tpot", now, request.tpot)
+            windowed.observe("e2e", now, request.e2e)
+
+    def sample(self, t: float, depth: int, used: int) -> None:
+        """One channel sample: queued requests and used KV blocks."""
+        occupancy = used / self.total_blocks
+        self.samples += 1
+        self.queue_sum += depth
+        self.kv_sum += occupancy
+        if depth > self.queue_max:
+            self.queue_max = depth
+        if occupancy > self.kv_peak:
+            self.kv_peak = occupancy
+        self.queue_series.record(t, depth)
+        self.kv_series.record(t, occupancy)
+        windowed = self.windowed
+        if windowed is not None:
+            windowed.sample("queue_depth", t, depth)
+            windowed.sample("kv_occupancy", t, occupancy)
+
+
+def build_streaming_report(
+    fold: RunFold,
     duration: float,
-    preemptions: int,
-    decode_steps: int,
-    prefill_batches: int,
-    draft_attempts: int,
-    draft_accepted: int,
-    queue_trace: list[tuple[float, int]],
-    kv_trace: list[tuple[float, float]],
-    degradation: "DegradationReport | None" = None,
     windows: tuple[dict, ...] | None = None,
     alerts: tuple[dict, ...] | None = None,
 ) -> SimReport:
-    """Aggregate per-request records into a :class:`SimReport`.
+    """The report of a run, from its fold alone.
 
-    The TPOT distribution is built only from requests where TPOT is
-    defined (two or more generated tokens); degenerate single-token
-    requests would otherwise pull the percentiles toward an artificial
-    0.0.  They still count toward completion, TTFT/E2E and goodput
-    (see :meth:`SLO.met_by`).
+    Counts, rates, means, maxima and KV/queue dynamics are exact
+    (running integer/float aggregates over every event); only the
+    latency *percentiles* are histogram estimates with bounded relative
+    error.  The traces are the channel series as recorded — decimated
+    to a bounded point budget unless the run kept records.
     """
-    finished = sorted(finished, key=lambda r: r.rid)
-    tokens = sum(r.generated for r in finished)
-    slo_met = sum(1 for r in finished if slo.met_by(r))
-    queue_depths = [d for _, d in queue_trace]
-    kv_levels = [v for _, v in kv_trace]
+    completed = fold.completed
+    samples = fold.samples
     return SimReport(
-        completed=len(finished),
-        preemptions=preemptions,
+        completed=completed,
+        preemptions=fold.preemptions,
         duration=duration,
-        tokens_generated=tokens,
-        ttft=LatencyStats.from_samples([r.ttft for r in finished]),
-        tpot=LatencyStats.from_samples([r.tpot for r in finished if r.has_tpot]),
-        e2e=LatencyStats.from_samples([r.e2e for r in finished]),
-        throughput_tokens_per_s=tokens / duration if duration > 0 else 0.0,
-        goodput_requests_per_s=slo_met / duration if duration > 0 else 0.0,
-        slo_attainment=slo_met / len(finished) if finished else 0.0,
-        mean_queue_depth=float(np.mean(queue_depths)) if queue_depths else 0.0,
-        max_queue_depth=max(queue_depths, default=0),
-        mean_kv_occupancy=float(np.mean(kv_levels)) if kv_levels else 0.0,
-        peak_kv_occupancy=max(kv_levels, default=0.0),
-        decode_steps=decode_steps,
-        prefill_batches=prefill_batches,
-        mtp_acceptance_measured=draft_accepted / draft_attempts if draft_attempts else 0.0,
-        queue_depth_trace=tuple(queue_trace),
-        kv_occupancy_trace=tuple(kv_trace),
-        degradation=degradation,
+        tokens_generated=fold.tokens,
+        ttft=LatencyStats.from_histogram(fold.ttft),
+        tpot=LatencyStats.from_histogram(fold.tpot),
+        e2e=LatencyStats.from_histogram(fold.e2e),
+        throughput_tokens_per_s=fold.tokens / duration if duration > 0 else 0.0,
+        goodput_requests_per_s=fold.slo_met / duration if duration > 0 else 0.0,
+        slo_attainment=fold.slo_met / completed if completed else 0.0,
+        mean_queue_depth=fold.queue_sum / samples if samples else 0.0,
+        max_queue_depth=fold.queue_max,
+        mean_kv_occupancy=fold.kv_sum / samples if samples else 0.0,
+        peak_kv_occupancy=fold.kv_peak,
+        decode_steps=fold.decode_steps,
+        prefill_batches=fold.prefill_batches,
+        mtp_acceptance_measured=(
+            fold.draft_accepted / fold.draft_attempts if fold.draft_attempts else 0.0
+        ),
+        queue_depth_trace=tuple(fold.queue_series.samples),
+        kv_occupancy_trace=tuple(fold.kv_series.samples),
         windows=windows,
         alerts=alerts,
     )
 
 
-def build_streaming_report(
-    *,
-    completed: int,
-    slo_met: int,
-    tokens_generated: int,
-    ttft: Histogram,
-    tpot: Histogram,
-    e2e: Histogram,
+def build_report(
+    fold: RunFold,
     duration: float,
-    preemptions: int,
-    decode_steps: int,
-    prefill_batches: int,
-    draft_attempts: int,
-    draft_accepted: int,
-    channel_samples: int,
-    queue_sum: float,
-    queue_max: int,
-    kv_sum: float,
-    kv_peak: float,
-    queue_trace: list[tuple[float, int]],
-    kv_trace: list[tuple[float, float]],
+    degradation: "DegradationReport | None" = None,
     windows: tuple[dict, ...] | None = None,
     alerts: tuple[dict, ...] | None = None,
 ) -> SimReport:
-    """Aggregate streaming run state into a :class:`SimReport`.
+    """The exact report of a run that kept its records.
 
-    The constant-memory counterpart of :func:`build_report`: counts,
-    rates, means, maxima and KV/queue dynamics are exact (running
-    integer/float aggregates over every event); only the latency
-    *percentiles* are histogram estimates with bounded relative error.
-    Traces are the decimated channels — full time span, bounded points.
+    The streaming report, with what the kept records make exact: the
+    latency statistics over the finished requests (in rid order) and
+    the two channel means over the full-resolution series.  The TPOT
+    distribution covers only requests where TPOT is defined (two or
+    more generated tokens); degenerate single-token requests would
+    otherwise pull the percentiles toward an artificial 0.0.  They
+    still count toward completion, TTFT/E2E and goodput (see
+    :meth:`SLO.met_by`).
     """
-    return SimReport(
-        completed=completed,
-        preemptions=preemptions,
-        duration=duration,
-        tokens_generated=tokens_generated,
-        ttft=LatencyStats.from_histogram(ttft),
-        tpot=LatencyStats.from_histogram(tpot),
-        e2e=LatencyStats.from_histogram(e2e),
-        throughput_tokens_per_s=tokens_generated / duration if duration > 0 else 0.0,
-        goodput_requests_per_s=slo_met / duration if duration > 0 else 0.0,
-        slo_attainment=slo_met / completed if completed else 0.0,
-        mean_queue_depth=queue_sum / channel_samples if channel_samples else 0.0,
-        max_queue_depth=queue_max,
-        mean_kv_occupancy=kv_sum / channel_samples if channel_samples else 0.0,
-        peak_kv_occupancy=kv_peak,
-        decode_steps=decode_steps,
-        prefill_batches=prefill_batches,
-        mtp_acceptance_measured=draft_accepted / draft_attempts if draft_attempts else 0.0,
-        queue_depth_trace=tuple(queue_trace),
-        kv_occupancy_trace=tuple(kv_trace),
-        degradation=None,
-        windows=windows,
-        alerts=alerts,
+    finished = sorted(fold.finished, key=attrgetter("rid"))
+    queue_depths = [d for _, d in fold.queue_series.samples]
+    kv_levels = [v for _, v in fold.kv_series.samples]
+    return replace(
+        build_streaming_report(fold, duration, windows, alerts),
+        ttft=LatencyStats.from_samples([r.ttft for r in finished]),
+        tpot=LatencyStats.from_samples([r.tpot for r in finished if r.has_tpot]),
+        e2e=LatencyStats.from_samples([r.e2e for r in finished]),
+        mean_queue_depth=float(np.mean(queue_depths)) if queue_depths else 0.0,
+        mean_kv_occupancy=float(np.mean(kv_levels)) if kv_levels else 0.0,
+        degradation=degradation,
     )

@@ -66,10 +66,12 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   nothing else reads that generator, so the run is exact; only the
   per-request numpy call is gone.  ``_MTP_BLOCK = 1`` is the scalar
   reference the tests compare against.
-* Event counters accumulate in plain ints (the six fault tallies in
-  one dict keyed by counter suffix) and flush into the
-  :class:`MetricsRegistry` once per run, so tracing-off runs pay no
-  per-event instrument overhead.
+* Every run-level aggregate lives in one
+  :class:`repro.serving.report.RunFold`: engine counters are plain
+  ints on it (the six fault tallies in one dict keyed by counter
+  suffix) and flush into the :class:`MetricsRegistry` once per run, so
+  tracing-off runs pay no per-event instrument overhead.  The
+  simulator keeps only the engine state and the tracer spans.
 
 Memory design (million-request runs, gated by
 ``benchmarks/bench_simcore_scale.py``):
@@ -79,16 +81,18 @@ Memory design (million-request runs, gated by
   a mutable :class:`Request` is materialized only when its arrival
   fires, and each arrival event feeds the next, so live Python objects
   are O(active requests).
-* One aggregation path: in both modes every retired request folds
-  into geometric-bucket histograms and running sums (judged against
-  the SLO once), and every channel sample into running sums.  The
-  default streaming report is assembled from that fold by
+* One aggregation path: in both modes the run fold takes every
+  arrival, drop, finished request (into geometric-bucket histograms
+  and running sums, judged against the SLO once) and channel sample
+  (into running sums), and runs the window hooks itself.  The default
+  streaming report is built from the fold alone by
   :func:`repro.serving.report.build_streaming_report`, with traces
   decimated to ``STREAM_TRACE_POINTS``.  Record mode
   (``SimConfig.record_requests``, implied by fault runs, whose
-  degradation report needs per-request timelines) only adds the kept
-  request lists and full-resolution traces, from which
-  :func:`repro.serving.report.build_report` computes exact statistics.
+  degradation report needs per-request timelines) only makes the fold
+  keep the request lists and full-resolution traces, from which
+  :func:`repro.serving.report.build_report` replaces the latency
+  statistics and channel means with exact ones.
 """
 
 from __future__ import annotations
@@ -106,16 +110,20 @@ from ..obs import (
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
-    WindowedMetrics,
     evaluate_slo,
     parse_slo_rules,
     window_summaries,
 )
-from ..obs.metrics import Histogram
 from .calqueue import CalendarQueue
 from .costmodel import StepCostModel
 from .kvpool import KVPoolConfig, PagedKVPool, kv_pool_blocks
-from .report import SLO, SimReport, build_report, build_streaming_report
+from .report import (
+    SLO,
+    RunFold,
+    SimReport,
+    build_report,
+    build_streaming_report,
+)
 from .scheduler import SchedulerConfig, form_prefill_batch
 from .workload import Request, WorkloadSpec, generate_request_columns
 
@@ -146,17 +154,9 @@ _MTP_BLOCK = 1024
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
 
-#: Registry channel names the report is built from.
-QUEUE_DEPTH = "serving.queue_depth"
-KV_OCCUPANCY = "serving.kv_occupancy"
-
 #: Scheduler order: oldest-first with rid tie-break (see scheduler.py).
 _BY_ARRIVAL = attrgetter("arrival", "rid")
 _BY_RID = attrgetter("rid")
-
-#: Streaming mode keeps the queue/KV traces at decaying resolution
-#: (TimeSeries decimate mode) instead of one exact sample per event.
-STREAM_TRACE_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,10 @@ class ServingSimulator:
             roughly every 5% of requests retired (finished or dropped),
             and once at the end.  Lets long runs surface bounded
             progress without the caller polling simulator internals.
+
+    Each ``run`` folds what it measures into a fresh
+    :class:`repro.serving.report.RunFold`, kept afterwards as
+    ``self.fold``.
     """
 
     def __init__(
@@ -365,7 +369,6 @@ class ServingSimulator:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._metrics_arg = metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._windowed: WindowedMetrics | None = None
         self._on_progress = on_progress
         self._progress_total = config.workload.num_requests
         self._progress_every = max(1, self._progress_total // 20)
@@ -448,6 +451,14 @@ class ServingSimulator:
         # Record mode keeps exact per-request state; fault runs imply it
         # because the degradation report needs per-request timelines.
         records_kept = cfg.record_requests or bool(fault_events)
+        fold = self.fold = RunFold(
+            cfg.slo,
+            metrics,
+            sum(p.kv.config.total_blocks for p in pools),
+            records=records_kept,
+            window_s=cfg.window_s,
+        )
+        admitted = fold.admitted
 
         # Workload state stays in flat numpy columns; a Request object
         # exists only from its arrival event until it finishes (or is
@@ -460,112 +471,33 @@ class ServingSimulator:
             cfg.workload, seeded_generator(cfg.seed, "workload")
         )
         total_requests = len(columns)
-        all_requests: list[Request] | None = [] if records_kept else None
         next_arrival = 0
 
         def feed_arrival() -> None:
             nonlocal next_arrival
             request = columns.materialize(next_arrival)
             next_arrival += 1
-            if all_requests is not None:
-                all_requests.append(request)
+            if admitted is not None:
+                admitted.append(request)
             push(request.arrival, _ARRIVAL, request)
 
         feed_arrival()
         for event in fault_events:
             push(event.time, _FAULT, event)
-        # Live telemetry: fold events into sim-time windows as they
-        # happen (O(windows) memory).  None unless window_s was set, so
-        # un-windowed runs skip every hook with one identity check.
-        windowed = WindowedMetrics(cfg.window_s) if cfg.window_s is not None else None
-        self._windowed = windowed
         self._active_faults = 0
-        # Fault tallies: each key is both the ``serving.fault_<key>``
-        # counter suffix and a build_degradation keyword.
-        faults = self._faults = dict.fromkeys(
-            ("retries", "retry_dropped", "shed", "evicted", "steps_aborted", "lost_tokens"),
-            0,
-        )
-
-        finished: list[Request] | None = [] if records_kept else None
-        dropped: list[int] = []  # rids only — drop records are counters
-        self._dropped = dropped
-        # Event counters accumulate in plain ints; they flush into the
-        # registry once at the end of the run (nothing reads them
-        # mid-run, and per-event Counter.inc() calls are pure overhead).
-        self._n_preemptions = 0
-        self._n_decode_steps = 0
-        self._n_prefill_batches = 0
-        self._n_draft_attempts = 0
-        self._n_draft_accepted = 0
-        self._n_completed = 0
-        self._batch_profile: dict[int, list] = {}
-        # The aggregate fold, run in both modes: latency histograms plus
-        # running sums over requests and sampled channels.  Record mode
-        # only adds the kept lists and full-resolution channels.
-        self._n_slo_met = 0
-        self._tokens_generated = 0
-        self._ttft_hist = Histogram("ttft")
-        self._tpot_hist = Histogram("tpot")
-        self._e2e_hist = Histogram("e2e")
-        channel_samples = 0
-        queue_sum = 0
-        queue_max = 0
-        kv_sum = 0.0
-        kv_peak = 0.0
-        # Fresh channels per run: a caller's registry may still hold the
-        # previous run's samples, and the report reads only this run's.
-        trace_points = None if records_kept else STREAM_TRACE_POINTS
-        queue_series = metrics.fresh_series(
-            QUEUE_DEPTH, max_points=trace_points, mode="decimate"
-        )
-        kv_series = metrics.fresh_series(
-            KV_OCCUPANCY, max_points=trace_points, mode="decimate"
-        )
-        total_blocks = sum(p.kv.config.total_blocks for p in pools)
         now = 0.0
 
         def next_event_time() -> float:
             return events.peek_time() if events else math.inf
 
-        def record_sample(t: float, depth: int, used: int) -> None:
-            nonlocal channel_samples, queue_sum, queue_max, kv_sum, kv_peak
-            occupancy = used / total_blocks
-            channel_samples += 1
-            queue_sum += depth
-            kv_sum += occupancy
-            if depth > queue_max:
-                queue_max = depth
-            if occupancy > kv_peak:
-                kv_peak = occupancy
-            queue_series.record(t, depth)
-            kv_series.record(t, occupancy)
-            if windowed is not None:
-                windowed.sample("queue_depth", t, depth)
-                windowed.sample("kv_occupancy", t, occupancy)
-
-        def sample_channels(t: float) -> None:
-            record_sample(t, *_channel_levels(pools))
-            if tracer.enabled:
-                for p in pools:
-                    pool_depth = len(p.prefill_queue) + len(p.entry_queue)
-                    pool_occ = p.kv.used_blocks / p.kv.config.total_blocks
-                    tracer.counter("queue_depth", p.pid, t, {"requests": pool_depth})
-                    tracer.counter("kv_occupancy", p.pid, t, {"fraction": pool_occ})
-                    tracer.counter("active_streams", p.pid, t, {"requests": len(p.active)})
-
         self._next_event_time = next_event_time
-        self._record_sample = record_sample
-        self._sample_channels = sample_channels
-        self._finished = finished
         while events:
             now, kind, _, payload = events.pop()
             if kind == _ARRIVAL:
                 assert isinstance(payload, Request)
                 if next_arrival < total_requests:
                     feed_arrival()
-                if windowed is not None:
-                    windowed.count("arrivals", now)  # offered load, pre-shed
+                fold.arrival(now)
                 if self._active_faults and self._shed_arrival(payload, now, pools):
                     continue
                 payload.queued_since = now
@@ -579,15 +511,15 @@ class ServingSimulator:
                 pool, epoch = payload
                 if epoch != pool.step_epoch:
                     continue  # step was aborted by a fault; completion is stale
-                self._finish_step(pool, now, pools, finished, push)
-                sample_channels(now)
+                self._finish_step(pool, now, pools, push)
+                self._sample(now, pools)
             elif kind == _FAULT:
                 assert isinstance(payload, FaultEvent)
                 self._apply_fault(payload, now, pools, push)
-                sample_channels(now)
+                self._sample(now, pools)
             elif kind == _REPAIR:
                 self._apply_repair(payload, now)
-                sample_channels(now)
+                self._sample(now, pools)
             else:  # _RETRY: backoff elapsed, re-enter the prefill queue
                 assert isinstance(payload, Request)
                 payload.queued_since = now
@@ -597,35 +529,35 @@ class ServingSimulator:
 
         duration = now
         for name, value in (
-            ("serving.preemptions", self._n_preemptions),
-            ("serving.decode_steps", self._n_decode_steps),
-            ("serving.prefill_batches", self._n_prefill_batches),
-            ("serving.mtp_draft_attempts", self._n_draft_attempts),
-            ("serving.mtp_draft_accepted", self._n_draft_accepted),
-            ("serving.requests_completed", self._n_completed),
-            ("serving.requests_dropped", len(dropped)),
+            ("serving.preemptions", fold.preemptions),
+            ("serving.decode_steps", fold.decode_steps),
+            ("serving.prefill_batches", fold.prefill_batches),
+            ("serving.mtp_draft_attempts", fold.draft_attempts),
+            ("serving.mtp_draft_accepted", fold.draft_accepted),
+            ("serving.requests_completed", fold.completed),
+            ("serving.requests_dropped", len(fold.dropped)),
         ):
             metrics.counter(name).inc(value)
         degradation = None
         if fault_events:
             # Fault channels exist only on faulty runs, so fault-free
             # registries (and their snapshots) are untouched.
-            for key, value in faults.items():
+            for key, value in fold.faults.items():
                 metrics.counter(f"serving.fault_{key}").inc(value)
             degradation = build_degradation(
-                all_requests,
+                admitted,
                 fault_events,
                 cfg.slo,
                 horizon=duration,
                 admitted=total_requests,
-                finished=self._n_completed,
-                dropped=len(dropped),
-                **faults,
+                finished=fold.completed,
+                dropped=len(fold.dropped),
+                **fold.faults,
             )
         windows = None
         alerts = None
-        if windowed is not None:
-            rollup = windowed.rollup()
+        if fold.windowed is not None:
+            rollup = fold.windowed.rollup()
             windows = tuple(rollup)
             if cfg.slo_rules:
                 events = evaluate_slo(window_summaries(rollup), cfg.slo_rules)
@@ -651,52 +583,33 @@ class ServingSimulator:
                             },
                         )
         if records_kept:
-            report = build_report(
-                finished,
-                cfg.slo,
-                duration,
-                self._n_preemptions,
-                self._n_decode_steps,
-                self._n_prefill_batches,
-                self._n_draft_attempts,
-                self._n_draft_accepted,
-                queue_series.samples,
-                kv_series.samples,
-                degradation=degradation,
-                windows=windows,
-                alerts=alerts,
-            )
+            report = build_report(fold, duration, degradation, windows, alerts)
         else:
-            report = build_streaming_report(
-                completed=self._n_completed,
-                slo_met=self._n_slo_met,
-                tokens_generated=self._tokens_generated,
-                ttft=self._ttft_hist,
-                tpot=self._tpot_hist,
-                e2e=self._e2e_hist,
-                duration=duration,
-                preemptions=self._n_preemptions,
-                decode_steps=self._n_decode_steps,
-                prefill_batches=self._n_prefill_batches,
-                draft_attempts=self._n_draft_attempts,
-                draft_accepted=self._n_draft_accepted,
-                channel_samples=channel_samples,
-                queue_sum=queue_sum,
-                queue_max=queue_max,
-                kv_sum=kv_sum,
-                kv_peak=kv_peak,
-                queue_trace=queue_series.samples,
-                kv_trace=kv_series.samples,
-                windows=windows,
-                alerts=alerts,
-            )
+            report = build_streaming_report(fold, duration, windows, alerts)
         self.decode_batch_profile = tuple(
             (batch, count, total / count)
-            for batch, (count, total) in sorted(self._batch_profile.items())
+            for batch, (count, total) in sorted(fold.batch_profile.items())
         )
-        self.dropped = tuple(dropped)
-        self.finished_requests = tuple(finished or ())  # finish order; () when streaming
+        self.dropped = tuple(fold.dropped)
+        self.finished_requests = tuple(fold.finished or ())  # finish order; () when streaming
         return report
+
+    def _sample(self, t: float, pools: tuple[_Pool, ...]) -> None:
+        """Fold one channel sample at ``t``; a traced run also emits the
+        per-pool counters."""
+        self.fold.sample(t, *_channel_levels(pools))
+        if self.tracer.enabled:
+            self._trace_levels(t, pools)
+
+    def _trace_levels(self, t: float, pools: tuple[_Pool, ...]) -> None:
+        """Per-pool queue depth, KV occupancy and active streams at ``t``."""
+        tracer = self.tracer
+        for p in pools:
+            pool_depth = len(p.prefill_queue) + len(p.entry_queue)
+            pool_occ = p.kv.used_blocks / p.kv.config.total_blocks
+            tracer.counter("queue_depth", p.pid, t, {"requests": pool_depth})
+            tracer.counter("kv_occupancy", p.pid, t, {"fraction": pool_occ})
+            tracer.counter("active_streams", p.pid, t, {"requests": len(p.active)})
 
     # -- per-request trace helpers ---------------------------------------
 
@@ -710,9 +623,7 @@ class ServingSimulator:
         self.tracer.instant(name, "request", self._requests_pid, request.rid, now, args=args)
 
     def _drop(self, request: Request, now: float) -> None:
-        self._dropped.append(request.rid)
-        if self._windowed is not None:
-            self._windowed.count("dropped", now)
+        self.fold.drop(request.rid, now)
         if self.tracer.enabled:
             self._instant("drop", request, now, context_tokens=request.context_tokens)
         if self._on_progress is not None:
@@ -720,7 +631,7 @@ class ServingSimulator:
 
     def _progress(self, now: float) -> None:
         """Fire the progress callback on every 5% of retired requests."""
-        done = self._n_completed + len(self._dropped)
+        done = self.fold.completed + len(self.fold.dropped)
         if done % self._progress_every == 0 or done == self._progress_total:
             self._on_progress(done, self._progress_total, now)
 
@@ -758,7 +669,7 @@ class ServingSimulator:
             pool.busy = False
             pool.current_batch, pool.current_kind = [], None
             pool.step_epoch += 1
-            self._faults["steps_aborted"] += 1
+            self.fold.faults["steps_aborted"] += 1
             if step_kind == "prefill":
                 # Partial prefill produced nothing durable: release the
                 # batch's KV and put it back at the head of the queue.
@@ -812,7 +723,7 @@ class ServingSimulator:
         """An in-flight request lost its GPU: retry with exponential
         backoff until the budget runs out, then drop."""
         policy = self.config.recovery
-        faults = self._faults
+        faults = self.fold.faults
         faults["evicted"] += 1
         faults["lost_tokens"] += request.generated
         request.retries += 1
@@ -835,12 +746,10 @@ class ServingSimulator:
         """Degraded admission control: while a fault window is open,
         arrivals beyond the queue limit are shed at the door (FCFS makes
         the newest entrant the lowest-priority one)."""
-        depth = 0
-        for pool in pools:
-            depth += len(pool.prefill_queue) + len(pool.entry_queue)
+        depth, _ = _channel_levels(pools)
         if depth < self.config.recovery.degraded_queue_limit:
             return False
-        self._faults["shed"] += 1
+        self.fold.faults["shed"] += 1
         self._drop(request, now)
         return True
 
@@ -879,7 +788,7 @@ class ServingSimulator:
                 pool.current_kind = "prefill"
                 pool.current_batch = batch
                 pool.step_start = now
-                self._n_prefill_batches += 1
+                self.fold.prefill_batches += 1
                 if tracer.enabled:
                     for request in batch:
                         self._span("queued", request, request.queued_since, now)
@@ -913,10 +822,12 @@ class ServingSimulator:
         block_tokens = kv.config.block_tokens
         context_bucket = cfg.context_bucket
         decode_step_time = cfg.costs.decode_step_time
+        fold = self.fold
+        sample = fold.sample
         batch, context_tokens = pool.select_batch(pool.decode_cap)
         size = len(batch)
         per_device = max(1, math.ceil(size / (2 * pool.num_gpus)))
-        profile = self._batch_profile.setdefault(size, [0, 0.0])
+        profile = fold.batch_profile.setdefault(size, [0, 0.0])
         bucket = duration = None
         limit = folded = 0
         due: dict[int, list[Request]] = {}
@@ -944,8 +855,8 @@ class ServingSimulator:
                 if short > kv.free_blocks:
                     break  # an extend could fail: preempt in _finish_step
                 pool.current_batch, pool.current_kind, pool.step_start = batch, "decode", now
-                self._finish_step(pool, end, pools, self._finished, push)
-                self._sample_channels(end)
+                self._finish_step(pool, end, pools, push)
+                self._sample(end, pools)
                 batch, context_tokens = pool.select_batch(pool.decode_cap)
             else:
                 crossing = due.get(folded + 1)
@@ -963,18 +874,17 @@ class ServingSimulator:
                         request.kv_tokens = -(-need // block_tokens) * block_tokens
                     used += len(crossing)  # one block per crossing
                 context_tokens += size
+                sample(end, depth, used)
                 if traced:
                     # end - now, as the queued completion computes it.
                     self.tracer.complete(
                         "decode_step", "step", pool.pid, 0, now, end - now,
                         args={"batch": size},
                     )
-                    self._sample_channels(end)
-                else:
-                    self._record_sample(end, depth, used)
+                    self._trace_levels(end, pools)
             folded += 1
             now = end
-        self._n_decode_steps += folded + 1
+        fold.decode_steps += folded + 1
         if folded and not mtp:
             for request in batch:
                 request.generated += folded
@@ -1060,7 +970,6 @@ class ServingSimulator:
         pool: _Pool,
         now: float,
         pools: tuple[_Pool, ...],
-        finished: list[Request] | None,
         push,
     ) -> None:
         cfg = self.config
@@ -1088,7 +997,7 @@ class ServingSimulator:
                     request.first_token_time = now
                     request.generated = 1
                 if request.generated >= request.output_tokens:
-                    self._finish_request(request, now, pool, finished, from_active=False)
+                    self._finish_request(request, now, pool, from_active=False)
                 elif cfg.mode == COLOCATED:
                     request.decode_since = now
                     pool.add_active(request)
@@ -1113,6 +1022,7 @@ class ServingSimulator:
         mtp_enabled = mtp.enabled
         acceptance = mtp.acceptance_rate
         uniform = self._mtp_uniform
+        fold = self.fold
         kv = pool.kv
         block_tokens = kv.config.block_tokens
         active = pool.active
@@ -1124,9 +1034,9 @@ class ServingSimulator:
             output_tokens = request.output_tokens
             emit = 1
             if mtp_enabled and generated + 1 < output_tokens:
-                self._n_draft_attempts += 1
+                fold.draft_attempts += 1
                 if uniform() < acceptance:
-                    self._n_draft_accepted += 1
+                    fold.draft_accepted += 1
                     emit = 2
             new_generated = generated + emit
             if new_generated > output_tokens:
@@ -1135,7 +1045,7 @@ class ServingSimulator:
             request.generated = new_generated
             if new_generated >= output_tokens:
                 pool.remove_active(request)
-                self._finish_request(request, now, pool, finished, from_active=True)
+                self._finish_request(request, now, pool, from_active=True)
                 continue
             need = request.prompt_tokens + new_generated + 1
             if need <= request.kv_tokens:
@@ -1147,7 +1057,7 @@ class ServingSimulator:
                 active.pop()
                 pool.active_ctx -= victim.prompt_tokens + victim.generated
                 victim.decoding = False
-                self._n_preemptions += 1
+                fold.preemptions += 1
                 if tracer.enabled:
                     self._span(
                         "decode", victim, victim.decode_since, now,
@@ -1163,40 +1073,14 @@ class ServingSimulator:
                 request.kv_tokens = -(-need // block_tokens) * block_tokens
 
     def _finish_request(
-        self,
-        request: Request,
-        now: float,
-        pool: _Pool,
-        finished: list[Request] | None,
-        from_active: bool,
+        self, request: Request, now: float, pool: _Pool, from_active: bool
     ) -> None:
         request.finish_time = now
         pool.kv.free(request.rid)
         request.kv_tokens = 0
-        # Fold the request into the run-level aggregates; only record
-        # mode keeps the object past here.
-        if finished is not None:
-            finished.append(request)
-        met = self.config.slo.met_by(request)
-        self._ttft_hist.observe(request.ttft)
-        if request.has_tpot:
-            self._tpot_hist.observe(request.tpot)
-        self._e2e_hist.observe(request.e2e)
-        self._tokens_generated += request.generated
-        self._n_slo_met += met
-        self._n_completed += 1
+        self.fold.finish(request, now)
         if self._on_progress is not None:
             self._progress(now)
-        windowed = self._windowed
-        if windowed is not None:
-            windowed.count("finished", now)
-            windowed.count("tokens", now, request.generated)
-            if met:
-                windowed.count("slo_met", now)
-            windowed.observe("ttft", now, request.ttft)
-            if request.has_tpot:
-                windowed.observe("tpot", now, request.tpot)
-            windowed.observe("e2e", now, request.e2e)
         if self.tracer.enabled:
             if from_active and request.decode_since >= 0:
                 self._span(

@@ -10,10 +10,11 @@ An entry is self-describing — it stores the target, merged config,
 effective seed and package version alongside the result — so a cache
 directory can be audited with ``jq`` and an entry can be validated
 against the key that addresses it.  Anything wrong with an entry
-(unparsable JSON, missing fields, a key mismatch from corruption or a
-truncated write) is treated as a miss and silently recomputed; writes
-go through a temp file + ``os.replace`` so concurrent sweeps sharing a
-cache directory never observe half-written entries.
+(unparsable or too deeply nested JSON, missing fields, a key mismatch
+from corruption or a truncated write, a shard that is not a directory)
+is treated as a miss and silently recomputed; writes go through a temp
+file + ``os.replace`` so concurrent sweeps sharing a cache directory
+never observe half-written entries.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ class SweepCache:
     def get(self, key: str) -> dict | None:
         """The stored result for ``key``, or ``None`` on miss.
 
-        A corrupted or foreign entry — unreadable, unparsable, missing
-        the ``result`` field, or recorded under a different key — is a
-        miss, never an error: the point is recomputed and the entry
-        overwritten.
+        A corrupted or foreign entry — unreadable, unparsable, nested
+        too deep to parse, missing the ``result`` field, or recorded
+        under a different key — is a miss, never an error: the point is
+        recomputed and the entry overwritten.
         """
         path = self.path_for(key)
         try:
             entry = json.loads(path.read_text())
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(entry, dict) or entry.get("key") != key:
             return None
@@ -91,11 +92,15 @@ class SweepCache:
         if cached is not None and cached[0] == mtime:
             return cached[1]
         keys = set()
-        with os.scandir(path) as it:
-            for entry in it:
-                name = entry.name
-                if name.endswith(".json"):
-                    keys.add(name[: -len(".json")])
+        try:
+            with os.scandir(path) as it:
+                for entry in it:
+                    name = entry.name
+                    if name.endswith(".json"):
+                        keys.add(name[: -len(".json")])
+        except OSError:  # not a directory (or unreadable): every key misses
+            self._shards.pop(shard, None)
+            return set()
         self._shards[shard] = (mtime, keys)
         return keys
 

@@ -26,6 +26,7 @@ from repro.service import (
     CircuitOpen,
     EventBroker,
     ExperimentServer,
+    JobManager,
     JobSpec,
     ServiceClient,
     ServiceConfig,
@@ -107,7 +108,7 @@ def test_jobspec_accepts_and_journals_robustness_knobs():
     }
     spec = JobSpec.from_payload(payload)
     assert (spec.deadline_s, spec.timeout_s, spec.max_attempts) == (30.0, 5.0, 3)
-    assert JobSpec.from_journal(spec.to_payload()) == spec
+    assert JobSpec.from_payload(spec.to_payload()) == spec
     policy = spec.supervisor_policy()
     assert policy == SupervisorPolicy(timeout_s=5.0, max_attempts=3)
     # Defaults keep execution unsupervised.
@@ -532,6 +533,107 @@ def test_journal_truncated_at_every_byte_offset_never_raises(tmp_path):
         assert got == expected, f"offset {offset}: {got} != {expected}"
         assert loaded.get("j0001", records[:0]) == records[:expected]
         crashed.journal_path("j0001").unlink()
+
+
+def test_journal_lines_not_utf8_or_nested_too_deep_are_skipped(tmp_path):
+    store = StateStore(tmp_path / "state")
+    store.append("j0001", {"kind": "submit", "spec": {}})
+    with open(store.journal_path("j0001"), "ab") as handle:
+        handle.write(b'{"kind": "\xff\xfe"}\n')  # not UTF-8
+        handle.write(b"[" * 100_000 + b"\n")
+    store.append("j0001", {"kind": "status", "state": "done"})
+    assert store.load() == {
+        "j0001": [{"kind": "submit", "spec": {}}, {"kind": "status", "state": "done"}]
+    }
+
+
+def _manager(state_dir: Path) -> JobManager:
+    """A job manager over ``state_dir`` that never forks: the tests call
+    ``_restore`` directly instead of ``start``."""
+    return JobManager(state=StateStore(state_dir), cache=None)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {"points": [1, 2]},
+        {"max_attempts": "x"},
+        {"target": "nope"},
+    ],
+    ids=["int-points", "str-max-attempts", "unknown-target"],
+)
+def test_restore_skips_an_invalid_journaled_spec(tmp_path, corrupt):
+    """A journaled spec gets the submission check: an invalid one is
+    skipped at restart, not resumed to fail after a fork."""
+    store = StateStore(tmp_path / "state")
+    good = JobSpec.from_payload({"target": "robust-sleepy", "points": [{"x": 1}]})
+    store.append("j0001", {"kind": "submit", "spec": good.to_payload()})
+    store.append("j0002", {"kind": "submit", "spec": {**good.to_payload(), **corrupt}})
+    manager = _manager(tmp_path / "state")
+    manager._restore()
+    assert list(manager.jobs) == ["j0001"]
+    assert manager.jobs["j0001"].spec == good
+    assert manager.jobs["j0001"].state == "queued"
+
+
+_SPEC_VALUES = {
+    "target": st.sampled_from(["robust-sleepy", "nope", 3, None]),
+    "points": st.sampled_from([[{"x": 1}], [{"x": 1}, {"x": 2}], [1, 2], [], "x", None]),
+    "base": st.sampled_from([{}, {"sleep_s": 0.0}, [], "x"]),
+    "seed": st.sampled_from([0, 7, -1, "x", 1.5, True]),
+    "workers": st.sampled_from([1, 2, 99, 0, "x"]),
+    "max_attempts": st.sampled_from([1, 3, 0, "x", None]),
+    "deadline_s": st.sampled_from([None, 5.0, 0, float("nan"), "x"]),
+}
+
+_journal_record = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("submit")},
+        optional={"spec": st.fixed_dictionaries({}, optional=_SPEC_VALUES)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["status", "summary", "resume", "point"])},
+        optional={
+            "state": st.sampled_from(["running", "done", "failed", "cancelled", ["x"]]),
+            "done": st.integers(0, 5),
+            "error": st.sampled_from([None, "boom"]),
+        },
+    ),
+).map(lambda record: json.dumps(record).encode())
+
+_journal_line = st.one_of(
+    _journal_record,
+    st.binary(max_size=60).map(lambda b: b.replace(b"\n", b"")),
+    st.integers(1, 50_000).map(lambda n: b"[" * n),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(_journal_line, max_size=6))
+def test_fuzzed_journal_loads_and_restores_or_skips(tmp_path, lines):
+    """Any journal bytes: ``load()`` never raises, and ``_restore()``
+    restores a job only with a spec that passes the submission check."""
+    state_dir = tmp_path / "state"
+    store = StateStore(state_dir)
+    store.journal_path("j0001").write_bytes(b"\n".join(lines))
+    journals = store.load()
+    manager = _manager(state_dir)
+    manager._restore()
+    for job_id, records in journals.items():
+        submit = next((r for r in records if r.get("kind") == "submit"), None)
+        try:
+            valid = submit is not None and bool(JobSpec.from_payload(submit.get("spec")))
+        except ValueError:
+            valid = False
+        assert (job_id in manager.jobs) == valid
+    assert set(manager.jobs) <= set(journals)
+    for job in manager.jobs.values():
+        assert JobSpec.from_payload(job.spec.to_payload()) == job.spec
+    store.journal_path("j0001").unlink()
 
 
 def test_server_info_survives_rewrite(tmp_path):

@@ -27,6 +27,8 @@ from repro.obs import Tracer
 from repro.serving import (
     COLOCATED,
     DISAGGREGATED,
+    KV_OCCUPANCY,
+    QUEUE_DEPTH,
     MTPConfig,
     SchedulerConfig,
     ServingSimulator,
@@ -118,7 +120,7 @@ def test_folded_horizons_match_one_step_per_event(config):
     stepped = _outputs(config, 1)
     for key in folded:
         assert folded[key] == stepped[key], key
-    # The untraced fold takes the sample-replay branch; same results.
+    # An untraced run folds the same samples without the trace.
     untraced = _outputs(config, DEFAULT_HORIZON, traced=False)
     for key in untraced.keys() - {"trace"}:
         assert untraced[key] == folded[key], key
@@ -199,9 +201,9 @@ def _count_events(
         return pop(queue)
 
     def measuring_advance(sim, *args):
-        before = sim._n_decode_steps
+        before = sim.fold.decode_steps
         advance(sim, *args)
-        horizons[sim._n_decode_steps - before] += 1
+        horizons[sim.fold.decode_steps - before] += 1
 
     with (
         _patched(simulator, "_HORIZON", horizon),
@@ -308,7 +310,7 @@ class _InvariantChecker:
         # Every request is in exactly one place.
         assert len({id(r) for r in in_flight}) == len(in_flight)
         # admitted = finished + dropped + in flight
-        assert self.arrivals == sim._n_completed + len(sim._dropped) + len(in_flight)
+        assert self.arrivals == sim.fold.completed + len(sim.fold.dropped) + len(in_flight)
         # KV blocks: held + free = total, and only live requests hold any.
         for pool in self.pools:
             kv = pool.kv
@@ -318,7 +320,7 @@ class _InvariantChecker:
             for r in pool.active:
                 assert r.kv_tokens == held[r.rid] * kv.config.block_tokens
         # tokens_generated = sum of generated over finished requests.
-        assert sim._tokens_generated == sum(r.generated for r in self.finished)
+        assert sim.fold.tokens == sum(r.generated for r in self.finished)
         self.checks += 1
 
     def run(self, config: SimConfig, horizon: int) -> ServingSimulator:
@@ -367,7 +369,7 @@ class _InvariantChecker:
             assert r.generated == r.output_tokens
         # Samples taken inside a folded horizon keep the clock monotone.
         snapshot = sim.metrics.snapshot()
-        for channel in (simulator.QUEUE_DEPTH, simulator.KV_OCCUPANCY):
+        for channel in (QUEUE_DEPTH, KV_OCCUPANCY):
             times = [t for t, _ in snapshot[channel]]
             assert times == sorted(times)
             assert not times or times[-1] <= report.duration

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serving import SLO, ServingSimulator, SimConfig, WorkloadSpec, build_report
+from repro.obs import MetricsRegistry
+from repro.serving import SLO, RunFold, ServingSimulator, SimConfig, WorkloadSpec, build_report
 from repro.serving.workload import Request
 
 
@@ -16,6 +17,17 @@ def _completed(rid, arrival, first_token, finish, generated) -> Request:
         finish_time=finish,
         generated=generated,
     )
+
+
+def _fold(finished, samples=()) -> RunFold:
+    """A record-mode run fold fed these finished requests and
+    ``(time, queue depth, used blocks)`` channel samples."""
+    fold = RunFold(SLO(), MetricsRegistry(), total_blocks=1, records=True)
+    for request in finished:
+        fold.finish(request, request.finish_time)
+    for sample in samples:
+        fold.sample(*sample)
+    return fold
 
 
 def test_single_token_request_has_no_tpot():
@@ -42,7 +54,7 @@ def test_report_excludes_degenerate_requests_from_tpot_stats():
         _completed(1, 0.0, 1.0, 2.0, generated=21),  # tpot 0.05
         _completed(2, 0.0, 1.0, 3.0, generated=21),  # tpot 0.1
     ]
-    report = build_report(finished, SLO(), 10.0, 0, 0, 0, 0, 0, [], [])
+    report = build_report(_fold(finished), 10.0)
     assert report.completed == 3
     # Without the degenerate request pulling in an artificial 0.0:
     assert report.tpot.p50 == pytest.approx(0.075)
@@ -57,14 +69,14 @@ def test_report_excludes_degenerate_requests_from_tpot_stats():
 
 def test_report_all_degenerate_requests():
     finished = [_completed(i, 0.0, 0.5, 0.5, generated=1) for i in range(4)]
-    report = build_report(finished, SLO(), 2.0, 0, 0, 0, 0, 0, [], [])
+    report = build_report(_fold(finished), 2.0)
     assert report.completed == 4
     assert report.tpot.p99 == 0.0  # empty TPOT distribution, defined as zeros
     assert report.slo_attainment == 1.0
 
 
 def test_zero_duration_rates_are_zero():
-    report = build_report([], SLO(), 0.0, 0, 0, 0, 0, 0, [], [])
+    report = build_report(_fold([]), 0.0)
     assert report.throughput_tokens_per_s == 0.0
     assert report.goodput_requests_per_s == 0.0
     assert report.slo_attainment == 0.0
@@ -90,14 +102,10 @@ def test_simulated_single_token_workload():
 
 def test_compact_record_economics_fields_are_opt_in():
     from repro.serving import compact_record
-    from repro.serving.report import build_report
 
-    report = build_report(
-        [_completed(1, 0.0, 0.5, 2.0, generated=100)],
-        SLO(), duration=10.0, preemptions=0, decode_steps=10,
-        prefill_batches=1, draft_attempts=0, draft_accepted=0,
-        queue_trace=[(0.0, 0)], kv_trace=[(0.0, 0.0)],
-    )
+    fold = _fold([_completed(1, 0.0, 0.5, 2.0, generated=100)], samples=[(0.0, 0, 0)])
+    fold.decode_steps, fold.prefill_batches = 10, 1
+    report = build_report(fold, duration=10.0)
     plain = compact_record(report)
     assert "cost_per_token" not in plain and "goodput_tokens_per_s" not in plain
     priced = compact_record(report, gpus=8, gpu_cost_per_hour=2.0)
@@ -115,13 +123,8 @@ def test_compact_record_economics_fields_are_opt_in():
 
 def test_compact_record_zero_token_cost_is_null():
     from repro.serving import compact_record
-    from repro.serving.report import build_report
 
-    report = build_report(
-        [], SLO(), duration=0.0, preemptions=0, decode_steps=0,
-        prefill_batches=0, draft_attempts=0, draft_accepted=0,
-        queue_trace=[], kv_trace=[],
-    )
+    report = build_report(_fold([]), duration=0.0)
     record = compact_record(report, gpus=8, gpu_cost_per_hour=2.0)
     assert record["cost_per_token"] is None
     assert record["goodput_tokens_per_s"] == 0.0

@@ -162,6 +162,56 @@ def test_corrupted_cache_entry_is_recomputed_not_crashed(tmp_path):
         assert cache.get(first.points[0].key) == first.points[0].result
 
 
+def test_cache_shard_that_is_a_file_is_a_miss(tmp_path):
+    cache = SweepCache(tmp_path)
+    key, other = "cd" * 32, "ef" * 32
+    (tmp_path / key[:2]).write_text("not a directory")
+    assert cache.get(key) is None
+    assert cache.get_many([key, other]) == {key: None, other: None}
+
+
+_STORED = {"value": 7, "seed": 3}
+
+
+@st.composite
+def _entry_bytes(draw) -> bytes:
+    """Random bytes, a truncated valid entry, or deep nesting."""
+    valid = (
+        json.dumps(
+            {"key": "12" * 32, "target": "t", "config": {}, "seed": 3,
+             "version": "0", "result": _STORED},
+            indent=2, sort_keys=True,
+        )
+        + "\n"
+    ).encode()
+    kind = draw(st.sampled_from(["random", "truncated", "nested"]))
+    if kind == "random":
+        return draw(st.binary(max_size=300))
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid)))]
+    opener = draw(st.sampled_from([b"[", b'{"a":', b'{"result":']))
+    return opener * draw(st.integers(1, 50_000))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(blob=_entry_bytes())
+@example(blob=b"[" * 100_000)  # past the parser's recursion limit
+def test_cache_entry_bytes_fuzz_is_a_miss_or_the_stored_result(tmp_path, blob):
+    """Whatever bytes an entry holds, both probes give a miss or the
+    stored result, never an error."""
+    cache = SweepCache(tmp_path)
+    key = "12" * 32
+    path = cache.path_for(key)
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(blob)
+    assert cache.get(key) in (None, _STORED)
+    assert cache.get_many([key])[key] in (None, _STORED)
+
+
 def test_cache_entry_is_self_describing(tmp_path):
     cache = SweepCache(tmp_path)
     spec = _counting_spec(points=[{"x": 9}])
