@@ -489,6 +489,10 @@ class JobManager:
         fail after a fork.
         """
         for job_id, records in sorted(self.state.load().items()):
+            # Every journal on disk claims its id, restored or not: a
+            # new submission must never append to a skipped journal,
+            # whose stale submit record would shadow the new one.
+            self._seq = max(self._seq, _job_seq(job_id))
             submit = next((r for r in records if r.get("kind") == "submit"), None)
             if submit is None:
                 continue
@@ -506,7 +510,6 @@ class JobManager:
                 ),
                 None,
             )
-            self._seq = max(self._seq, _job_seq(job_id))
             job = Job(
                 job_id,
                 spec,

@@ -131,6 +131,13 @@ class SweepCache:
     ) -> Path:
         """Atomically record one evaluated point."""
         path = self.path_for(key)
+        if path.parent.is_file():
+            # A stray file where the shard directory belongs: the probes
+            # already read it as a miss; replace it so the write lands.
+            try:
+                path.parent.unlink()
+            except (FileNotFoundError, IsADirectoryError):
+                pass  # a concurrent writer replaced it first
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key,

@@ -576,6 +576,23 @@ def test_restore_skips_an_invalid_journaled_spec(tmp_path, corrupt):
     assert manager.jobs["j0001"].state == "queued"
 
 
+def test_skipped_journal_still_claims_its_id(tmp_path):
+    """A new submission never reuses the id of a skipped journal, so a
+    second restart brings the new job back instead of the stale spec."""
+    store = StateStore(tmp_path / "state")
+    good = JobSpec.from_payload({"target": "robust-sleepy", "points": [{"x": 1}]})
+    store.append("j0001", {"kind": "submit", "spec": good.to_payload()})
+    store.append("j0002", {"kind": "submit", "spec": {**good.to_payload(), "target": "nope"}})
+    manager = _manager(tmp_path / "state")
+    manager._restore()
+    assert manager.submit(good).id == "j0003"
+    restarted = _manager(tmp_path / "state")
+    restarted._restore()
+    assert list(restarted.jobs) == ["j0001", "j0003"]
+    assert restarted.jobs["j0003"].spec == good
+    assert restarted.jobs["j0003"].state == "queued"
+
+
 _SPEC_VALUES = {
     "target": st.sampled_from(["robust-sleepy", "nope", 3, None]),
     "points": st.sampled_from([[{"x": 1}], [{"x": 1}, {"x": 2}], [1, 2], [], "x", None]),

@@ -170,6 +170,20 @@ def test_cache_shard_that_is_a_file_is_a_miss(tmp_path):
     assert cache.get_many([key, other]) == {key: None, other: None}
 
 
+def test_sweep_over_a_shard_that_is_a_file_finishes(tmp_path):
+    spec = _counting_spec(points=[{"x": 4}])
+    first = run_sweep(spec, cache=SweepCache(tmp_path / "clean"))
+    key = first.points[0].key
+    cache = SweepCache(tmp_path / "stray")
+    shard = cache.path_for(key).parent
+    shard.parent.mkdir()
+    shard.write_text("not a directory")
+    again = run_sweep(spec, cache=cache)
+    assert again.evaluated == 1 and again.records() == first.records()
+    # The stray file gave way to the shard directory and its entry.
+    assert shard.is_dir() and cache.get(key) == first.points[0].result
+
+
 _STORED = {"value": 7, "seed": 3}
 
 
