@@ -84,9 +84,10 @@ def form_prefill_batch(
 def select_decode_batch(active: list[Request], cap: int) -> list[Request]:
     """The step's decode batch: oldest ``cap`` admitted requests.
 
-    This is the *policy definition*; the simulator keeps each pool's
-    active list pre-sorted by ``(arrival, rid)`` so the same batch is a
-    plain prefix slice on the hot path (see ``_Pool.select_batch``).
+    This is the *policy definition*; the simulator never lets a pool's
+    active set exceed its cap (admission, prefill formation and fault
+    eviction all bound it), so on the hot path the batch is the whole
+    active list (see ``ServingSimulator._advance_decode``).
     """
     if len(active) <= cap:
         return list(active)

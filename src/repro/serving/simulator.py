@@ -35,19 +35,35 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
 * Requests have identity semantics (``eq=False``), so membership and
   removal never run field-wise dataclass comparison.
 * Each pool keeps its active set pre-sorted by ``(arrival, rid)`` and
-  carries a running integer sum of context tokens, so decode-batch
-  selection is a prefix slice, the preemption victim is ``active[-1]``
-  and the batch's mean context needs no per-step re-summation.  All
-  maintained aggregates are integers, so they equal the from-scratch
-  sums exactly.
+  carries a running integer sum of context tokens.  The set never
+  exceeds the pool's decode cap, so the decode batch is the whole set,
+  the preemption victim is ``active[-1]`` and the batch's mean context
+  needs no per-step re-summation.  All maintained aggregates are
+  integers, so they equal the from-scratch sums exactly.
 * Requests cache the token capacity of their held KV blocks
   (``Request.kv_tokens``); a decode step only calls into the allocator
   when the next token actually crosses a block boundary.
+* Without MTP a decode pool keeps a *due calendar*.  Every member
+  emits one token per completed step, so the step at which it
+  finishes and the step at which its next token crosses a KV block
+  are fixed when it joins the active set; two min-heaps keyed
+  ``(step, rid)`` hold them against the pool's completed-step counter
+  (a crossing is re-filed after each extend).  A completed step bumps
+  every member's token count in one tight loop and then visits, in rid
+  order, only the entries due at it; entries of members that left are
+  skipped when popped.  A preemption victim later in rid order than
+  the member being extended gives back the token the walk would not
+  yet have given it.  MTP runs walk the sorted batch every step, as
+  their acceptance draws are per member; ``_CALENDAR = False`` walks
+  non-MTP runs too (and folds none of their steps), the reference the
+  tests compare against.
 * Quiescent decode steps fold into one *horizon*.  When a decode step
   starts and nothing else could happen before it ends — no queued
   event is due, no request finishes, every KV extend fits and no other
   pool could start work — it completes inline, and so do the steps
-  after it, up to the first that cannot.  Each folded step replays the
+  after it, up to the first that cannot.  Without MTP the limit is
+  read off the calendar's finish heap and each folded step pops its
+  crossings from the crossing heap.  Each folded step replays the
   clock addition, step-cost lookup (only when the context bucket
   changes), batch profile, channel samples and block-crossing extends
   in order (a traced run also emits each step's ``decode_step`` span
@@ -101,7 +117,8 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 
 from ..core.rng import seeded_generator, uniform_stream
 from ..faults.report import annotate_alerts, build_degradation
@@ -151,12 +168,18 @@ _HORIZON = 1 << 30
 #: one-call-per-draft reference the tests compare against.
 _MTP_BLOCK = 1024
 
+#: Whether non-MTP decode pools keep a due calendar (see ``_Pool``).
+#: False folds no non-MTP step and completes each one through the batch
+#: walk MTP uses: the reference the tests compare against.
+_CALENDAR = True
+
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
 
 #: Scheduler order: oldest-first with rid tie-break (see scheduler.py).
 _BY_ARRIVAL = attrgetter("arrival", "rid")
 _BY_RID = attrgetter("rid")
+_ENTRY_RID = itemgetter(1)  # (step, rid, request) calendar entries
 
 
 @dataclass(frozen=True)
@@ -259,7 +282,21 @@ class _Pool:
     ``active_ctx`` is the running integer sum of its members' context
     tokens (prompt + generated).  Both are maintained incrementally at
     every admission, emission, preemption and completion, so per-step
-    scheduling is O(batch) with no sorting or re-summation.
+    scheduling is O(batch) with no sorting or re-summation.  The active
+    set never exceeds ``decode_cap`` (admission, prefill formation and
+    fault eviction all keep it so), so every decode step's batch is the
+    whole set.
+
+    Without MTP every member therefore emits exactly one token per
+    completed step, and the *due calendar* files two step numbers when
+    a request joins: ``tick`` counts completed decode steps, and the
+    min-heaps ``finishes`` and ``crossings`` hold ``(step, rid,
+    request)`` for the step at which the member finishes and the one at
+    which its next token crosses a KV block.  Entries of members that
+    have left stay behind and are skipped when popped, so no entry
+    outlives its step.  Both heaps are ``None`` under MTP, whose
+    members emit one or two tokens a step, and when ``_CALENDAR`` is
+    off.
     """
 
     __slots__ = (
@@ -267,6 +304,7 @@ class _Pool:
         "prefill_queue", "entry_queue", "active", "active_ctx", "busy",
         "current_kind", "current_batch", "step_start", "_concurrent_cap",
         "base_gpus", "base_cap", "base_blocks", "step_epoch",
+        "tick", "finishes", "crossings",
     )
 
     def __init__(
@@ -277,6 +315,7 @@ class _Pool:
         kv: PagedKVPool,
         does_prefill: bool,
         does_decode: bool,
+        calendar: bool = False,
     ) -> None:
         self.name = name
         self.pid = pid  # trace process id
@@ -299,6 +338,9 @@ class _Pool:
         self.base_cap = 0
         self.base_blocks = kv.config.total_blocks
         self.step_epoch = 0
+        self.tick = 0
+        self.finishes: list | None = [] if calendar else None
+        self.crossings: list | None = [] if calendar else None
 
     @property
     def decode_cap(self) -> int:
@@ -309,10 +351,14 @@ class _Pool:
         self._concurrent_cap = cap
 
     def add_active(self, request: Request) -> None:
-        """Admit a request to the decode set, preserving scheduler order."""
+        """Admit a request to the decode set, preserving scheduler order,
+        and file its finish and block-crossing steps in the calendar."""
         insort(self.active, request, key=_BY_ARRIVAL)
         self.active_ctx += request.prompt_tokens + request.generated
         request.decoding = True
+        if self.finishes is not None:
+            heappush(self.finishes, (self.finish_step(request), request.rid, request))
+            self.file_crossing(request)
 
     def remove_active(self, request: Request) -> None:
         """Drop a request from the decode set (O(log n) index lookup)."""
@@ -321,21 +367,22 @@ class _Pool:
         self.active_ctx -= request.prompt_tokens + request.generated
         request.decoding = False
 
-    def select_batch(self, cap: int) -> tuple[list[Request], int]:
-        """The step's decode batch and its total context tokens.
+    # Both steps hold while tick and the member's token count are read
+    # at the same point: after a completed step, or at a horizon's start.
 
-        Equivalent to ``select_decode_batch(self.active, cap)`` plus a
-        fresh context-token sum, but O(batch): the active list is
-        already in scheduler order and the full-set sum is maintained.
-        """
-        active = self.active
-        if len(active) <= cap:
-            return active.copy(), self.active_ctx
-        batch = active[:cap]
-        tokens = 0
-        for r in batch:
-            tokens += r.prompt_tokens + r.generated
-        return batch, tokens
+    def finish_step(self, request: Request) -> int:
+        """The completed step at which the member has all its tokens."""
+        return self.tick + request.output_tokens - request.generated
+
+    def crossing_step(self, request: Request) -> int:
+        """The completed step whose token first needs more than the
+        member's held blocks (at or before ``tick`` when a re-prefill
+        left it under-covered)."""
+        return self.tick + request.kv_tokens - request.prompt_tokens - request.generated
+
+    def file_crossing(self, request: Request) -> None:
+        """File (or re-file, after an extend) the member's next crossing."""
+        heappush(self.crossings, (self.crossing_step(request), request.rid, request))
 
 
 class ServingSimulator:
@@ -395,15 +442,18 @@ class ServingSimulator:
                 )
             return PagedKVPool(pool_cfg)
 
+        calendar = _CALENDAR and not cfg.costs.mtp.enabled
         if cfg.mode == COLOCATED:
             gpus = cfg.prefill_gpus + cfg.decode_gpus
-            pool = _Pool("pool", 1, gpus, kv_for(gpus), True, True)
+            pool = _Pool("pool", 1, gpus, kv_for(gpus), True, True, calendar)
             pool.set_cap(sched.max_concurrent_per_gpu * gpus)
             pool.base_cap = pool.decode_cap
             return (pool,)
         prefill = _Pool("prefill", 1, cfg.prefill_gpus, kv_for(cfg.prefill_gpus), True, False)
         prefill.set_cap(0)
-        decode = _Pool("decode", 2, cfg.decode_gpus, kv_for(cfg.decode_gpus), False, True)
+        decode = _Pool(
+            "decode", 2, cfg.decode_gpus, kv_for(cfg.decode_gpus), False, True, calendar
+        )
         decode.set_cap(sched.max_concurrent_per_gpu * cfg.decode_gpus)
         decode.base_cap = decode.decode_cap
         return (prefill, decode)
@@ -808,12 +858,13 @@ class ServingSimulator:
         Without MTP the batch is fixed, every member emits one token per
         step, and no extend fails, so a step's completion is replayed:
         the clock, the step's trace span and channel samples, and the KV
-        extends of block-crossing requests, while the token counts
-        advance once for the whole horizon.  With MTP each inline step
-        runs :meth:`_finish_step` itself (same draws, same rid order),
-        once the worst case of two tokens per member fits the free KV
-        blocks.  With ``_HORIZON = 1`` the horizon is always empty: one
-        step per queued event.
+        extends of the members the calendar files as crossing a block at
+        that step, while the token counts and ``tick`` advance once for
+        the whole horizon.  With MTP each inline step runs
+        :meth:`_finish_step` itself (same draws, same rid order), once
+        the worst case of two tokens per member fits the free KV blocks.
+        With ``_HORIZON = 1`` the horizon is always empty: one step per
+        queued event.
         """
         cfg = self.config
         traced = self.tracer.enabled
@@ -824,13 +875,14 @@ class ServingSimulator:
         decode_step_time = cfg.costs.decode_step_time
         fold = self.fold
         sample = fold.sample
-        batch, context_tokens = pool.select_batch(pool.decode_cap)
+        crossings = pool.crossings
+        tick = pool.tick
+        batch, context_tokens = pool.active.copy(), pool.active_ctx
         size = len(batch)
         per_device = max(1, math.ceil(size / (2 * pool.num_gpus)))
         profile = fold.batch_profile.setdefault(size, [0, 0.0])
         bucket = duration = None
         limit = folded = 0
-        due: dict[int, list[Request]] = {}
         while True:
             # Step start: its cost is memoized per context bucket.
             step_bucket = max(1, math.ceil(context_tokens / size / context_bucket))
@@ -843,7 +895,7 @@ class ServingSimulator:
             if not folded:
                 next_time = self._next_event_time()
                 if end < next_time:
-                    limit, due = self._horizon(pool, batch, pools)
+                    limit = self._horizon(pool, batch, pools)
             if folded >= limit or end >= next_time:
                 break
             if mtp:
@@ -857,11 +909,29 @@ class ServingSimulator:
                 pool.current_batch, pool.current_kind, pool.step_start = batch, "decode", now
                 self._finish_step(pool, end, pools, push)
                 self._sample(end, pools)
-                batch, context_tokens = pool.select_batch(pool.decode_cap)
+                batch, context_tokens = pool.active.copy(), pool.active_ctx
             else:
-                crossing = due.get(folded + 1)
-                if crossing and len(crossing) > kv.free_blocks:
-                    break  # an extend would fail: preempt in _finish_step
+                # The members whose token of this step crosses a block.
+                # tick and generated stay at their horizon-start values
+                # until the horizon ends, so a live entry still matches.
+                # Equal entries pop together: a member that left and
+                # rejoined within one tick may have filed the same one.
+                step = tick + folded + 1
+                crossing = None
+                if crossings[0][0] <= step:
+                    crossing = []
+                    while crossings and crossings[0][0] <= step:
+                        _, _, request = heappop(crossings)
+                        if (
+                            request.decoding
+                            and step == pool.crossing_step(request)
+                            and (not crossing or crossing[-1] is not request)
+                        ):
+                            crossing.append(request)
+                    if len(crossing) > kv.free_blocks:
+                        for request in crossing:
+                            pool.file_crossing(request)
+                        break  # an extend would fail: preempt in _finish_step
                 # The step completes inline: one token per batch member.
                 if not folded:
                     # Queues and other pools stay put across a horizon,
@@ -872,6 +942,7 @@ class ServingSimulator:
                         need = request.prompt_tokens + request.generated + folded + 2
                         kv.extend(request.rid, need)
                         request.kv_tokens = -(-need // block_tokens) * block_tokens
+                        pool.file_crossing(request)
                     used += len(crossing)  # one block per crossing
                 context_tokens += size
                 sample(end, depth, used)
@@ -889,6 +960,7 @@ class ServingSimulator:
             for request in batch:
                 request.generated += folded
             pool.active_ctx += folded * size
+            pool.tick += folded
         pool.busy = True
         pool.current_kind = "decode"
         pool.current_batch = batch
@@ -897,11 +969,8 @@ class ServingSimulator:
 
     def _horizon(
         self, pool: _Pool, batch: list[Request], pools: tuple[_Pool, ...]
-    ) -> tuple[int, dict[int, list[Request]]]:
-        """Steps after the one just started that may complete inline,
-        and the requests whose next token crosses a KV block boundary
-        at each of them (step index → requests; empty under MTP, whose
-        caller checks KV capacity step by step instead).
+    ) -> int:
+        """Steps after the one just started that may complete inline.
 
         The horizon ends before the first step that could finish a
         request — under MTP a step may emit two tokens, so it covers at
@@ -909,43 +978,40 @@ class ServingSimulator:
         entrants or prefill work, or an idle peer has any work (a later
         ``_try_start`` could act).  Busy peers cannot act before their
         queued completion, which bounds the horizon in time.  Time and
-        KV capacity are checked step by step by the caller.
+        KV capacity are checked step by step by the caller.  Without
+        MTP the limit is read from the due calendar, whose stale heads
+        (members that left or moved on) are dropped here; a member left
+        under-covered by a re-prefill needs a multi-block extend, so its
+        pool folds nothing until that step completes.  With the calendar
+        off nothing folds.
         """
-        limit = _HORIZON - 1
-        due: dict[int, list[Request]] = {}
         if pool.entry_queue or (pool.does_prefill and pool.prefill_queue):
-            return 0, due
+            return 0
         for p in pools:
             if p is not pool and not p.busy and p.num_gpus >= 1 and (
                 p.prefill_queue or p.entry_queue or (p.does_decode and p.active)
             ):
-                return 0, due
+                return 0
         if self.config.costs.mtp.enabled:
             left = min(r.output_tokens - r.generated - 1 for r in batch) // 2
-            return min(limit, left), due
-        block_tokens = pool.kv.config.block_tokens
-        for request in batch:
-            generated = request.generated
-            left = request.output_tokens - generated - 1
-            if left < limit:
-                if left < 1:
-                    return 0, due
-                limit = left
-            # The token of step s needs prompt + generated + s + 1 slots,
-            # so the first crossing is at step kv_tokens - context, then
-            # every block_tokens steps, one block each.
-            step = request.kv_tokens - request.prompt_tokens - generated
-            if step <= limit:
-                if step < 1:
-                    return 0, due  # under-covered (re-prefill): multi-block extend
-                while step <= limit:
-                    crossing = due.get(step)
-                    if crossing is None:
-                        due[step] = [request]
-                    else:
-                        crossing.append(request)
-                    step += block_tokens
-        return limit, due
+            return min(_HORIZON - 1, left)
+        finishes, crossings = pool.finishes, pool.crossings
+        if finishes is None:
+            return 0
+        # Every member has a live entry in both heaps, so neither empties.
+        while True:
+            step, _, request = finishes[0]
+            if request.decoding and step == pool.finish_step(request):
+                break
+            heappop(finishes)
+        while True:
+            step, _, request = crossings[0]
+            if request.decoding and step == pool.crossing_step(request):
+                break
+            heappop(crossings)
+        if step <= pool.tick:
+            return 0  # under-covered (re-prefill)
+        return min(_HORIZON - 1, finishes[0][0] - pool.tick - 1)
 
     def _admit_entrants(self, pool: _Pool, now: float) -> None:
         kv = pool.kv
@@ -1018,14 +1084,40 @@ class ServingSimulator:
                 "decode_step", "step", pool.pid, 0, start, now - start,
                 args={"batch": len(batch)},
             )
+        finishes = pool.finishes
+        if finishes is not None:
+            # Lockstep decode: every member emits one token, and only the
+            # calendar's entries due at this step can finish or cross a
+            # block.  Visiting them in rid order is the walk below with
+            # its no-op members skipped (stale entries fail its checks).
+            pool.tick = tick = pool.tick + 1
+            for request in batch:
+                request.generated += 1
+            pool.active_ctx += len(batch)
+            crossings = pool.crossings
+            due = []
+            while finishes and finishes[0][0] <= tick:
+                due.append(heappop(finishes))
+            while crossings and crossings[0][0] <= tick:
+                due.append(heappop(crossings))
+            if len(due) > 1:
+                due.sort(key=_ENTRY_RID)
+            for _, _, request in due:
+                if not request.decoding:
+                    continue  # left the pool, or preempted earlier in this loop
+                if request.generated >= request.output_tokens:
+                    pool.remove_active(request)
+                    self._finish_request(request, now, pool, from_active=True)
+                    continue
+                need = request.prompt_tokens + request.generated + 1
+                if need > request.kv_tokens and self._extend(pool, request, need, now, pools):
+                    pool.file_crossing(request)
+            return
         mtp = cfg.costs.mtp
         mtp_enabled = mtp.enabled
         acceptance = mtp.acceptance_rate
         uniform = self._mtp_uniform
         fold = self.fold
-        kv = pool.kv
-        block_tokens = kv.config.block_tokens
-        active = pool.active
         batch.sort(key=_BY_RID)  # rid order fixes the MTP draw sequence
         for request in batch:
             if not request.decoding:
@@ -1048,29 +1140,46 @@ class ServingSimulator:
                 self._finish_request(request, now, pool, from_active=True)
                 continue
             need = request.prompt_tokens + new_generated + 1
-            if need <= request.kv_tokens:
-                continue  # next token still fits in the held blocks
-            while not kv.extend(request.rid, need):
-                victim = active[-1]  # pick_preemption_victim: newest first
-                kv.free(victim.rid)
-                victim.kv_tokens = 0
-                active.pop()
-                pool.active_ctx -= victim.prompt_tokens + victim.generated
-                victim.decoding = False
-                fold.preemptions += 1
-                if tracer.enabled:
-                    self._span(
-                        "decode", victim, victim.decode_since, now,
-                        tokens=victim.generated, preempted=True,
-                    )
-                    self._instant("preempt", victim, now, generated=victim.generated)
-                target = pools[0]  # recompute re-runs prefill (front of queue)
-                victim.queued_since = now
-                target.prefill_queue.appendleft(victim)
-                if victim is request:
-                    break
-            else:
-                request.kv_tokens = -(-need // block_tokens) * block_tokens
+            if need > request.kv_tokens:  # the next token needs another block
+                self._extend(pool, request, need, now, pools)
+
+    def _extend(
+        self, pool: _Pool, request: Request, need: int, now: float, pools: tuple[_Pool, ...]
+    ) -> bool:
+        """Grow ``request``'s KV to ``need`` tokens, preempting the
+        newest member until it fits; False when ``request`` itself was
+        preempted.
+
+        Under the calendar every member already holds this step's token,
+        but the walk only reaches members in rid order, so a victim later
+        in rid order than ``request`` gives its token back first.
+        """
+        kv = pool.kv
+        active = pool.active
+        tracer = self.tracer
+        while not kv.extend(request.rid, need):
+            victim = active.pop()  # pick_preemption_victim: newest first
+            kv.free(victim.rid)
+            victim.kv_tokens = 0
+            if pool.finishes is not None and victim.rid > request.rid:
+                victim.generated -= 1
+                pool.active_ctx -= 1
+            pool.active_ctx -= victim.prompt_tokens + victim.generated
+            victim.decoding = False
+            self.fold.preemptions += 1
+            if tracer.enabled:
+                self._span(
+                    "decode", victim, victim.decode_since, now,
+                    tokens=victim.generated, preempted=True,
+                )
+                self._instant("preempt", victim, now, generated=victim.generated)
+            victim.queued_since = now
+            pools[0].prefill_queue.appendleft(victim)  # recompute re-runs prefill
+            if victim is request:
+                return False
+        block_tokens = kv.config.block_tokens
+        request.kv_tokens = -(-need // block_tokens) * block_tokens
+        return True
 
     def _finish_request(
         self, request: Request, now: float, pool: _Pool, from_active: bool

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.model import (
     DEEPSEEK_V3,
     LLAMA31_405B,
+    MODEL_CATALOG,
     QWEN25_72B,
     TINY_DENSE_GQA,
     TINY_MLA_MOE,
@@ -18,6 +19,7 @@ from repro.model import (
     kv_cache_bytes_per_token,
     max_context_tokens,
 )
+from repro.model.kvcache import DTYPE_BYTES
 
 
 def test_table1_deepseek_v3_bytes_exact():
@@ -33,6 +35,35 @@ def test_table1_qwen_bytes_exact():
 def test_table1_llama_bytes_exact():
     # 2 * 8 kv heads * 128 dim * 2 bytes * 126 layers = 516,096 B.
     assert kv_cache_bytes_per_token(LLAMA31_405B) == 516096
+
+
+#: Table 1's BF16 bytes per token for every preset, worked by hand.
+_PRESET_BF16_BYTES = {
+    "deepseek-v3": 61 * (512 + 64) * 2,  # 70,272
+    "deepseek-v2": 60 * (512 + 64) * 2,  # 69,120
+    "qwen2.5-72b": 80 * 2 * 8 * 128 * 2,  # 327,680
+    "llama3.1-405b": 126 * 2 * 8 * 128 * 2,  # 516,096
+    "llama3.1-70b": 80 * 2 * 8 * 128 * 2,  # 327,680
+    "tiny-mla-moe": 4 * (16 + 8) * 2,  # 192
+    "tiny-dense-gqa": 4 * 2 * 2 * 8 * 2,  # 256
+}
+
+
+@pytest.mark.parametrize("dtype", ["bf16", "fp16", "fp8", "fp32", "int4"])
+@pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
+def test_table1_closed_form_for_every_preset(name, dtype):
+    """MLA caches layers x (latent + RoPE dims) x bytes; GQA and MHA
+    cache layers x 2 x KV heads x head dim x bytes."""
+    model = MODEL_CATALOG[name]
+    attention = model.attention
+    width = DTYPE_BYTES[dtype]
+    if attention.kind is AttentionKind.MLA:
+        expected = model.num_layers * (attention.kv_lora_rank + attention.qk_rope_head_dim) * width
+    else:
+        assert attention.kind in (AttentionKind.GQA, AttentionKind.MHA)
+        expected = model.num_layers * 2 * attention.num_kv_heads * attention.qk_head_dim * width
+    assert kv_cache_bytes_per_token(model, dtype) == expected
+    assert kv_cache_bytes_per_token(model) == _PRESET_BF16_BYTES[name]
 
 
 def test_table1_multipliers():

@@ -377,7 +377,7 @@ def test_http_error_paths(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
-def test_oversized_lines_and_bad_lengths_are_400_not_500(tmp_path):
+def test_oversized_lines_and_bad_lengths_are_400_or_413_not_500(tmp_path):
     long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
     long_header = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
     negative = b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n"

@@ -9,7 +9,9 @@ two give identical results and traces, pin the event counts the fold
 saves (and that tracing leaves them unchanged), and check conservation
 invariants at every popped event under both.  The block-buffered MTP
 acceptance stream gets the same treatment: ``_MTP_BLOCK`` patched to 1
-is one numpy call per draft, and must give the same run.
+is one numpy call per draft, and must give the same run.  So does the
+due calendar of non-MTP decode pools: ``_CALENDAR`` patched to False
+folds no non-MTP step and completes each through the batch walk.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.serving.calqueue import CalendarQueue
 
 DEFAULT_HORIZON = simulator._HORIZON
 DEFAULT_MTP_BLOCK = simulator._MTP_BLOCK
+DEFAULT_CALENDAR = simulator._CALENDAR
 
 
 @contextlib.contextmanager
@@ -98,9 +101,11 @@ def sim_configs(draw) -> SimConfig:
     )
 
 
-def _outputs(config: SimConfig, horizon: int, traced: bool = True) -> dict:
+def _outputs(
+    config: SimConfig, horizon: int, traced: bool = True, calendar: bool = DEFAULT_CALENDAR
+) -> dict:
     tracer = Tracer() if traced else None
-    with _patched(simulator, "_HORIZON", horizon):
+    with _patched(simulator, "_HORIZON", horizon), _patched(simulator, "_CALENDAR", calendar):
         sim = ServingSimulator(config, tracer=tracer)
         report = sim.run()
     return {
@@ -124,6 +129,43 @@ def test_folded_horizons_match_one_step_per_event(config):
     untraced = _outputs(config, DEFAULT_HORIZON, traced=False)
     for key in untraced.keys() - {"trace"}:
         assert untraced[key] == folded[key], key
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=sim_configs())
+def test_due_calendar_matches_the_batch_walk(config):
+    calendar = _outputs(config, DEFAULT_HORIZON)
+    walk = _outputs(config, DEFAULT_HORIZON, calendar=False)
+    for key in calendar:
+        assert calendar[key] == walk[key], key
+
+
+def test_due_calendar_matches_the_batch_walk_under_preemption():
+    """A tight-KV colocated run whose preemption victims often come
+    later in rid order than the member being extended (they give back
+    the token the calendar bumped up front)."""
+    config = SimConfig(
+        workload=WorkloadSpec(
+            request_rate=16.0,
+            num_requests=300,
+            prompt_mean=256,
+            output_mean=96,
+            output_cv=0.6,
+            arrival="bursty",
+        ),
+        mode=COLOCATED,
+        prefill_gpus=1,
+        decode_gpus=3,
+        kv_blocks_per_gpu=24,
+        block_tokens=16,
+        record_requests=True,
+        seed=3,
+    )
+    calendar = _outputs(config, DEFAULT_HORIZON)
+    assert calendar["metrics"]["serving.preemptions"] > 100
+    walk = _outputs(config, DEFAULT_HORIZON, calendar=False)
+    for key in calendar:
+        assert calendar[key] == walk[key], key
 
 
 def _mtp_outputs(config: SimConfig, block: int) -> dict:
@@ -303,8 +345,10 @@ class _InvariantChecker:
                 in_flight += pool.current_batch
                 holders |= {r.rid for r in pool.current_batch}
             held_by[id(pool)] = holders
-            # Per-request state matches the pool's running aggregates.
+            # Per-request state matches the pool's running aggregates,
+            # and every decode step's batch is the whole active set.
             assert pool.active_ctx == sum(r.prompt_tokens + r.generated for r in pool.active)
+            assert len(pool.active) <= pool.decode_cap
             for r in pool.active:
                 assert 1 <= r.generated < r.output_tokens
         # Every request is in exactly one place.

@@ -21,6 +21,7 @@ from repro.serving import (
     StepCostModel,
     WorkloadSpec,
     kv_pool_blocks,
+    report_asdict,
 )
 
 
@@ -494,3 +495,125 @@ def test_streaming_percentiles_track_record_mode():
     for exact, approx in ((rec.ttft, stream.ttft), (rec.e2e, stream.e2e)):
         for q in ("p50", "p95", "p99"):
             assert getattr(approx, q) == pytest.approx(getattr(exact, q), rel=0.05)
+
+
+# -- metamorphic: time scaling ----------------------------------------------
+
+
+class _DoubledCosts(StepCostModel):
+    """Every step cost exactly twice the base model's."""
+
+    def decode_step_time(self, per_device_batch: int, context_tokens: int) -> float:
+        return 2.0 * super().decode_step_time(per_device_batch, context_tokens)
+
+    def prefill_time(self, total_prompt_tokens: int, num_gpus: int) -> float:
+        return 2.0 * super().prefill_time(total_prompt_tokens, num_gpus)
+
+    def kv_transfer_time(self, context_tokens: int) -> float:
+        return 2.0 * super().kv_transfer_time(context_tokens)
+
+
+#: Report leaves measured in seconds, and in events per second.
+_TIME_FIELDS = {"duration", "ttft", "tpot", "e2e", "start", "end", "time"}
+_RATE_FIELDS = {"throughput_tokens_per_s", "goodput_requests_per_s"}
+
+
+def _assert_scaled(base, scaled, factor: float, streaming: bool, path: tuple = ()) -> None:
+    """``scaled`` is ``base`` with every time leaf times ``factor``,
+    every rate leaf divided by it and every other leaf unchanged.
+
+    Histogram bucket indices move with the scale, so a histogram is
+    compared through its exact aggregates; in streaming mode the
+    latency percentiles are bucket midpoints, each within ``growth``
+    of the sample they stand for.
+    """
+    if isinstance(base, dict):
+        assert base.keys() == scaled.keys(), path
+        if "buckets" in base:  # a window's histogram
+            for key in ("count", "zero", "growth"):
+                assert scaled[key] == base[key], path + (key,)
+            for key in ("total", "min", "max"):
+                assert scaled[key] == factor * base[key], path + (key,)
+            counts = [sum(c for _, c in h["buckets"]) for h in (base, scaled)]
+            assert counts[0] == counts[1], path
+            return
+        for key in base:
+            _assert_scaled(base[key], scaled[key], factor, streaming, path + (key,))
+        return
+    if isinstance(base, (list, tuple)):
+        assert len(base) == len(scaled), path
+        trace = bool(path) and str(path[-1]).endswith("_trace")
+        for index, (b, s) in enumerate(zip(base, scaled)):
+            if trace:  # (time, value) pairs
+                assert s == (factor * b[0], b[1]), path + (index,)
+            else:
+                _assert_scaled(b, s, factor, streaming, path + (index,))
+        return
+    names = set(path[-2:])
+    if names & _TIME_FIELDS:
+        if streaming and path[-1] in ("p50", "p95", "p99"):
+            growth = 1.02  # repro.obs.metrics.Histogram's default
+            assert scaled == pytest.approx(factor * base, rel=growth - 1), path
+        else:
+            assert scaled == factor * base, path
+    elif names & _RATE_FIELDS:
+        assert scaled == base / factor, path
+    else:
+        assert scaled == base, path
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from([COLOCATED, DISAGGREGATED]),
+    mtp=st.booleans(),
+    arrival=st.sampled_from(["poisson", "bursty"]),
+    num_requests=st.integers(1, 120),
+    kv_blocks_per_gpu=st.sampled_from([None, 8, 12]),  # 8-12: preemption
+    window_s=st.sampled_from([None, 1.0]),
+    record=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_doubling_every_cost_and_the_arrival_clock_doubles_every_time(
+    mode, mtp, arrival, num_requests, kv_blocks_per_gpu, window_s, record, seed
+):
+    """Twice the step costs, half the arrival rate, twice the SLO
+    limits and window width: the same run on a clock twice as slow.
+    Scaling by 2 is exact in binary floating point, so every time (and
+    every trace event's ``ts``/``dur``) doubles exactly, every rate
+    halves, and every count, SLO verdict and sampled value is equal."""
+    from repro.obs import Tracer
+
+    def run(factor: float, costs: StepCostModel):
+        tracer = Tracer()
+        config = SimConfig(
+            workload=WorkloadSpec(
+                request_rate=16.0 / factor,
+                num_requests=num_requests,
+                prompt_mean=256,
+                output_mean=64,
+                arrival=arrival,
+            ),
+            costs=costs,
+            mode=mode,
+            kv_blocks_per_gpu=kv_blocks_per_gpu,
+            slo=SLO(ttft=0.05 * factor, tpot=0.015 * factor),
+            window_s=None if window_s is None else window_s * factor,
+            slo_rules=("burn>2@0.9",) if window_s is not None else (),
+            record_requests=record,
+            seed=seed,
+        )
+        sim = ServingSimulator(config, tracer=tracer)
+        return report_asdict(sim.run()), sim.metrics.snapshot(), tracer.events
+
+    mtp_config = MTPConfig(enabled=mtp)
+    base, base_metrics, base_events = run(1.0, StepCostModel(mtp=mtp_config))
+    scaled, scaled_metrics, scaled_events = run(2.0, _DoubledCosts(mtp=mtp_config))
+
+    _assert_scaled(base, scaled, 2.0, streaming=not record)
+    counters = {k: v for k, v in base_metrics.items() if isinstance(v, (int, float))}
+    assert counters == {k: scaled_metrics[k] for k in counters}
+    assert len(base_events) == len(scaled_events)
+    for b, s in zip(base_events, scaled_events):
+        assert s.keys() == b.keys()
+        for key in b:
+            assert s[key] == (2.0 * b[key] if key in ("ts", "dur") else b[key]), key
