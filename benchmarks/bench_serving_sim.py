@@ -17,11 +17,12 @@ The shared seed is pinned in the base config so every variant sees the
 same arrival stream — the ablation discipline the engine's derived
 per-point seeds would otherwise (correctly) break.
 
-Results are recorded as ``BENCH_serving_sim.json`` via
-:func:`_report.write_json`; the committed file is the baseline.  Every
-leaf is deterministic (seeded simulations, no wall-clock numbers), so
-``python -m benchmarks.bench_serving_sim --check`` re-runs the four
-variants and exits nonzero on any drift from it.
+``python -m benchmarks.bench_serving_sim`` records the results as
+``BENCH_serving_sim.json`` via :func:`_report.write_json`; the
+committed file is the baseline.  Every leaf is deterministic (seeded
+simulations, no wall-clock numbers), so ``--check`` re-runs the four
+variants and exits nonzero on any drift from it, and the pytest entry
+asserts the same match without writing anything.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ VARIANTS = [
 ]
 
 SPEC = SweepSpec(target="serving", points=[p for _, p in VARIANTS], base=BASE)
+
+#: The committed baseline that ``--check`` and the pytest entry compare to.
+BASELINE = Path(__file__).resolve().parent / "BENCH_serving_sim.json"
 
 
 def _row(name: str, record: dict) -> list[object]:
@@ -132,13 +136,21 @@ def _write(records: dict[str, dict], workers: int) -> None:
     )
 
 
+def _drift(records: dict[str, dict]) -> list[str]:
+    """Drift of ``records`` from the committed baseline (empty: none)."""
+    return compare(records, json.loads(BASELINE.read_text()))
+
+
 def bench_serving_sim_ablation(benchmark):
+    """Run the ablation and compare it with the committed baseline, as
+    ``--check`` does; rewriting the baseline is left to ``main``."""
     workers = min(4, os.cpu_count() or 1)
     records = benchmark(run_ablation, workers)
     _print(records)
-    _write(records, workers)
     for claim, holds in shape_checks(records):
         assert holds, claim
+    drifts = _drift(records)
+    assert not drifts, drifts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,14 +171,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_serving_sim.json"
-        drifts = compare(records, json.loads(path.read_text()))
+        drifts = _drift(records)
         if drifts:
-            print(f"\nserving ablation drift vs {path.name}:")
+            print(f"\nserving ablation drift vs {BASELINE.name}:")
             for message in drifts:
                 print(f"  {message}")
             return 1
-        print(f"\nexactly matches {path.name}")
+        print(f"\nexactly matches {BASELINE.name}")
         return 0
 
     _write(records, workers)

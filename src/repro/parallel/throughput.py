@@ -1,6 +1,6 @@
 """Cluster training-step model: the Table 4 reproduction.
 
-Combines the DualPipe schedule simulator with FLOPs-derived chunk
+Combines DualPipe's analytic pipeline bubble with FLOPs-derived chunk
 costs to predict the full training-step decomposition the paper
 reports for DeepSeek-V3 on 2,048 H800s: per-phase times (1F / 1B / 1W
 / bubble / 1F1B / opt), time per step, tokens per day, and MFU.
@@ -22,12 +22,7 @@ from ..core.units import SECONDS_PER_DAY
 from ..model.config import DEEPSEEK_V3, ModelConfig
 from ..model.flops import forward_flops_per_token
 from .mfu import MfuReport, mfu_report
-from .schedule import (
-    ChunkCosts,
-    ScheduleResult,
-    analytic_dualpipe_bubble,
-    simulate_pipeline,
-)
+from .schedule import ChunkCosts, analytic_dualpipe_bubble
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ class StepReport:
     """Simulated training-step decomposition (the Table 4 rows)."""
 
     config: TrainingJobConfig
-    schedule: ScheduleResult | None
     busy: float
     warmup_forward: float  # "1F": P forward chunks filling the pipe
     warmup_backward: float  # "1B"
@@ -142,7 +136,6 @@ class StepReport:
 def simulate_training_step(
     config: TrainingJobConfig,
     comm_latency: float = 0.0,
-    bubble_model: str = "analytic",
 ) -> StepReport:
     """Simulate one DualPipe training step and decompose it.
 
@@ -152,42 +145,23 @@ def simulate_training_step(
             latency per chunk; DualPipe's compute/communication overlap
             makes it ~0 on both MPFT and MRFT fabrics (which is why
             Table 4 shows identical throughput for the two networks).
-        bubble_model: "analytic" uses the DualPipe paper's bubble
-            formula (the production schedule); "event" measures the
-            bubble of the event-level greedy zero-bubble schedule,
-            which is an optimistic lower bound.
 
     Returns:
         The step decomposition.
     """
     costs = config.chunk_costs()
-    mb_per_direction = config.microbatches_per_rank // 2
-    if mb_per_direction < 1:
+    if config.microbatches_per_rank < 2:
         raise ValueError("need at least two micro-batches for DualPipe")
     busy = config.microbatches_per_rank * costs.total
-    if bubble_model == "analytic":
-        schedule = None
-        bubble = analytic_dualpipe_bubble(config.pipeline_parallel, costs)
-        bubble += 2 * comm_latency * config.pipeline_parallel
-    elif bubble_model == "event":
-        schedule = simulate_pipeline(
-            config.pipeline_parallel,
-            mb_per_direction,
-            costs,
-            bidirectional=True,
-            comm_latency=comm_latency,
-        )
-        busy = schedule.busy_time(0)
-        bubble = schedule.mean_bubble
-    else:
-        raise ValueError(f"unknown bubble_model {bubble_model!r}")
+    # The DualPipe paper's bubble formula: the production schedule.
+    bubble = analytic_dualpipe_bubble(config.pipeline_parallel, costs)
+    bubble += 2 * comm_latency * config.pipeline_parallel
     p = config.pipeline_parallel
     warm_f = p * costs.forward
     warm_b = p * costs.backward_input
     warm_w = p * costs.backward_weight
     return StepReport(
         config=config,
-        schedule=schedule,
         busy=busy,
         warmup_forward=warm_f,
         warmup_backward=warm_b,

@@ -26,12 +26,7 @@ from .report import (
     compact_record,
     report_asdict,
 )
-from .scheduler import (
-    SchedulerConfig,
-    form_prefill_batch,
-    pick_preemption_victim,
-    select_decode_batch,
-)
+from .scheduler import SchedulerConfig, form_prefill_batch
 from .simulator import (
     COLOCATED,
     DISAGGREGATED,
@@ -63,8 +58,6 @@ __all__ = [
     "report_asdict",
     "SchedulerConfig",
     "form_prefill_batch",
-    "pick_preemption_victim",
-    "select_decode_batch",
     "COLOCATED",
     "DISAGGREGATED",
     "KV_OCCUPANCY",

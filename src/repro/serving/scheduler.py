@@ -1,16 +1,10 @@
 """Continuous-batching scheduler policies.
 
-A pool's scheduling decisions are pure functions of its queues and KV
-pool so they can be unit-tested without running the event loop:
-
-* *prefill batch formation* — FCFS admission under a token budget and
-  KV availability (admission control: a request whose cache cannot be
-  allocated waits, creating backpressure instead of OOM).
-* *decode batch selection* — all admitted requests up to the pool's
-  concurrency cap (continuous batching: the batch re-forms every step).
-* *preemption victim choice* — latest-arrival-first, the
-  recompute-on-preemption policy of paged-attention engines: the newest
-  request loses its blocks and re-enters the prefill queue.
+A pool's prefill batch formation is a pure function of its queue and
+KV pool, so it can be unit-tested without running the event loop: FCFS
+admission under a token budget and KV availability (admission control:
+a request whose cache cannot be allocated waits, creating backpressure
+instead of OOM).
 """
 
 from __future__ import annotations
@@ -79,28 +73,3 @@ def form_prefill_batch(
         batch.append(head)
         tokens += head.prompt_tokens
     return batch
-
-
-def select_decode_batch(active: list[Request], cap: int) -> list[Request]:
-    """The step's decode batch: oldest ``cap`` admitted requests.
-
-    This is the *policy definition*; the simulator never lets a pool's
-    active set exceed its cap (admission, prefill formation and fault
-    eviction all bound it), so on the hot path the batch is the whole
-    active list (see ``ServingSimulator._advance_decode``).
-    """
-    if len(active) <= cap:
-        return list(active)
-    return sorted(active, key=lambda r: (r.arrival, r.rid))[:cap]
-
-
-def pick_preemption_victim(active: list[Request]) -> Request:
-    """Latest-arrival victim (ties broken by rid for determinism).
-
-    With the pool's active list pre-sorted by ``(arrival, rid)`` the
-    victim is simply the last element; this function states the policy
-    for callers holding an unsorted list.
-    """
-    if not active:
-        raise ValueError("no active request to preempt")
-    return max(active, key=lambda r: (r.arrival, r.rid))

@@ -11,9 +11,9 @@ Drives individual requests through one or two modeled GPU pools:
 
 All stochastic choices (arrivals, lengths, MTP acceptance) come from
 named streams of :func:`repro.core.rng.seeded_generator`, and the
-calendar-queue event scheduler (:class:`repro.serving.calqueue.CalendarQueue`,
-pop order proven identical to a binary heap) breaks time ties with
-``(kind, seq)``, so a seed fully determines the run: two simulations
+event calendar (:class:`repro.serving.calqueue.CalendarQueue`, one
+binary heap) breaks time ties with ``(kind, seq)``, so a seed fully
+determines the run: two simulations
 with the same config produce ``SimReport``s that compare equal — and,
 with a :class:`repro.obs.Tracer` attached, byte-identical trace files.
 
@@ -46,34 +46,35 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
 * Without MTP a decode pool keeps a *due calendar*.  Every member
   emits one token per completed step, so the step at which it
   finishes and the step at which its next token crosses a KV block
-  are fixed when it joins the active set; two min-heaps keyed
-  ``(step, rid)`` hold them against the pool's completed-step counter
-  (a crossing is re-filed after each extend).  A completed step bumps
-  every member's token count in one tight loop and then visits, in rid
-  order, only the entries due at it; entries of members that left are
-  skipped when popped.  A preemption victim later in rid order than
-  the member being extended gives back the token the walk would not
-  yet have given it.  MTP runs walk the sorted batch every step, as
-  their acceptance draws are per member; ``_CALENDAR = False`` walks
-  non-MTP runs too (and folds none of their steps), the reference the
-  tests compare against.
+  are fixed while it stays; one min-heap keyed ``(step, rid)`` holds
+  the earlier of the two for each member against the pool's
+  completed-step counter (filed when it joins, re-filed after each
+  extend).  A completed step bumps every member's token count in one
+  tight loop and then visits, in rid order, only the entries due at
+  it; entries of members that left are skipped when popped.  A
+  preemption victim later in rid order than the member being extended
+  gives back the token the walk would not yet have given it.  MTP runs
+  walk the sorted batch every step, as their acceptance draws are per
+  member; ``_CALENDAR = False`` walks non-MTP runs too (and folds none
+  of their steps), the reference the tests compare against.
 * Quiescent decode steps fold into one *horizon*.  When a decode step
   starts and nothing else could happen before it ends — no queued
   event is due, no request finishes, every KV extend fits and no other
   pool could start work — it completes inline, and so do the steps
-  after it, up to the first that cannot.  Without MTP the limit is
-  read off the calendar's finish heap and each folded step pops its
-  crossings from the crossing heap.  Each folded step replays the
-  clock addition, step-cost lookup (only when the context bucket
-  changes), batch profile, channel samples and block-crossing extends
-  in order (a traced run also emits each step's ``decode_step`` span
-  and per-pool counters inline); token counts advance once per
-  horizon.  MTP runs complete each folded step through the queued
-  event's own code, drawing acceptance in the same rid/step order, so
-  a horizon covers at most half the tokens any member has left and
-  needs the two-tokens-each worst case to fit the free KV blocks.
-  Tracing never changes which steps fold.  ``_HORIZON = 1`` is the
-  plain one-event-per-step loop the tests compare against.
+  after it, up to the first that cannot.  Without MTP each folded step
+  pops the calendar's entries due at it; a finish, or a member a
+  re-prefill left under-covered, ends the horizon.  Each folded step
+  replays the clock addition, step-cost lookup (only when the context
+  bucket changes), batch profile, channel samples and block-crossing
+  extends in order (a traced run also emits each step's
+  ``decode_step`` span and per-pool counters inline); token counts
+  advance once per horizon.  MTP runs complete each folded step
+  through the queued event's own code, drawing acceptance in the same
+  rid/step order, so a horizon covers at most half the tokens any
+  member has left and needs the two-tokens-each worst case to fit the
+  free KV blocks.  Tracing never changes which steps fold.
+  ``_HORIZON = 1`` is the plain one-event-per-step loop the tests
+  compare against.
 * MTP acceptance draws come from a block-buffered stream
   (:func:`repro.core.rng.uniform_stream`): ``_MTP_BLOCK`` uniforms are
   drawn at once from the dedicated ``"mtp"`` generator and consumed one
@@ -176,7 +177,8 @@ _CALENDAR = True
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
 
-#: Scheduler order: oldest-first with rid tie-break (see scheduler.py).
+#: Scheduler order: oldest first with rid tie-break; the newest member
+#: is the preemption victim.
 _BY_ARRIVAL = attrgetter("arrival", "rid")
 _BY_RID = attrgetter("rid")
 _ENTRY_RID = itemgetter(1)  # (step, rid, request) calendar entries
@@ -278,7 +280,7 @@ class _Pool:
     """Runtime state of one GPU pool.
 
     ``active`` is kept sorted by ``(arrival, rid)`` — the scheduler
-    order of :func:`repro.serving.scheduler.select_decode_batch` — and
+    order, so ``active[-1]`` is the preemption victim — and
     ``active_ctx`` is the running integer sum of its members' context
     tokens (prompt + generated).  Both are maintained incrementally at
     every admission, emission, preemption and completion, so per-step
@@ -288,15 +290,15 @@ class _Pool:
     whole set.
 
     Without MTP every member therefore emits exactly one token per
-    completed step, and the *due calendar* files two step numbers when
-    a request joins: ``tick`` counts completed decode steps, and the
-    min-heaps ``finishes`` and ``crossings`` hold ``(step, rid,
-    request)`` for the step at which the member finishes and the one at
-    which its next token crosses a KV block.  Entries of members that
-    have left stay behind and are skipped when popped, so no entry
-    outlives its step.  Both heaps are ``None`` under MTP, whose
-    members emit one or two tokens a step, and when ``_CALENDAR`` is
-    off.
+    completed step, and the *due calendar* files one step number per
+    member: ``tick`` counts completed decode steps, and the min-heap
+    ``due`` holds a live ``(step, rid, request)`` entry for the first
+    step at which the member either finishes or needs a token past its
+    held KV blocks, filed when it joins and re-filed after each extend.
+    Entries of members that have left stay behind and are skipped when
+    popped, so no entry outlives its step.  ``due`` is ``None`` under
+    MTP, whose members emit one or two tokens a step, and when
+    ``_CALENDAR`` is off.
     """
 
     __slots__ = (
@@ -304,7 +306,7 @@ class _Pool:
         "prefill_queue", "entry_queue", "active", "active_ctx", "busy",
         "current_kind", "current_batch", "step_start", "_concurrent_cap",
         "base_gpus", "base_cap", "base_blocks", "step_epoch",
-        "tick", "finishes", "crossings",
+        "tick", "due",
     )
 
     def __init__(
@@ -339,8 +341,7 @@ class _Pool:
         self.base_blocks = kv.config.total_blocks
         self.step_epoch = 0
         self.tick = 0
-        self.finishes: list | None = [] if calendar else None
-        self.crossings: list | None = [] if calendar else None
+        self.due: list | None = [] if calendar else None
 
     @property
     def decode_cap(self) -> int:
@@ -352,13 +353,12 @@ class _Pool:
 
     def add_active(self, request: Request) -> None:
         """Admit a request to the decode set, preserving scheduler order,
-        and file its finish and block-crossing steps in the calendar."""
+        and file its due step in the calendar."""
         insort(self.active, request, key=_BY_ARRIVAL)
         self.active_ctx += request.prompt_tokens + request.generated
         request.decoding = True
-        if self.finishes is not None:
-            heappush(self.finishes, (self.finish_step(request), request.rid, request))
-            self.file_crossing(request)
+        if self.due is not None:
+            self.file_due(request)
 
     def remove_active(self, request: Request) -> None:
         """Drop a request from the decode set (O(log n) index lookup)."""
@@ -374,15 +374,16 @@ class _Pool:
         """The completed step at which the member has all its tokens."""
         return self.tick + request.output_tokens - request.generated
 
-    def crossing_step(self, request: Request) -> int:
-        """The completed step whose token first needs more than the
-        member's held blocks (at or before ``tick`` when a re-prefill
-        left it under-covered)."""
-        return self.tick + request.kv_tokens - request.prompt_tokens - request.generated
+    def due_step(self, request: Request) -> int:
+        """The member's finish step, or the earlier completed step whose
+        token first needs more than its held blocks (at or before
+        ``tick`` when a re-prefill left it under-covered)."""
+        covered = request.kv_tokens - request.prompt_tokens
+        return self.tick + min(request.output_tokens, covered) - request.generated
 
-    def file_crossing(self, request: Request) -> None:
-        """File (or re-file, after an extend) the member's next crossing."""
-        heappush(self.crossings, (self.crossing_step(request), request.rid, request))
+    def file_due(self, request: Request) -> None:
+        """File (or re-file, after an extend) the member's due step."""
+        heappush(self.due, (self.due_step(request), request.rid, request))
 
 
 class ServingSimulator:
@@ -477,13 +478,7 @@ class ServingSimulator:
             tracer.thread(pool.pid, 0, "steps")
         tracer.process(self._requests_pid, "requests")
 
-        # Calendar queue sized so an average bucket spans a fraction of
-        # the mean interarrival gap — O(1) amortized push/pop at any
-        # request count, with pop order identical to the old heapq
-        # (pinned by the goldens and tests/test_calqueue.py).
-        events = CalendarQueue(
-            bucket_width=max(1e-6, 0.25 / cfg.workload.request_rate)
-        )
+        events = CalendarQueue()
         seq = 0
 
         def push(time: float, kind: int, payload: object) -> None:
@@ -575,7 +570,8 @@ class ServingSimulator:
                 payload.queued_since = now
                 prefill_pool.prefill_queue.append(payload)
             for pool in pools:
-                self._try_start(pool, now, pools, push)
+                if not pool.busy:
+                    self._try_start(pool, now, pools, push)
 
         duration = now
         for name, value in (
@@ -808,7 +804,8 @@ class ServingSimulator:
     def _try_start(
         self, pool: _Pool, now: float, pools: tuple[_Pool, ...], push
     ) -> None:
-        if pool.busy or pool.num_gpus < 1:
+        """Offer an idle pool work: a prefill batch, else a decode step."""
+        if pool.num_gpus < 1:
             return
         cfg = self.config
         tracer = self.tracer
@@ -858,11 +855,13 @@ class ServingSimulator:
         Without MTP the batch is fixed, every member emits one token per
         step, and no extend fails, so a step's completion is replayed:
         the clock, the step's trace span and channel samples, and the KV
-        extends of the members the calendar files as crossing a block at
-        that step, while the token counts and ``tick`` advance once for
-        the whole horizon.  With MTP each inline step runs
-        :meth:`_finish_step` itself (same draws, same rid order), once
-        the worst case of two tokens per member fits the free KV blocks.
+        extends of the members the calendar has due at that step, while
+        the token counts and ``tick`` advance once for the whole
+        horizon.  The first step at which a member finishes, or one a
+        re-prefill left under-covered is due, is the queued one.  With
+        MTP each inline step runs :meth:`_finish_step` itself (same
+        draws, same rid order), once the worst case of two tokens per
+        member fits the free KV blocks.
         With ``_HORIZON = 1`` the horizon is always empty: one step per
         queued event.
         """
@@ -875,7 +874,7 @@ class ServingSimulator:
         decode_step_time = cfg.costs.decode_step_time
         fold = self.fold
         sample = fold.sample
-        crossings = pool.crossings
+        due = pool.due
         tick = pool.tick
         batch, context_tokens = pool.active.copy(), pool.active_ctx
         size = len(batch)
@@ -911,27 +910,31 @@ class ServingSimulator:
                 self._sample(end, pools)
                 batch, context_tokens = pool.active.copy(), pool.active_ctx
             else:
-                # The members whose token of this step crosses a block.
-                # tick and generated stay at their horizon-start values
-                # until the horizon ends, so a live entry still matches.
-                # Equal entries pop together: a member that left and
-                # rejoined within one tick may have filed the same one.
+                # The members due at this step; each crosses a block
+                # unless it finishes or is under-covered (due before the
+                # step), which ends the horizon.  tick and generated stay
+                # at their horizon-start values until the horizon ends,
+                # so a live entry still matches.  Equal entries pop
+                # together: a member that left and rejoined within one
+                # tick may have filed the same one.
                 step = tick + folded + 1
                 crossing = None
-                if crossings[0][0] <= step:
+                if due[0][0] <= step:
                     crossing = []
-                    while crossings and crossings[0][0] <= step:
-                        _, _, request = heappop(crossings)
-                        if (
-                            request.decoding
-                            and step == pool.crossing_step(request)
-                            and (not crossing or crossing[-1] is not request)
-                        ):
-                            crossing.append(request)
-                    if len(crossing) > kv.free_blocks:
+                    while due and due[0][0] <= step:
+                        key, _, request = due[0]
+                        if request.decoding and key == pool.due_step(request):
+                            if key < step or key == pool.finish_step(request):
+                                break
+                            if not crossing or crossing[-1] is not request:
+                                crossing.append(request)
+                        heappop(due)
+                    # A finish or under-covered member left due, or an
+                    # extend that would fail: _finish_step takes the step.
+                    if (due and due[0][0] <= step) or len(crossing) > kv.free_blocks:
                         for request in crossing:
-                            pool.file_crossing(request)
-                        break  # an extend would fail: preempt in _finish_step
+                            pool.file_due(request)
+                        break
                 # The step completes inline: one token per batch member.
                 if not folded:
                     # Queues and other pools stay put across a horizon,
@@ -942,7 +945,7 @@ class ServingSimulator:
                         need = request.prompt_tokens + request.generated + folded + 2
                         kv.extend(request.rid, need)
                         request.kv_tokens = -(-need // block_tokens) * block_tokens
-                        pool.file_crossing(request)
+                        pool.file_due(request)
                     used += len(crossing)  # one block per crossing
                 context_tokens += size
                 sample(end, depth, used)
@@ -978,11 +981,8 @@ class ServingSimulator:
         entrants or prefill work, or an idle peer has any work (a later
         ``_try_start`` could act).  Busy peers cannot act before their
         queued completion, which bounds the horizon in time.  Time and
-        KV capacity are checked step by step by the caller.  Without
-        MTP the limit is read from the due calendar, whose stale heads
-        (members that left or moved on) are dropped here; a member left
-        under-covered by a re-prefill needs a multi-block extend, so its
-        pool folds nothing until that step completes.  With the calendar
+        KV capacity are checked step by step by the caller, and without
+        MTP so are finishes, from the due calendar.  With the calendar
         off nothing folds.
         """
         if pool.entry_queue or (pool.does_prefill and pool.prefill_queue):
@@ -995,23 +995,7 @@ class ServingSimulator:
         if self.config.costs.mtp.enabled:
             left = min(r.output_tokens - r.generated - 1 for r in batch) // 2
             return min(_HORIZON - 1, left)
-        finishes, crossings = pool.finishes, pool.crossings
-        if finishes is None:
-            return 0
-        # Every member has a live entry in both heaps, so neither empties.
-        while True:
-            step, _, request = finishes[0]
-            if request.decoding and step == pool.finish_step(request):
-                break
-            heappop(finishes)
-        while True:
-            step, _, request = crossings[0]
-            if request.decoding and step == pool.crossing_step(request):
-                break
-            heappop(crossings)
-        if step <= pool.tick:
-            return 0  # under-covered (re-prefill)
-        return min(_HORIZON - 1, finishes[0][0] - pool.tick - 1)
+        return 0 if pool.due is None else _HORIZON - 1
 
     def _admit_entrants(self, pool: _Pool, now: float) -> None:
         kv = pool.kv
@@ -1084,8 +1068,8 @@ class ServingSimulator:
                 "decode_step", "step", pool.pid, 0, start, now - start,
                 args={"batch": len(batch)},
             )
-        finishes = pool.finishes
-        if finishes is not None:
+        due = pool.due
+        if due is not None:
             # Lockstep decode: every member emits one token, and only the
             # calendar's entries due at this step can finish or cross a
             # block.  Visiting them in rid order is the walk below with
@@ -1094,15 +1078,12 @@ class ServingSimulator:
             for request in batch:
                 request.generated += 1
             pool.active_ctx += len(batch)
-            crossings = pool.crossings
-            due = []
-            while finishes and finishes[0][0] <= tick:
-                due.append(heappop(finishes))
-            while crossings and crossings[0][0] <= tick:
-                due.append(heappop(crossings))
-            if len(due) > 1:
-                due.sort(key=_ENTRY_RID)
-            for _, _, request in due:
+            entries = []
+            while due and due[0][0] <= tick:
+                entries.append(heappop(due))
+            if len(entries) > 1:
+                entries.sort(key=_ENTRY_RID)
+            for _, _, request in entries:
                 if not request.decoding:
                     continue  # left the pool, or preempted earlier in this loop
                 if request.generated >= request.output_tokens:
@@ -1111,7 +1092,7 @@ class ServingSimulator:
                     continue
                 need = request.prompt_tokens + request.generated + 1
                 if need > request.kv_tokens and self._extend(pool, request, need, now, pools):
-                    pool.file_crossing(request)
+                    pool.file_due(request)
             return
         mtp = cfg.costs.mtp
         mtp_enabled = mtp.enabled
@@ -1158,10 +1139,10 @@ class ServingSimulator:
         active = pool.active
         tracer = self.tracer
         while not kv.extend(request.rid, need):
-            victim = active.pop()  # pick_preemption_victim: newest first
+            victim = active.pop()  # the newest member (scheduler order)
             kv.free(victim.rid)
             victim.kv_tokens = 0
-            if pool.finishes is not None and victim.rid > request.rid:
+            if pool.due is not None and victim.rid > request.rid:
                 victim.generated -= 1
                 pool.active_ctx -= 1
             pool.active_ctx -= victim.prompt_tokens + victim.generated

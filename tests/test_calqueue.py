@@ -1,13 +1,13 @@
 """CalendarQueue vs heapq: pop-order equivalence property tests.
 
 The serving simulator's golden pins (byte-identical SimReports and
-trace SHA-256) only survive the heap → calendar-queue swap if the two
-structures agree on the order of *every* event, including same-time
-ties broken by ``(kind, seq)``.  These tests hammer that equivalence
-with seeded random event streams across bucket widths and arrival
-regimes — clustered, sparse, heavily tied, interleaved push/pop —
-against a plain ``heapq`` reference, and check that ``peek_time``
-always names the time of the next pop.
+trace SHA-256) depend on the event calendar popping *every* event in
+``(time, kind, seq)`` order, including same-time ties broken by
+``(kind, seq)``.  These tests check that order with seeded random
+event streams across time scales and arrival regimes — clustered,
+sparse, heavily tied, interleaved push/pop — against a plain
+``heapq`` reference, and check that ``peek_time`` always names the
+time of the next pop.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ def _drain_both(queue: CalendarQueue, reference: list) -> None:
         queue.pop()
 
 
-@pytest.mark.parametrize("width", [0.05, 1.0, 17.0])
+@pytest.mark.parametrize("spread", [0.05, 1.0, 17.0])
 @pytest.mark.parametrize("quantum", [None, 0.25])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pop_order_matches_heapq_bulk(width, quantum, seed):
+def test_pop_order_matches_heapq_bulk(spread, quantum, seed):
     rng = random.Random(seed)
-    events = _stream(rng, 500, time_quantum=quantum, spread=2.0)
-    queue = CalendarQueue(bucket_width=width)
+    events = _stream(rng, 500, time_quantum=quantum, spread=spread)
+    queue = CalendarQueue()
     for event in events:
         queue.push(event)
     assert len(queue) == len(events)
@@ -68,7 +68,7 @@ def test_pop_order_matches_heapq_interleaved(seed):
     """The DES access pattern: pops interleaved with pushes whose times
     never precede the last popped event (events schedule the future)."""
     rng = random.Random(100 + seed)
-    queue = CalendarQueue(bucket_width=0.5)
+    queue = CalendarQueue()
     reference: list = []
     seq = 0
     now = 0.0
@@ -77,8 +77,7 @@ def test_pop_order_matches_heapq_interleaved(seed):
     for _ in range(400):
         burst = rng.randrange(4)
         for _ in range(burst):
-            # Delay 0 exercises push-at-the-current-instant (same
-            # bucket as the one being drained).
+            # Delay 0 exercises push-at-the-current-instant.
             delay = rng.choice([0.0, rng.random() * 3.0, rng.random() * 40.0])
             event = (now + delay, rng.randrange(6), seq, seq)
             seq += 1
@@ -97,7 +96,7 @@ def test_pop_order_matches_heapq_interleaved(seed):
 
 
 def test_identical_timestamps_break_ties_by_kind_then_seq():
-    queue = CalendarQueue(bucket_width=1.0)
+    queue = CalendarQueue()
     events = [(1.0, kind, seq, None) for kind in (3, 1, 2, 0) for seq in (7, 2, 9)]
     for event in events:
         queue.push(event)
@@ -107,39 +106,20 @@ def test_identical_timestamps_break_ties_by_kind_then_seq():
     assert kinds_seqs == sorted(kinds_seqs)
 
 
-def test_sparse_far_future_events_skip_empty_buckets():
-    """A tiny width against a huge time span must not scan bucket by
-    bucket: the index heap jumps straight to occupied buckets."""
-    queue = CalendarQueue(bucket_width=1e-3)
-    events = [(float(10**k), 0, k, k) for k in range(8)]
-    for event in reversed(events):
-        queue.push(event)
-    assert [queue.pop() for _ in range(len(events))] == sorted(events)
-
-
 def test_non_monotone_push_still_sorts_against_pending():
-    """Pushing at (or before) the current instant lands in the live
-    bucket heap and still pops in global order."""
-    queue = CalendarQueue(bucket_width=1.0)
+    """An entry pushed behind one still pending pops first."""
+    queue = CalendarQueue()
     queue.push((0.25, 0, 0, "a"))
     queue.push((0.75, 0, 1, "b"))
     assert queue.pop() == (0.25, 0, 0, "a")
-    queue.push((0.3, 0, 2, "c"))  # behind "b", same bucket as the clock
+    queue.push((0.3, 0, 2, "c"))  # behind "b"
     assert queue.pop() == (0.3, 0, 2, "c")
     assert queue.pop() == (0.75, 0, 1, "b")
     assert not queue
 
 
-def test_width_validation():
-    with pytest.raises(ValueError):
-        CalendarQueue(bucket_width=0.0)
-    with pytest.raises(ValueError):
-        CalendarQueue(bucket_width=-1.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    width=st.sampled_from([0.05, 0.5, 1.0, 17.0]),
     ops=st.lists(
         st.tuples(
             st.integers(0, 3),  # pushes before the next pop
@@ -152,12 +132,12 @@ def test_width_validation():
         max_size=120,
     ),
 )
-def test_peek_time_matches_heapq_under_interleaving(width, ops):
+def test_peek_time_matches_heapq_under_interleaving(ops):
     """``peek_time`` is the time of the entry ``pop`` returns next, at
     every point of an interleaved push/pop stream with same-time ties
     (delay 0 and a coarse delay grid), and peeking never changes the
     pop order."""
-    queue = CalendarQueue(bucket_width=width)
+    queue = CalendarQueue()
     reference: list = []
     seq = 0
     now = 0.0
@@ -183,7 +163,7 @@ def test_peek_time_matches_heapq_under_interleaving(width, ops):
 
 
 def test_peek_time_on_empty_queue_raises():
-    queue = CalendarQueue(bucket_width=1.0)
+    queue = CalendarQueue()
     with pytest.raises(IndexError):
         queue.peek_time()
     queue.push((2.0, 0, 0, None))

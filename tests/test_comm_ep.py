@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm import (
     COMBINE_BYTES_PER_ELEMENT,
@@ -13,7 +14,7 @@ from repro.comm import (
     run_ep_stage,
 )
 from repro.model import node_limited_topk, topk_routing
-from repro.network import build_mpft_cluster
+from repro.network import build_mpft_cluster, gpu_name
 
 RNG = np.random.default_rng
 
@@ -136,3 +137,53 @@ def test_ib_cost_factor_node_limited_vs_free():
 def test_deepseek_v3_ep_preset():
     assert DEEPSEEK_V3_EP.destinations_per_token == 9
     assert DEEPSEEK_V3_EP.hidden_size == 7168
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_nodes=st.sampled_from([2, 4, 8, 16]),
+    experts_per_gpu=st.sampled_from([1, 2, 4]),
+    k=st.integers(1, 8),
+    max_nodes=st.integers(0, 16),
+    tokens_per_gpu=st.integers(1, 12),
+    hidden=st.sampled_from([7, 64, 7168]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sec43_traffic_identity_on_generated_deployments(
+    num_nodes, experts_per_gpu, k, max_nodes, tokens_per_gpu, hidden, seed
+):
+    """§4.3 over generated MPFT deployments: a token's dispatch crosses
+    IB once per distinct expert node other than its source's node, at
+    ``hidden`` FP8 bytes, to the entry GPU on the source's plane; the
+    combine is that map reversed at BF16; and node-limited routing keeps
+    every token within ``max_nodes_per_token`` nodes."""
+    cluster = build_mpft_cluster(num_nodes)
+    max_nodes = min(max_nodes, num_nodes)  # 0: unlimited
+    cfg = EPConfig(
+        num_routed_experts=num_nodes * cluster.gpus_per_node * experts_per_gpu,
+        experts_per_token=k,
+        hidden_size=hidden,
+        max_nodes_per_token=max_nodes,
+    )
+    dep = EPDeployment(cluster, cfg)
+    decisions = dep.route_tokens(tokens_per_gpu, RNG(seed))
+    limited = 0 < max_nodes < num_nodes
+
+    expected: dict[tuple[str, str], float] = {}
+    for src, decision in decisions.items():
+        src_node = cluster.node_of[src]
+        for row in decision.expert_ids // dep.experts_per_node:
+            nodes = {int(node) for node in row}
+            if limited:
+                assert len(nodes) <= max_nodes
+            for node in nodes - {src_node}:
+                key = (src, gpu_name(node, cluster.plane_of[src]))
+                expected[key] = expected.get(key, 0) + hidden * DISPATCH_BYTES_PER_ELEMENT
+        factor = ib_cost_factor(decision, dep.experts_per_node)
+        assert factor <= (max_nodes if limited else min(k, num_nodes))
+
+    ib_d, _ = dep.dispatch_traffic(decisions)
+    assert ib_d == expected
+    ratio = COMBINE_BYTES_PER_ELEMENT / DISPATCH_BYTES_PER_ELEMENT
+    ib_c, _ = dep.combine_traffic(decisions)
+    assert ib_c == {(b, a): v * ratio for (a, b), v in expected.items()}

@@ -128,15 +128,6 @@ def test_mpft_mrft_parity_under_overlap():
     assert a.step_time == b.step_time
 
 
-def test_event_bubble_model_is_at_most_analytic():
-    cfg = TrainingJobConfig(global_batch_sequences=2048, num_gpus=1024, pipeline_parallel=8)
-    analytic = simulate_training_step(cfg, bubble_model="analytic")
-    event = simulate_training_step(cfg, bubble_model="event")
-    assert event.bubble <= analytic.bubble * 1.5
-    with pytest.raises(ValueError):
-        simulate_training_step(cfg, bubble_model="magic")
-
-
 def test_mfu_report_validation():
     with pytest.raises(ValueError):
         mfu_report(DEEPSEEK_V3, 0, 1.0, 10)

@@ -3,7 +3,7 @@
 ``ServingSimulator`` runs the quiescent decode steps between two queued
 events inline, in one pass (``repro.serving.simulator._HORIZON`` caps
 how many one event may advance), traced or not, with MTP or without.
-With the cap patched to 1 every step goes through the calendar queue,
+With the cap patched to 1 every step goes through the event calendar,
 which is the plain one-event-per-step loop.  These tests check that the
 two give identical results and traces, pin the event counts the fold
 saves (and that tracing leaves them unchanged), and check conservation
@@ -331,7 +331,15 @@ class _InvariantChecker:
 
     def check(self, queue: CalendarQueue) -> None:
         sim = self.sim
-        pending = [e for e in queue._cur] + [e for b in queue._buckets.values() for e in b]
+        pending = list(queue._heap)
+        # The calendar holds O(in-flight) events: arrivals are fed one
+        # at a time, and each pool has at most one live step completion
+        # (entries of steps a fault aborted are stale).
+        assert sum(e[1] == simulator._ARRIVAL for e in pending) <= 1
+        for pool in self.pools:
+            done = (pool, pool.step_epoch)
+            live = [e for e in pending if e[1] == simulator._STEP_DONE and e[3] == done]
+            assert len(live) == pool.busy
         in_flight = [
             e[3] for e in pending if e[1] in (simulator._DECODE_ENTER, simulator._RETRY)
         ]
@@ -351,6 +359,10 @@ class _InvariantChecker:
             assert len(pool.active) <= pool.decode_cap
             for r in pool.active:
                 assert 1 <= r.generated < r.output_tokens
+            if pool.due is not None:
+                # Every member has a live entry in the due calendar.
+                live_due = {r.rid for step, _, r in pool.due if step == pool.due_step(r)}
+                assert {r.rid for r in pool.active} <= live_due
         # Every request is in exactly one place.
         assert len({id(r) for r in in_flight}) == len(in_flight)
         # admitted = finished + dropped + in flight
