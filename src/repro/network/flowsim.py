@@ -15,12 +15,15 @@ capacity in each direction, like a full-duplex cable.
 Event mode runs on an incremental engine (:class:`_EventEngine`): flows
 are grouped into connected components of the link-sharing graph, and a
 completion only re-solves the components that lost flows — everything
-else keeps its frozen rates — and each re-solve resumes the component's
-last progressive filling at the first round a finished flow froze in,
-since every earlier round is provably unchanged (the rule and its proof
-are on :class:`_EventEngine`).  Fault timelines run in the same event
-loop: each failure/repair instant is a boundary at which the engine is
-rebuilt over the flows that still have a live path (see
+else keeps its frozen rates.  Within a component, progressive filling
+is driven by a heap of link shares, so a round costs the links and
+flows it freezes.  Each re-solve resumes the component's last filling
+at the first round a finished flow froze in, since every earlier round
+is provably unchanged (the rule and its proof are on
+:class:`_EventEngine`), and refills only the flows frozen from that
+round on.  Fault timelines run in the same event loop: each
+failure/repair instant is a boundary at which the engine is rebuilt
+over the flows that still have a live path (see
 :meth:`FlowSimulator.simulate`), and ``fixed`` mode solves once on the
 engine.  :func:`max_min_rates` remains the dict-based reference
 definition of the policy; the engine is cross-checked against it in the
@@ -30,7 +33,10 @@ test suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -66,8 +72,12 @@ class Flow:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("flow size must be non-negative")
+        if not 0 <= self.size < math.inf:
+            raise ValueError(f"flow size must be finite and non-negative, got {self.size!r}")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(
+                f"flow latency must be finite and non-negative, got {self.latency!r}"
+            )
         if len(self.path) < 2 or self.path[0] != self.src or self.path[-1] != self.dst:
             raise ValueError(f"path must run {self.src} -> {self.dst}")
         self._edges: list[tuple[str, str]] = list(zip(self.path[:-1], self.path[1:]))
@@ -159,70 +169,152 @@ class _Component:
     re-solved, every other flow keeps its frozen rate — the
     O(flows x links) per-event re-solve becomes O(affected).
 
+    Incidence is kept both ways as plain lists over local ids
+    (``links_of`` per flow, ``flows_on`` per link), plus the flat
+    ``flat``/``own`` arrays the link-load refresh bincounts over.
+
     It also keeps what its last solve needs to be resumed (see
     :meth:`_EventEngine.solve_component`): the active mask it solved
-    for, each flow's freeze round, and a log of the capacity every
-    round left on the links it touched.  All of it is preallocated at
-    the component's incidence size; ``solved = None`` forces the next
-    solve to start cold.
+    for, each flow's freeze round, the links each round touched and the
+    flows it froze, and each link's capacity history — its capacity
+    followed by what every touching round left on it.  Rounds touch
+    only the links of the flows they freeze, so the history never grows
+    past the incidence.  ``solved = None`` forces the next solve to
+    start cold.
     """
 
     __slots__ = (
-        "flows", "flat", "off", "links", "caps",
-        "solved", "freeze", "rounds", "round_start",
-        "log_link", "log_cap", "log_prev", "last",
+        "flows", "links", "links_of", "flows_on", "flat", "own",
+        "hist", "solved", "freeze", "touched", "frozen",
     )
 
-    def __init__(self, flows, flat, off, links, caps):
+    def __init__(self, flows, links, links_of, caps):
         self.flows = flows  # global engine flow ids, fixed order
-        self.flat = flat  # local link ids, concatenated in `flows` order
-        self.off = off  # per-flow offsets into `flat` (len(flows) + 1)
         self.links = links  # global link ids of the component
-        self.caps = caps  # local link capacities
+        self.links_of = links_of  # local link ids of each local flow
+        self.flows_on = [[] for _ in caps]  # local flows crossing each link
+        for f, row in enumerate(links_of):
+            for link in row:
+                self.flows_on[link].append(f)
+        self.flat = np.fromiter(chain.from_iterable(links_of), dtype=np.int64)
+        self.own = np.repeat(np.arange(len(links_of)), [len(row) for row in links_of])
+        self.hist = [[cap] for cap in caps]  # capacity, then after each touch
         self.solved = None  # local active mask of the last solve
-        self.freeze = np.zeros(len(flows), dtype=np.int64)  # round each flow froze in
-        self.rounds = 0  # rounds the last solve ran
-        # Every round touches at most the links of the flows it freezes,
-        # so the log never outgrows the incidence and rounds <= flows.
-        self.round_start = np.zeros(len(flows) + 1, dtype=np.int64)  # log offset per round
-        self.log_link = np.empty(len(flat), dtype=np.int64)  # link a round touched
-        self.log_cap = np.empty(len(flat), dtype=np.float64)  # its capacity after the round
-        self.log_prev = np.empty(len(flat), dtype=np.int64)  # the link's previous entry, -1 if none
-        self.last = np.full(len(links), -1, dtype=np.int64)  # each link's latest entry
+        self.freeze = [0] * len(links_of)  # round each flow froze in
+        self.touched: list[list[int]] = []  # links each round touched
+        self.frozen: list[list[int]] = []  # flows each round froze
 
+    def rewind(self, k: int, act: np.ndarray) -> list[int]:
+        """Drop rounds ``k..`` of the last solve; return the flows to refill.
 
-def _ragged_rows(flat: np.ndarray, off: np.ndarray, rows: np.ndarray):
-    """Gather ``flat`` segments for ``rows``; returns (values, lengths)."""
-    starts = off[rows]
-    lens = off[rows + 1] - starts
-    cum = np.cumsum(lens)
-    total = int(cum[-1]) if len(cum) else 0
-    if total == 0:
-        return flat[:0], lens
-    pos = np.repeat(starts - (cum - lens), lens) + np.arange(total)
-    return flat[pos], lens
+        Restores every link a dropped round touched to the capacity it
+        had after round ``k - 1``.  The flows to refill are the ``act``
+        ones those rounds froze, or every ``act`` flow when ``k == 0``.
+        """
+        hist = self.hist
+        for touched in self.touched[k:]:
+            for link in touched:
+                hist[link].pop()
+        if k:
+            on = act.tolist()
+            rest = [f for frozen in self.frozen[k:] for f in frozen if on[f]]
+        else:
+            rest = np.flatnonzero(act).tolist()
+        del self.touched[k:], self.frozen[k:]
+        return rest
+
+    def fill(self, rest: list[int]) -> tuple[list[int], list[float]]:
+        """Progressive filling of ``rest`` from round ``len(self.frozen)``.
+
+        A heap holds ``(capacity / unfrozen count, link, version)`` for
+        every link with unfrozen flows; entries whose version is behind
+        the link's are stale and skipped.  Each round pops every link
+        within the ``1e-9`` relative tolerance of the minimum share,
+        freezes the unfrozen flows on them at that share, then applies
+        ``cap = max(cap - share * count, 0)`` once per link those flows
+        cross (``count`` of them) and re-pushes it.  That per-link
+        ``count x share`` subtraction matches the one-flow-at-a-time
+        subtraction of :func:`max_min_rates` to float rounding; a round
+        costs the links it pops and the incidence of the flows it
+        freezes, not a pass over the component.
+
+        Returns the flows in freeze order and their rates.
+        """
+        hist, freeze = self.hist, self.freeze
+        links_of, flows_on = self.links_of, self.flows_on
+        cnt = Counter(chain.from_iterable(map(links_of.__getitem__, rest)))
+        ver = dict.fromkeys(cnt, 0)  # bumped per touch; stales heap entries
+        heap = [(hist[link][-1] / n, link, 0) for link, n in cnt.items()]
+        heapify(heap)
+        unfrozen = set(rest)
+        done: list[int] = []
+        rates: list[float] = []
+        rnd = len(self.frozen)
+        while unfrozen:
+            while heap and heap[0][2] != ver[heap[0][1]]:
+                heappop(heap)
+            if heap:
+                now = []
+                share = heap[0][0]
+                limit = share * (1 + 1e-9)
+                while heap and heap[0][0] <= limit:
+                    _, link, version = heappop(heap)
+                    if version != ver[link]:
+                        continue
+                    for f in flows_on[link]:
+                        if f in unfrozen:
+                            unfrozen.remove(f)
+                            freeze[f] = rnd
+                            now.append(f)
+            else:  # the rest cross no capacitated link
+                share = math.inf
+                now = sorted(unfrozen)
+                unfrozen.clear()
+                for f in now:
+                    freeze[f] = rnd
+            delta = Counter(chain.from_iterable(map(links_of.__getitem__, now)))
+            for link, d in delta.items():
+                h = hist[link]
+                cap = h[-1] - share * d
+                if cap < 0.0:
+                    cap = 0.0
+                h.append(cap)
+                n = cnt[link] - d
+                cnt[link] = n
+                ver[link] += 1
+                if n:
+                    heappush(heap, (cap / n, link, ver[link]))
+            self.touched.append(list(delta))
+            self.frozen.append(now)
+            done += now
+            rates += [share] * len(now)
+            rnd += 1
+        return done, rates
 
 
 class _EventEngine:
-    """Vectorized, component-incremental engine behind event mode.
+    """Component-incremental engine behind event mode.
 
     Produces the same completion times as re-running
     :func:`max_min_rates` from scratch at every completion event (the
     reference implementation, kept above as the tested definition of
     the policy), but:
 
-    * link membership is interned once into integer ids and CSR-style
-      incidence arrays instead of per-event dicts of sets;
-    * the progressive-filling rounds run on numpy arrays (the
+    * link membership is interned once into integer ids, and each
+      component keeps its incidence as per-flow and per-link lists
+      instead of per-event dicts of sets;
+    * progressive filling is heap-driven (:meth:`_Component.fill`): a
+      round costs the links it freezes and the flows it touches, not a
+      pass over every link and incidence of the component; the
       equal-share subtraction is applied per link as ``count x share``,
-      which matches the sequential reference to float rounding);
+      which matches the sequential reference to float rounding;
     * completions only re-solve the affected component(s); untouched
       components reuse their frozen rates bit-for-bit;
     * a re-solve resumes the component's previous progressive filling
       instead of restarting it (below);
-    * the per-event "which flows finished" rescan and the per-flow
-      remaining-bytes updates are single vector operations instead of
-      the former O(flows) Python loops per event.
+    * the per-event "which flows finished" rescan, the per-flow
+      remaining-bytes updates and each component's link-load refresh
+      are single vector operations.
 
     **Resume rule.**  Let ``k`` be the earliest round in which any flow
     that went inactive since the component's last solve froze.  Rounds
@@ -233,14 +325,12 @@ class _EventEngine:
     the link from the candidates), so the minimum share, the set of
     frozen links, the flows they freeze and every ``cap -= share x
     count`` update are the same floats as before.  The re-solve
-    therefore restores the link capacities left after round ``k - 1``
-    from the log, rebuilds the counts from the active flows whose
-    freeze round is ``>= k``, keeps the rates of the flows frozen
-    earlier, and runs only rounds ``k..``; ``k == 0`` is a cold solve.
-    The rates are bit-identical to a cold solve, and the saved state
-    (freeze rounds, per-round log offsets, one ``(link, capacity
-    after, previous entry)`` log entry per link a round touches) never
-    exceeds the component's incidence size.  On a shifted-ring
+    therefore pops the capacity history of rounds ``k..`` (restoring
+    the capacities left after round ``k - 1``), keeps the rates of the
+    flows frozen earlier, and refills only the active flows rounds
+    ``k..`` froze; ``k == 0`` is a cold solve.  It costs the incidence
+    it refills, not the component's.  The rates are bit-identical to a
+    cold solve, and so is the saved state.  On a shifted-ring
     all-to-all, where one coupled component needs about a hundred
     rounds per solve, nearly every re-solve resumes at its last round.
     """
@@ -252,7 +342,7 @@ class _EventEngine:
         n = len(self.flow_ids)
         edge_ids: dict[tuple[str, str], int] = {}
         caps_list: list[float] = []
-        links_of: list[np.ndarray] = []
+        links_of: list[list[int]] = []
         for idx, edges in paths.items():
             row = []
             for edge in edges:
@@ -265,7 +355,7 @@ class _EventEngine:
                     edge_ids[edge] = eid
                     caps_list.append(cap)
                 row.append(eid)
-            links_of.append(np.asarray(row, dtype=np.int64))
+            links_of.append(row)
         self.link_caps = np.asarray(caps_list, dtype=np.float64)
         num_links = len(caps_list)
 
@@ -303,17 +393,17 @@ class _EventEngine:
 
         self.components: list[_Component] = []
         for comp_members in members:
-            flat_global = np.concatenate([links_of[e] for e in comp_members])
-            off = np.zeros(len(comp_members) + 1, dtype=np.int64)
-            np.cumsum([len(links_of[e]) for e in comp_members], out=off[1:])
-            comp_links, flat_local = np.unique(flat_global, return_inverse=True)
+            local: dict[int, int] = {}  # global -> local link id, first seen
+            rows = [
+                [local.setdefault(eid, len(local)) for eid in links_of[e]]
+                for e in comp_members
+            ]
             self.components.append(
                 _Component(
                     flows=np.asarray(comp_members, dtype=np.int64),
-                    flat=flat_local.astype(np.int64),
-                    off=off,
-                    links=comp_links,
-                    caps=self.link_caps[comp_links].copy(),
+                    links=np.fromiter(local, dtype=np.int64, count=len(local)),
+                    links_of=rows,
+                    caps=[caps_list[eid] for eid in local],
                 )
             )
 
@@ -324,89 +414,28 @@ class _EventEngine:
     def solve_component(self, comp: _Component) -> None:
         """Max-min progressive filling over the component's active flows.
 
-        Mirrors :func:`max_min_rates`: each round takes the most
-        contended link's equal share as the global minimum, freezes
-        every link within the ``1e-9`` relative tolerance together,
-        fixes their unfrozen flows at that share, and subtracts the
-        committed bandwidth from every link those flows cross.
-
-        A re-solve resumes the last one at round ``k``, the earliest
-        round in which a flow that has since gone inactive froze, and
-        keeps the rates of the flows frozen before it.
+        Mirrors :func:`max_min_rates` (see :meth:`_Component.fill`).  A
+        re-solve resumes the last one at round ``k``, the earliest round
+        in which a flow that has since gone inactive froze, and keeps
+        the rates of the flows frozen before it.
         """
         act = self.active[comp.flows]
-        sel = np.flatnonzero(act)
-        num_links = len(comp.caps)
-        if len(sel) == 0:
+        if not act.any():
             self.link_load[comp.links] = 0.0
             return
         k = 0
         if comp.solved is not None:
-            gone = comp.freeze[comp.solved & ~act]
-            k = int(gone.min()) if len(gone) else comp.rounds
-        pos = comp.round_start[k]
-        if k == 0:
-            cap = comp.caps.copy()
-            comp.last.fill(-1)
-            rest = sel
-        else:
-            # Truncate the log to rounds < k: each link touched later
-            # falls back to its entry before its first later touch.
-            tail = slice(pos, comp.round_start[comp.rounds])
-            prev = comp.log_prev[tail]
-            first = prev < pos
-            comp.last[comp.log_link[tail][first]] = prev[first]
-            cap = np.where(comp.last >= 0, comp.log_cap[comp.last], comp.caps)
-            rest = sel[comp.freeze[sel] >= k]
-        flat, lens = _ragged_rows(comp.flat, comp.off, rest)
-        off = np.zeros(len(rest) + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        own = np.repeat(np.arange(len(rest)), lens)  # flow of each `flat` entry
-        cnt = np.bincount(flat, minlength=num_links)
-        local_rates = np.zeros(len(rest), dtype=np.float64)
-        freeze = np.zeros(len(rest), dtype=np.int64)
-        unfrozen = np.ones(len(rest), dtype=bool)
-        left = len(rest)
-        rnd = k
-        while left:
-            live = cnt.nonzero()[0]
-            if len(live) == 0:  # flows crossing no capacitated link
-                local_rates[unfrozen] = np.inf
-                freeze[unfrozen] = rnd
-                rnd += 1
-                comp.round_start[rnd] = pos
-                break
-            shares = cap[live] / cnt[live]
-            share = shares.min()
-            frozen_links = np.zeros(num_links, dtype=bool)
-            frozen_links[live[shares <= share * (1 + 1e-9)]] = True
-            newly = np.logical_or.reduceat(frozen_links[flat], off[:-1]) & unfrozen
-            local_rates[newly] = share
-            freeze[newly] = rnd
-            unfrozen[newly] = False
-            left -= np.count_nonzero(newly)
-            delta = np.bincount(flat[newly[own]], minlength=num_links)
-            cap -= share * delta
-            np.maximum(cap, 0.0, out=cap)
-            cnt -= delta
-            hit = delta.nonzero()[0]
-            end = pos + len(hit)
-            comp.log_link[pos:end] = hit
-            comp.log_cap[pos:end] = cap[hit]
-            comp.log_prev[pos:end] = comp.last[hit]
-            comp.last[hit] = np.arange(pos, end)
-            rnd, pos = rnd + 1, end
-            comp.round_start[rnd] = pos
-        comp.solved, comp.rounds = act, rnd
-        comp.freeze[rest] = freeze
-        self.rates[comp.flows[rest]] = local_rates
-        # Refresh the component's link loads for utilization sampling.
-        if k:  # `flat` held only the refilled flows; loads need every active one
-            flat, lens = _ragged_rows(comp.flat, comp.off, sel)
-        finite = self.rates[comp.flows[sel]]
-        finite[~np.isfinite(finite)] = 0.0
+            gone = np.flatnonzero(comp.solved & ~act).tolist()
+            k = min(map(comp.freeze.__getitem__, gone), default=len(comp.frozen))
+        done, rates = comp.fill(comp.rewind(k, act))
+        comp.solved = act
+        self.rates[comp.flows[done]] = rates
+        # Refresh the component's link loads for utilization sampling;
+        # inactive and unbounded flows weigh zero.
+        weights = self.rates[comp.flows]
+        weights[~(act & np.isfinite(weights))] = 0.0
         self.link_load[comp.links] = np.bincount(
-            flat, weights=np.repeat(finite, lens), minlength=num_links
+            comp.flat, weights=weights[comp.own], minlength=len(comp.links)
         )
 
     def solve_all(self) -> None:

@@ -32,6 +32,12 @@ def test_flow_validation():
         Flow("a", "b", 1.0, ["a"])
     with pytest.raises(ValueError):
         Flow("a", "b", 1.0, ["b", "a"])
+    # A NaN size fails both ``size > 0`` and ``size == 0``, so event mode
+    # would silently drop the flow (empty ``completion``, makespan 0).
+    nan, inf = float("nan"), float("inf")
+    for size, latency in ((nan, 0.0), (inf, 0.0), (1.0, nan), (1.0, inf), (1.0, -1e-6)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Flow("a", "b", size, ["a", "b"], latency=latency)
 
 
 def test_single_flow_gets_bottleneck_bandwidth():
@@ -275,18 +281,34 @@ _picks = st.lists(
 )
 
 
+@settings(max_examples=80, deadline=None)
+@given(picks=_picks)
+def test_initial_rates_match_reference_solver_under_ties(picks):
+    """Oracle over tie-heavy traffic: few distinct sizes, one shared
+    spine, same-leaf and cross-leaf pairs.  Every initial engine rate
+    equals the dict-based :func:`max_min_rates` to 1e-9 relative."""
+    flows = _spine0_flows(picks)
+    topo = two_layer_fat_tree(_LEAVES, _HOSTS, _SPINES, link_bandwidth=10e9)
+    sim = FlowSimulator(topo)
+    result = sim.simulate(flows)
+    sized = {i: f for i, f in enumerate(flows) if f.size > 0}
+    reference = max_min_rates(sized, sim.capacities)
+    assert set(result.rates) == set(reference)
+    for idx, rate in reference.items():
+        assert result.rates[idx] == pytest.approx(rate, rel=1e-9)
+
+
 def _saved_state(comp):
-    """A component's resume state, as bytes for exact comparison."""
-    logged = comp.round_start[comp.rounds]
-    return (
-        comp.solved.tobytes(),
-        comp.freeze[comp.solved].tobytes(),
-        comp.rounds,
-        comp.round_start[: comp.rounds + 1].tobytes(),
-        comp.log_link[:logged].tobytes(),
-        comp.log_cap[:logged].tobytes(),
-        comp.log_prev[:logged].tobytes(),
-        comp.last.tobytes(),
+    """A component's resume state, in a form compared exactly (floats
+    by repr, so bit for bit)."""
+    return repr(
+        (
+            comp.solved.tobytes(),
+            [comp.freeze[f] for f in comp.solved.nonzero()[0]],
+            comp.touched,
+            comp.frozen,
+            comp.hist,
+        )
     )
 
 
@@ -317,8 +339,10 @@ def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
             _saved_state(comp) if len(ids) else None,
         )
         assert warm == cold
-        assert comp.round_start[comp.rounds] <= len(comp.flat)
-        assert comp.rounds <= len(comp.flows)
+        # The history holds one entry per (round, link it touched) on
+        # top of each link's capacity: never more than the incidence.
+        assert sum(len(h) - 1 for h in comp.hist) <= len(comp.flat)
+        assert len(comp.frozen) <= len(comp.flows)
         calls.append(comp)
 
     flows = _spine0_flows(picks)
@@ -333,10 +357,9 @@ def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
 def test_ring_resolves_resume_near_their_last_round():
     """On a coupled shifted ring, re-solves refill only a few flows.
 
-    The first progressive-filling call of each re-solve runs over the
-    flows still unfrozen at the resume round; summed over the run it
-    must be a small fraction of the active flows a cold re-solve would
-    refill.
+    Each re-solve rewinds to its resume round and refills the active
+    flows frozen from there on; summed over the run they must be a
+    small fraction of the active flows a cold re-solve would refill.
     """
     from unittest import mock
 
@@ -345,24 +368,16 @@ def test_ring_resolves_resume_near_their_last_round():
 
     topo = two_layer_fat_tree(4, 8, 4)
     flows = shifted_ring_flows(topo, range(1, 8), 64e6)
-    solve = flowsim._EventEngine.solve_component
-    gather = flowsim._ragged_rows
+    rewind = flowsim._Component.rewind
     refilled, active = [], []
 
-    def spy(engine, comp):
-        rows = []
+    def spy(comp, k, act):
+        rest = rewind(comp, k, act)
+        refilled.append(len(rest))
+        active.append(int(act.sum()))
+        return rest
 
-        def counted(flat, off, sel):
-            rows.append(len(sel))
-            return gather(flat, off, sel)
-
-        with mock.patch.object(flowsim, "_ragged_rows", counted):
-            solve(engine, comp)
-        if rows:  # the last re-solve finds no active flow
-            refilled.append(rows[0])
-            active.append(int(engine.active[comp.flows].sum()))
-
-    with mock.patch.object(flowsim._EventEngine, "solve_component", spy):
+    with mock.patch.object(flowsim._Component, "rewind", spy):
         FlowSimulator(topo).simulate(flows)
     assert len(refilled) > 10
     assert refilled[0] == active[0] == len(flows)  # the first solve is cold

@@ -17,6 +17,16 @@ Two scenarios cover the interesting code paths: a *colocated* run with
 a deliberately tight KV pool (preemption + recompute + MTP) and a
 *disaggregated* run (KV transfer, separate pools, bursty arrivals).
 
+Flowsim's event engine is pinned the same way, by SHA-256 of
+repr-exact JSON, on two 4 x 8 fat-tree all-to-alls: a *leaf-local*
+pattern with seeded sizes (many independent components, one re-solve
+per completion) and a *shifted ring* over shifts 1..7 (one coupled
+component whose re-solves resume near their last round).  Each pins the
+completion times, the initial rates and the
+``network.link_utilization.*`` series sampled at every re-solve.  The
+Chrome trace of ``repro trace --scenario network --smoke`` is pinned
+too, with and without a link-fault timeline.
+
 Regenerate (only when an intentional behavior change lands) with::
 
     PYTHONPATH=src python tests/test_simcore_golden.py --regen
@@ -29,9 +39,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.faults import FaultSchedule
+from repro.network import Flow, FlowSimulator, shifted_ring_flows, two_layer_fat_tree
 from repro.obs import Tracer
 from repro.serving import (
     MTPConfig,
@@ -146,7 +159,87 @@ def test_goldens_exercise_interesting_paths(tmp_path: Path) -> None:
     assert disagg["completed"] == 160  # KV-transfer path end to end
 
 
+# -- flowsim --------------------------------------------------------------
+
+
+def _leaf_local_flows():
+    topo = two_layer_fat_tree(4, 8, 4)
+    rng = np.random.default_rng(0)
+    flows = []
+    for leaf in range(4):
+        hosts = [f"h{leaf * 8 + i}" for i in range(8)]
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    size = float(rng.uniform(64e6, 512e6))
+                    flows.append(Flow(src, dst, size, [src, f"FT2/leaf{leaf}", dst]))
+    return topo, flows
+
+
+def _shifted_ring_flows():
+    topo = two_layer_fat_tree(4, 8, 4)
+    return topo, shifted_ring_flows(topo, range(1, 8), 64e6)
+
+
+FLOWSIM_SCENARIOS = {
+    "leaf_local": _leaf_local_flows,
+    "shifted_ring": _shifted_ring_flows,
+}
+
+#: ``repro trace`` argument lists whose trace files are pinned.
+NETWORK_TRACES = {
+    "smoke": ["--smoke"],
+    "smoke_faults": ["--smoke", "--faults", "mtbf:0.02:0.01"],
+}
+
+FLOWSIM_GOLDEN = GOLDEN_DIR / "flowsim.json"
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _run_flowsim(name: str) -> dict:
+    """Run one flowsim scenario in event mode; return its pins."""
+    topo, flows = FLOWSIM_SCENARIOS[name]()
+    sim = FlowSimulator(topo)
+    result = sim.simulate(flows)
+    n = len(flows)
+    series = {
+        key: sim.metrics.series(f"network.link_utilization.{key}").samples
+        for key in ("mean", "max")
+    }
+    return {
+        "flows": n,
+        "makespan": result.makespan,
+        "samples": len(series["mean"]),
+        "completion_sha256": _sha256([result.completion[i] for i in range(n)]),
+        "rates_sha256": _sha256([result.rates[i] for i in range(n)]),
+        "utilization_sha256": _sha256(series),
+    }
+
+
+def _network_trace_sha256(name: str, tmp_path: Path) -> str:
+    out = tmp_path / f"network_{name}.trace.json"
+    assert main(["trace", "--scenario", "network", *NETWORK_TRACES[name], "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FLOWSIM_SCENARIOS))
+def test_flowsim_matches_golden(name: str) -> None:
+    golden = json.loads(FLOWSIM_GOLDEN.read_text())["scenarios"][name]
+    assert _run_flowsim(name) == golden
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_TRACES))
+def test_network_trace_matches_golden(name: str, tmp_path: Path) -> None:
+    golden = json.loads(FLOWSIM_GOLDEN.read_text())["network_trace_sha256"][name]
+    assert _network_trace_sha256(name, tmp_path) == golden
+
+
 def _regen() -> None:
+    import contextlib
+    import io
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -156,6 +249,15 @@ def _regen() -> None:
             path = _golden_path(name)
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            payload = {
+                "scenarios": {name: _run_flowsim(name) for name in sorted(FLOWSIM_SCENARIOS)},
+                "network_trace_sha256": {
+                    name: _network_trace_sha256(name, Path(tmp)) for name in sorted(NETWORK_TRACES)
+                },
+            }
+        FLOWSIM_GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {FLOWSIM_GOLDEN}")
 
 
 if __name__ == "__main__":
