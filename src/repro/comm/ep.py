@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model.routing import RoutingDecision, node_limited_topk, topk_routing
-from ..network.collectives import pair_flows
+from ..network.collectives import transfer_flows
 from ..network.flowsim import Flow, FlowSimulator
 from ..network.multiplane import ClusterNetwork, gpu_name
 
@@ -194,11 +194,8 @@ class EPDeployment:
         spread: str = "adaptive",
     ) -> list[Flow]:
         """Materialize aggregated traffic as simulator flows."""
-        flows: list[Flow] = []
-        for (src, dst), size in ib.items():
-            flows.extend(
-                pair_flows(self.cluster, src, dst, size, use_pxn=True, spread=spread, tag="ib")
-            )
+        transfers = [(src, dst, size) for (src, dst), size in ib.items()]
+        flows = transfer_flows(self.cluster, transfers, use_pxn=True, spread=spread, tag="ib")
         for (src, dst), size in nvlink.items():
             nvsw = f"n{self.cluster.node_of[src]}/nvsw"
             flows.append(Flow(src, dst, size, [src, nvsw, dst], tag="nvlink"))

@@ -10,6 +10,7 @@ totals in tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import AttentionConfig, AttentionKind, ModelConfig
@@ -108,8 +109,13 @@ class ParamBreakdown:
         )
 
 
+@functools.lru_cache(maxsize=64)
 def count_params(model: ModelConfig) -> ParamBreakdown:
-    """Count total and activated parameters of ``model``."""
+    """Count total and activated parameters of ``model``.
+
+    Memoized (both types are frozen): the serving cost model asks again
+    on every prefill-cost cache miss.
+    """
     h = model.hidden_size
     embedding = model.vocab_size * h
     output_head = 0 if model.tie_embeddings else model.vocab_size * h

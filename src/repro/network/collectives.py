@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .flowsim import Flow, FlowSimulator
 from .latency import IB, LinkLayerLatency, path_latency
-from .multiplane import ClusterNetwork, direct_path, pxn_path, pxn_relay
-from .routing import RoutingPolicy, ecmp_index, equal_cost_paths, route_flow
+from .multiplane import ClusterNetwork, pxn_relay
+from .routing import RoutingPolicy, ecmp_index, route_flows, route_pairs
 from .topology import Topology
 
 
@@ -69,30 +69,50 @@ def pair_flows(
     * ``"ecmp"`` — one hash-selected path,
     * ``"first"`` — the deterministically first path (pathological).
     """
-    topo = cluster.topology
-    if cluster.same_node(src, dst):
-        path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
-        return [Flow(src, dst, size, path, latency=path_latency(cluster, path, layer), tag=tag)]
-    if use_pxn:
-        prefix, net_src = pxn_relay(cluster, src, dst)
-    else:
-        prefix, net_src = [], src
-    paths = equal_cost_paths(topo, net_src, dst) if use_pxn else [direct_path(cluster, src, dst)]
-    if not use_pxn:
-        # Spread the direct path too, over its equal-cost variants.
-        paths = equal_cost_paths(topo, src, dst)
-    full_paths = [prefix + p if prefix else p for p in paths]
-    latency = path_latency(cluster, full_paths[0], layer)
-    if spread == "adaptive":
-        share = size / len(full_paths)
-        return [Flow(src, dst, share, p, latency=latency, tag=tag) for p in full_paths]
-    if spread == "ecmp":
-        chosen = full_paths[ecmp_index(src, dst, len(full_paths))]
-    elif spread == "first":
-        chosen = full_paths[0]
-    else:
+    return transfer_flows(cluster, [(src, dst, size)], use_pxn, spread, layer, tag)
+
+
+def transfer_flows(
+    cluster: ClusterNetwork,
+    transfers: list[tuple[str, str, float]],
+    use_pxn: bool = True,
+    spread: str = "adaptive",
+    layer: LinkLayerLatency = IB,
+    tag: str = "",
+) -> list[Flow]:
+    """:func:`pair_flows` of every ``(src, dst, size)`` in ``transfers``,
+    concatenated in order.  The cross-node transfers are routed from one
+    equal-cost path table, so each network source costs one BFS."""
+    if spread not in ("adaptive", "ecmp", "first"):
         raise ValueError(f"unknown spread {spread!r}")
-    return [Flow(src, dst, size, chosen, latency=latency, tag=tag)]
+    crossing = [(src, dst, size) for src, dst, size in transfers if not cluster.same_node(src, dst)]
+    relays = [pxn_relay(cluster, src, dst) if use_pxn else ([], src) for src, dst, _ in crossing]
+    pairs = [(net_src, dst) for (_, net_src), (_, dst, _) in zip(relays, crossing)]
+
+    def emit(index: int, paths: list[list[str]]) -> list[Flow]:
+        src, dst, size = crossing[index]
+        prefix = relays[index][0]
+        full_paths = [prefix + p for p in paths] if prefix else paths
+        latency = path_latency(cluster, full_paths[0], layer)
+        if spread == "adaptive":
+            share = size / len(full_paths)
+            return [Flow(src, dst, share, p, latency=latency, tag=tag) for p in full_paths]
+        if spread == "ecmp":
+            chosen = full_paths[ecmp_index(src, dst, len(full_paths))]
+        else:
+            chosen = full_paths[0]
+        return [Flow(src, dst, size, chosen, latency=latency, tag=tag)]
+
+    routed = iter(route_pairs(cluster.topology, pairs, emit))
+    flows: list[Flow] = []
+    for src, dst, size in transfers:
+        if cluster.same_node(src, dst):
+            path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
+            latency = path_latency(cluster, path, layer)
+            flows.append(Flow(src, dst, size, path, latency=latency, tag=tag))
+        else:
+            flows.extend(next(routed))
+    return flows
 
 
 def all_to_all_flows(
@@ -110,17 +130,10 @@ def all_to_all_flows(
     destination plane (mandatory on MPFT; NCCL's PXN behaviour on
     MRFT); without it, the direct shortest graph path is used.
     """
-    flows = []
-    for src in participants:
-        for dst in participants:
-            if src == dst:
-                continue
-            flows.extend(
-                pair_flows(
-                    cluster, src, dst, bytes_per_pair, use_pxn, spread, layer, tag="a2a"
-                )
-            )
-    return flows
+    transfers = [
+        (src, dst, bytes_per_pair) for src in participants for dst in participants if src != dst
+    ]
+    return transfer_flows(cluster, transfers, use_pxn, spread, layer, tag="a2a")
 
 
 def run_all_to_all(
@@ -168,13 +181,8 @@ def ring_collective_flows(
     if n < 2:
         raise ValueError("a ring needs at least two ranks")
     per_link = buffer_bytes * (n - 1) / n
-    flows: list[Flow] = []
-    for i, src in enumerate(ring):
-        dst = ring[(i + 1) % n]
-        flows.extend(
-            route_flow(topology, src, dst, per_link, policy, static_table=static_table, tag=tag)
-        )
-    return flows
+    transfers = [(src, ring[(i + 1) % n], per_link, tag) for i, src in enumerate(ring)]
+    return route_flows(topology, transfers, policy, static_table=static_table)
 
 
 def run_concurrent_rings(

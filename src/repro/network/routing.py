@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import zlib
+from collections.abc import Callable, Iterator, Sequence
 
 from .flowsim import Flow
 from .topology import Topology
@@ -30,9 +31,62 @@ class RoutingPolicy(enum.Enum):
     STATIC = "static"
 
 
+def equal_cost_path_table(
+    topology: Topology, pairs: Sequence[tuple[str, str]]
+) -> Iterator[tuple[int, list[list[str]]]]:
+    """The equal-cost paths of every pair, from one BFS per distinct source.
+
+    Yields ``(index, paths)`` for each ``pairs[index]``, grouped by
+    source: sources in order of first appearance, each one's pairs in
+    input order.  ``paths`` is ``sorted(nx.all_shortest_paths(graph,
+    src, dst))``, backtracked from the source's ``nx.predecessor`` BFS.
+    As in networkx, a source missing from the graph raises
+    ``NodeNotFound`` and a destination it cannot reach (or a missing
+    one) raises ``NetworkXNoPath``, once the walk gets to that pair.
+
+    Only one source's BFS is held at a time, and no entry is kept after
+    it is yielded.  Nothing is cached on ``topology``: its graph may be
+    edited between calls (see :mod:`repro.reliability.failover`).
+    """
+    import networkx as nx
+
+    by_source: dict[str, list[int]] = {}
+    for index, (src, _) in enumerate(pairs):
+        by_source.setdefault(src, []).append(index)
+    for src, indices in by_source.items():
+        pred = nx.predecessor(topology.graph, src)
+        for index in indices:
+            dst = pairs[index][1]
+            if dst not in pred:
+                raise nx.NetworkXNoPath(f"Target {dst} cannot be reached from given sources")
+            # Walk back one BFS level per step: every partial path sits on
+            # the same level, so all of them reach ``src`` together.
+            reversed_paths = [[dst]]
+            while reversed_paths[0][-1] != src:
+                reversed_paths = [
+                    path + [hop] for path in reversed_paths for hop in pred[path[-1]]
+                ]
+            yield index, sorted(path[::-1] for path in reversed_paths)
+        del pred
+
+
 def equal_cost_paths(topology: Topology, src: str, dst: str) -> list[list[str]]:
     """All shortest paths, deterministically ordered."""
-    return sorted(topology.shortest_paths(src, dst))
+    [(_, paths)] = equal_cost_path_table(topology, [(src, dst)])
+    return paths
+
+
+def route_pairs(
+    topology: Topology,
+    pairs: Sequence[tuple[str, str]],
+    emit: Callable[[int, list[list[str]]], list[Flow]],
+) -> list[list[Flow]]:
+    """The flows ``emit(index, paths)`` makes of each pair's table
+    entry, listed in pair order (the table itself walks by source)."""
+    routed: list[list[Flow]] = [[]] * len(pairs)
+    for index, paths in equal_cost_path_table(topology, pairs):
+        routed[index] = emit(index, paths)
+    return routed
 
 
 def ecmp_index(src: str, dst: str, num_paths: int, salt: int = 0) -> int:
@@ -70,17 +124,34 @@ def route_flow(
         One flow (ECMP/STATIC) or one subflow per equal-cost path
         (ADAPTIVE, evenly split — the packet-spraying fluid limit).
     """
-    paths = equal_cost_paths(topology, src, dst)
-    if policy is RoutingPolicy.ADAPTIVE:
-        share = size / len(paths)
-        return [
-            Flow(src, dst, share, path, latency=latency, tag=tag) for path in paths
-        ]
-    if policy is RoutingPolicy.ECMP:
-        index = ecmp_index(src, dst, len(paths))
-    else:
-        index = (static_table or {}).get((src, dst), 0) % len(paths)
-    return [Flow(src, dst, size, paths[index], latency=latency, tag=tag)]
+    return route_flows(topology, [(src, dst, size, tag)], policy, latency, static_table)
+
+
+def route_flows(
+    topology: Topology,
+    transfers: Sequence[tuple[str, str, float, str]],
+    policy: RoutingPolicy,
+    latency: float = 0.0,
+    static_table: dict[tuple[str, str], int] | None = None,
+) -> list[Flow]:
+    """:func:`route_flow` of every ``(src, dst, size, tag)`` in
+    ``transfers``, concatenated in order, from one equal-cost path
+    table (one BFS per distinct source)."""
+    table = static_table or {}
+
+    def emit(index: int, paths: list[list[str]]) -> list[Flow]:
+        src, dst, size, tag = transfers[index]
+        if policy is RoutingPolicy.ADAPTIVE:
+            share = size / len(paths)
+            return [Flow(src, dst, share, path, latency=latency, tag=tag) for path in paths]
+        if policy is RoutingPolicy.ECMP:
+            chosen = ecmp_index(src, dst, len(paths))
+        else:
+            chosen = table.get((src, dst), 0) % len(paths)
+        return [Flow(src, dst, size, paths[chosen], latency=latency, tag=tag)]
+
+    pairs = [(src, dst) for src, dst, _, _ in transfers]
+    return [flow for flows in route_pairs(topology, pairs, emit) for flow in flows]
 
 
 def shifted_ring_flows(
@@ -95,15 +166,18 @@ def shifted_ring_flows(
     ``(i + shift) % N`` — the classic permutation decomposition of an
     all-to-all.  Shared by the ``repro trace --scenario network`` CLI
     and the sweep engine's ``flowsim`` target, so both exercise the
-    same deterministic workload.
+    same deterministic workload.  A shift that is a multiple of ``N``
+    would send every host to itself and raises ``ValueError``.
     """
     hosts = topology.hosts
-    flows: list[Flow] = []
+    n = len(hosts)
+    transfers = []
     for shift in shifts:
-        for i, src in enumerate(hosts):
-            dst = hosts[(i + shift) % len(hosts)]
-            flows.extend(route_flow(topology, src, dst, size, policy, tag=f"shift{shift}"))
-    return flows
+        if n and shift % n == 0:
+            raise ValueError(f"shift {shift} sends each of the {n} hosts to itself")
+        tag = f"shift{shift}"
+        transfers.extend((src, hosts[(i + shift) % n], size, tag) for i, src in enumerate(hosts))
+    return route_flows(topology, transfers, policy)
 
 
 def collision_free_static_table(
@@ -117,10 +191,14 @@ def collision_free_static_table(
     like real static routing, it only helps the traffic pattern it was
     built for.
     """
+    # The greedy placement depends on pair order, so it needs every
+    # pair's paths before it places the first one.
+    paths_of: list[list[list[str]]] = [[]] * len(pairs)
+    for index, paths in equal_cost_path_table(topology, pairs):
+        paths_of[index] = paths
     link_use: dict[tuple[str, str], int] = {}
     table: dict[tuple[str, str], int] = {}
-    for src, dst in pairs:
-        paths = equal_cost_paths(topology, src, dst)
+    for (src, dst), paths in zip(pairs, paths_of):
         best_index, best_cost = 0, float("inf")
         for i, path in enumerate(paths):
             edges = list(zip(path[:-1], path[1:]))

@@ -355,6 +355,12 @@ def flowsim_params(config: dict) -> dict:
     reject_unknown_keys("flowsim", cfg)
     for key in ("num_leaves", "hosts_per_leaf", "num_spines", "shifts"):
         _check_number("flowsim", key, params[key], integer=True)
+    hosts = params["num_leaves"] * params["hosts_per_leaf"]
+    if params["shifts"] >= hosts:
+        raise ValueError(
+            f"flowsim 'shifts' must be below num_leaves * hosts_per_leaf = {hosts} "
+            f"(shift {hosts} sends each host to itself), got {params['shifts']}"
+        )
     _check_number("flowsim", "size_bytes", params["size_bytes"])
     mode = params["sim_mode"]
     if mode not in SIM_MODES:

@@ -125,3 +125,15 @@ def test_param_breakdown_components_sum():
         + p.moe_total + p.gates + p.mtp_total
     )
     assert p.active_linear < p.active
+
+
+def test_count_params_is_memoized_by_value():
+    """The serving cost model asks on every prefill-cost cache miss; an
+    equal (frozen) config gets the same breakdown without a recount."""
+    from dataclasses import replace
+
+    assert count_params(DEEPSEEK_V3) is count_params(DEEPSEEK_V3)
+    twin = replace(DEEPSEEK_V3)
+    assert twin is not DEEPSEEK_V3 and count_params(twin) is count_params(DEEPSEEK_V3)
+    smaller = replace(DEEPSEEK_V3, num_layers=DEEPSEEK_V3.num_layers - 1)
+    assert count_params(smaller).total < count_params(DEEPSEEK_V3).total

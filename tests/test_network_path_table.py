@@ -1,0 +1,230 @@
+"""The equal-cost path table: one BFS per source, the same paths as
+networkx, and the same flows from every builder that routes with it."""
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.network import (
+    DragonflyParams,
+    Flow,
+    RoutingPolicy,
+    all_to_all_flows,
+    build_dragonfly,
+    build_mpft_cluster,
+    build_mrft_cluster,
+    build_slimfly,
+    collision_free_static_table,
+    ecmp_index,
+    equal_cost_path_table,
+    path_latency,
+    ring_collective_flows,
+    shifted_ring_flows,
+    three_layer_fat_tree,
+    two_layer_fat_tree,
+)
+from repro.network.multiplane import pxn_relay
+
+#: Small instances of every topology family the repo builds.
+TOPOLOGIES = {
+    "ft2": lambda: two_layer_fat_tree(3, 2, 2),
+    "ft3": lambda: three_layer_fat_tree(4),
+    "dragonfly": lambda: build_dragonfly(DragonflyParams(p=1, a=3, h=1, g=4)),
+    "slimfly": lambda: build_slimfly(5, with_hosts=False),
+    "mpft": lambda: build_mpft_cluster(2, nodes_per_leaf=1).topology,
+    "mrft": lambda: build_mrft_cluster(2, nodes_per_leaf=1).topology,
+}
+
+
+def _reference_paths(graph, src, dst):
+    """One ``nx.all_shortest_paths`` search per pair, or the exception type."""
+    try:
+        return sorted(nx.all_shortest_paths(graph, src, dst))
+    except nx.NetworkXException as exc:
+        return type(exc)
+
+
+@st.composite
+def _table_cases(draw):
+    name = draw(st.sampled_from(sorted(TOPOLOGIES)))
+    topo = TOPOLOGIES[name]()
+    if draw(st.booleans()):
+        topo.add_host("island")  # a second component: unreachable from the rest
+    nodes = sorted(topo.graph.nodes)
+    node = st.one_of(st.sampled_from(nodes), st.just("ghost"))
+    sources = draw(st.lists(node, min_size=1, max_size=4))  # few sources: many repeats
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sources), node)
+            | st.sampled_from(sources).map(lambda s: (s, s)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return topo, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_table_cases())
+def test_table_equals_one_networkx_search_per_pair(case):
+    """Each entry is ``sorted(nx.all_shortest_paths(...))``; the walk is
+    by source in first-appearance order, and it stops with networkx's own
+    exception type at the first pair networkx refuses."""
+    topo, pairs = case
+    expected = [_reference_paths(topo.graph, src, dst) for src, dst in pairs]
+    sources = list(dict.fromkeys(src for src, _ in pairs))
+    walk = [i for src in sources for i, pair in enumerate(pairs) if pair[0] == src]
+    failure = next((i for i in walk if isinstance(expected[i], type)), None)
+    entries = []
+    raised = None
+    try:
+        for index, paths in equal_cost_path_table(topo, pairs):
+            entries.append((index, paths))
+    except nx.NetworkXException as exc:
+        raised = type(exc)
+    stop = len(walk) if failure is None else walk.index(failure)
+    assert [index for index, _ in entries] == walk[:stop]
+    assert all(paths == expected[index] for index, paths in entries)
+    assert raised is (None if failure is None else expected[failure])
+
+
+def test_table_runs_one_bfs_per_distinct_source(monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    topo = two_layer_fat_tree(2, 2, 2)
+    pairs = [("h0", "h3"), ("h1", "h2"), ("h0", "h2"), ("h0", "h0"), ("h1", "h3")]
+    table = dict(equal_cost_path_table(topo, pairs))
+    assert calls == ["h0", "h1"]
+    assert table[3] == [["h0"]]
+    assert table[0] == [["h0", "FT2/leaf0", f"FT2/spine{s}", "FT2/leaf1", "h3"] for s in (0, 1)]
+
+
+def _count_bfs(monkeypatch) -> list:
+    """Record the source of every ``nx.predecessor`` BFS."""
+    calls = []
+    predecessor = nx.predecessor
+
+    def counted(graph, source, *args, **kwargs):
+        calls.append(source)
+        return predecessor(graph, source, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "predecessor", counted)
+    return calls
+
+
+def test_bench_ring_routes_from_128_bfs(monkeypatch):
+    """The ``flowsim-ep`` ring (8 leaves x 16 hosts, 8 spines, shifts
+    1-15): 1,920 pairs from 128 sources, one BFS each."""
+    topo = two_layer_fat_tree(8, 16, 8)
+    calls = _count_bfs(monkeypatch)
+    flows = shifted_ring_flows(topo, range(1, 16), 64e6)
+    assert len(flows) == 1920
+    assert len(calls) == 128
+
+
+@pytest.mark.parametrize("use_pxn", [True, False])
+@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster])
+def test_all_to_all_runs_one_bfs_per_gpu(monkeypatch, build, use_pxn):
+    """A 4-node all-to-all: 992 ordered pairs, 768 of them cross-node,
+    routed from the 32 GPUs' BFS (with PXN every GPU relays into its
+    plane for its node)."""
+    cluster = build(4)
+    calls = _count_bfs(monkeypatch)
+    all_to_all_flows(cluster, cluster.gpus(), 1e6, use_pxn)
+    assert len(calls) == 32 == cluster.num_gpus
+
+
+def test_self_sending_shift_is_refused():
+    topo = two_layer_fat_tree(2, 2, 2)
+    with pytest.raises(ValueError, match="shift 4 sends each of the 4 hosts to itself"):
+        shifted_ring_flows(topo, [1, 4], 1e6)
+    with pytest.raises(ValueError, match="shift 0 "):
+        shifted_ring_flows(topo, [0], 1e6)
+
+
+# -- builders against a per-pair reference ---------------------------------
+
+
+def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
+    """``route_flow`` as one networkx search for the pair."""
+    paths = sorted(nx.all_shortest_paths(topo.graph, src, dst))
+    if policy is RoutingPolicy.ADAPTIVE:
+        return [Flow(src, dst, size / len(paths), p, tag=tag) for p in paths]
+    if policy is RoutingPolicy.ECMP:
+        index = ecmp_index(src, dst, len(paths))
+    else:
+        index = (static_table or {}).get((src, dst), 0) % len(paths)
+    return [Flow(src, dst, size, paths[index], tag=tag)]
+
+
+def _reference_pair(cluster, src, dst, size, use_pxn, spread, tag):
+    """``pair_flows`` as one networkx search for the pair."""
+    if cluster.same_node(src, dst):
+        path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
+        return [Flow(src, dst, size, path, latency=path_latency(cluster, path), tag=tag)]
+    prefix, net_src = pxn_relay(cluster, src, dst) if use_pxn else ([], src)
+    paths = [prefix + p for p in sorted(nx.all_shortest_paths(cluster.topology.graph, net_src, dst))]
+    latency = path_latency(cluster, paths[0])
+    if spread == "adaptive":
+        return [Flow(src, dst, size / len(paths), p, latency=latency, tag=tag) for p in paths]
+    chosen = paths[ecmp_index(src, dst, len(paths))] if spread == "ecmp" else paths[0]
+    return [Flow(src, dst, size, chosen, latency=latency, tag=tag)]
+
+
+@pytest.mark.parametrize("policy", list(RoutingPolicy))
+@pytest.mark.parametrize("name", ["ft2", "ft3", "dragonfly"])
+def test_shifted_ring_matches_per_pair_routing(name, policy):
+    topo = TOPOLOGIES[name]()
+    hosts = topo.hosts
+    shifts = [1, 2, len(hosts) + 1]  # the last repeats shift 1's pairs
+    expected = [
+        flow
+        for shift in shifts
+        for i, src in enumerate(hosts)
+        for flow in _reference_route(
+            topo, src, hosts[(i + shift) % len(hosts)], 1e6, policy, tag=f"shift{shift}"
+        )
+    ]
+    assert shifted_ring_flows(topo, shifts, 1e6, policy) == expected
+
+
+def test_static_table_and_rings_match_per_pair_routing():
+    topo = two_layer_fat_tree(4, 4, 4)
+    rings = [[f"h{leaf * 4 + slot}" for leaf in range(4)] for slot in range(4)]
+    pairs = [(r[i], r[(i + 1) % len(r)]) for r in rings for i in range(len(r))]
+    link_use, expected_table = {}, {}
+    for src, dst in pairs:
+        paths = sorted(nx.all_shortest_paths(topo.graph, src, dst))
+        costs = [max(link_use.get(e, 0) for e in zip(p[:-1], p[1:])) for p in paths]
+        best = costs.index(min(costs))
+        expected_table[(src, dst)] = best
+        for e in zip(paths[best][:-1], paths[best][1:]):
+            link_use[e] = link_use.get(e, 0) + 1
+    table = collision_free_static_table(topo, pairs)
+    assert table == expected_table and list(table) == pairs
+    for policy in RoutingPolicy:
+        for ring in rings:
+            per_link = 4e6 * (len(ring) - 1) / len(ring)
+            expected = [
+                flow
+                for i, src in enumerate(ring)
+                for flow in _reference_route(
+                    topo, src, ring[(i + 1) % len(ring)], per_link, policy, table, "ring"
+                )
+            ]
+            assert ring_collective_flows(topo, ring, 4e6, policy, table) == expected
+
+
+@pytest.mark.parametrize("spread", ["adaptive", "ecmp", "first"])
+@pytest.mark.parametrize("use_pxn", [True, False])
+@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster])
+def test_all_to_all_matches_per_pair_routing(build, use_pxn, spread):
+    cluster = build(3, nodes_per_leaf=2)
+    gpus = cluster.gpus()[::3]  # a mix of same-node, same-plane and cross-plane pairs
+    expected = [
+        flow
+        for src in gpus
+        for dst in gpus
+        if src != dst
+        for flow in _reference_pair(cluster, src, dst, 1e6, use_pxn, spread, "a2a")
+    ]
+    assert all_to_all_flows(cluster, gpus, 1e6, use_pxn, spread=spread) == expected

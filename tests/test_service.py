@@ -919,6 +919,26 @@ def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
+def test_self_sending_flowsim_shift_gets_400_at_submit(tmp_path):
+    """A shift of ``num_leaves * hosts_per_leaf`` routes every host to
+    itself; the flowsim point check refuses it before any fork."""
+    spec = {
+        "target": "flowsim",
+        "grid": {"shifts": [1, 4]},
+        "base": {"num_leaves": 2, "hosts_per_leaf": 2},
+    }
+
+    async def body(server, client):
+        status, reply = await client.post_json("/jobs", spec)
+        assert status == 400, reply
+        assert reply["error"].startswith("flowsim point {'shifts': 4}: "), reply
+        assert "must be below num_leaves * hosts_per_leaf = 4" in reply["error"], reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
 #: Serving values of the wrong type, each once accepted by the builder:
 #: ``"false"`` turned MTP on, ``20.5`` requests failed with a TypeError
 #: after a fork, and ``2.5`` GPUs ran.

@@ -10,6 +10,10 @@ The two engine guarantees the PR's acceptance criteria pin:
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -427,6 +431,8 @@ def test_builtin_targets_share_one_unknown_key_error(target):
         ("training", {"bogus": 1}),
         ("training", {"faults": {"events": [{"time": -3, "kind": "gpu"}]}}),
         ("training", {"faults": [1]}),
+        ("flowsim", {"shifts": 16}),  # 4 leaves x 4 hosts: shift 16 sends h0 -> h0
+        ("flowsim", {"num_leaves": 2, "hosts_per_leaf": 2, "shifts": 4}),
     ],
 )
 def test_dry_build_raises_value_error_for_bad_points(target, config):
@@ -619,6 +625,24 @@ def test_cli_sweep_refuses_a_bad_point_before_any_fork(tmp_path, capsys):
     assert "unknown mode 'bogus'" in message
     assert not list(tmp_path.iterdir())  # the good point was not run either
     assert capsys.readouterr().out == ""
+
+
+def test_cli_sweep_refuses_a_self_sending_flowsim_shift_in_one_line(tmp_path):
+    """``shifts=4`` on four hosts includes a shift that sends every host
+    to itself; the point check refuses it before any worker is forked,
+    where it used to die with a traceback from the flow builder."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [
+        sys.executable, "-m", "repro", "sweep", "--target", "flowsim", "--grid", "shifts=1,4",
+        "--set", "num_leaves=2", "--set", "hosts_per_leaf=2", "--no-cache",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bad sweep spec: flowsim point {'shifts': 4}: ")
+    assert "'shifts' must be below num_leaves * hosts_per_leaf = 4" in lines[0]
 
 
 def test_cli_sweep_windows_and_alerts_ride_set_keys(capsys):
