@@ -13,15 +13,16 @@ Directions matter: every undirected topology edge provides independent
 capacity in each direction, like a full-duplex cable.
 
 Event mode runs on an incremental engine (:class:`_EventEngine`): flows
-are grouped into connected components of the link-sharing graph, and a
-completion only re-solves the components that lost flows — everything
-else keeps its frozen rates.  Within a component, progressive filling
-is driven by a heap of link shares, so a round costs the links and
-flows it freezes.  Each re-solve resumes the component's last filling
-at the first round a finished flow froze in, since every earlier round
-is provably unchanged (the rule and its proof are on
-:class:`_EventEngine`), and refills only the flows frozen from that
-round on.  Fault timelines run in the same event loop: each
+are grouped into connected components of the link-sharing graph, and
+each completion event hands every component that lost flows the local
+ids of those flows and re-solves only it — everything else keeps its
+frozen rates.  Within a component, progressive filling is driven by a
+heap of link shares over per-link lists of counts and flows, so a round
+costs the links and flows it freezes.  Each re-solve resumes the
+component's last filling at the first round a finished flow froze in,
+since every earlier round is provably unchanged (the rule and its proof
+are on :class:`_EventEngine`), and refills only the flows frozen from
+that round on.  Fault timelines run in the same event loop: each
 failure/repair instant is a boundary at which the engine is rebuilt
 over the flows that still have a live path (see
 :meth:`FlowSimulator.simulate`), and ``fixed`` mode solves once on the
@@ -33,10 +34,10 @@ test suite.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class Flow:
         src: Source host.
         dst: Destination host.
         size: Bytes to move.
-        path: Node list from ``src`` to ``dst``; must start/end there.
+        path: Node list from ``src`` to ``dst``; must start/end there
+            and visit no node twice.
         latency: Fixed startup latency (propagation + software) added
             to the flow's completion time.
         tag: Free-form label for reporting.
@@ -80,6 +82,10 @@ class Flow:
             )
         if len(self.path) < 2 or self.path[0] != self.src or self.path[-1] != self.dst:
             raise ValueError(f"path must run {self.src} -> {self.dst}")
+        if len(set(self.path)) != len(self.path):
+            # A loop can cross a directed edge twice, which the engine
+            # charges twice and max_min_rates once.
+            raise ValueError(f"path must not repeat a node: {self.path}")
         self._edges: list[tuple[str, str]] = list(zip(self.path[:-1], self.path[1:]))
 
     @property
@@ -173,19 +179,20 @@ class _Component:
     (``links_of`` per flow, ``flows_on`` per link), plus the flat
     ``flat``/``own`` arrays the link-load refresh bincounts over.
 
-    It also keeps what its last solve needs to be resumed (see
-    :meth:`_EventEngine.solve_component`): the active mask it solved
-    for, each flow's freeze round, the links each round touched and the
-    flows it froze, and each link's capacity history — its capacity
-    followed by what every touching round left on it.  Rounds touch
-    only the links of the flows they freeze, so the history never grows
-    past the incidence.  ``solved = None`` forces the next solve to
-    start cold.
+    The component owns its active state: one flag per local flow in
+    ``on`` and their count in ``live``, cleared by
+    :meth:`_EventEngine.solve_component` for the flows that finished.
+    It also keeps what its last solve needs to be resumed: each flow's
+    freeze round, the links each round touched and the flows it froze,
+    and each link's capacity history — its capacity followed by what
+    every touching round left on it.  Rounds touch only the links of
+    the flows they freeze, so the history never grows past the
+    incidence.
     """
 
     __slots__ = (
         "flows", "links", "links_of", "flows_on", "flat", "own",
-        "hist", "solved", "freeze", "touched", "frozen",
+        "hist", "on", "live", "freeze", "touched", "frozen",
     )
 
     def __init__(self, flows, links, links_of, caps):
@@ -199,27 +206,27 @@ class _Component:
         self.flat = np.fromiter(chain.from_iterable(links_of), dtype=np.int64)
         self.own = np.repeat(np.arange(len(links_of)), [len(row) for row in links_of])
         self.hist = [[cap] for cap in caps]  # capacity, then after each touch
-        self.solved = None  # local active mask of the last solve
+        self.on = [True] * len(links_of)  # active flag of each local flow
+        self.live = len(links_of)  # number of active flows
         self.freeze = [0] * len(links_of)  # round each flow froze in
         self.touched: list[list[int]] = []  # links each round touched
         self.frozen: list[list[int]] = []  # flows each round froze
 
-    def rewind(self, k: int, act: np.ndarray) -> list[int]:
+    def rewind(self, k: int) -> list[int]:
         """Drop rounds ``k..`` of the last solve; return the flows to refill.
 
         Restores every link a dropped round touched to the capacity it
-        had after round ``k - 1``.  The flows to refill are the ``act``
-        ones those rounds froze, or every ``act`` flow when ``k == 0``.
+        had after round ``k - 1``.  The flows to refill are the active
+        ones those rounds froze, or every active flow when ``k == 0``.
         """
-        hist = self.hist
+        hist, on = self.hist, self.on
         for touched in self.touched[k:]:
             for link in touched:
                 hist[link].pop()
         if k:
-            on = act.tolist()
             rest = [f for frozen in self.frozen[k:] for f in frozen if on[f]]
         else:
-            rest = np.flatnonzero(act).tolist()
+            rest = list(compress(range(len(on)), on))
         del self.touched[k:], self.frozen[k:]
         return rest
 
@@ -236,43 +243,53 @@ class _Component:
         ``count x share`` subtraction matches the one-flow-at-a-time
         subtraction of :func:`max_min_rates` to float rounding; a round
         costs the links it pops and the incidence of the flows it
-        freezes, not a pass over the component.
+        freezes, not a pass over the component.  Counts and versions
+        are lists over local link ids, the unfrozen flags a list over
+        local flow ids.
 
         Returns the flows in freeze order and their rates.
         """
         hist, freeze = self.hist, self.freeze
         links_of, flows_on = self.links_of, self.flows_on
-        cnt = Counter(chain.from_iterable(map(links_of.__getitem__, rest)))
-        ver = dict.fromkeys(cnt, 0)  # bumped per touch; stales heap entries
-        heap = [(hist[link][-1] / n, link, 0) for link, n in cnt.items()]
+        touched, frozen = self.touched, self.frozen
+        cnt = [0] * len(hist)  # unfrozen flows on each link
+        unfrozen = [False] * len(freeze)
+        for f in rest:
+            unfrozen[f] = True
+            for link in links_of[f]:
+                cnt[link] += 1
+        ver = [0] * len(hist)  # bumped per touch; stales heap entries
+        heap = [(hist[link][-1] / n, link, 0) for link, n in enumerate(cnt) if n]
         heapify(heap)
-        unfrozen = set(rest)
+        left = len(rest)
         done: list[int] = []
         rates: list[float] = []
-        rnd = len(self.frozen)
-        while unfrozen:
-            while heap and heap[0][2] != ver[heap[0][1]]:
+        rnd = len(frozen)
+        while left:
+            # Every link of an unfrozen flow holds a current entry, so
+            # the heap cannot run dry while flows are left.
+            while heap[0][2] != ver[heap[0][1]]:
                 heappop(heap)
-            if heap:
-                now = []
-                share = heap[0][0]
-                limit = share * (1 + 1e-9)
-                while heap and heap[0][0] <= limit:
-                    _, link, version = heappop(heap)
-                    if version != ver[link]:
-                        continue
-                    for f in flows_on[link]:
-                        if f in unfrozen:
-                            unfrozen.remove(f)
-                            freeze[f] = rnd
-                            now.append(f)
-            else:  # the rest cross no capacitated link
-                share = math.inf
-                now = sorted(unfrozen)
-                unfrozen.clear()
-                for f in now:
-                    freeze[f] = rnd
-            delta = Counter(chain.from_iterable(map(links_of.__getitem__, now)))
+            now = []
+            share = heap[0][0]
+            limit = share * (1 + 1e-9)
+            while heap and heap[0][0] <= limit:
+                _, link, version = heappop(heap)
+                if version != ver[link]:
+                    continue
+                for f in flows_on[link]:
+                    if unfrozen[f]:
+                        unfrozen[f] = False
+                        freeze[f] = rnd
+                        now.append(f)
+            left -= len(now)
+            delta: dict[int, int] = {}  # flows frozen now on each link
+            for f in now:
+                for link in links_of[f]:
+                    if link in delta:
+                        delta[link] += 1
+                    else:
+                        delta[link] = 1
             for link, d in delta.items():
                 h = hist[link]
                 cap = h[-1] - share * d
@@ -281,11 +298,11 @@ class _Component:
                 h.append(cap)
                 n = cnt[link] - d
                 cnt[link] = n
-                ver[link] += 1
+                v = ver[link] = ver[link] + 1
                 if n:
-                    heappush(heap, (cap / n, link, ver[link]))
-            self.touched.append(list(delta))
-            self.frozen.append(now)
+                    heappush(heap, (cap / n, link, v))
+            touched.append(list(delta))
+            frozen.append(now)
             done += now
             rates += [share] * len(now)
             rnd += 1
@@ -312,12 +329,19 @@ class _EventEngine:
       components reuse their frozen rates bit-for-bit;
     * a re-solve resumes the component's previous progressive filling
       instead of restarting it (below);
-    * the per-event "which flows finished" rescan, the per-flow
-      remaining-bytes updates and each component's link-load refresh
-      are single vector operations.
+    * a re-solve is driven by the flows that finished: each flow's
+      component and local id are mapped once at build time, the event
+      loop groups each event's finished flows by component, and each
+      component clears their flags in its own per-flow active list, so
+      no solve rescans the component to find who left;
+    * the event loop keeps one index of the active flows per fault
+      segment, compacted after each event; every active flow's
+      remaining bytes are still decremented at every event (the
+      completion times depend on those exact subtractions), and each
+      component's link-load refresh is one ``bincount``.
 
     **Resume rule.**  Let ``k`` be the earliest round in which any flow
-    that went inactive since the component's last solve froze.  Rounds
+    that finished since the component's last solve froze.  Rounds
     ``0..k-1`` of a cold solve over the new active set are exactly the
     old ones: in each of them a finished flow was still unfrozen, so
     every link it crossed had a share strictly above that round's
@@ -379,7 +403,8 @@ class _EventEngine:
                     if ra != rb:
                         parent[ra] = rb
         roots: dict[int, int] = {}
-        self.comp_of = np.zeros(n, dtype=np.int64)
+        self.comp_of = [0] * n  # component label of each engine flow
+        self.local_of = [0] * n  # its local id in that component
         members: list[list[int]] = []
         for eng in range(n):
             root = find(eng)
@@ -389,6 +414,7 @@ class _EventEngine:
                 roots[root] = label
                 members.append([])
             self.comp_of[eng] = label
+            self.local_of[eng] = len(members[label])
             members[label].append(eng)
 
         self.components: list[_Component] = []
@@ -411,29 +437,31 @@ class _EventEngine:
         self.active = np.ones(n, dtype=bool)
         self.link_load = np.zeros(num_links, dtype=np.float64)
 
-    def solve_component(self, comp: _Component) -> None:
+    def solve_component(self, comp: _Component, gone: Sequence[int] = ()) -> None:
         """Max-min progressive filling over the component's active flows.
 
+        ``gone`` holds the local ids of the component's flows that
+        finished since its last solve; they leave its active set here.
         Mirrors :func:`max_min_rates` (see :meth:`_Component.fill`).  A
         re-solve resumes the last one at round ``k``, the earliest round
-        in which a flow that has since gone inactive froze, and keeps
-        the rates of the flows frozen before it.
+        in which a flow of ``gone`` froze, and keeps the rates of the
+        flows frozen before it; the first solve (nothing frozen yet)
+        starts at round 0.
         """
-        act = self.active[comp.flows]
-        if not act.any():
+        on = comp.on
+        for f in gone:
+            on[f] = False
+        comp.live -= len(gone)
+        if not comp.live:
             self.link_load[comp.links] = 0.0
             return
-        k = 0
-        if comp.solved is not None:
-            gone = np.flatnonzero(comp.solved & ~act).tolist()
-            k = min(map(comp.freeze.__getitem__, gone), default=len(comp.frozen))
-        done, rates = comp.fill(comp.rewind(k, act))
-        comp.solved = act
+        k = min(map(comp.freeze.__getitem__, gone), default=len(comp.frozen))
+        done, rates = comp.fill(comp.rewind(k))
         self.rates[comp.flows[done]] = rates
         # Refresh the component's link loads for utilization sampling;
         # inactive and unbounded flows weigh zero.
         weights = self.rates[comp.flows]
-        weights[~(act & np.isfinite(weights))] = 0.0
+        weights[~(self.active[comp.flows] & np.isfinite(weights))] = 0.0
         self.link_load[comp.links] = np.bincount(
             comp.flat, weights=weights[comp.own], minlength=len(comp.links)
         )
@@ -568,6 +596,11 @@ class FlowSimulator:
         the surviving capacities.  A fault-free run has no boundaries
         and builds one engine.
         """
+        if not 0 <= time_epsilon < math.inf:
+            # A NaN horizon would never let a flow finish.
+            raise ValueError(
+                f"time_epsilon must be finite and non-negative, got {time_epsilon!r}"
+            )
         if mode not in SIM_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.fault_report = None  # stale reports must not outlive their run
@@ -690,11 +723,12 @@ class FlowSimulator:
             latencies = np.asarray([flows[i].latency for i in live], dtype=np.float64)
             left = np.asarray([remaining[i] for i in live], dtype=np.float64)
             self._sample_engine(now, engine)
-            active_count = len(ids)
+            comp_of, local_of = engine.comp_of, engine.local_of
+            act = np.flatnonzero(engine.active)  # active engine flows, ascending
             start, at_boundary = now, False
-            while active_count:
-                act = np.flatnonzero(engine.active)
-                t = left[act] / engine.rates[act]
+            while len(act):
+                rates = engine.rates[act]
+                t = left[act] / rates
                 dt = float(t.min())
                 # A failure/repair instant due first ends the segment
                 # exactly on it; flows finishing with it still complete.
@@ -702,20 +736,24 @@ class FlowSimulator:
                 if at_boundary:
                     dt = boundary - now
                 horizon = dt * (1 + time_epsilon)
-                fin = act[t <= horizon]
+                finished = t <= horizon
+                fin = act[finished]
                 now = boundary if at_boundary else now + dt
-                left[act] -= engine.rates[act] * dt
+                left[act] -= rates * dt
                 engine.active[fin] = False
-                active_count -= len(fin)
+                act = act[~finished]
                 for idx, lat in zip(ids[fin], latencies[fin]):
                     completion[int(idx)] = now + float(lat)
                 if at_boundary:
                     break
                 # Only the components that lost flows need a new allocation;
                 # every other component's rates are reused as-is.
-                for label in np.unique(engine.comp_of[fin]):
-                    engine.solve_component(engine.components[label])
-                if active_count:
+                gone: dict[int, list[int]] = {}
+                for eng in fin.tolist():
+                    gone.setdefault(comp_of[eng], []).append(local_of[eng])
+                for label in sorted(gone):
+                    engine.solve_component(engine.components[label], gone[label])
+                if len(act):
                     self._sample_engine(now, engine)
             if not at_boundary:  # every live flow finished first
                 if boundary == math.inf:  # no repair left: stalled flows never finish

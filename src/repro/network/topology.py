@@ -16,6 +16,7 @@ graph, while small instances are built as real graphs for simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # networkx is imported where a graph is built or searched, not here: the
@@ -70,8 +71,8 @@ class Topology:
 
     def add_link(self, a: str, b: str, bandwidth: float, kind: str) -> None:
         """Add a full-duplex link with per-direction ``bandwidth``."""
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
         if a not in self.graph or b not in self.graph:
             raise KeyError(f"both endpoints must exist: {a}, {b}")
         self.graph.add_edge(a, b, bandwidth=bandwidth, kind=kind)

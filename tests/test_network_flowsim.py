@@ -40,6 +40,32 @@ def test_flow_validation():
             Flow("a", "b", size, ["a", "b"], latency=latency)
 
 
+def test_flow_path_must_not_repeat_a_node():
+    """A looping path crosses ``(leaf0, h1)`` twice: the engine would
+    charge it twice (25e9 B/s) where :func:`max_min_rates` gives 50e9."""
+    with pytest.raises(ValueError, match="repeat a node"):
+        Flow("h0", "h1", 1e6, ["h0", "FT2/leaf0", "h1", "FT2/leaf0", "h1"])
+    with pytest.raises(ValueError, match="repeat a node"):
+        Flow("h0", "h1", 1e6, ["h0", "FT2/leaf0", "h0", "FT2/leaf0", "h1"])
+
+
+@pytest.mark.parametrize("mode", ["event", "fixed", "drain"])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
+def test_simulate_rejects_bad_time_epsilon(mode, eps):
+    """A NaN ``time_epsilon`` makes the completion horizon NaN, so no
+    flow ever finishes and event mode would spin forever."""
+    from unittest import mock
+
+    from repro.network import flowsim, shifted_ring_flows
+
+    topo = two_layer_fat_tree(2, 2, 2)
+    flows = shifted_ring_flows(topo, [1], 64e6)
+    with mock.patch.object(flowsim, "_EventEngine") as engine:
+        with pytest.raises(ValueError, match="time_epsilon"):
+            FlowSimulator(topo).simulate(flows, time_epsilon=eps, mode=mode)
+    engine.assert_not_called()
+
+
 def test_single_flow_gets_bottleneck_bandwidth():
     topo = _line_topology([10e9, 5e9, 10e9])
     sim = FlowSimulator(topo)
@@ -299,12 +325,13 @@ def test_initial_rates_match_reference_solver_under_ties(picks):
 
 
 def _saved_state(comp):
-    """A component's resume state, in a form compared exactly (floats
-    by repr, so bit for bit)."""
+    """A component's active and resume state, in a form compared
+    exactly (floats by repr, so bit for bit)."""
     return repr(
         (
-            comp.solved.tobytes(),
-            [comp.freeze[f] for f in comp.solved.nonzero()[0]],
+            comp.on,
+            comp.live,
+            [comp.freeze[f] for f, on in enumerate(comp.on) if on],
             comp.touched,
             comp.frozen,
             comp.hist,
@@ -315,7 +342,8 @@ def _saved_state(comp):
 @settings(max_examples=60, deadline=None)
 @given(picks=_picks, time_epsilon=st.sampled_from([0.0, 0.02]))
 def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
-    """Every re-solve, cleared and redone cold, yields the same bits."""
+    """Every re-solve, rewound to round 0 and redone cold, yields the
+    same bits: rates, link loads and the saved state."""
     from unittest import mock
 
     from repro.network.flowsim import _EventEngine
@@ -323,15 +351,15 @@ def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
     solve = _EventEngine.solve_component
     calls = []
 
-    def checked(engine, comp):
-        solve(engine, comp)
+    def checked(engine, comp, gone=()):
+        solve(engine, comp, gone)
         ids = comp.flows[engine.active[comp.flows]]
         warm = (
             engine.rates[ids].tobytes(),
             engine.link_load[comp.links].tobytes(),
             _saved_state(comp) if len(ids) else None,
         )
-        comp.solved = None
+        comp.rewind(0)  # drop every round: the next solve starts cold
         solve(engine, comp)
         cold = (
             engine.rates[ids].tobytes(),
@@ -339,6 +367,7 @@ def test_warm_resolve_is_bit_identical_to_cold(picks, time_epsilon):
             _saved_state(comp) if len(ids) else None,
         )
         assert warm == cold
+        assert comp.live == len(ids)
         # The history holds one entry per (round, link it touched) on
         # top of each link's capacity: never more than the incidence.
         assert sum(len(h) - 1 for h in comp.hist) <= len(comp.flat)
@@ -371,10 +400,10 @@ def test_ring_resolves_resume_near_their_last_round():
     rewind = flowsim._Component.rewind
     refilled, active = [], []
 
-    def spy(comp, k, act):
-        rest = rewind(comp, k, act)
+    def spy(comp, k):
+        rest = rewind(comp, k)
         refilled.append(len(rest))
-        active.append(int(act.sum()))
+        active.append(comp.live)
         return rest
 
     with mock.patch.object(flowsim._Component, "rewind", spy):
@@ -382,6 +411,23 @@ def test_ring_resolves_resume_near_their_last_round():
     assert len(refilled) > 10
     assert refilled[0] == active[0] == len(flows)  # the first solve is cold
     assert sum(refilled[1:]) < 0.1 * sum(active[1:])
+
+
+def _leaf_local_flows(leaves, hosts_per_leaf):
+    """Leaf-local all-to-all of distinct random sizes on a fat tree with
+    ``leaves`` leaves: one independent component per leaf."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    flows = []
+    for leaf in range(leaves):
+        hosts = [f"h{leaf * hosts_per_leaf + i}" for i in range(hosts_per_leaf)]
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    path = [src, f"FT2/leaf{leaf}", dst]
+                    flows.append(Flow(src, dst, float(rng.uniform(64e6, 512e6)), path))
+    return flows
 
 
 def test_leaf_completions_resolve_only_their_component():
@@ -392,30 +438,80 @@ def test_leaf_completions_resolve_only_their_component():
     every completion would take 900 and change no completion time."""
     from unittest import mock
 
+    from repro.network import flowsim
+
+    leaves, hosts_per_leaf = 4, 8
+    topo = two_layer_fat_tree(leaves, hosts_per_leaf, 4)
+    flows = _leaf_local_flows(leaves, hosts_per_leaf)
+    solve = mock.Mock(wraps=flowsim._EventEngine.solve_component)
+    # A Mock does not bind as a method, so the patch passes the engine on.
+    with mock.patch.object(
+        flowsim._EventEngine,
+        "solve_component",
+        lambda engine, comp, gone=(): solve(engine, comp, gone),
+    ):
+        result = FlowSimulator(topo).simulate(flows)
+    assert len(result.completion) == len(flows) == 224
+    assert len({id(call.args[1]) for call in solve.call_args_list}) == leaves
+    assert solve.call_count == leaves + len(flows) == 228
+
+
+@pytest.mark.parametrize(
+    "time_epsilon, refilled, rounds", [(1e-9, 4047, 669), (0.25, 3677, 623)]
+)
+def test_leaf_resolves_get_exactly_the_flows_that_finished(time_epsilon, refilled, rounds):
+    """Every ``gone`` the event loop hands a component is the set of its
+    flows that completed at that event: the flows active at its last
+    solve and inactive now, which all share one completion time that no
+    other flow of the component has; every flow is handed over once.
+    The coarse ``time_epsilon`` groups completions, so some events hand
+    over several flows.  The flows the resumed fills refill and their
+    rounds over the run are pinned exactly."""
+    from unittest import mock
+
     import numpy as np
 
     from repro.network import flowsim
 
     leaves, hosts_per_leaf = 4, 8
     topo = two_layer_fat_tree(leaves, hosts_per_leaf, 4)
-    rng = np.random.default_rng(0)
-    flows = []
-    for leaf in range(leaves):
-        hosts = [f"h{leaf * hosts_per_leaf + i}" for i in range(hosts_per_leaf)]
-        for src in hosts:
-            for dst in hosts:
-                if src != dst:
-                    path = [src, f"FT2/leaf{leaf}", dst]
-                    flows.append(Flow(src, dst, float(rng.uniform(64e6, 512e6)), path))
-    solve = mock.Mock(wraps=flowsim._EventEngine.solve_component)
-    # A Mock does not bind as a method, so the patch passes the engine on.
-    with mock.patch.object(
-        flowsim._EventEngine, "solve_component", lambda engine, comp: solve(engine, comp)
-    ):
-        result = FlowSimulator(topo).simulate(flows)
-    assert len(result.completion) == len(flows) == 224
-    assert len({id(call.args[1]) for call in solve.call_args_list}) == leaves
-    assert solve.call_count == leaves + len(flows) == 228
+    flows = _leaf_local_flows(leaves, hosts_per_leaf)
+    solve = flowsim._EventEngine.solve_component
+    fill = flowsim._Component.fill
+    last_active = {}  # id(component) -> engine flows active at its last solve
+    handed = []  # (engine, component, global ids of gone)
+    work = {"refilled": 0, "rounds": 0}
+
+    def spy_solve(engine, comp, gone=()):
+        now_active = engine.active[comp.flows]
+        before = last_active.get(id(comp), np.ones(len(comp.flows), dtype=bool))
+        assert sorted(gone) == np.flatnonzero(before & ~now_active).tolist()
+        assert len(set(gone)) == len(gone)
+        handed.append((engine, comp, comp.flows[list(gone)]))
+        last_active[id(comp)] = now_active
+        solve(engine, comp, gone)
+
+    def spy_fill(comp, rest):
+        rounds = len(comp.frozen)
+        out = fill(comp, rest)
+        work["refilled"] += len(rest)
+        work["rounds"] += len(comp.frozen) - rounds
+        return out
+
+    with mock.patch.object(flowsim._EventEngine, "solve_component", spy_solve), \
+            mock.patch.object(flowsim._Component, "fill", spy_fill):
+        result = FlowSimulator(topo).simulate(flows, time_epsilon=time_epsilon)
+    assert [len(ids) for _, _, ids in handed[:leaves]] == [0] * leaves
+    assert sum(len(ids) for _, _, ids in handed) == len(flows)
+    assert (max(len(ids) for _, _, ids in handed) > 1) == (time_epsilon > 0.1)
+    for engine, comp, ids in handed[leaves:]:
+        assert len(ids)
+        times = {result.completion[engine.flow_ids[e]] for e in ids.tolist()}
+        assert len(times) == 1
+        (at,) = times
+        same = {e for e in comp.flows.tolist() if result.completion[engine.flow_ids[e]] == at}
+        assert same == set(ids.tolist())
+    assert work == {"refilled": refilled, "rounds": rounds}
 
 
 @settings(max_examples=25, deadline=None)

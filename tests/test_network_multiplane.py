@@ -100,6 +100,17 @@ def test_paths_reject_self():
         direct_path(c, "n0g0", "n0g0")
 
 
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+def test_mpft_rejects_non_finite_nic_bandwidth(bandwidth):
+    from dataclasses import replace
+
+    from repro.core.hardware import H800_NODE
+
+    node = replace(H800_NODE, nic=replace(H800_NODE.nic, effective_bandwidth=bandwidth))
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_mpft_cluster(16, node=node)
+
+
 def test_builders_reject_zero_nodes():
     with pytest.raises(ValueError):
         build_mpft_cluster(0)

@@ -35,6 +35,14 @@ def test_link_validation():
         topo.add_link("s0", "s1", 0.0, INTERSWITCH_LINK)
 
 
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -1e9])
+def test_fat_tree_rejects_non_finite_bandwidth(bandwidth):
+    """A NaN link would hang the flow simulator and an infinite one
+    gives a 0.0 makespan: both are refused where the link is added."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        two_layer_fat_tree(2, 2, 2, link_bandwidth=bandwidth)
+
+
 def test_spec_counts_interswitch_only():
     topo = two_layer_fat_tree(num_leaves=4, hosts_per_leaf=2, num_spines=2)
     spec = topo.spec
