@@ -10,6 +10,7 @@ bench harness and the ``repro trace`` CLI share one formatter.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import subprocess
@@ -19,8 +20,11 @@ from repro.core.proc import peak_rss_bytes
 from repro.obs.summary import print_table
 
 __all__ = [
+    "baseline_drift",
+    "check_parser",
     "compare",
     "default_meta",
+    "gate",
     "paper_vs_measured",
     "peak_rss_bytes",
     "print_table",
@@ -58,6 +62,10 @@ def default_meta(**extra: object) -> dict:
     return {"git_sha": _git_sha(), "peak_rss_bytes": peak_rss_bytes(), **extra}
 
 
+def _baseline_path(name: str) -> Path:
+    return Path(__file__).resolve().parent / f"BENCH_{name}.json"
+
+
 def write_json(name: str, payload: dict, meta: dict | None = None) -> Path:
     """Record a bench's results as ``benchmarks/BENCH_<name>.json``.
 
@@ -73,7 +81,7 @@ def write_json(name: str, payload: dict, meta: dict | None = None) -> Path:
     """
     if meta is not None:
         payload = {"_meta": meta, **payload}
-    path = Path(__file__).resolve().parent / f"BENCH_{name}.json"
+    path = _baseline_path(name)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -92,6 +100,46 @@ def compare(current: dict, baseline: dict) -> list[str]:
     drifts: list[str] = []
     _compare_into(current, baseline, "", drifts)
     return drifts
+
+
+def baseline_drift(name: str, payload: dict) -> list[str]:
+    """:func:`compare` of ``payload`` with the committed
+    ``BENCH_<name>.json``."""
+    return compare(payload, json.loads(_baseline_path(name).read_text()))
+
+
+def check_parser(description: str) -> argparse.ArgumentParser:
+    """The argument parser of a bench with a committed baseline: its one
+    flag is ``--check`` (see :func:`gate`)."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare against the committed baseline instead of rewriting it",
+    )
+    return parser
+
+
+def gate(name: str, payload: dict, meta: dict, check: bool) -> int:
+    """Check ``payload`` against ``BENCH_<name>.json``, or record it there.
+
+    With ``check``, print each drift from the committed baseline and
+    return 1 if there is any, else say it matches and return 0.  Without
+    it, rewrite the baseline with ``meta`` (see :func:`write_json`) and
+    return 0.  A bench's ``main`` returns this as its exit status.
+    """
+    if not check:
+        write_json(name, payload, meta)
+        return 0
+    baseline = _baseline_path(name).name
+    drifts = baseline_drift(name, payload)
+    if drifts:
+        print(f"\n{name} drift vs {baseline}:")
+        for message in drifts:
+            print(f"  {message}")
+        return 1
+    print(f"\nexactly matches {baseline}")
+    return 0
 
 
 def _compare_into(current: object, baseline: object, path: str, drifts: list[str]) -> None:

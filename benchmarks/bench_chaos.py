@@ -30,16 +30,14 @@ compares the payload exactly.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _report import compare, default_meta, print_table, write_json
+from _report import check_parser, default_meta, gate, print_table
 
 from repro.chaos import ChaosPolicy, assert_chaos_invariant, chaos_spec, reference_spec
 from repro.obs import MetricsRegistry
@@ -192,12 +190,7 @@ def run_drill(workers: int) -> tuple[dict, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
+    parser = check_parser(__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
@@ -211,30 +204,16 @@ def main(argv: list[str] | None = None) -> int:
         f"chaos drill, {payload['workers']} workers", ["section", "metric", "value"], rows
     )
 
-    if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_chaos.json"
-        baseline = json.loads(path.read_text())
-        # Every committed field is seed-pinned: sabotage assignments,
-        # retry/timeout/kill counts, and the byte-identity flags.
-        drifts = compare(payload, baseline)
-        if drifts:
-            print(f"\nchaos-drill drift vs {path.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {path.name}")
-        return 0
-
-    write_json(
+    return gate(
         "chaos",
         payload,
-        meta=default_meta(
+        default_meta(
             inner="10-point digest grid, seed 17",
             chaos=f"seed 15, rate {CHAOS.rate}, modes {'/'.join(CHAOS.modes)}, timeout {TIMEOUT_S}s, 3 attempts",
             poison="4 always-failing points, 2 attempts each",
         ),
+        args.check,
     )
-    return 0
 
 
 if __name__ == "__main__":

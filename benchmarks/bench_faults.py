@@ -13,14 +13,13 @@ nonzero on any drift — the CI fault-smoke gate.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _report import compare, default_meta, print_table, write_json
+from _report import check_parser, default_meta, gate, print_table
 
 from repro.faults import (
     FaultEvent,
@@ -176,12 +175,7 @@ def _rows(payload: dict) -> list[list[object]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
+    parser = check_parser(__doc__.splitlines()[0])
     args = parser.parse_args(argv)
 
     current = {
@@ -191,28 +185,16 @@ def main(argv: list[str] | None = None) -> int:
     }
     print_table("fault-injection ablation", ["simulator", "metric", "value"], _rows(current))
 
-    if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_faults.json"
-        baseline = json.loads(path.read_text())
-        drifts = compare(current, baseline)
-        if drifts:
-            print(f"\nfault-ablation drift vs {path.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {path.name}")
-        return 0
-
-    write_json(
+    return gate(
         "faults",
         current,
-        meta=default_meta(
+        default_meta(
             serving=f"300 req @ 10/s bursty, colocated 2+8, kv 40/GPU, seed {SEED}",
             network="MPFT 4 nodes, 4x1GB pxn flows, plane-0 outage at t=1ms",
             training="mtbf 7200s, ckpt 60s, restart 900s, 720ks work, seed 42",
         ),
+        args.check,
     )
-    return 0
 
 
 if __name__ == "__main__":

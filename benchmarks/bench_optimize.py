@@ -37,7 +37,6 @@ compares the payload exactly.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
@@ -47,7 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np
-from _report import compare, default_meta, print_table, write_json
+from _report import check_parser, default_meta, gate, print_table
 
 from repro.optimize import (
     FidelityLadder,
@@ -438,12 +437,7 @@ def _bench_get_many() -> tuple[dict, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
+    parser = check_parser(__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
@@ -460,28 +454,16 @@ def main(argv: list[str] | None = None) -> int:
         rows,
     )
 
-    if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_optimize.json"
-        baseline = json.loads(path.read_text())
-        drifts = compare(payload, baseline)
-        if drifts:
-            print(f"\noptimize drift vs {path.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {path.name}")
-        return 0
-
-    write_json(
+    return gate(
         "optimize",
         payload,
-        meta=default_meta(
+        default_meta(
             sec23="mode x rate{4..32} x split{2+6,3+5,4+4}, ladder 250/2000/8000 req, eta 8, seed 3",
             sec43="max_groups{1,2,3,4,6,8}, ladder 128/512/2048 tokens, eta 3, seed 3",
             sec51="11 topology variants, single-rung cost model, seed 0",
         ),
+        args.check,
     )
-    return 0
 
 
 if __name__ == "__main__":

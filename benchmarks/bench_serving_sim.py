@@ -27,15 +27,13 @@ asserts the same match without writing anything.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _report import compare, default_meta, print_table, write_json
+from _report import baseline_drift, check_parser, default_meta, gate, print_table
 
 from repro.sweep import SweepSpec, run_sweep
 
@@ -63,9 +61,6 @@ VARIANTS = [
 ]
 
 SPEC = SweepSpec(target="serving", points=[p for _, p in VARIANTS], base=BASE)
-
-#: The committed baseline that ``--check`` and the pytest entry compare to.
-BASELINE = Path(__file__).resolve().parent / "BENCH_serving_sim.json"
 
 
 def _row(name: str, record: dict) -> list[object]:
@@ -123,24 +118,6 @@ def _print(records: dict[str, dict]) -> None:
     )
 
 
-def _write(records: dict[str, dict], workers: int) -> None:
-    write_json(
-        "serving_sim",
-        records,
-        meta=default_meta(
-            workload="bursty 150 req @ 6/s, prompt~1024, output~128",
-            gpus="2 prefill + 6 decode",
-            seed=0,
-            engine=f"repro.sweep, {workers} workers",
-        ),
-    )
-
-
-def _drift(records: dict[str, dict]) -> list[str]:
-    """Drift of ``records`` from the committed baseline (empty: none)."""
-    return compare(records, json.loads(BASELINE.read_text()))
-
-
 def bench_serving_sim_ablation(benchmark):
     """Run the ablation and compare it with the committed baseline, as
     ``--check`` does; rewriting the baseline is left to ``main``."""
@@ -149,18 +126,12 @@ def bench_serving_sim_ablation(benchmark):
     _print(records)
     for claim, holds in shape_checks(records):
         assert holds, claim
-    drifts = _drift(records)
+    drifts = baseline_drift("serving_sim", records)
     assert not drifts, drifts
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
-    args = parser.parse_args(argv)
+    args = check_parser(__doc__.splitlines()[0]).parse_args(argv)
 
     workers = min(4, os.cpu_count() or 1)
     records = run_ablation(workers)
@@ -170,18 +141,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nFATAL: the ablation lost its shape: {', '.join(failed)}")
         return 1
 
-    if args.check:
-        drifts = _drift(records)
-        if drifts:
-            print(f"\nserving ablation drift vs {BASELINE.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {BASELINE.name}")
-        return 0
-
-    _write(records, workers)
-    return 0
+    return gate(
+        "serving_sim",
+        records,
+        default_meta(
+            workload="bursty 150 req @ 6/s, prompt~1024, output~128",
+            gpus="2 prefill + 6 decode",
+            seed=0,
+            engine=f"repro.sweep, {workers} workers",
+        ),
+        args.check,
+    )
 
 
 if __name__ == "__main__":

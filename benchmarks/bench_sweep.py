@@ -25,9 +25,7 @@ re-asserts the floors and compares the payload exactly.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import sys
 import tempfile
 import time
@@ -35,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _report import compare, default_meta, print_table, write_json
+from _report import check_parser, default_meta, gate, print_table
 
 from repro.sweep import SweepCache, SweepSpec, grid, register_target, run_sweep
 
@@ -125,12 +123,7 @@ def run_ablation(workers: int) -> tuple[dict, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
+    parser = check_parser(__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4, help="fan-out width")
     args = parser.parse_args(argv)
 
@@ -146,27 +139,15 @@ def main(argv: list[str] | None = None) -> int:
         rows,
     )
 
-    if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_sweep.json"
-        baseline = json.loads(path.read_text())
-        drifts = compare(payload, baseline)
-        if drifts:
-            print(f"\nsweep-scaling drift vs {path.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {path.name}")
-        return 0
-
-    write_json(
+    return gate(
         "sweep",
         payload,
-        meta=default_meta(
+        default_meta(
             probe=f"8-point fixed-latency target, {PROBE_LATENCY}s/point",
             serving="rate {8,16} x {colocated,disaggregated} x mtp {off,on}, 1500 req/point, seed 3",
         ),
+        args.check,
     )
-    return 0
 
 
 if __name__ == "__main__":

@@ -19,14 +19,13 @@ drift — the CI telemetry-smoke gate.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _report import compare, default_meta, print_table, write_json
+from _report import check_parser, default_meta, gate, print_table
 
 from repro.obs import merge_window_rollups, window_summaries
 from repro.sweep import SweepSpec, run_sweep
@@ -152,12 +151,7 @@ def _rows(payload: dict) -> list[list[object]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
+    parser = check_parser(__doc__.splitlines()[0])
     args = parser.parse_args(argv)
 
     current = {
@@ -174,29 +168,17 @@ def main(argv: list[str] | None = None) -> int:
         print("\nFATAL: the outage scenario must fire and resolve an alert")
         return 1
 
-    if args.check:
-        path = Path(__file__).resolve().parent / "BENCH_telemetry.json"
-        baseline = json.loads(path.read_text())
-        drifts = compare(current, baseline)
-        if drifts:
-            print(f"\ntelemetry drift vs {path.name}:")
-            for message in drifts:
-                print(f"  {message}")
-            return 1
-        print(f"\nexactly matches {path.name}")
-        return 0
-
-    write_json(
+    return gate(
         "telemetry",
         current,
-        meta=default_meta(
+        default_meta(
             scenario=(
                 f"120 req @ 8/s disaggregated, decode node down 3-6s, "
                 f"2s windows, burn>2@0.9, seed {SEED}"
             ),
         ),
+        args.check,
     )
-    return 0
 
 
 if __name__ == "__main__":

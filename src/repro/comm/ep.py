@@ -191,14 +191,14 @@ class EPDeployment:
         self,
         ib: dict[tuple[str, str], float],
         nvlink: dict[tuple[str, str], float],
-        spread: str = "adaptive",
     ) -> list[Flow]:
-        """Materialize aggregated traffic as simulator flows."""
+        """Materialize aggregated traffic as simulator flows: IB traffic
+        sprayed over its equal-cost paths, NVLink traffic on the node's
+        NVSwitch."""
         transfers = [(src, dst, size) for (src, dst), size in ib.items()]
-        flows = transfer_flows(self.cluster, transfers, use_pxn=True, spread=spread, tag="ib")
+        flows = transfer_flows(self.cluster, transfers, use_pxn=True, tag="ib")
         for (src, dst), size in nvlink.items():
-            nvsw = f"n{self.cluster.node_of[src]}/nvsw"
-            flows.append(Flow(src, dst, size, [src, nvsw, dst], tag="nvlink"))
+            flows.append(Flow(src, dst, size, self.cluster.nvlink_path(src, dst), tag="nvlink"))
         return flows
 
 
@@ -227,7 +227,6 @@ def run_ep_stage(
     deployment: EPDeployment,
     decisions: dict[str, RoutingDecision],
     stage: str = "dispatch",
-    spread: str = "adaptive",
     mode: str = "drain",
 ) -> EPStageResult:
     """Simulate one EP all-to-all stage on the cluster fabric.
@@ -243,7 +242,7 @@ def run_ep_stage(
         ib, nvlink = deployment.combine_traffic(decisions)
     else:
         raise ValueError(f"stage must be dispatch or combine, got {stage!r}")
-    flows = deployment.traffic_to_flows(ib, nvlink, spread)
+    flows = deployment.traffic_to_flows(ib, nvlink)
     result = FlowSimulator(deployment.cluster.topology).simulate(flows, mode=mode)
     total_ib = sum(ib.values())
     num_gpus = deployment.cluster.num_gpus

@@ -3,10 +3,14 @@
 Builds the flow sets behind the paper's communication experiments:
 
 * all-to-all across a cluster (Figures 5-6), with or without PXN
-  forwarding,
-* ring AllGather / ReduceScatter on a routed fat tree (Figure 8),
+  forwarding, sprayed (ADAPTIVE) over each pair's equal-cost paths,
+* ring AllGather / ReduceScatter on a routed fat tree (Figure 8), under
+  the ECMP, ADAPTIVE or STATIC policy it is given.
 
-and converts completion times into the NCCL test conventions:
+Both take their paths from :func:`repro.network.routing.equal_cost_path_table`
+and spread them with :func:`repro.network.routing.spread_flows`; a
+same-node pair runs on :meth:`ClusterNetwork.nvlink_path`.  The module
+then converts completion times into the NCCL test conventions:
 ``algbw = bytes_per_rank / time`` and ``busbw = algbw * (N-1)/N``.
 """
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from .flowsim import Flow, FlowSimulator
 from .latency import IB, LinkLayerLatency, path_latency
 from .multiplane import ClusterNetwork, pxn_relay
-from .routing import RoutingPolicy, ecmp_index, route_flows, route_pairs
+from .routing import RoutingPolicy, route_flows, route_pairs, spread_flows
 from .topology import Topology
 
 
@@ -48,43 +52,23 @@ class CollectiveResult:
         return self.algbw * (self.num_ranks - 1) / self.num_ranks
 
 
-def pair_flows(
-    cluster: ClusterNetwork,
-    src: str,
-    dst: str,
-    size: float,
-    use_pxn: bool = True,
-    spread: str = "adaptive",
-    layer: LinkLayerLatency = IB,
-    tag: str = "",
-) -> list[Flow]:
-    """Flows realizing one src -> dst transfer on a cluster.
-
-    Same-node pairs use NVLink.  Cross-node pairs enter the network on
-    the destination plane (PXN) or on the shortest graph path; the
-    network segment is spread over the plane's equal-cost spine paths:
-
-    * ``"adaptive"`` — even fractional split (IB adaptive routing /
-      multi-QP spraying; the production default),
-    * ``"ecmp"`` — one hash-selected path,
-    * ``"first"`` — the deterministically first path (pathological).
-    """
-    return transfer_flows(cluster, [(src, dst, size)], use_pxn, spread, layer, tag)
-
-
 def transfer_flows(
     cluster: ClusterNetwork,
     transfers: list[tuple[str, str, float]],
     use_pxn: bool = True,
-    spread: str = "adaptive",
     layer: LinkLayerLatency = IB,
     tag: str = "",
 ) -> list[Flow]:
-    """:func:`pair_flows` of every ``(src, dst, size)`` in ``transfers``,
-    concatenated in order.  The cross-node transfers are routed from one
-    equal-cost path table, so each network source costs one BFS."""
-    if spread not in ("adaptive", "ecmp", "first"):
-        raise ValueError(f"unknown spread {spread!r}")
+    """Flows realizing every ``(src, dst, size)`` in ``transfers``,
+    concatenated in order.
+
+    Same-node pairs use NVLink.  Cross-node pairs enter the network on
+    the destination plane (PXN) or on the shortest graph path, and are
+    sprayed evenly over that plane's equal-cost spine paths (IB adaptive
+    routing / multi-QP spraying, the production default).  The
+    cross-node transfers are routed from one equal-cost path table, so
+    each network source costs one BFS.
+    """
     crossing = [(src, dst, size) for src, dst, size in transfers if not cluster.same_node(src, dst)]
     relays = [pxn_relay(cluster, src, dst) if use_pxn else ([], src) for src, dst, _ in crossing]
     pairs = [(net_src, dst) for (_, net_src), (_, dst, _) in zip(relays, crossing)]
@@ -94,20 +78,15 @@ def transfer_flows(
         prefix = relays[index][0]
         full_paths = [prefix + p for p in paths] if prefix else paths
         latency = path_latency(cluster, full_paths[0], layer)
-        if spread == "adaptive":
-            share = size / len(full_paths)
-            return [Flow(src, dst, share, p, latency=latency, tag=tag) for p in full_paths]
-        if spread == "ecmp":
-            chosen = full_paths[ecmp_index(src, dst, len(full_paths))]
-        else:
-            chosen = full_paths[0]
-        return [Flow(src, dst, size, chosen, latency=latency, tag=tag)]
+        return spread_flows(
+            src, dst, size, full_paths, RoutingPolicy.ADAPTIVE, latency=latency, tag=tag
+        )
 
     routed = iter(route_pairs(cluster.topology, pairs, emit))
     flows: list[Flow] = []
     for src, dst, size in transfers:
         if cluster.same_node(src, dst):
-            path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
+            path = cluster.nvlink_path(src, dst)
             latency = path_latency(cluster, path, layer)
             flows.append(Flow(src, dst, size, path, latency=latency, tag=tag))
         else:
@@ -121,7 +100,6 @@ def all_to_all_flows(
     bytes_per_pair: float,
     use_pxn: bool = True,
     layer: LinkLayerLatency = IB,
-    spread: str = "adaptive",
 ) -> list[Flow]:
     """Flows of a full all-to-all among ``participants``.
 
@@ -133,7 +111,7 @@ def all_to_all_flows(
     transfers = [
         (src, dst, bytes_per_pair) for src in participants for dst in participants if src != dst
     ]
-    return transfer_flows(cluster, transfers, use_pxn, spread, layer, tag="a2a")
+    return transfer_flows(cluster, transfers, use_pxn, layer, tag="a2a")
 
 
 def run_all_to_all(
@@ -142,7 +120,6 @@ def run_all_to_all(
     bytes_per_pair: float,
     use_pxn: bool = True,
     layer: LinkLayerLatency = IB,
-    spread: str = "adaptive",
     mode: str = "event",
 ) -> CollectiveResult:
     """Simulate an all-to-all and report NCCL-convention bandwidths.
@@ -153,7 +130,7 @@ def run_all_to_all(
     n = len(participants)
     if n < 2:
         raise ValueError("need at least two participants")
-    flows = all_to_all_flows(cluster, participants, bytes_per_pair, use_pxn, layer, spread)
+    flows = all_to_all_flows(cluster, participants, bytes_per_pair, use_pxn, layer)
     result = FlowSimulator(cluster.topology).simulate(flows, mode=mode)
     return CollectiveResult(
         time=result.makespan,

@@ -8,7 +8,11 @@ all-gather inside the node.  Every GPU's NIC is busy with its own
 shard — the multi-rail/multi-plane design's point.
 
 Phases are simulated separately on the cluster graph and summed, which
-matches the barrier between phases in real implementations.
+matches the barrier between phases in real implementations.  The
+intra-node phases run on :meth:`ClusterNetwork.nvlink_path`; the
+inter-node rings (and the flat baseline ring) are routed by
+:func:`repro.network.routing.route_flows` with STATIC index 0, i.e. each
+hop takes the first path of the equal-cost path table.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 from .flowsim import Flow, FlowSimulator
 from .multiplane import ClusterNetwork, gpu_name
+from .routing import RoutingPolicy, route_flows
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,10 @@ def _intra_node_ring_flows(
 ) -> list[Flow]:
     flows = []
     for node in range(cluster.num_nodes):
-        nvsw = f"n{node}/nvsw"
         for g in range(cluster.gpus_per_node):
             src = gpu_name(node, g)
             dst = gpu_name(node, (g + 1) % cluster.gpus_per_node)
-            flows.append(Flow(src, dst, per_link_bytes, [src, nvsw, dst], tag=tag))
+            flows.append(Flow(src, dst, per_link_bytes, cluster.nvlink_path(src, dst), tag=tag))
     return flows
 
 
@@ -64,15 +68,13 @@ def _inter_node_ring_flows(
 ) -> list[Flow]:
     """Per-plane rings across nodes; each GPU talks to the same-plane
     GPU of the next node through its own NIC."""
-    flows = []
-    topo = cluster.topology
-    for plane in range(cluster.gpus_per_node):
-        for node in range(cluster.num_nodes):
-            src = gpu_name(node, plane)
-            dst = gpu_name((node + 1) % cluster.num_nodes, plane)
-            path = min(topo.shortest_paths(src, dst), key=len)
-            flows.append(Flow(src, dst, per_link_bytes, path, tag=tag))
-    return flows
+    n = cluster.num_nodes
+    transfers = [
+        (gpu_name(node, plane), gpu_name((node + 1) % n, plane), per_link_bytes, tag)
+        for plane in range(cluster.gpus_per_node)
+        for node in range(n)
+    ]
+    return route_flows(cluster.topology, transfers, RoutingPolicy.STATIC)
 
 
 def run_hierarchical_allreduce(
@@ -130,10 +132,6 @@ def flat_ring_allreduce_time(cluster: ClusterNetwork, bytes_per_gpu: float) -> f
     gpus = cluster.gpus()
     total = len(gpus)
     per_link = 2.0 * bytes_per_gpu * (total - 1) / total
-    topo = cluster.topology
-    flows = []
-    for i, src in enumerate(gpus):
-        dst = gpus[(i + 1) % total]
-        path = min(topo.shortest_paths(src, dst), key=len)
-        flows.append(Flow(src, dst, per_link, path, tag="flat"))
+    transfers = [(src, gpus[(i + 1) % total], per_link, "flat") for i, src in enumerate(gpus)]
+    flows = route_flows(cluster.topology, transfers, RoutingPolicy.STATIC)
     return FlowSimulator(cluster.topology).simulate(flows, mode="drain").makespan

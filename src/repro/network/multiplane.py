@@ -13,7 +13,9 @@ the destination rail, which is exactly what the paper's Figures 5-6 and
 Table 4 observe.
 
 Hosts are named ``n{node}g{gpu}``; NVLink is modeled as a per-node
-virtual switch ``n{node}/nvsw`` with 160 GB/s effective per-GPU links.
+virtual switch ``n{node}/nvsw`` with 160 GB/s effective per-GPU links,
+and :meth:`ClusterNetwork.nvlink_path` is the one builder of a
+same-node NVLink path.
 """
 
 from __future__ import annotations
@@ -21,12 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.hardware import H800_NODE, NodeSpec
+from .routing import equal_cost_paths
 from .topology import ENDPOINT_LINK, INTERSWITCH_LINK, NVLINK_LINK, SWITCH, Topology
 
 
 def gpu_name(node: int, gpu: int) -> str:
     """Canonical host name of GPU ``gpu`` on node ``node``."""
     return f"n{node}g{gpu}"
+
+
+def nvswitch_name(node: int) -> str:
+    """Name of node ``node``'s virtual NVLink switch."""
+    return f"n{node}/nvsw"
 
 
 @dataclass
@@ -70,12 +78,17 @@ class ClusterNetwork:
         """The GPU on ``host``'s node that lives in ``plane``."""
         return gpu_name(self.node_of[host], plane)
 
+    def nvlink_path(self, src: str, dst: str) -> list[str]:
+        """The NVLink path between two GPUs of one node, through the
+        node's NVSwitch."""
+        return [src, nvswitch_name(self.node_of[src]), dst]
+
 
 def _add_node_gpus(
     cluster: ClusterNetwork, node: int, nvlink_bandwidth: float
 ) -> None:
     topo = cluster.topology
-    nvsw = f"n{node}/nvsw"
+    nvsw = nvswitch_name(node)
     topo.add_switch(nvsw, nvswitch=True)
     for g in range(cluster.gpus_per_node):
         host = gpu_name(node, g)
@@ -196,8 +209,7 @@ def pxn_relay(cluster: ClusterNetwork, src: str, dst: str) -> tuple[list[str], s
     if cluster.plane_of[src] == dst_plane:
         return [], src
     relay = cluster.nvlink_peer_on_plane(src, dst_plane)
-    nvsw = f"n{cluster.node_of[src]}/nvsw"
-    return [src, nvsw], relay
+    return cluster.nvlink_path(src, relay)[:-1], relay
 
 
 def pxn_path(cluster: ClusterNetwork, src: str, dst: str) -> list[str]:
@@ -208,28 +220,24 @@ def pxn_path(cluster: ClusterNetwork, src: str, dst: str) -> list[str]:
     * Cross plane: NVLink to the source-node GPU on the destination's
       plane, then that plane's network — NCCL PXN (Section 5.1.1), and
       the only option on MPFT.
+
+    The network part is the first of the relay's equal-cost paths.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    topo = cluster.topology
     if cluster.same_node(src, dst):
-        nvsw = f"n{cluster.node_of[src]}/nvsw"
-        return [src, nvsw, dst]
-    dst_plane = cluster.plane_of[dst]
-    if cluster.plane_of[src] == dst_plane:
-        return min(topo.shortest_paths(src, dst), key=len)
-    relay = cluster.nvlink_peer_on_plane(src, dst_plane)
-    nvsw = f"n{cluster.node_of[src]}/nvsw"
-    network = min(topo.shortest_paths(relay, dst), key=len)
-    return [src, nvsw] + network
+        return cluster.nvlink_path(src, dst)
+    prefix, net_src = pxn_relay(cluster, src, dst)
+    return prefix + equal_cost_paths(cluster.topology, net_src, dst)[0]
 
 
 def direct_path(cluster: ClusterNetwork, src: str, dst: str) -> list[str]:
-    """Shortest graph path, ignoring PXN (cross-rail goes via spines
-    on MRFT; on MPFT the graph forces NVLink forwarding anyway)."""
+    """The first equal-cost graph path, ignoring PXN (cross-rail goes
+    via spines on MRFT; on MPFT the graph forces NVLink forwarding
+    anyway)."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    return min(cluster.topology.shortest_paths(src, dst), key=len)
+    return equal_cost_paths(cluster.topology, src, dst)[0]
 
 
 def planes_used(cluster: ClusterNetwork, path: list[str]) -> set[int]:

@@ -11,6 +11,15 @@ equal-cost paths of a fat tree:
 * **Static routing** — a manually configured table pins each (src,
   dst) pair to a path; collision-free for the pattern it was tuned
   for, but inflexible.
+
+This module is the only one that chooses among equal-cost paths.  Every
+flow builder in :mod:`repro.network` and :mod:`repro.comm` takes its
+paths from :func:`equal_cost_path_table` (one BFS per distinct source)
+and turns them into flows with :func:`spread_flows`: the Figure 8 rings
+by the policy they are given, cluster transfers (all-to-all, EP
+dispatch/combine) by ADAPTIVE spraying, the all-reduce rings by STATIC
+index 0, and :func:`~repro.network.multiplane.pxn_path` takes the first
+table path after its NVLink relay.
 """
 
 from __future__ import annotations
@@ -97,58 +106,53 @@ def ecmp_index(src: str, dst: str, num_paths: int, salt: int = 0) -> int:
     return digest % num_paths
 
 
-def route_flow(
-    topology: Topology,
+def spread_flows(
     src: str,
     dst: str,
     size: float,
+    paths: list[list[str]],
     policy: RoutingPolicy,
-    latency: float = 0.0,
     static_table: dict[tuple[str, str], int] | None = None,
+    latency: float = 0.0,
     tag: str = "",
 ) -> list[Flow]:
-    """Map one logical transfer onto concrete flow(s).
+    """Map one logical transfer onto its equal-cost ``paths``.
 
-    Args:
-        topology: The network.
-        src: Source host.
-        dst: Destination host.
-        size: Bytes.
-        policy: Path selection scheme.
-        latency: Startup latency to attach to each produced flow.
-        static_table: For STATIC, (src, dst) -> path index; pairs
-            absent from the table fall back to index 0.
-        tag: Label copied onto the flows.
-
-    Returns:
-        One flow (ECMP/STATIC) or one subflow per equal-cost path
-        (ADAPTIVE, evenly split — the packet-spraying fluid limit).
+    The one place a path is chosen: ADAPTIVE splits ``size`` evenly over
+    every path (the packet-spraying fluid limit), ECMP puts it on the
+    path :func:`ecmp_index` hashes ``(src, dst)`` to, and STATIC on the
+    path ``static_table`` pins ``(src, dst)`` to (index 0 when the pair
+    is absent).  Every flow gets ``latency`` and ``tag``.
     """
-    return route_flows(topology, [(src, dst, size, tag)], policy, latency, static_table)
+    if policy is RoutingPolicy.ADAPTIVE:
+        share = size / len(paths)
+        return [Flow(src, dst, share, path, latency=latency, tag=tag) for path in paths]
+    if policy is RoutingPolicy.ECMP:
+        chosen = ecmp_index(src, dst, len(paths))
+    else:
+        chosen = (static_table or {}).get((src, dst), 0) % len(paths)
+    return [Flow(src, dst, size, paths[chosen], latency=latency, tag=tag)]
 
 
 def route_flows(
     topology: Topology,
     transfers: Sequence[tuple[str, str, float, str]],
-    policy: RoutingPolicy,
+    policy: RoutingPolicy | str,
     latency: float = 0.0,
     static_table: dict[tuple[str, str], int] | None = None,
 ) -> list[Flow]:
-    """:func:`route_flow` of every ``(src, dst, size, tag)`` in
-    ``transfers``, concatenated in order, from one equal-cost path
-    table (one BFS per distinct source)."""
-    table = static_table or {}
+    """:func:`spread_flows` of every ``(src, dst, size, tag)`` in
+    ``transfers`` over its equal-cost paths, concatenated in order, from
+    one equal-cost path table (one BFS per distinct source).
+
+    ``policy`` is a :class:`RoutingPolicy` or its value string
+    (``"ecmp"``); anything else raises ``ValueError``.
+    """
+    policy = RoutingPolicy(policy)
 
     def emit(index: int, paths: list[list[str]]) -> list[Flow]:
         src, dst, size, tag = transfers[index]
-        if policy is RoutingPolicy.ADAPTIVE:
-            share = size / len(paths)
-            return [Flow(src, dst, share, path, latency=latency, tag=tag) for path in paths]
-        if policy is RoutingPolicy.ECMP:
-            chosen = ecmp_index(src, dst, len(paths))
-        else:
-            chosen = table.get((src, dst), 0) % len(paths)
-        return [Flow(src, dst, size, paths[chosen], latency=latency, tag=tag)]
+        return spread_flows(src, dst, size, paths, policy, static_table, latency, tag)
 
     pairs = [(src, dst) for src, dst, _, _ in transfers]
     return [flow for flows in route_pairs(topology, pairs, emit) for flow in flows]

@@ -134,12 +134,6 @@ class Topology:
 
         return nx.is_connected(self.graph) if len(self.graph) else True
 
-    def shortest_paths(self, src: str, dst: str) -> list[list[str]]:
-        """All shortest paths from ``src`` to ``dst`` (node lists)."""
-        import networkx as nx
-
-        return list(nx.all_shortest_paths(self.graph, src, dst))
-
     def switch_hops(self, path: list[str]) -> int:
         """Number of switch nodes traversed by a path."""
         return sum(1 for n in path if self.graph.nodes[n]["kind"] == SWITCH)

@@ -288,6 +288,9 @@ def serving_scenario(config: dict, seed: int):
     recovery = cfg.pop("recovery", None)
     if recovery is not None and not isinstance(recovery, dict):
         raise TypeError("'recovery' must be an object of RecoveryPolicy kwargs")
+    recovery = dict(recovery or {})
+    recovery_kwargs = _split_kwargs("serving", recovery, RecoveryPolicy)
+    reject_unknown_keys("serving recovery", recovery)
     # The flat key ``slo`` is the SLO monitor rule list (compact strings or
     # SloRule.to_dict() shapes), i.e. SimConfig.slo_rules, not SimConfig.slo.
     slo_rules = cfg.pop("slo", None)
@@ -310,7 +313,7 @@ def serving_scenario(config: dict, seed: int):
         scheduler=scheduler,
         seed=seed,
         faults=_fault_schedule(faults),
-        **({"recovery": RecoveryPolicy(**recovery)} if recovery else {}),
+        **({"recovery": RecoveryPolicy(**recovery_kwargs)} if recovery_kwargs else {}),
         **({"slo_rules": tuple(slo_rules)} if slo_rules else {}),
         **scalars,
     )

@@ -1,11 +1,12 @@
-"""``benchmarks._report.compare``: the exact ``--check`` of a committed
-BENCH payload."""
+"""``benchmarks._report.compare`` and ``gate``: the exact ``--check`` of a
+committed BENCH payload."""
 
 import math
 
 import pytest
 
-from benchmarks._report import compare
+from benchmarks import _report
+from benchmarks._report import check_parser, compare, gate
 
 BASELINE = {
     "_meta": {"git_sha": "abc", "peak_rss_bytes": 1},
@@ -53,3 +54,17 @@ def test_meta_and_extra_keys_are_skipped():
     current = {**_current(), "_meta": {"git_sha": "other"}, "new_section": {"x": 1}}
     assert compare(current, BASELINE) == []
     assert compare(_current(), {**BASELINE, "_meta": {"peak_rss_bytes": 2}}) == []
+
+
+def test_gate_records_then_checks_a_baseline(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_report, "_baseline_path", lambda name: tmp_path / f"BENCH_{name}.json")
+    assert gate("probe", _current(), {"git_sha": "abc"}, check=False) == 0
+    assert (tmp_path / "BENCH_probe.json").exists()
+    capsys.readouterr()
+    assert gate("probe", _current(), {"git_sha": "other"}, check=True) == 0
+    assert capsys.readouterr().out == "\nexactly matches BENCH_probe.json\n"
+    assert gate("probe", _current(grid_points=9), {}, check=True) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("\nprobe drift vs BENCH_probe.json:\n  probe.grid_points: 9 != ")
+    assert check_parser("probe").parse_args(["--check"]).check
+    assert not check_parser("probe").parse_args([]).check

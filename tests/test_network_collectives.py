@@ -11,7 +11,7 @@ from repro.network import (
     run_all_to_all,
     run_concurrent_rings,
 )
-from repro.network.collectives import pair_flows
+from repro.network.collectives import transfer_flows
 
 
 def test_all_to_all_mpft_equals_mrft():
@@ -53,22 +53,17 @@ def test_all_to_all_needs_two_ranks():
 
 def test_pair_flows_same_node_nvlink():
     c = build_mpft_cluster(2)
-    flows = pair_flows(c, "n0g0", "n0g3", 1e6)
+    flows = transfer_flows(c, [("n0g0", "n0g3", 1e6)])
     assert len(flows) == 1
     assert flows[0].path == ["n0g0", "n0/nvsw", "n0g3"]
 
 
-def test_pair_flows_spread_modes():
+def test_transfer_flows_spray_over_spines():
     c = build_mpft_cluster(16)  # cross-leaf pairs have 8 spine paths
-    adaptive = pair_flows(c, "n0g0", "n9g0", 8e6, spread="adaptive")
-    ecmp = pair_flows(c, "n0g0", "n9g0", 8e6, spread="ecmp")
-    first = pair_flows(c, "n0g0", "n9g0", 8e6, spread="first")
-    assert len(adaptive) == 8
-    assert sum(f.size for f in adaptive) == pytest.approx(8e6)
-    assert len(ecmp) == 1 and ecmp[0].size == 8e6
-    assert len(first) == 1
-    with pytest.raises(ValueError):
-        pair_flows(c, "n0g0", "n9g0", 8e6, spread="nope")
+    flows = transfer_flows(c, [("n0g0", "n9g0", 8e6)])
+    assert len(flows) == 8
+    assert len({tuple(f.path) for f in flows}) == 8
+    assert sum(f.size for f in flows) == pytest.approx(8e6)
 
 
 def test_ring_collective_volume():

@@ -8,6 +8,7 @@ from repro.network import (
     Flow,
     FlowSimulator,
     Topology,
+    equal_cost_paths,
     max_min_rates,
     two_layer_fat_tree,
 )
@@ -168,7 +169,7 @@ def test_drain_mode_matches_event_for_symmetric_traffic():
     for s in hosts:
         for d in hosts:
             if s != d:
-                path = min(topo.shortest_paths(s, d), key=len)
+                path = equal_cost_paths(topo, s, d)[0]
                 flows.append(Flow(s, d, 1e9, path))
     event = sim.simulate(flows, mode="event")
     drain = sim.simulate(flows, mode="drain")
@@ -185,7 +186,7 @@ def test_event_initial_rates_match_reference_solver():
     flows = []
     for _ in range(40):
         s, d = rng.choice(hosts, size=2, replace=False)
-        path = min(topo.shortest_paths(s, d), key=len)
+        path = equal_cost_paths(topo, s, d)[0]
         flows.append(Flow(s, d, float(rng.uniform(1e8, 1e9)), path))
     sim = FlowSimulator(topo)
     result = sim.simulate(flows)
@@ -215,7 +216,7 @@ def test_large_all_to_all_wall_clock_regression():
     flows = []
     for _ in range(500):
         s, d = rng.choice(hosts, size=2, replace=False)
-        path = min(topo.shortest_paths(s, d), key=len)
+        path = equal_cost_paths(topo, s, d)[0]
         flows.append(Flow(s, d, float(rng.uniform(1e8, 1e9)), path))
     sim = FlowSimulator(topo)
     start = time.perf_counter()
@@ -258,7 +259,7 @@ def test_rates_never_exceed_capacity(seed):
     flows = {}
     for i in range(6):
         s, d = rng.choice(hosts, size=2, replace=False)
-        path = min(topo.shortest_paths(s, d), key=len)
+        path = equal_cost_paths(topo, s, d)[0]
         flows[i] = Flow(s, d, 1e9, path)
     sim = FlowSimulator(topo)
     rates = max_min_rates(flows, sim.capacities)
@@ -574,7 +575,7 @@ def test_schedule_without_network_events_is_byte_identical():
     flows = []
     for _ in range(300):
         s, d = rng.choice(hosts, size=2, replace=False)
-        path = min(topo.shortest_paths(s, d), key=len)
+        path = equal_cost_paths(topo, s, d)[0]
         flows.append(Flow(s, d, float(rng.uniform(1e6, 1e8)), path))
     sim = FlowSimulator(topo)
     plain = sim.simulate(flows)

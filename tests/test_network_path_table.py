@@ -17,12 +17,17 @@ from repro.network import (
     collision_free_static_table,
     ecmp_index,
     equal_cost_path_table,
+    equal_cost_paths,
+    flat_ring_allreduce_time,
     path_latency,
+    pxn_path,
     ring_collective_flows,
+    run_hierarchical_allreduce,
     shifted_ring_flows,
     three_layer_fat_tree,
     two_layer_fat_tree,
 )
+from repro.network.collectives import transfer_flows
 from repro.network.multiplane import pxn_relay
 
 #: Small instances of every topology family the repo builds.
@@ -133,6 +138,28 @@ def test_all_to_all_runs_one_bfs_per_gpu(monkeypatch, build, use_pxn):
     assert len(calls) == 32 == cluster.num_gpus
 
 
+@pytest.mark.parametrize(
+    "run", [flat_ring_allreduce_time, run_hierarchical_allreduce], ids=["flat", "hierarchical"]
+)
+def test_allreduce_rings_run_one_bfs_per_source_gpu(monkeypatch, run):
+    """Both all-reduces on 8 nodes route their 64 network sources from the
+    table (intra-node hops are NVLink paths): one BFS per source GPU and
+    no per-pair ``nx.all_shortest_paths`` search."""
+    cluster = build_mpft_cluster(8)
+    calls = _count_bfs(monkeypatch)
+    searches = []
+    search = nx.all_shortest_paths
+
+    def counted(graph, source, target, *args, **kwargs):
+        searches.append((source, target))
+        return search(graph, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "all_shortest_paths", counted)
+    run(cluster, 1e6)
+    assert len(calls) == len(set(calls)) == 64
+    assert searches == []
+
+
 def test_self_sending_shift_is_refused():
     topo = two_layer_fat_tree(2, 2, 2)
     with pytest.raises(ValueError, match="shift 4 sends each of the 4 hosts to itself"):
@@ -145,7 +172,7 @@ def test_self_sending_shift_is_refused():
 
 
 def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
-    """``route_flow`` as one networkx search for the pair."""
+    """``route_flows`` of one transfer, as one networkx search for the pair."""
     paths = sorted(nx.all_shortest_paths(topo.graph, src, dst))
     if policy is RoutingPolicy.ADAPTIVE:
         return [Flow(src, dst, size / len(paths), p, tag=tag) for p in paths]
@@ -156,18 +183,15 @@ def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
     return [Flow(src, dst, size, paths[index], tag=tag)]
 
 
-def _reference_pair(cluster, src, dst, size, use_pxn, spread, tag):
-    """``pair_flows`` as one networkx search for the pair."""
+def _reference_pair(cluster, src, dst, size, use_pxn, tag):
+    """``transfer_flows`` of one transfer, as one networkx search for the pair."""
     if cluster.same_node(src, dst):
         path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
         return [Flow(src, dst, size, path, latency=path_latency(cluster, path), tag=tag)]
     prefix, net_src = pxn_relay(cluster, src, dst) if use_pxn else ([], src)
     paths = [prefix + p for p in sorted(nx.all_shortest_paths(cluster.topology.graph, net_src, dst))]
     latency = path_latency(cluster, paths[0])
-    if spread == "adaptive":
-        return [Flow(src, dst, size / len(paths), p, latency=latency, tag=tag) for p in paths]
-    chosen = paths[ecmp_index(src, dst, len(paths))] if spread == "ecmp" else paths[0]
-    return [Flow(src, dst, size, chosen, latency=latency, tag=tag)]
+    return [Flow(src, dst, size / len(paths), p, latency=latency, tag=tag) for p in paths]
 
 
 @pytest.mark.parametrize("policy", list(RoutingPolicy))
@@ -214,7 +238,9 @@ def test_static_table_and_rings_match_per_pair_routing():
             assert ring_collective_flows(topo, ring, 4e6, policy, table) == expected
 
 
-@pytest.mark.parametrize("spread", ["adaptive", "ecmp", "first"])
+#: Cluster transfers have one spread: ADAPTIVE spraying over the pair's
+#: equal-cost paths.
+@pytest.mark.parametrize("spread", ["adaptive"])
 @pytest.mark.parametrize("use_pxn", [True, False])
 @pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster])
 def test_all_to_all_matches_per_pair_routing(build, use_pxn, spread):
@@ -225,6 +251,39 @@ def test_all_to_all_matches_per_pair_routing(build, use_pxn, spread):
         for src in gpus
         for dst in gpus
         if src != dst
-        for flow in _reference_pair(cluster, src, dst, 1e6, use_pxn, spread, "a2a")
+        for flow in _reference_pair(cluster, src, dst, 1e6, use_pxn, "a2a")
     ]
-    assert all_to_all_flows(cluster, gpus, 1e6, use_pxn, spread=spread) == expected
+    assert all_to_all_flows(cluster, gpus, 1e6, use_pxn) == expected
+
+
+@st.composite
+def _cluster_transfers(draw):
+    build = draw(st.sampled_from([build_mpft_cluster, build_mrft_cluster]))
+    cluster = build(draw(st.integers(2, 3)), nodes_per_leaf=draw(st.integers(1, 2)))
+    gpus = cluster.gpus()
+    pair = st.tuples(st.sampled_from(gpus), st.sampled_from(gpus)).filter(lambda p: p[0] != p[1])
+    return cluster, draw(st.lists(pair, min_size=1, max_size=8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cluster_transfers())
+def test_cluster_paths_come_from_the_table(case):
+    """``pxn_path`` is the PXN relay plus the relay's first table path, and
+    every flow ``transfer_flows`` emits runs on a table path once its
+    NVLink prefix is removed."""
+    cluster, pairs = case
+    topo = cluster.topology
+    for src, dst in pairs:
+        if cluster.same_node(src, dst):
+            assert pxn_path(cluster, src, dst) == cluster.nvlink_path(src, dst)
+            continue
+        prefix, net_src = pxn_relay(cluster, src, dst)
+        assert pxn_path(cluster, src, dst) == prefix + equal_cost_paths(topo, net_src, dst)[0]
+    for use_pxn in (True, False):
+        for flow in transfer_flows(cluster, [(s, d, 1e6) for s, d in pairs], use_pxn):
+            if cluster.same_node(flow.src, flow.dst):
+                assert flow.path == cluster.nvlink_path(flow.src, flow.dst)
+                continue
+            prefix, net_src = pxn_relay(cluster, flow.src, flow.dst) if use_pxn else ([], flow.src)
+            assert flow.path[: len(prefix)] == prefix
+            assert flow.path[len(prefix) :] in equal_cost_paths(topo, net_src, flow.dst)

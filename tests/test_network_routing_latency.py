@@ -15,8 +15,9 @@ from repro.network import (
     nvlink_latency,
     path_latency,
     pxn_path,
-    route_flow,
+    route_flows,
     table5_rows,
+    two_layer_fat_tree,
 )
 
 
@@ -73,14 +74,14 @@ def test_ecmp_index_deterministic():
 
 def test_ecmp_routes_single_path():
     topo = ft2_from_radix(8)
-    flows = route_flow(topo, "h0", "h5", 1e6, RoutingPolicy.ECMP)
+    flows = route_flows(topo, [("h0", "h5", 1e6, "")], RoutingPolicy.ECMP)
     assert len(flows) == 1
     assert flows[0].size == 1e6
 
 
 def test_adaptive_splits_over_all_paths():
     topo = ft2_from_radix(8)
-    flows = route_flow(topo, "h0", "h5", 1e6, RoutingPolicy.ADAPTIVE)
+    flows = route_flows(topo, [("h0", "h5", 1e6, "")], RoutingPolicy.ADAPTIVE)
     assert len(flows) == 4  # 4 spines
     assert sum(f.size for f in flows) == pytest.approx(1e6)
     paths = {tuple(f.path) for f in flows}
@@ -90,15 +91,28 @@ def test_adaptive_splits_over_all_paths():
 def test_static_uses_table():
     topo = ft2_from_radix(8)
     table = {("h0", "h5"): 2}
-    flows = route_flow(topo, "h0", "h5", 1e6, RoutingPolicy.STATIC, static_table=table)
+    flows = route_flows(topo, [("h0", "h5", 1e6, "")], RoutingPolicy.STATIC, static_table=table)
     expected = equal_cost_paths(topo, "h0", "h5")[2]
     assert flows[0].path == expected
 
 
 def test_static_default_index_zero():
     topo = ft2_from_radix(8)
-    flows = route_flow(topo, "h0", "h5", 1e6, RoutingPolicy.STATIC)
+    flows = route_flows(topo, [("h0", "h5", 1e6, "")], RoutingPolicy.STATIC)
     assert flows[0].path == equal_cost_paths(topo, "h0", "h5")[0]
+
+
+def test_string_policy_is_coerced_to_its_member():
+    topo = two_layer_fat_tree(4, 4, 4)
+    transfers = [("h0", "h13", 1.0, "")]
+    ecmp = route_flows(topo, transfers, "ecmp")
+    assert ecmp == route_flows(topo, transfers, RoutingPolicy.ECMP)
+    assert ecmp[0].path[2] == "FT2/spine2"  # the hash's pick, not static index 0
+    adaptive = route_flows(topo, transfers, "adaptive")
+    assert adaptive == route_flows(topo, transfers, RoutingPolicy.ADAPTIVE)
+    assert len(adaptive) == 4
+    with pytest.raises(ValueError, match="nope"):
+        route_flows(topo, transfers, "nope")
 
 
 def test_collision_free_table_spreads_conflicting_pairs():

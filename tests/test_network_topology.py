@@ -7,6 +7,7 @@ from repro.network import (
     INTERSWITCH_LINK,
     Topology,
     TopologySpec,
+    equal_cost_paths,
     ft2_from_radix,
     ft2_spec,
     ft3_spec,
@@ -100,7 +101,7 @@ def test_radix_validation():
 
 def test_equal_cost_paths_through_all_spines():
     topo = ft2_from_radix(8)
-    paths = topo.shortest_paths("h0", "h4")  # different leaves
+    paths = equal_cost_paths(topo, "h0", "h4")  # different leaves
     assert len(paths) == 4  # one per spine
     for p in paths:
         assert topo.switch_hops(p) == 3
@@ -108,7 +109,7 @@ def test_equal_cost_paths_through_all_spines():
 
 def test_same_leaf_single_path():
     topo = ft2_from_radix(8)
-    paths = topo.shortest_paths("h0", "h1")
+    paths = equal_cost_paths(topo, "h0", "h1")
     assert len(paths) == 1
     assert topo.switch_hops(paths[0]) == 1
 

@@ -1000,6 +1000,18 @@ def test_submit_check_reads_no_file_and_routes_no_flows(tmp_path, monkeypatch):
         ({**serving, "points": [{"faults": str(tmp_path / "missing.json")}]}, not_a_schedule),
         ({**serving, "points": [{"faults": [1]}]}, not_a_schedule),
         ({**serving, "points": [{"recovery": [1]}]}, "'recovery' must be an object"),
+        (
+            {**serving, "points": [{"recovery": {"retry_budget": True}}]},
+            "serving 'retry_budget' must be int, got True",
+        ),
+        (
+            {**serving, "points": [{"recovery": {"retry_budget": 2.5}}]},
+            "serving 'retry_budget' must be int, got 2.5",
+        ),
+        (
+            {**serving, "points": [{"recovery": {"degraded_queue_limit": 1e308}}]},
+            "serving 'degraded_queue_limit' must be int",
+        ),
         ({"target": "training", "points": [{"faults": str(schedule)}]}, not_a_schedule),
         ({"target": "flowsim", "points": [{**huge, "sim_mode": "bogus"}]}, "'sim_mode'"),
         ({"target": "flowsim", "points": [{**huge, "shifts": 0}]}, "'shifts'"),

@@ -433,6 +433,10 @@ def test_builtin_targets_share_one_unknown_key_error(target):
         ("training", {"faults": [1]}),
         ("flowsim", {"shifts": 16}),  # 4 leaves x 4 hosts: shift 16 sends h0 -> h0
         ("flowsim", {"num_leaves": 2, "hosts_per_leaf": 2, "shifts": 4}),
+        ("serving", {"recovery": {"retry_budget": True}}),
+        ("serving", {"recovery": {"retry_budget": 2.5}}),
+        ("serving", {"recovery": {"degraded_queue_limit": 1e308}}),
+        ("serving", {"recovery": {"retry_budgett": 2}}),
     ],
 )
 def test_dry_build_raises_value_error_for_bad_points(target, config):
@@ -440,6 +444,33 @@ def test_dry_build_raises_value_error_for_bad_points(target, config):
 
     with pytest.raises(ValueError):
         dry_build(target, config)
+
+
+@pytest.mark.parametrize(
+    "recovery, message",
+    [
+        ({"retry_budget": True}, "serving 'retry_budget' must be int, got True"),
+        ({"retry_budget": 2.5}, "serving 'retry_budget' must be int, got 2.5"),
+        ({"degraded_queue_limit": 1e308}, "serving 'degraded_queue_limit' must be int, got 1e+308"),
+        ({"retry_budgett": 2}, "unknown serving recovery sweep keys: ['retry_budgett']"),
+    ],
+)
+def test_recovery_values_are_checked_like_flat_keys(recovery, message):
+    from repro.sweep.targets import serving_scenario
+
+    with pytest.raises(ValueError) as excinfo:
+        serving_scenario({"recovery": recovery}, 0)
+    assert str(excinfo.value) == message
+
+
+def test_valid_recovery_builds_its_policy():
+    from repro.faults import RecoveryPolicy
+    from repro.sweep.targets import serving_scenario
+
+    recovery = {"retry_budget": 2, "degraded_queue_limit": 24}
+    sim, _ = serving_scenario({"recovery": recovery}, 0)
+    assert sim.recovery == RecoveryPolicy(retry_budget=2, degraded_queue_limit=24)
+    assert serving_scenario({"recovery": {}}, 0)[0].recovery == RecoveryPolicy()
 
 
 @pytest.mark.parametrize("target", ["serving", "training"])
