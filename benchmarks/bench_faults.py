@@ -120,12 +120,11 @@ def run_network() -> dict:
 
     permanent = plane_outage(float("inf"))
     stalled = sim.simulate(flows, faults=permanent)
-    stall_report = sim.fault_report
     rerouted = sim.simulate(flows, faults=permanent, reroute=cluster_reroute(cluster))
     repaired = sim.simulate(flows, faults=plane_outage(0.02))
     return {
         "fault_free_ms": round(base.makespan * 1e3, 6),
-        "stall_unfinished": len(stall_report.unfinished),
+        "stall_unfinished": len(stalled.fault_report.unfinished),
         "stall_survivor_ms": round(stalled.makespan * 1e3, 6),
         "reroute_ms": round(rerouted.makespan * 1e3, 6),
         "repair_ms": round(repaired.makespan * 1e3, 6),

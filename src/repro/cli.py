@@ -378,7 +378,7 @@ def _trace_network(args: argparse.Namespace, tracer, metrics) -> str:
         f"network: {len(flows)} flows over {topo.name}, "
         f"makespan {result.makespan * 1e3:.2f} ms"
     )
-    fault_report = getattr(sim, "fault_report", None)
+    fault_report = result.fault_report
     if fault_report is not None:
         headline += (
             f"; faults: {fault_report.events} events, "

@@ -12,8 +12,10 @@ Implements the traffic model behind Figure 7 and Section 4.3:
 
 Token routing comes from real routing decisions
 (:mod:`repro.model.routing`), so node-limited routing directly shapes
-the traffic matrix; the flows are then executed on the cluster graph by
-the max-min flow simulator.
+the traffic matrix.  The IB part runs as PXN transfers sprayed over
+the destination plane (:func:`repro.network.collectives.transfer_flows`),
+the NVLink part on each node's NVSwitch, and :func:`run_ep_stage`
+drains both on the cluster graph (the flow simulator's fluid bound).
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ class EPDeployment:
         sprayed over its equal-cost paths, NVLink traffic on the node's
         NVSwitch."""
         transfers = [(src, dst, size) for (src, dst), size in ib.items()]
-        flows = transfer_flows(self.cluster, transfers, use_pxn=True, tag="ib")
+        flows = transfer_flows(self.cluster, transfers, tag="ib")
         for (src, dst), size in nvlink.items():
             flows.append(Flow(src, dst, size, self.cluster.nvlink_path(src, dst), tag="nvlink"))
         return flows
@@ -227,14 +229,13 @@ def run_ep_stage(
     deployment: EPDeployment,
     decisions: dict[str, RoutingDecision],
     stage: str = "dispatch",
-    mode: str = "drain",
 ) -> EPStageResult:
     """Simulate one EP all-to-all stage on the cluster fabric.
 
-    ``mode="drain"`` uses the fluid bound (largest per-link drain
-    time), which matches the exact event simulation for these
-    saturated symmetric stages at a fraction of the cost; pass
-    ``"event"`` for the fully re-solved simulation.
+    The stage is drained: its time is the fluid bound (largest per-link
+    drain time plus the largest flow latency), which matches the exact
+    event simulation for these saturated symmetric stages at a fraction
+    of the cost.
     """
     if stage == "dispatch":
         ib, nvlink = deployment.dispatch_traffic(decisions)
@@ -243,7 +244,7 @@ def run_ep_stage(
     else:
         raise ValueError(f"stage must be dispatch or combine, got {stage!r}")
     flows = deployment.traffic_to_flows(ib, nvlink)
-    result = FlowSimulator(deployment.cluster.topology).simulate(flows, mode=mode)
+    result = FlowSimulator(deployment.cluster.topology).simulate(flows, mode="drain")
     total_ib = sum(ib.values())
     num_gpus = deployment.cluster.num_gpus
     return EPStageResult(

@@ -53,11 +53,6 @@ def bytes_to_kib(n_bytes: float) -> float:
     return n_bytes / KIB
 
 
-def bytes_to_gb(n_bytes: float) -> float:
-    """Bytes to decimal gigabytes."""
-    return n_bytes / GB
-
-
 def seconds_to_us(seconds: float) -> float:
     """Seconds to microseconds."""
     return seconds / US

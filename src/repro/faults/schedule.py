@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.rng import seeded_generator
-from ..reliability.failures import ComponentReliability, cluster_mtbf
 
 #: Recognized fault kinds and the simulators that consume them.
 #: ``gpu``/``node`` target serving pools (a node is ``NODE_GPUS`` GPUs),
@@ -219,30 +218,6 @@ class FaultSchedule:
             )
             t += float(rng.exponential(mtbf))
         return cls(events=tuple(events))
-
-    @classmethod
-    def sampled_cluster(
-        cls,
-        num_nodes: int,
-        horizon: float,
-        seed: int,
-        *,
-        reliability: ComponentReliability | None = None,
-        gpus_per_node: int = NODE_GPUS,
-        targets: tuple[str, ...] = ("pool",),
-        mttr: float = math.inf,
-    ) -> "FaultSchedule":
-        """Sample node failures at the §6.1 cluster rate (1/N MTBF).
-
-        The MTBF comes from :func:`repro.reliability.cluster_mtbf` —
-        component rates summed over the fleet — so the schedule's
-        failure density reflects the same hardware model the static
-        analysis uses.
-        """
-        mtbf = cluster_mtbf(num_nodes, reliability, gpus_per_node)
-        return cls.sampled(
-            mtbf, horizon, seed, kind="node", targets=targets, count=1, mttr=mttr
-        )
 
 
 @dataclass(frozen=True)

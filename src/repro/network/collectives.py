@@ -2,8 +2,10 @@
 
 Builds the flow sets behind the paper's communication experiments:
 
-* all-to-all across a cluster (Figures 5-6), with or without PXN
-  forwarding, sprayed (ADAPTIVE) over each pair's equal-cost paths,
+* all-to-all across a cluster (Figures 5-6): cross-plane traffic
+  relays over NVLink onto the destination plane (PXN), then is sprayed
+  (ADAPTIVE) over that plane's equal-cost paths, with InfiniBand
+  startup latencies,
 * ring AllGather / ReduceScatter on a routed fat tree (Figure 8), under
   the ECMP, ADAPTIVE or STATIC policy it is given.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flowsim import Flow, FlowSimulator
-from .latency import IB, LinkLayerLatency, path_latency
+from .latency import path_latency
 from .multiplane import ClusterNetwork, pxn_relay
 from .routing import RoutingPolicy, route_flows, route_pairs, spread_flows
 from .topology import Topology
@@ -55,29 +57,29 @@ class CollectiveResult:
 def transfer_flows(
     cluster: ClusterNetwork,
     transfers: list[tuple[str, str, float]],
-    use_pxn: bool = True,
-    layer: LinkLayerLatency = IB,
     tag: str = "",
 ) -> list[Flow]:
     """Flows realizing every ``(src, dst, size)`` in ``transfers``,
     concatenated in order.
 
     Same-node pairs use NVLink.  Cross-node pairs enter the network on
-    the destination plane (PXN) or on the shortest graph path, and are
-    sprayed evenly over that plane's equal-cost spine paths (IB adaptive
-    routing / multi-QP spraying, the production default).  The
-    cross-node transfers are routed from one equal-cost path table, so
-    each network source costs one BFS.
+    the destination plane (PXN: mandatory on MPFT, NCCL's default on
+    MRFT) and are sprayed evenly over that plane's equal-cost spine
+    paths (IB adaptive routing / multi-QP spraying, the production
+    default).  Every flow's startup latency is its path's InfiniBand
+    :func:`~repro.network.latency.path_latency`.  The cross-node
+    transfers are routed from one equal-cost path table, so each
+    network source costs one BFS.
     """
     crossing = [(src, dst, size) for src, dst, size in transfers if not cluster.same_node(src, dst)]
-    relays = [pxn_relay(cluster, src, dst) if use_pxn else ([], src) for src, dst, _ in crossing]
+    relays = [pxn_relay(cluster, src, dst) for src, dst, _ in crossing]
     pairs = [(net_src, dst) for (_, net_src), (_, dst, _) in zip(relays, crossing)]
 
     def emit(index: int, paths: list[list[str]]) -> list[Flow]:
         src, dst, size = crossing[index]
         prefix = relays[index][0]
         full_paths = [prefix + p for p in paths] if prefix else paths
-        latency = path_latency(cluster, full_paths[0], layer)
+        latency = path_latency(cluster, full_paths[0])
         return spread_flows(
             src, dst, size, full_paths, RoutingPolicy.ADAPTIVE, latency=latency, tag=tag
         )
@@ -87,7 +89,7 @@ def transfer_flows(
     for src, dst, size in transfers:
         if cluster.same_node(src, dst):
             path = cluster.nvlink_path(src, dst)
-            latency = path_latency(cluster, path, layer)
+            latency = path_latency(cluster, path)
             flows.append(Flow(src, dst, size, path, latency=latency, tag=tag))
         else:
             flows.extend(next(routed))
@@ -98,28 +100,20 @@ def all_to_all_flows(
     cluster: ClusterNetwork,
     participants: list[str],
     bytes_per_pair: float,
-    use_pxn: bool = True,
-    layer: LinkLayerLatency = IB,
 ) -> list[Flow]:
-    """Flows of a full all-to-all among ``participants``.
-
-    Each ordered pair (src != dst) exchanges ``bytes_per_pair``.  With
-    ``use_pxn`` cross-plane traffic relays over NVLink onto the
-    destination plane (mandatory on MPFT; NCCL's PXN behaviour on
-    MRFT); without it, the direct shortest graph path is used.
-    """
+    """Flows of a full all-to-all among ``participants``: each ordered
+    pair (src != dst) exchanges ``bytes_per_pair`` as a
+    :func:`transfer_flows` transfer."""
     transfers = [
         (src, dst, bytes_per_pair) for src in participants for dst in participants if src != dst
     ]
-    return transfer_flows(cluster, transfers, use_pxn, layer, tag="a2a")
+    return transfer_flows(cluster, transfers, tag="a2a")
 
 
 def run_all_to_all(
     cluster: ClusterNetwork,
     participants: list[str],
     bytes_per_pair: float,
-    use_pxn: bool = True,
-    layer: LinkLayerLatency = IB,
     mode: str = "event",
 ) -> CollectiveResult:
     """Simulate an all-to-all and report NCCL-convention bandwidths.
@@ -130,7 +124,7 @@ def run_all_to_all(
     n = len(participants)
     if n < 2:
         raise ValueError("need at least two participants")
-    flows = all_to_all_flows(cluster, participants, bytes_per_pair, use_pxn, layer)
+    flows = all_to_all_flows(cluster, participants, bytes_per_pair)
     result = FlowSimulator(cluster.topology).simulate(flows, mode=mode)
     return CollectiveResult(
         time=result.makespan,

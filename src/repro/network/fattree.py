@@ -4,7 +4,8 @@ With 64-port 400G switches, a non-blocking two-layer fat tree supports
 2,048 endpoints (64 leaves x 32 hosts, 32 spines); a three-layer k=64
 fat tree supports k^3/4 = 65,536 endpoints with 5k^2/4 = 5,120 switches
 — the Table 3 columns.  Graph builders produce simulation-ready
-topologies for small instances; :func:`ft2_spec` / :func:`ft3_spec`
+topologies for small instances (hosts ``h0``, ``h1``, ... in leaf-major
+order, one link per switch pair); :func:`ft2_spec` / :func:`ft3_spec`
 compute the counting rows at any scale.
 """
 
@@ -18,26 +19,21 @@ def two_layer_fat_tree(
     hosts_per_leaf: int,
     num_spines: int,
     link_bandwidth: float = 50e9,
-    links_per_leaf_spine: int = 1,
     name: str = "FT2",
-    host_prefix: str = "h",
 ) -> Topology:
     """Build a two-layer (leaf-spine) fat tree.
 
-    Every leaf connects to every spine with ``links_per_leaf_spine``
-    parallel links (modeled as one link of aggregated bandwidth).
+    Every leaf connects to every spine with one link.
 
     Args:
         num_leaves: Leaf switch count.
         hosts_per_leaf: Endpoints per leaf.
         num_spines: Spine switch count.
-        link_bandwidth: Per-direction bytes/s of each physical link.
-        links_per_leaf_spine: Parallel leaf-spine cables to aggregate.
+        link_bandwidth: Per-direction bytes/s of each link.
         name: Topology name.
-        host_prefix: Prefix for host node names.
 
     Returns:
-        The topology; hosts are ``{host_prefix}{i}`` in leaf-major order.
+        The topology; hosts are ``h{i}`` in leaf-major order.
     """
     if min(num_leaves, hosts_per_leaf, num_spines) <= 0:
         raise ValueError("all counts must be positive")
@@ -48,14 +44,9 @@ def two_layer_fat_tree(
         leaf_name = f"{name}/leaf{leaf}"
         topo.add_switch(leaf_name)
         for s in range(num_spines):
-            topo.add_link(
-                leaf_name,
-                f"{name}/spine{s}",
-                link_bandwidth * links_per_leaf_spine,
-                INTERSWITCH_LINK,
-            )
+            topo.add_link(leaf_name, f"{name}/spine{s}", link_bandwidth, INTERSWITCH_LINK)
         for h in range(hosts_per_leaf):
-            host = f"{host_prefix}{leaf * hosts_per_leaf + h}"
+            host = f"h{leaf * hosts_per_leaf + h}"
             topo.add_host(host, leaf=leaf_name)
             topo.add_link(host, leaf_name, link_bandwidth, ENDPOINT_LINK)
     return topo

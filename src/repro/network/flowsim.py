@@ -25,10 +25,11 @@ are on :class:`_EventEngine`), and refills only the flows frozen from
 that round on.  Fault timelines run in the same event loop: each
 failure/repair instant is a boundary at which the engine is rebuilt
 over the flows that still have a live path (see
-:meth:`FlowSimulator.simulate`), and ``fixed`` mode solves once on the
-engine.  :func:`max_min_rates` remains the dict-based reference
-definition of the policy; the engine is cross-checked against it in the
-test suite.
+:meth:`FlowSimulator.simulate`), and the run's
+:class:`~repro.faults.NetworkFaultReport` rides on its
+:class:`FlowResult`.  Drain mode skips the engine for the fluid bound.
+:func:`max_min_rates` remains the dict-based reference definition of
+the policy; the engine is cross-checked against it in the test suite.
 """
 
 from __future__ import annotations
@@ -38,17 +39,21 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from .topology import Topology
 
+if TYPE_CHECKING:  # circular at runtime: faults.network imports this module
+    from ..faults.network import NetworkFaultReport
+
 #: Trace process id for the fabric (flows are tracks inside it).
 _FABRIC_PID = 1
 
 #: The ``mode`` values :meth:`FlowSimulator.simulate` accepts.
-SIM_MODES = ("event", "fixed", "drain")
+SIM_MODES = ("event", "drain")
 
 
 @dataclass
@@ -103,16 +108,15 @@ class FlowResult:
             time, including per-flow latency.
         makespan: Time when the last flow completes.
         rates: Initial max-min fair rate of each flow (bytes/s).
+        fault_report: :class:`repro.faults.NetworkFaultReport` of what
+            the fault timeline did; None unless the run had network
+            fault events.
     """
 
     completion: dict[int, float]
     makespan: float
     rates: dict[int, float]
-
-    def flow_bandwidth(self, index: int, flows: list[Flow]) -> float:
-        """Average achieved bandwidth of one flow (bytes/s)."""
-        t = self.completion[index]
-        return flows[index].size / t if t > 0 else float("inf")
+    fault_report: NetworkFaultReport | None = None
 
 
 def max_min_rates(
@@ -504,9 +508,6 @@ class FlowSimulator:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._metrics_arg = metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: :class:`repro.faults.NetworkFaultReport` of the last faulty
-        #: run; None after a fault-free one.
-        self.fault_report = None
         self.capacities: dict[tuple[str, str], float] = {}
         for a, b, data in topology.graph.edges(data=True):
             self.capacities[(a, b)] = data["bandwidth"]
@@ -564,9 +565,7 @@ class FlowSimulator:
                 collapse the event count for noisy symmetric traffic
                 at a bounded relative accuracy cost.
             mode: "event" re-solves the fair allocation at every
-                completion (exact).  "fixed" solves it once and lets
-                every flow run at its initial rate (pessimistic when
-                split and unsplit flows share links).  "drain" uses
+                completion (exact).  "drain" uses
                 the fluid bound — makespan is the largest per-link
                 drain time ``traffic/capacity`` plus the worst startup
                 latency; exact whenever the bottleneck link stays busy
@@ -576,8 +575,8 @@ class FlowSimulator:
                 mode only).  Its ``link``/``switch`` events take
                 capacity away and give it back at failure/repair
                 instants; each instant is a boundary of the event loop
-                (see below), and ``self.fault_report`` records what the
-                timeline did.  A schedule without such events leaves
+                (see below), and the result's ``fault_report`` records
+                what the timeline did.  A schedule without such events leaves
                 the run byte-identical to the fault-free simulation.
             reroute: Optional reroute policy for flows whose path lost
                 an edge (see :func:`repro.faults.cluster_reroute`);
@@ -603,7 +602,6 @@ class FlowSimulator:
             )
         if mode not in SIM_MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        self.fault_report = None  # stale reports must not outlive their run
         if faults and mode != "event":
             raise ValueError("fault injection requires event mode")
         self.metrics = (
@@ -628,19 +626,6 @@ class FlowSimulator:
             self._record_flows(flows, completion)
             return FlowResult(completion=completion, makespan=makespan, rates={})
         paths = {i: f.edges for i, f in enumerate(flows) if f.size > 0}
-        if mode == "fixed":
-            engine = _EventEngine(paths, self.capacities)
-            engine.solve_all()
-            self._sample_engine(0.0, engine)
-            rates = dict(zip(engine.flow_ids, engine.rates.tolist()))
-            completion = {
-                i: f.latency + (f.size / rates[i] if i in rates else 0.0)
-                for i, f in enumerate(flows)
-            }
-            makespan = max(completion.values(), default=0.0)
-            self._record_flows(flows, completion)
-            return FlowResult(completion=completion, makespan=makespan, rates=rates)
-
         events = ()
         if faults:
             from ..faults.network import NETWORK_FAULT_KINDS, NetworkFaultReport, _edges_of
@@ -767,8 +752,9 @@ class FlowSimulator:
                 i: left_of.get(i, b) for i, b in remaining.items() if i not in completion
             }
 
+        report = None
         if events:
-            self.fault_report = NetworkFaultReport(
+            report = NetworkFaultReport(
                 events=len(events),
                 rerouted=tuple(sorted(rerouted)),
                 stalled=tuple(sorted(ever_stalled)),
@@ -777,4 +763,4 @@ class FlowSimulator:
             )
         makespan = max((t for t in completion.values() if t != math.inf), default=0.0)
         self._record_flows(flows, completion)
-        return FlowResult(completion=completion, makespan=makespan, rates=initial_rates or {})
+        return FlowResult(completion, makespan, initial_rates or {}, report)

@@ -231,15 +231,6 @@ def pxn_path(cluster: ClusterNetwork, src: str, dst: str) -> list[str]:
     return prefix + equal_cost_paths(cluster.topology, net_src, dst)[0]
 
 
-def direct_path(cluster: ClusterNetwork, src: str, dst: str) -> list[str]:
-    """The first equal-cost graph path, ignoring PXN (cross-rail goes
-    via spines on MRFT; on MPFT the graph forces NVLink forwarding
-    anyway)."""
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    return equal_cost_paths(cluster.topology, src, dst)[0]
-
-
 def planes_used(cluster: ClusterNetwork, path: list[str]) -> set[int]:
     """Planes/rails whose switches a path traverses.
 

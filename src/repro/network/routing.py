@@ -16,7 +16,8 @@ This module is the only one that chooses among equal-cost paths.  Every
 flow builder in :mod:`repro.network` and :mod:`repro.comm` takes its
 paths from :func:`equal_cost_path_table` (one BFS per distinct source)
 and turns them into flows with :func:`spread_flows`: the Figure 8 rings
-by the policy they are given, cluster transfers (all-to-all, EP
+by the policy they are given, :func:`shifted_ring_flows` by ECMP, cluster
+transfers (all-to-all, EP
 dispatch/combine) by ADAPTIVE spraying, the all-reduce rings by STATIC
 index 0, and :func:`~repro.network.multiplane.pxn_path` takes the first
 table path after its NVLink relay.
@@ -98,11 +99,12 @@ def route_pairs(
     return routed
 
 
-def ecmp_index(src: str, dst: str, num_paths: int, salt: int = 0) -> int:
-    """Deterministic ECMP hash of a flow's endpoints onto a path."""
+def ecmp_index(src: str, dst: str, num_paths: int) -> int:
+    """Deterministic ECMP hash of a flow's endpoints onto a path: the
+    CRC-32 of ``"{src}->{dst}#0"`` modulo ``num_paths``."""
     if num_paths <= 0:
         raise ValueError("num_paths must be positive")
-    digest = zlib.crc32(f"{src}->{dst}#{salt}".encode())
+    digest = zlib.crc32(f"{src}->{dst}#0".encode())
     return digest % num_paths
 
 
@@ -138,7 +140,6 @@ def route_flows(
     topology: Topology,
     transfers: Sequence[tuple[str, str, float, str]],
     policy: RoutingPolicy | str,
-    latency: float = 0.0,
     static_table: dict[tuple[str, str], int] | None = None,
 ) -> list[Flow]:
     """:func:`spread_flows` of every ``(src, dst, size, tag)`` in
@@ -146,13 +147,15 @@ def route_flows(
     one equal-cost path table (one BFS per distinct source).
 
     ``policy`` is a :class:`RoutingPolicy` or its value string
-    (``"ecmp"``); anything else raises ``ValueError``.
+    (``"ecmp"``); anything else raises ``ValueError``.  The flows carry
+    no startup latency: the fat-tree experiments that use this compare
+    bandwidth, not latency.
     """
     policy = RoutingPolicy(policy)
 
     def emit(index: int, paths: list[list[str]]) -> list[Flow]:
         src, dst, size, tag = transfers[index]
-        return spread_flows(src, dst, size, paths, policy, static_table, latency, tag)
+        return spread_flows(src, dst, size, paths, policy, static_table, tag=tag)
 
     pairs = [(src, dst) for src, dst, _, _ in transfers]
     return [flow for flows in route_pairs(topology, pairs, emit) for flow in flows]
@@ -162,9 +165,9 @@ def shifted_ring_flows(
     topology: Topology,
     shifts: range | list[int],
     size: float,
-    policy: RoutingPolicy = RoutingPolicy.ECMP,
 ) -> list[Flow]:
-    """The shifted-ring all-to-all traffic pattern over every host.
+    """The shifted-ring all-to-all traffic pattern over every host,
+    ECMP-routed.
 
     For each ``shift``, host ``i`` sends ``size`` bytes to host
     ``(i + shift) % N`` — the classic permutation decomposition of an
@@ -181,7 +184,7 @@ def shifted_ring_flows(
             raise ValueError(f"shift {shift} sends each of the {n} hosts to itself")
         tag = f"shift{shift}"
         transfers.extend((src, hosts[(i + shift) % n], size, tag) for i, src in enumerate(hosts))
-    return route_flows(topology, transfers, policy)
+    return route_flows(topology, transfers, RoutingPolicy.ECMP)
 
 
 def collision_free_static_table(

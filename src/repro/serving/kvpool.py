@@ -118,13 +118,6 @@ class PagedKVPool:
         """Fraction of the pool in use."""
         return self.used_blocks / self._config.total_blocks
 
-    @property
-    def peak_occupancy(self) -> float:
-        """High-water occupancy fraction, against *current* capacity
-        (after a shrinking :meth:`resize` this can exceed 1.0 — the
-        pre-fault peak measured against the degraded pool)."""
-        return self.peak_used / self._config.total_blocks
-
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` of context."""
         blocks = -(-tokens // self._block_tokens)  # exact integer ceil

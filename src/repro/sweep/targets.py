@@ -448,15 +448,18 @@ def check_points(target: str, points: Iterable[dict], base: dict) -> None:
 
     Each point is merged over ``base``, keyed (:func:`canonical_config`)
     and checked by :func:`dry_build`.  The first bad point raises
-    ``ValueError("<target> point <point>: <reason>")``.
+    ``ValueError("<target> point <point>: <reason>")``, followed by
+    ``" (base: <base>)"`` when ``base`` is non-empty, since the failing
+    key may come from there.
     """
+    shared = f" (base: {base})" if base else ""
     for point in points:
         merged = {**base, **point}
         try:
             canonical_config(merged)
             dry_build(target, merged)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{target} point {point}: {exc}") from exc
+            raise ValueError(f"{target} point {point}: {exc}{shared}") from exc
 
 
 def dry_build(target: str, config: dict) -> None:

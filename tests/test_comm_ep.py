@@ -14,7 +14,7 @@ from repro.comm import (
     run_ep_stage,
 )
 from repro.model import node_limited_topk, topk_routing
-from repro.network import build_mpft_cluster, gpu_name
+from repro.network import build_mpft_cluster, gpu_name, planes_used
 
 RNG = np.random.default_rng
 
@@ -119,6 +119,58 @@ def test_run_ep_stage_validations():
     decisions = dep.route_tokens(8, RNG(6))
     with pytest.raises(ValueError):
         run_ep_stage(dep, decisions, "broadcast")
+
+
+#: (nodes, nodes_per_leaf): one leaf per plane, and spines once leaves split.
+_EP_CLUSTERS = [(2, 8), (4, 8), (4, 2)]
+
+
+def _ep_stage_case(nodes, nodes_per_leaf, stage, seed):
+    cluster = build_mpft_cluster(nodes, nodes_per_leaf=nodes_per_leaf)
+    dep = EPDeployment(cluster, EPConfig(num_routed_experts=256, experts_per_token=8))
+    decisions = dep.route_tokens(32, RNG(seed))
+    traffic = dep.dispatch_traffic if stage == "dispatch" else dep.combine_traffic
+    ib, nvlink = traffic(decisions)
+    return dep, decisions, ib, nvlink, dep.traffic_to_flows(ib, nvlink)
+
+
+@pytest.mark.parametrize("stage", ["dispatch", "combine"])
+@pytest.mark.parametrize("nodes, nodes_per_leaf", _EP_CLUSTERS)
+def test_ep_flows_carry_the_stage_traffic(nodes, nodes_per_leaf, stage):
+    """Spraying splits IB transfers into subflows but keeps their bytes,
+    NVLink fan-out stays one flow per pair, and every IB hop stays on the
+    destination GPU's plane."""
+    dep, _, ib, nvlink, flows = _ep_stage_case(nodes, nodes_per_leaf, stage, seed=11)
+    ib_flows = [f for f in flows if f.tag == "ib"]
+    nv_flows = [f for f in flows if f.tag == "nvlink"]
+    assert len(ib_flows) + len(nv_flows) == len(flows)
+    assert ib and nvlink
+    assert sum(f.size for f in ib_flows) == pytest.approx(sum(ib.values()), rel=1e-12)
+    assert sum(f.size for f in nv_flows) == pytest.approx(sum(nvlink.values()), rel=1e-12)
+    cluster = dep.cluster
+    for flow in ib_flows:
+        assert planes_used(cluster, flow.path) == {cluster.plane_of[flow.dst]}
+    for flow in nv_flows:
+        assert flow.path == cluster.nvlink_path(flow.src, flow.dst)
+
+
+@pytest.mark.parametrize("stage", ["dispatch", "combine"])
+@pytest.mark.parametrize("nodes, nodes_per_leaf", _EP_CLUSTERS)
+def test_ep_stage_time_is_drain_plus_latency(nodes, nodes_per_leaf, stage):
+    """The stage time is the busiest directed link's bytes over its
+    bandwidth, plus the largest flow latency, computed here from the
+    flows and the graph without the flow simulator."""
+    dep, decisions, _, _, flows = _ep_stage_case(nodes, nodes_per_leaf, stage, seed=12)
+    graph = dep.cluster.topology.graph
+    load = {}
+    for flow in flows:
+        for edge in zip(flow.path[:-1], flow.path[1:]):
+            load[edge] = load.get(edge, 0.0) + flow.size
+    drain = max(bytes_ / graph.edges[edge]["bandwidth"] for edge, bytes_ in load.items())
+    latency = max(flow.latency for flow in flows)
+    assert latency > 0  # the IB hop's startup latency is charged
+    result = run_ep_stage(dep, decisions, stage)
+    assert result.time == pytest.approx(drain + latency, rel=1e-12)
 
 
 def test_ib_cost_factor_node_limited_vs_free():

@@ -441,7 +441,7 @@ class TestNetworkFaults:
         base = sim.simulate(flows)
         nulled = sim.simulate(flows, faults=FaultSchedule())
         assert nulled.completion == base.completion
-        assert sim.fault_report is None
+        assert nulled.fault_report is None
 
     def test_plane_isolation_without_reroute(self, mpft):
         """§5.1.1: a dead plane stalls only its own traffic."""
@@ -456,8 +456,8 @@ class TestNetworkFaults:
         assert all(e.kind == "switch" for e in schedule.events)
         result = sim.simulate(flows, faults=schedule)
         assert result.completion[0] == math.inf  # plane-0 flow never finishes
-        assert 0 in sim.fault_report.unfinished
-        assert 0 in sim.fault_report.stalled
+        assert 0 in result.fault_report.unfinished
+        assert 0 in result.fault_report.stalled
         # Surviving planes are bit-for-bit unaffected by the outage.
         for i in range(1, 4):
             assert result.completion[i] == pytest.approx(base.completion[i], abs=1e-9)
@@ -472,8 +472,8 @@ class TestNetworkFaults:
         )
         result = sim.simulate(flows, faults=schedule, reroute=cluster_reroute(cluster))
         assert all(t < math.inf for t in result.completion.values())
-        assert 0 in sim.fault_report.rerouted
-        assert sim.fault_report.unfinished == ()
+        assert 0 in result.fault_report.rerouted
+        assert result.fault_report.unfinished == ()
         # The policy's detour really leaves plane 0 (PXN over NVLink).
         alive = {
             edge: cap
@@ -497,8 +497,8 @@ class TestNetworkFaults:
         result = sim.simulate(flows, faults=schedule)
         # The stalled flow finishes exactly one repair window late.
         assert result.completion[0] == pytest.approx(base.completion[0] + 0.02, rel=1e-6)
-        assert sim.fault_report.stall_time == pytest.approx(0.02, rel=1e-6)
-        assert sim.fault_report.unfinished == ()
+        assert result.fault_report.stall_time == pytest.approx(0.02, rel=1e-6)
+        assert result.fault_report.unfinished == ()
 
     def test_unlowered_plane_event_rejected(self, mpft):
         cluster, flows = mpft

@@ -5,7 +5,7 @@ import pytest
 from repro.core import GB200_NVL72_NODE, H800_NODE
 from repro.inference import DEEPSEEK_V3_INFERENCE
 from repro.inference.tpot import node_spec_row
-from repro.network import ENDPOINT_LINK, Flow, FlowSimulator, Topology
+from repro.network import ENDPOINT_LINK, Topology
 
 
 def test_node_spec_row_uses_nic_bandwidth():
@@ -22,34 +22,6 @@ def _pair_topology(bw=10e9):
     topo.add_host("b")
     topo.add_link("a", "b", bw, ENDPOINT_LINK)
     return topo
-
-
-def test_flowsim_fixed_mode_single_link():
-    topo = _pair_topology()
-    sim = FlowSimulator(topo)
-    flows = [Flow("a", "b", 5e9, ["a", "b"]), Flow("a", "b", 5e9, ["a", "b"])]
-    result = sim.simulate(flows, mode="fixed")
-    # Equal shares of 5 GB/s each -> both complete at t = 1 s.
-    assert result.makespan == pytest.approx(1.0)
-    assert result.rates[0] == pytest.approx(5e9)
-
-
-def test_flowsim_fixed_mode_pessimistic_for_mixed_sizes():
-    """Fixed-rate mode never finishes earlier than the event simulation."""
-    topo = _pair_topology()
-    sim = FlowSimulator(topo)
-    flows = [Flow("a", "b", 1e9, ["a", "b"]), Flow("a", "b", 9e9, ["a", "b"])]
-    fixed = sim.simulate(flows, mode="fixed").makespan
-    event = sim.simulate(flows, mode="event").makespan
-    assert fixed >= event - 1e-12
-
-
-def test_flow_result_flow_bandwidth():
-    topo = _pair_topology()
-    sim = FlowSimulator(topo)
-    flows = [Flow("a", "b", 10e9, ["a", "b"])]
-    result = sim.simulate(flows)
-    assert result.flow_bandwidth(0, flows) == pytest.approx(10e9)
 
 
 def test_topology_links_filter():

@@ -1,6 +1,7 @@
 """Parameter counts and FLOPs — reproduces Table 2 and §2.2.1's sizes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.model import (
     DEEPSEEK_V2,
@@ -15,6 +16,7 @@ from repro.model import (
     forward_flops_per_token,
     training_flops_per_token,
 )
+from repro.model.config import AttentionConfig, AttentionKind, ModelConfig, MoEConfig
 
 
 def test_deepseek_v3_total_params_671b():
@@ -137,3 +139,101 @@ def test_count_params_is_memoized_by_value():
     assert twin is not DEEPSEEK_V3 and count_params(twin) is count_params(DEEPSEEK_V3)
     smaller = replace(DEEPSEEK_V3, num_layers=DEEPSEEK_V3.num_layers - 1)
     assert count_params(smaller).total < count_params(DEEPSEEK_V3).total
+
+
+@st.composite
+def _tiny_configs(draw):
+    """Small ``ModelConfig``s over every attention kind, dense or MoE."""
+    hidden = draw(st.sampled_from([8, 16]))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    kind = draw(st.sampled_from(list(AttentionKind)))
+    dim = draw(st.sampled_from([2, 4]))
+    if kind is AttentionKind.MLA:
+        attention = AttentionConfig(
+            kind, heads, qk_head_dim=dim, v_head_dim=draw(st.sampled_from([2, 4])),
+            kv_lora_rank=draw(st.sampled_from([4, 8])),
+            q_lora_rank=draw(st.sampled_from([0, 4, 8])),
+            qk_rope_head_dim=draw(st.sampled_from([2, 4])),
+        )
+    else:
+        kv_heads = {
+            AttentionKind.MHA: heads,
+            AttentionKind.MQA: 1,
+            AttentionKind.GQA: draw(st.sampled_from([d for d in (1, 2, 4) if heads % d == 0])),
+        }[kind]
+        attention = AttentionConfig(
+            kind, heads, qk_head_dim=dim, v_head_dim=draw(st.sampled_from([2, 4])),
+            num_kv_heads=kv_heads,
+        )
+    layers = draw(st.integers(1, 3))
+    moe, dense_layers = None, 0
+    if draw(st.booleans()):
+        groups = draw(st.sampled_from([1, 2]))
+        routed = groups * draw(st.integers(2, 3))
+        moe = MoEConfig(
+            num_routed_experts=routed,
+            num_shared_experts=draw(st.integers(0, 2)),
+            experts_per_token=draw(st.integers(1, 2)),
+            intermediate_size=draw(st.sampled_from([4, 8])),
+            num_expert_groups=groups,
+            max_groups_per_token=draw(st.sampled_from([0, 1])) if groups > 1 else 0,
+        )
+        dense_layers = draw(st.integers(0, layers - 1))
+    return ModelConfig(
+        name="generated",
+        hidden_size=hidden,
+        num_layers=layers,
+        vocab_size=draw(st.sampled_from([16, 32])),
+        attention=attention,
+        ffn_intermediate_size=draw(st.sampled_from([8, 16])),
+        moe=moe,
+        num_dense_layers=dense_layers,
+        num_mtp_modules=draw(st.integers(0, 2)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_tiny_configs(), seq_len=st.integers(4, 8), batch=st.integers(1, 2))
+def test_table2_formulas_match_the_model_that_trains(config, seq_len, batch):
+    """Table 2's closed forms against ``TrainableTransformer``.
+
+    Parameters: ``num_parameters()`` is ``count_params(config).total``
+    plus the RMSNorm gains, which ``count_params`` leaves out (they are
+    not matmul weights): two per layer (attention and FFN pre-norms),
+    one final norm, and per MTP module its two input norms plus its
+    layer's two, each ``hidden_size`` wide.  The trainable model never
+    ties its output head, so the configs keep ``tie_embeddings=False``.
+
+    FLOPs: the matmuls one ``logits`` forward executes, counted by a spy
+    on ``Tensor.__matmul__`` (2 x output elements x contracted dim, per
+    token of the batch), equal ``forward_flops_per_token(config, S,
+    causal=False)``.  The model computes the full S x S score matrix and
+    masks it afterwards, so the executed count is the non-causal one;
+    ``logits`` runs no MTP module, as ``active_linear`` counts none.
+    """
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.autograd.tensor import Tensor
+    from repro.training import TrainableTransformer
+
+    model = TrainableTransformer(config, seed=0)
+    h = config.hidden_size
+    norms = h * (2 * config.num_layers + 1 + 4 * config.num_mtp_modules)
+    assert model.num_parameters() == count_params(config).total + norms
+
+    flops = 0
+    matmul = Tensor.__matmul__
+
+    def counted(self, other):
+        nonlocal flops
+        out = matmul(self, other)
+        flops += 2 * out.data.size * self.shape[-1]
+        return out
+
+    tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=(batch, seq_len))
+    with mock.patch.object(Tensor, "__matmul__", counted):
+        model.logits(tokens)
+    per_token = flops / (batch * seq_len)
+    assert per_token == forward_flops_per_token(config, seq_len, causal=False)

@@ -50,7 +50,7 @@ def test_flow_path_must_not_repeat_a_node():
         Flow("h0", "h1", 1e6, ["h0", "FT2/leaf0", "h0", "FT2/leaf0", "h1"])
 
 
-@pytest.mark.parametrize("mode", ["event", "fixed", "drain"])
+@pytest.mark.parametrize("mode", ["event", "drain"])
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
 def test_simulate_rejects_bad_time_epsilon(mode, eps):
     """A NaN ``time_epsilon`` makes the completion horizon NaN, so no
@@ -157,8 +157,9 @@ def test_max_min_is_bottleneck_fair():
 def test_mode_validation():
     topo = _line_topology([1e9, 1e9, 1e9])
     sim = FlowSimulator(topo)
-    with pytest.raises(ValueError):
-        sim.simulate([], mode="quantum")
+    for mode in ("quantum", "fixed"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            sim.simulate([], mode=mode)
 
 
 def test_drain_mode_matches_event_for_symmetric_traffic():
@@ -552,8 +553,8 @@ def test_fault_runner_agrees_with_event_engine_on_idle_faults(picks, faults):
     )
     sim = FlowSimulator(topo)
     faulty = sim.simulate(flows, faults=FaultSchedule(events=events))
-    assert sim.fault_report.stalled == ()
-    assert sim.fault_report.unfinished == ()
+    assert faulty.fault_report.stalled == ()
+    assert faulty.fault_report.unfinished == ()
     assert set(faulty.completion) == set(plain.completion)
     for idx, t in plain.completion.items():
         assert faulty.completion[idx] == pytest.approx(t, rel=1e-9)
@@ -579,14 +580,13 @@ def test_schedule_without_network_events_is_byte_identical():
         flows.append(Flow(s, d, float(rng.uniform(1e6, 1e8)), path))
     sim = FlowSimulator(topo)
     plain = sim.simulate(flows)
-    sim.simulate(flows, faults=FaultSchedule())
-    empty_report = sim.fault_report
+    empty = sim.simulate(flows, faults=FaultSchedule())
     gpu_only = FaultSchedule(events=(FaultEvent(time=1e-4, kind="gpu", target="0"),))
     result = sim.simulate(flows, faults=gpu_only)
     assert result.completion == plain.completion
     assert result.makespan == plain.makespan
     assert result.rates == plain.rates
-    assert sim.fault_report == empty_report is None
+    assert result.fault_report == empty.fault_report == plain.fault_report is None
 
 
 def test_reroute_policy_called_once_per_broken_flow_per_boundary():
@@ -621,8 +621,8 @@ def test_reroute_policy_called_once_per_broken_flow_per_boundary():
     ]
     assert len(during) >= 3  # completions while the crossing flows are broken
     assert sorted(calls) == sorted(crossing)
-    assert sim.fault_report.stalled == tuple(sorted(crossing))
-    assert sim.fault_report.unfinished == ()
+    assert result.fault_report.stalled == tuple(sorted(crossing))
+    assert result.fault_report.unfinished == ()
 
 
 def _reference_fault_run(topo, flows, events, reroute):
@@ -732,7 +732,7 @@ def test_fault_timeline_matches_cold_reference(picks, faults, with_reroute):
     sim = FlowSimulator(topo)
     result = sim.simulate(flows, faults=FaultSchedule(events=events), reroute=reroute)
     done, rerouted, stalled = _reference_fault_run(topo, flows, events, reroute)
-    report = sim.fault_report
+    report = result.fault_report
     assert report.events == len(events)
     assert set(report.rerouted) == rerouted
     assert set(report.stalled) == stalled

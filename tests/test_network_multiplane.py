@@ -5,7 +5,7 @@ import pytest
 from repro.network import (
     build_mpft_cluster,
     build_mrft_cluster,
-    direct_path,
+    equal_cost_paths,
     gpu_name,
     pxn_path,
     uses_nvlink_forwarding,
@@ -29,14 +29,14 @@ def test_mpft_cluster_shape():
 def test_mpft_planes_are_network_disjoint():
     """Cross-plane GPUs connect only through NVLink forwarding."""
     c = build_mpft_cluster(4)
-    path = direct_path(c, "n0g0", "n1g3")
+    path = equal_cost_paths(c.topology, "n0g0", "n1g3")[0]
     assert uses_nvlink_forwarding(c, path)
 
 
 def test_mrft_cross_rail_has_network_path():
     """On MRFT the spines connect rails, so a pure-network path exists."""
     c = build_mrft_cluster(16)  # 2 leaf groups -> spines exist
-    path = direct_path(c, "n0g0", "n1g3")
+    path = equal_cost_paths(c.topology, "n0g0", "n1g3")[0]
     # The shortest path may still prefer NVLink (3 hops); check that a
     # cross-rail network route exists at all by removing NVLink.
     import networkx as nx
@@ -96,8 +96,6 @@ def test_paths_reject_self():
     c = build_mpft_cluster(2)
     with pytest.raises(ValueError):
         pxn_path(c, "n0g0", "n0g0")
-    with pytest.raises(ValueError):
-        direct_path(c, "n0g0", "n0g0")
 
 
 @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])

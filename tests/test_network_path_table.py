@@ -22,6 +22,7 @@ from repro.network import (
     path_latency,
     pxn_path,
     ring_collective_flows,
+    route_flows,
     run_hierarchical_allreduce,
     shifted_ring_flows,
     three_layer_fat_tree,
@@ -126,15 +127,19 @@ def test_bench_ring_routes_from_128_bfs(monkeypatch):
     assert len(calls) == 128
 
 
-@pytest.mark.parametrize("use_pxn", [True, False])
-@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster])
-def test_all_to_all_runs_one_bfs_per_gpu(monkeypatch, build, use_pxn):
+#: The ``-True`` in these ids (PXN on) names the cases as they were when
+#: PXN could be switched off; it is always on now.
+_CLUSTER_IDS = ["build_mpft_cluster-True", "build_mrft_cluster-True"]
+
+
+@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster], ids=_CLUSTER_IDS)
+def test_all_to_all_runs_one_bfs_per_gpu(monkeypatch, build):
     """A 4-node all-to-all: 992 ordered pairs, 768 of them cross-node,
     routed from the 32 GPUs' BFS (with PXN every GPU relays into its
     plane for its node)."""
     cluster = build(4)
     calls = _count_bfs(monkeypatch)
-    all_to_all_flows(cluster, cluster.gpus(), 1e6, use_pxn)
+    all_to_all_flows(cluster, cluster.gpus(), 1e6)
     assert len(calls) == 32 == cluster.num_gpus
 
 
@@ -183,12 +188,12 @@ def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
     return [Flow(src, dst, size, paths[index], tag=tag)]
 
 
-def _reference_pair(cluster, src, dst, size, use_pxn, tag):
+def _reference_pair(cluster, src, dst, size, tag):
     """``transfer_flows`` of one transfer, as one networkx search for the pair."""
     if cluster.same_node(src, dst):
         path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
         return [Flow(src, dst, size, path, latency=path_latency(cluster, path), tag=tag)]
-    prefix, net_src = pxn_relay(cluster, src, dst) if use_pxn else ([], src)
+    prefix, net_src = pxn_relay(cluster, src, dst)
     paths = [prefix + p for p in sorted(nx.all_shortest_paths(cluster.topology.graph, net_src, dst))]
     latency = path_latency(cluster, paths[0])
     return [Flow(src, dst, size / len(paths), p, latency=latency, tag=tag) for p in paths]
@@ -197,18 +202,24 @@ def _reference_pair(cluster, src, dst, size, use_pxn, tag):
 @pytest.mark.parametrize("policy", list(RoutingPolicy))
 @pytest.mark.parametrize("name", ["ft2", "ft3", "dragonfly"])
 def test_shifted_ring_matches_per_pair_routing(name, policy):
+    """``route_flows`` of the shifted-ring transfers under each policy,
+    and ``shifted_ring_flows`` (always ECMP), match per-pair routing."""
     topo = TOPOLOGIES[name]()
     hosts = topo.hosts
     shifts = [1, 2, len(hosts) + 1]  # the last repeats shift 1's pairs
-    expected = [
-        flow
+    transfers = [
+        (src, hosts[(i + shift) % len(hosts)], 1e6, f"shift{shift}")
         for shift in shifts
         for i, src in enumerate(hosts)
-        for flow in _reference_route(
-            topo, src, hosts[(i + shift) % len(hosts)], 1e6, policy, tag=f"shift{shift}"
-        )
     ]
-    assert shifted_ring_flows(topo, shifts, 1e6, policy) == expected
+    expected = [
+        flow
+        for src, dst, size, tag in transfers
+        for flow in _reference_route(topo, src, dst, size, policy, tag=tag)
+    ]
+    assert route_flows(topo, transfers, policy) == expected
+    if policy is RoutingPolicy.ECMP:
+        assert shifted_ring_flows(topo, shifts, 1e6) == expected
 
 
 def test_static_table_and_rings_match_per_pair_routing():
@@ -241,9 +252,8 @@ def test_static_table_and_rings_match_per_pair_routing():
 #: Cluster transfers have one spread: ADAPTIVE spraying over the pair's
 #: equal-cost paths.
 @pytest.mark.parametrize("spread", ["adaptive"])
-@pytest.mark.parametrize("use_pxn", [True, False])
-@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster])
-def test_all_to_all_matches_per_pair_routing(build, use_pxn, spread):
+@pytest.mark.parametrize("build", [build_mpft_cluster, build_mrft_cluster], ids=_CLUSTER_IDS)
+def test_all_to_all_matches_per_pair_routing(build, spread):
     cluster = build(3, nodes_per_leaf=2)
     gpus = cluster.gpus()[::3]  # a mix of same-node, same-plane and cross-plane pairs
     expected = [
@@ -251,9 +261,9 @@ def test_all_to_all_matches_per_pair_routing(build, use_pxn, spread):
         for src in gpus
         for dst in gpus
         if src != dst
-        for flow in _reference_pair(cluster, src, dst, 1e6, use_pxn, "a2a")
+        for flow in _reference_pair(cluster, src, dst, 1e6, "a2a")
     ]
-    assert all_to_all_flows(cluster, gpus, 1e6, use_pxn) == expected
+    assert all_to_all_flows(cluster, gpus, 1e6) == expected
 
 
 @st.composite
@@ -279,11 +289,10 @@ def test_cluster_paths_come_from_the_table(case):
             continue
         prefix, net_src = pxn_relay(cluster, src, dst)
         assert pxn_path(cluster, src, dst) == prefix + equal_cost_paths(topo, net_src, dst)[0]
-    for use_pxn in (True, False):
-        for flow in transfer_flows(cluster, [(s, d, 1e6) for s, d in pairs], use_pxn):
-            if cluster.same_node(flow.src, flow.dst):
-                assert flow.path == cluster.nvlink_path(flow.src, flow.dst)
-                continue
-            prefix, net_src = pxn_relay(cluster, flow.src, flow.dst) if use_pxn else ([], flow.src)
-            assert flow.path[: len(prefix)] == prefix
-            assert flow.path[len(prefix) :] in equal_cost_paths(topo, net_src, flow.dst)
+    for flow in transfer_flows(cluster, [(s, d, 1e6) for s, d in pairs]):
+        if cluster.same_node(flow.src, flow.dst):
+            assert flow.path == cluster.nvlink_path(flow.src, flow.dst)
+            continue
+        prefix, net_src = pxn_relay(cluster, flow.src, flow.dst)
+        assert flow.path[: len(prefix)] == prefix
+        assert flow.path[len(prefix) :] in equal_cost_paths(topo, net_src, flow.dst)

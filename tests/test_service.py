@@ -919,6 +919,29 @@ def test_points_the_builder_rejects_get_400_at_submit(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
+def test_a_bad_base_key_is_named_in_the_400(tmp_path):
+    """The failing key sits in ``base``, not in the point, so the message
+    appends the base after the reason."""
+    recovery = {"retry_budget": True}
+    spec = {
+        "target": "serving",
+        "grid": {"request_rate": [2]},
+        "base": {**SERVING_BASE, "recovery": recovery},
+    }
+
+    async def body(server, client):
+        status, reply = await client.post_json("/jobs", spec)
+        assert status == 400, reply
+        error = reply["error"]
+        assert error.startswith("serving point {'request_rate': 2}: "), reply
+        assert "serving 'retry_budget' must be int, got True" in error, reply
+        assert error.endswith(f" (base: {spec['base']})"), reply
+        status, listing = await client.get_json("/jobs")
+        assert listing["jobs"] == []
+
+    asyncio.run(_with_server(_config(tmp_path), body))
+
+
 def test_self_sending_flowsim_shift_gets_400_at_submit(tmp_path):
     """A shift of ``num_leaves * hosts_per_leaf`` routes every host to
     itself; the flowsim point check refuses it before any fork."""

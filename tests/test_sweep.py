@@ -658,6 +658,24 @@ def test_cli_sweep_refuses_a_bad_point_before_any_fork(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_sweep_names_a_bad_set_key_in_the_message(tmp_path, capsys):
+    """The failing key comes from ``--set``, so the point alone does not
+    show it: the message appends the base after the reason."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--target", "serving", "--grid", "request_rate=2",
+              "--set", 'recovery={"retry_budget": true}', "--cache-dir", str(tmp_path)])
+    message = str(excinfo.value)
+    assert message == (
+        "bad sweep spec: serving point {'request_rate': 2}: "
+        "serving 'retry_budget' must be int, got True "
+        "(base: {'recovery': {'retry_budget': True}})"
+    )
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_sweep_refuses_a_self_sending_flowsim_shift_in_one_line(tmp_path):
     """``shifts=4`` on four hosts includes a shift that sends every host
     to itself; the point check refuses it before any worker is forked,
