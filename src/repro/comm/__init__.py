@@ -1,87 +1,30 @@
 """Communication substrate: EP all-to-all, overlap, IBGDA, contention."""
 
-from .contention import (
-    ARBITRATION_SCHEMES,
-    ContentionResult,
-    ep_slowdown,
-    shared_pipe_times,
-)
-from .ep import (
-    COMBINE_BYTES_PER_ELEMENT,
-    DEEPSEEK_V3_EP,
-    DISPATCH_BYTES_PER_ELEMENT,
-    EPConfig,
-    EPDeployment,
-    EPStageResult,
-    ib_cost_factor,
-    run_ep_stage,
-)
-from .innetwork import (
-    InNetworkSavings,
-    combine_savings,
-    dispatch_savings,
-    ep_stage_time_with_innetwork,
-    expected_reduction_factor,
-    logfmt_wire_savings,
-    simulated_mean_m,
-)
-from .ordering import (
-    ORDERING_SCHEMES,
-    OrderedStreamConfig,
-    ordering_overhead_fraction,
-    rar_speedup,
-    stream_completion_time,
-)
-from .ibgda import (
-    CPU_PROXY,
-    IBGDA,
-    ControlPlaneModel,
-    ibgda_speedup,
-    small_message_send_latency,
-)
-from .overlap import (
-    H800_COMM_SMS_TRAINING,
-    StageTimes,
-    gpu_idle_fraction,
-    layer_time,
-    overlap_efficiency,
-    sm_compute_penalty,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ARBITRATION_SCHEMES",
-    "ContentionResult",
-    "ep_slowdown",
-    "shared_pipe_times",
-    "COMBINE_BYTES_PER_ELEMENT",
-    "DEEPSEEK_V3_EP",
-    "DISPATCH_BYTES_PER_ELEMENT",
-    "EPConfig",
-    "EPDeployment",
-    "EPStageResult",
-    "ib_cost_factor",
-    "run_ep_stage",
-    "InNetworkSavings",
-    "combine_savings",
-    "dispatch_savings",
-    "ep_stage_time_with_innetwork",
-    "expected_reduction_factor",
-    "logfmt_wire_savings",
-    "simulated_mean_m",
-    "ORDERING_SCHEMES",
-    "OrderedStreamConfig",
-    "ordering_overhead_fraction",
-    "rar_speedup",
-    "stream_completion_time",
-    "CPU_PROXY",
-    "IBGDA",
-    "ControlPlaneModel",
-    "ibgda_speedup",
-    "small_message_send_latency",
-    "H800_COMM_SMS_TRAINING",
-    "StageTimes",
-    "gpu_idle_fraction",
-    "layer_time",
-    "overlap_efficiency",
-    "sm_compute_penalty",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "contention": (
+        "ARBITRATION_SCHEMES", "ContentionResult", "ep_slowdown", "shared_pipe_times",
+    ),
+    "ep": (
+        "COMBINE_BYTES_PER_ELEMENT", "DEEPSEEK_V3_EP", "DISPATCH_BYTES_PER_ELEMENT",
+        "EPConfig", "EPDeployment", "EPStageResult", "ib_cost_factor", "run_ep_stage",
+    ),
+    "innetwork": (
+        "InNetworkSavings", "combine_savings", "dispatch_savings",
+        "ep_stage_time_with_innetwork", "expected_reduction_factor",
+        "logfmt_wire_savings", "simulated_mean_m",
+    ),
+    "ordering": (
+        "ORDERING_SCHEMES", "OrderedStreamConfig", "ordering_overhead_fraction",
+        "rar_speedup", "stream_completion_time",
+    ),
+    "ibgda": (
+        "CPU_PROXY", "IBGDA", "ControlPlaneModel", "ibgda_speedup",
+        "small_message_send_latency",
+    ),
+    "overlap": (
+        "H800_COMM_SMS_TRAINING", "StageTimes", "gpu_idle_fraction", "layer_time",
+        "overlap_efficiency", "sm_compute_penalty",
+    ),
+})

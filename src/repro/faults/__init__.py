@@ -17,42 +17,16 @@ Consumers: ``repro.serving.ServingSimulator`` (``SimConfig.faults``),
 ``repro.training.simulate_checkpointed_training``.
 """
 
-# NOTE: .schedule must come first — repro.serving.simulator imports it
-# while this package may still be mid-initialization (.report/.network
-# below pull in serving/network modules).
-from .schedule import (
-    FAULT_STREAM,
-    KINDS,
-    NODE_GPUS,
-    FaultEvent,
-    FaultSchedule,
-    RecoveryPolicy,
-    parse_faults_arg,
-)
-from .report import NEVER, DegradationReport, FaultWindow, build_degradation
-from .network import (
-    NETWORK_FAULT_KINDS,
-    NetworkFaultReport,
-    cluster_reroute,
-    expand_plane_schedule,
-    link_target,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "FAULT_STREAM",
-    "KINDS",
-    "NEVER",
-    "NETWORK_FAULT_KINDS",
-    "NODE_GPUS",
-    "DegradationReport",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultWindow",
-    "NetworkFaultReport",
-    "RecoveryPolicy",
-    "build_degradation",
-    "cluster_reroute",
-    "expand_plane_schedule",
-    "link_target",
-    "parse_faults_arg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "schedule": (
+        "FAULT_STREAM", "KINDS", "NODE_GPUS", "FaultEvent", "FaultSchedule",
+        "RecoveryPolicy", "parse_faults_arg",
+    ),
+    "report": ("NEVER", "DegradationReport", "FaultWindow", "build_degradation"),
+    "network": (
+        "NETWORK_FAULT_KINDS", "NetworkFaultReport", "cluster_reroute",
+        "expand_plane_schedule", "link_target",
+    ),
+})

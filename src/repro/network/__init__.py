@@ -1,152 +1,45 @@
 """Network substrate: topologies, routing, flow simulation, cost/latency."""
 
-from .collectives import (
-    CollectiveResult,
-    all_to_all_flows,
-    ring_collective_flows,
-    run_all_to_all,
-    run_concurrent_rings,
-)
-from .cost import (
-    CostModel,
-    TopologyCostRow,
-    mpft_spec,
-    table3_rows,
-    table3_specs,
-)
-from .dragonfly import DragonflyParams, build_dragonfly, dragonfly_spec
-from .fattree import (
-    ft2_from_radix,
-    ft2_spec,
-    ft3_spec,
-    three_layer_fat_tree,
-    two_layer_fat_tree,
-)
-from .flowsim import Flow, FlowResult, FlowSimulator, max_min_rates
-from .hierarchical import (
-    HierarchicalResult,
-    flat_ring_allreduce_time,
-    run_hierarchical_allreduce,
-)
-from .congestion import (
-    ISOLATION_SCHEMES,
-    IncastScenario,
-    victim_completion_time,
-    victim_slowdown,
-)
-from .latency import (
-    IB,
-    ROCE,
-    LatencyRow,
-    LinkLayerLatency,
-    end_to_end_latency,
-    nvlink_latency,
-    path_latency,
-    table5_rows,
-    uses_nvlink_forwarding,
-)
-from .multiport import (
-    BONDING_MODES,
-    MultiPortNic,
-    bonding_speedup,
-    max_two_layer_endpoints,
-    message_time,
-)
-from .multiplane import (
-    ClusterNetwork,
-    build_mpft_cluster,
-    build_mrft_cluster,
-    gpu_name,
-    planes_used,
-    pxn_path,
-)
-from .routing import (
-    RoutingPolicy,
-    collision_free_static_table,
-    ecmp_index,
-    equal_cost_path_table,
-    equal_cost_paths,
-    route_flows,
-    shifted_ring_flows,
-    spread_flows,
-)
-from .slimfly import build_slimfly, slimfly_network_degree, slimfly_spec
-from .topology import (
-    ENDPOINT_LINK,
-    HOST,
-    INTERSWITCH_LINK,
-    NVLINK_LINK,
-    SWITCH,
-    Topology,
-    TopologySpec,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CollectiveResult",
-    "all_to_all_flows",
-    "ring_collective_flows",
-    "run_all_to_all",
-    "run_concurrent_rings",
-    "CostModel",
-    "TopologyCostRow",
-    "mpft_spec",
-    "table3_rows",
-    "table3_specs",
-    "DragonflyParams",
-    "build_dragonfly",
-    "dragonfly_spec",
-    "ft2_from_radix",
-    "ft2_spec",
-    "ft3_spec",
-    "three_layer_fat_tree",
-    "two_layer_fat_tree",
-    "Flow",
-    "FlowResult",
-    "FlowSimulator",
-    "max_min_rates",
-    "HierarchicalResult",
-    "flat_ring_allreduce_time",
-    "run_hierarchical_allreduce",
-    "ISOLATION_SCHEMES",
-    "IncastScenario",
-    "victim_completion_time",
-    "victim_slowdown",
-    "BONDING_MODES",
-    "MultiPortNic",
-    "bonding_speedup",
-    "max_two_layer_endpoints",
-    "message_time",
-    "IB",
-    "ROCE",
-    "LatencyRow",
-    "LinkLayerLatency",
-    "end_to_end_latency",
-    "nvlink_latency",
-    "path_latency",
-    "table5_rows",
-    "uses_nvlink_forwarding",
-    "ClusterNetwork",
-    "build_mpft_cluster",
-    "build_mrft_cluster",
-    "gpu_name",
-    "planes_used",
-    "pxn_path",
-    "RoutingPolicy",
-    "collision_free_static_table",
-    "ecmp_index",
-    "equal_cost_path_table",
-    "equal_cost_paths",
-    "route_flows",
-    "shifted_ring_flows",
-    "spread_flows",
-    "build_slimfly",
-    "slimfly_network_degree",
-    "slimfly_spec",
-    "ENDPOINT_LINK",
-    "HOST",
-    "INTERSWITCH_LINK",
-    "NVLINK_LINK",
-    "SWITCH",
-    "Topology",
-    "TopologySpec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "collectives": (
+        "CollectiveResult", "all_to_all_flows", "ring_collective_flows", "run_all_to_all",
+        "run_concurrent_rings",
+    ),
+    "cost": ("CostModel", "TopologyCostRow", "mpft_spec", "table3_rows", "table3_specs"),
+    "dragonfly": ("DragonflyParams", "build_dragonfly", "dragonfly_spec"),
+    "fattree": (
+        "ft2_from_radix", "ft2_spec", "ft3_spec", "three_layer_fat_tree",
+        "two_layer_fat_tree",
+    ),
+    "flowsim": ("Flow", "FlowResult", "FlowSimulator", "max_min_rates"),
+    "hierarchical": (
+        "HierarchicalResult", "flat_ring_allreduce_time", "run_hierarchical_allreduce",
+    ),
+    "congestion": (
+        "ISOLATION_SCHEMES", "IncastScenario", "victim_completion_time", "victim_slowdown",
+    ),
+    "multiport": (
+        "BONDING_MODES", "MultiPortNic", "bonding_speedup", "max_two_layer_endpoints",
+        "message_time",
+    ),
+    "latency": (
+        "IB", "ROCE", "LatencyRow", "LinkLayerLatency", "end_to_end_latency",
+        "nvlink_latency", "path_latency", "table5_rows", "uses_nvlink_forwarding",
+    ),
+    "multiplane": (
+        "ClusterNetwork", "build_mpft_cluster", "build_mrft_cluster", "gpu_name",
+        "planes_used", "pxn_path",
+    ),
+    "routing": (
+        "RoutingPolicy", "collision_free_static_table", "ecmp_index",
+        "equal_cost_path_table", "equal_cost_paths", "route_flows", "shifted_ring_flows",
+        "spread_flows",
+    ),
+    "slimfly": ("build_slimfly", "slimfly_network_degree", "slimfly_spec"),
+    "topology": (
+        "ENDPOINT_LINK", "HOST", "INTERSWITCH_LINK", "NVLINK_LINK", "SWITCH", "Topology",
+        "TopologySpec",
+    ),
+})

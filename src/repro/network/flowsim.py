@@ -43,7 +43,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import NULL_TRACER, Tracer
 from .topology import Topology
 
 if TYPE_CHECKING:  # circular at runtime: faults.network imports this module
@@ -450,7 +451,9 @@ class _EventEngine:
         re-solve resumes the last one at round ``k``, the earliest round
         in which a flow of ``gone`` froze, and keeps the rates of the
         flows frozen before it; the first solve (nothing frozen yet)
-        starts at round 0.
+        starts at round 0.  When rounds ``k..`` froze no flow that is
+        still active, there is nothing to refill: the fill is skipped
+        and only the links of ``gone`` have their loads refreshed.
         """
         on = comp.on
         for f in gone:
@@ -460,7 +463,23 @@ class _EventEngine:
             self.link_load[comp.links] = 0.0
             return
         k = min(map(comp.freeze.__getitem__, gone), default=len(comp.frozen))
-        done, rates = comp.fill(comp.rewind(k))
+        rest = comp.rewind(k)
+        if not rest:
+            # Nothing to refill: every active rate stands, and only the
+            # links of ``gone`` lost load.  Each is re-summed over its
+            # active flows in ``flows_on`` (= local id) order, the order
+            # ``bincount`` adds them in, so the bits match a full refresh.
+            rates, flows = self.rates, comp.flows
+            for link in {link for f in gone for link in comp.links_of[f]}:
+                load = 0.0
+                for f in comp.flows_on[link]:
+                    if on[f]:
+                        rate = rates.item(flows.item(f))
+                        if rate < math.inf:
+                            load += rate
+                self.link_load[comp.links.item(link)] = load
+            return
+        done, rates = comp.fill(rest)
         self.rates[comp.flows[done]] = rates
         # Refresh the component's link loads for utilization sampling;
         # inactive and unbounded flows weigh zero.

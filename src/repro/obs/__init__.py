@@ -16,47 +16,17 @@ with tracing on, writes the ``.trace.json`` and prints a span/metric
 summary.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSummary,
-    MetricsRegistry,
-    TimeSeries,
-)
-from .openmetrics import (
-    metric_name,
-    parse_openmetrics,
-    percentile_from_buckets,
-    render_openmetrics,
-)
-from .slo import AlertEvent, SloRule, evaluate_slo, parse_slo_rules
-from .summary import print_table, print_trace_summary, sparkline
-from .trace import NULL_TRACER, NullTracer, Tracer
-from .windows import WindowedMetrics, merge_window_rollups, window_summaries
+from .._exports import lazy_exports
 
-__all__ = [
-    "AlertEvent",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSummary",
-    "MetricsRegistry",
-    "SloRule",
-    "TimeSeries",
-    "WindowedMetrics",
-    "evaluate_slo",
-    "merge_window_rollups",
-    "metric_name",
-    "parse_openmetrics",
-    "parse_slo_rules",
-    "percentile_from_buckets",
-    "print_table",
-    "print_trace_summary",
-    "render_openmetrics",
-    "sparkline",
-    "window_summaries",
-    "NULL_TRACER",
-    "NullTracer",
-    "Tracer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "HistogramSummary", "MetricsRegistry", "TimeSeries",
+    ),
+    "openmetrics": (
+        "metric_name", "parse_openmetrics", "percentile_from_buckets", "render_openmetrics",
+    ),
+    "slo": ("AlertEvent", "SloRule", "evaluate_slo", "parse_slo_rules"),
+    "summary": ("print_table", "print_trace_summary", "sparkline"),
+    "trace": ("NULL_TRACER", "NullTracer", "Tracer"),
+    "windows": ("WindowedMetrics", "merge_window_rollups", "window_summaries"),
+})

@@ -48,8 +48,9 @@ from dataclasses import dataclass, field
 import repro
 
 from ..core.rng import derive_seed
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs.metrics import MetricsRegistry
 from ..obs.summary import print_table
+from ..obs.trace import NULL_TRACER, Tracer
 from ..sweep import SweepCache, SweepSpec, WorkerSet, canonical_config, grid, run_sweep
 from ..sweep.supervise import SupervisorPolicy
 from .ladder import FidelityLadder, get_ladder

@@ -1,56 +1,20 @@
 """Parallelism substrate: pipeline schedules, MFU, cluster throughput."""
 
-from .memory import (
-    MemoryBreakdown,
-    ShardingPlan,
-    activation_bytes_per_microbatch,
-    activation_imbalance,
-    fits,
-    inflight_microbatches,
-    params_per_gpu,
-    training_memory_per_gpu,
-)
-from .mfu import MfuReport, mfu_report
-from .schedule import (
-    ChunkCosts,
-    ScheduleResult,
-    TaskRecord,
-    analytic_1f1b_bubble,
-    analytic_dualpipe_bubble,
-    analytic_zb1p_bubble,
-    simulate_pipeline,
-)
-from .throughput import (
-    StepReport,
-    TrainingJobConfig,
-    simulate_training_step,
-    tokens_per_day,
-    training_cost_usd,
-    training_gpu_hours,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "MemoryBreakdown",
-    "ShardingPlan",
-    "activation_bytes_per_microbatch",
-    "activation_imbalance",
-    "fits",
-    "inflight_microbatches",
-    "params_per_gpu",
-    "training_memory_per_gpu",
-    "MfuReport",
-    "mfu_report",
-    "ChunkCosts",
-    "ScheduleResult",
-    "TaskRecord",
-    "analytic_1f1b_bubble",
-    "analytic_dualpipe_bubble",
-    "analytic_zb1p_bubble",
-    "simulate_pipeline",
-    "StepReport",
-    "TrainingJobConfig",
-    "simulate_training_step",
-    "tokens_per_day",
-    "training_cost_usd",
-    "training_gpu_hours",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "memory": (
+        "MemoryBreakdown", "ShardingPlan", "activation_bytes_per_microbatch",
+        "activation_imbalance", "fits", "inflight_microbatches", "params_per_gpu",
+        "training_memory_per_gpu",
+    ),
+    "mfu": ("MfuReport", "mfu_report"),
+    "schedule": (
+        "ChunkCosts", "ScheduleResult", "TaskRecord", "analytic_1f1b_bubble",
+        "analytic_dualpipe_bubble", "analytic_zb1p_bubble", "simulate_pipeline",
+    ),
+    "throughput": (
+        "StepReport", "TrainingJobConfig", "simulate_training_step", "tokens_per_day",
+        "training_cost_usd", "training_gpu_hours",
+    ),
+})

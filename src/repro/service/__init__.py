@@ -50,27 +50,14 @@ stdlib test/scripting client, and the ``repro serve`` CLI subcommand
 the front door.
 """
 
-from .breaker import CircuitBreaker, CircuitOpen
-from .client import ServiceClient
-from .dash import render_dashboard
-from .events import EventBroker, TERMINAL_EVENTS
-from .jobs import Job, JobManager, JobSpec, ServiceBusy, TERMINAL_STATES
-from .server import ExperimentServer, ServiceConfig
-from .state import StateStore
+from .._exports import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "CircuitOpen",
-    "EventBroker",
-    "ExperimentServer",
-    "Job",
-    "JobManager",
-    "JobSpec",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceConfig",
-    "StateStore",
-    "TERMINAL_EVENTS",
-    "TERMINAL_STATES",
-    "render_dashboard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "breaker": ("CircuitBreaker", "CircuitOpen"),
+    "client": ("ServiceClient",),
+    "dash": ("render_dashboard",),
+    "events": ("EventBroker", "TERMINAL_EVENTS"),
+    "jobs": ("Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES"),
+    "server": ("ExperimentServer", "ServiceConfig"),
+    "state": ("StateStore",),
+})

@@ -40,7 +40,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..obs import MetricsRegistry, Tracer
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Tracer
 from ..sweep import (
     PointResult,
     SupervisorPolicy,

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import repro
 
-from ..obs import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs import openmetrics as _om
 from ..sweep import SweepCache, merged_windows_section
 from .dash import render_dashboard

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..obs import MetricsRegistry
+    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["StateStore"]
 

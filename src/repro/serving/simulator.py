@@ -124,14 +124,10 @@ from operator import attrgetter, itemgetter
 from ..core.rng import seeded_generator, uniform_stream
 from ..faults.report import annotate_alerts, build_degradation
 from ..faults.schedule import FaultEvent, FaultSchedule, RecoveryPolicy
-from ..obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    evaluate_slo,
-    parse_slo_rules,
-    window_summaries,
-)
+from ..obs.metrics import MetricsRegistry
+from ..obs.slo import evaluate_slo, parse_slo_rules
+from ..obs.trace import NULL_TRACER, Tracer
+from ..obs.windows import window_summaries
 from .calqueue import CalendarQueue
 from .costmodel import StepCostModel
 from .kvpool import KVPoolConfig, PagedKVPool, kv_pool_blocks

@@ -60,8 +60,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs.metrics import MetricsRegistry
 from ..obs.summary import print_table
+from ..obs.trace import NULL_TRACER, Tracer
 from .cache import SweepCache
 from .spec import SweepSpec
 from .supervise import SupervisorPolicy, WorkerSet, run_forked
@@ -207,7 +208,7 @@ def merged_windows_section(points) -> dict | None:
     ``None`` when no point carried windows, so callers can keep the
     section out of default output entirely.
     """
-    from ..obs import merge_window_rollups, window_summaries
+    from ..obs.windows import merge_window_rollups, window_summaries
 
     rollups = [
         p["result"]["windows"]

@@ -77,7 +77,7 @@ from multiprocessing import connection, util
 from typing import Callable
 
 from ..core.rng import derive_seed
-from ..obs import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .spec import canonical_config
 from .targets import Target, get_target, registry_generation
 

@@ -163,7 +163,12 @@ def registry_generation() -> int:
 
 
 def warm_imports(*modules: str) -> Warm:
-    """A ``warm`` hook that imports ``modules``."""
+    """A ``warm`` hook that imports ``modules``.
+
+    Name the modules a point runs, not their packages: most package
+    ``__init__`` files export lazily (:mod:`repro._exports`), so
+    importing ``repro.network`` imports none of its submodules.
+    """
 
     def warm(configs: list[dict]) -> None:
         del configs
@@ -256,7 +261,7 @@ def _fault_schedule(faults):
     Only the dict form is accepted: ``FaultSchedule.from_json`` reads a
     string as a file path, and a point is data, not a file to open.
     """
-    from ..faults import FaultSchedule
+    from ..faults.schedule import FaultSchedule
 
     if faults is not None and not isinstance(faults, dict):
         raise TypeError("'faults' must be a FaultSchedule JSON object")
@@ -275,7 +280,7 @@ def serving_scenario(config: dict, seed: int):
     ``economics`` holds the ``compact_record`` keyword arguments that turn
     on its cost fields; it is empty unless ``gpu_cost_per_hour`` is set.
     """
-    from ..faults import RecoveryPolicy
+    from ..faults.schedule import RecoveryPolicy
     from ..serving import MTPConfig, SchedulerConfig, SimConfig, StepCostModel, WorkloadSpec
 
     cfg = dict(config)
@@ -325,7 +330,7 @@ def serving_scenario(config: dict, seed: int):
     return sim, economics
 
 
-@register_target("serving", warm=warm_imports("repro.faults", "repro.serving"))
+@register_target("serving", warm=warm_imports("repro.serving"))
 def _serving_target(config: dict, seed: int) -> dict:
     from ..serving import ServingSimulator, compact_record
 
@@ -385,7 +390,12 @@ def flowsim_scenario(config: dict):
     return topo, flows, params["sim_mode"]
 
 
-@register_target("flowsim", warm=warm_imports("repro.network", "networkx"))
+@register_target(
+    "flowsim",
+    warm=warm_imports(
+        "networkx", "repro.network.fattree", "repro.network.flowsim", "repro.network.routing"
+    ),
+)
 def _flowsim_target(config: dict, seed: int) -> dict:
     del seed  # the routed shifted-ring pattern is fully deterministic
     from ..network import FlowSimulator
@@ -426,9 +436,9 @@ def training_scenario(config: dict, seed: int):
     return args, kwargs
 
 
-@register_target("training", warm=warm_imports("repro.faults", "repro.training"))
+@register_target("training", warm=warm_imports("repro.training.trainer"))
 def _training_target(config: dict, seed: int) -> dict:
-    from ..training import simulate_checkpointed_training
+    from ..training.trainer import simulate_checkpointed_training
 
     args, kwargs = training_scenario(config, seed)
     return simulate_checkpointed_training(*args, **kwargs).asdict()

@@ -1,55 +1,18 @@
 """Trainable tiny DeepSeek-style model and the §2.4 validation pipeline."""
 
-from .data import SyntheticCorpus, batch_iterator, markov_corpus
-from .model import LossBreakdown, MTPModule, TrainableTransformer
-from .modules import (
-    BF16_POLICY,
-    FP32_POLICY,
-    FP8_POLICY,
-    Linear,
-    Module,
-    PrecisionPolicy,
-    RMSNorm,
-    TrainableAttention,
-    TrainableDenseFfn,
-    TrainableLayer,
-    TrainableMoELayer,
-)
-from .mtp_eval import AcceptanceReport, measure_mtp_acceptance, sample_windows
-from .trainer import (
-    GoodputReport,
-    TrainResult,
-    ValidationReport,
-    simulate_checkpointed_training,
-    train,
-    validate_precision,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "SyntheticCorpus",
-    "batch_iterator",
-    "markov_corpus",
-    "LossBreakdown",
-    "MTPModule",
-    "TrainableTransformer",
-    "BF16_POLICY",
-    "FP32_POLICY",
-    "FP8_POLICY",
-    "Linear",
-    "Module",
-    "PrecisionPolicy",
-    "RMSNorm",
-    "TrainableAttention",
-    "TrainableDenseFfn",
-    "TrainableLayer",
-    "TrainableMoELayer",
-    "AcceptanceReport",
-    "measure_mtp_acceptance",
-    "sample_windows",
-    "GoodputReport",
-    "TrainResult",
-    "ValidationReport",
-    "simulate_checkpointed_training",
-    "train",
-    "validate_precision",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "data": ("SyntheticCorpus", "batch_iterator", "markov_corpus"),
+    "model": ("LossBreakdown", "MTPModule", "TrainableTransformer"),
+    "modules": (
+        "BF16_POLICY", "FP32_POLICY", "FP8_POLICY", "Linear", "Module", "PrecisionPolicy",
+        "RMSNorm", "TrainableAttention", "TrainableDenseFfn", "TrainableLayer",
+        "TrainableMoELayer",
+    ),
+    "mtp_eval": ("AcceptanceReport", "measure_mtp_acceptance", "sample_windows"),
+    "trainer": (
+        "GoodputReport", "TrainResult", "ValidationReport", "simulate_checkpointed_training",
+        "train", "validate_precision",
+    ),
+})

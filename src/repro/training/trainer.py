@@ -20,7 +20,8 @@ import numpy as np
 from ..autograd.optim import AdamW
 from ..core.rng import seeded_generator
 from ..faults.schedule import FaultSchedule
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import NULL_TRACER, Tracer
 from ..model.config import ModelConfig, TINY_MLA_MOE
 from .data import SyntheticCorpus, batch_iterator, markov_corpus
 from .model import TrainableTransformer

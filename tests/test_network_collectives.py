@@ -108,3 +108,79 @@ def test_collective_result_bandwidth_conventions():
     c = build_mpft_cluster(2)
     res = run_all_to_all(c, c.gpus()[:4], 1 << 20)
     assert res.busbw == pytest.approx(res.algbw * 3 / 4)
+
+
+def _flow_digest(flows):
+    """SHA-256 of every field of ``flows``, floats as exact hex."""
+    import hashlib
+    import json
+
+    rows = [[f.src, f.dst, f.size.hex(), f.path, f.latency.hex(), f.tag] for f in flows]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _hosts(cluster):
+    return sorted(cluster.node_of, key=lambda h: (cluster.node_of[h], h))
+
+
+#: Flow digests of the builders before their path latencies were shared
+#: per hop-kind shape: (cluster, nodes, nodes per leaf) -> digest of a
+#: 64 B all-to-all over every GPU.
+_A2A_DIGESTS = {
+    ("mpft", 2, 8): "c0f7da8ade6796da11711d76d2a24545b66c662942388c1c20e3960f4967e511",
+    ("mrft", 4, 8): "963d7a85c1ee0d871889247108bc45f3e8e520a30fb27e271c19ae2500b32819",
+    ("mpft", 4, 2): "dd91b4f9a3240cbeda250213d0a62d295b498f8ab1073bf57ab139d927918cdd",
+    ("mrft", 4, 2): "8359ff5099517ad1804ed613c3e4ee11df8df10e3c7c339a0739f3cc44320ddf",
+}
+
+
+@pytest.mark.parametrize("kind, nodes, per_leaf", sorted(_A2A_DIGESTS))
+def test_all_to_all_flows_keep_their_pinned_digests(kind, nodes, per_leaf):
+    """Every field of every flow, latencies to the last bit, is what the
+    builders produced when each transfer priced its own path.  Now one
+    ``path_latency`` call prices each hop-kind shape (at most 5 here),
+    not one per transfer (240 to 992 here)."""
+    from unittest import mock
+
+    from repro.network import collectives, latency
+
+    build = build_mpft_cluster if kind == "mpft" else build_mrft_cluster
+    cluster = build(nodes, nodes_per_leaf=per_leaf)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return latency.path_latency(*args, **kwargs)
+
+    with mock.patch.object(collectives, "path_latency", spy):
+        flows = collectives.all_to_all_flows(cluster, _hosts(cluster), 64.0)
+    assert _flow_digest(flows) == _A2A_DIGESTS[(kind, nodes, per_leaf)]
+    assert len(calls) == len({f.latency for f in flows}) <= 5
+    for f in flows[:: max(1, len(flows) // 50)]:
+        assert f.latency == latency.path_latency(cluster, f.path)
+
+
+def test_mixed_transfers_and_ep_flows_keep_their_pinned_digests():
+    """Same-node and cross-node transfers in a random order, and an EP
+    dispatch stage, on a 4-node MPFT with two nodes per leaf."""
+    import numpy as np
+
+    from repro.comm.ep import EPConfig, EPDeployment
+
+    cluster = build_mpft_cluster(4, nodes_per_leaf=2)
+    hosts = _hosts(cluster)
+    rng = np.random.default_rng(7)
+    transfers = [
+        (hosts[i], hosts[j], float(rng.integers(1, 1000)))
+        for i, j in rng.integers(0, len(hosts), size=(300, 2))
+        if i != j
+    ]
+    assert len(transfers) == 285
+    assert _flow_digest(transfer_flows(cluster, transfers, tag="x")) == (
+        "1c3a7247305d4ba65d7570374f80d1d16cc6a5505a1a48179235fc96dffdc5c3"
+    )
+    dep = EPDeployment(cluster, EPConfig(num_routed_experts=256, experts_per_token=8))
+    decisions = dep.route_tokens(32, np.random.default_rng(3))
+    assert _flow_digest(dep.traffic_to_flows(*dep.dispatch_traffic(decisions))) == (
+        "c29f6fd6fe8adef7a8b3f5494bcc82ed82f29107154d914922b467139ef2ed0b"
+    )

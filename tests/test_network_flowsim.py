@@ -516,6 +516,77 @@ def test_leaf_resolves_get_exactly_the_flows_that_finished(time_epsilon, refille
     assert work == {"refilled": refilled, "rounds": rounds}
 
 
+def _scenario(name):
+    """The leaf-local (independent components) or shifted-ring (one
+    coupled component) scenario on a 4 x 8 fat tree."""
+    from repro.network import shifted_ring_flows
+
+    topo = two_layer_fat_tree(4, 8, 4)
+    if name == "leaf":
+        return topo, _leaf_local_flows(4, 8)
+    return topo, shifted_ring_flows(topo, range(1, 8), 64e6)
+
+
+@pytest.mark.parametrize("scenario", ["leaf", "ring"])
+def test_link_loads_equal_a_full_bincount_after_every_solve(scenario):
+    """Whether a solve refilled flows or only dropped finished ones, the
+    component's link loads are bit-equal to one ``bincount`` of the
+    active finite rates over its whole incidence."""
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.network import flowsim
+
+    topo, flows = _scenario(scenario)
+    solve = flowsim._EventEngine.solve_component
+    checked = {"solves": 0, "refill-free": 0}
+
+    def spy(engine, comp, gone=()):
+        fills = len(comp.frozen)
+        solve(engine, comp, gone)
+        weights = engine.rates[comp.flows]
+        weights[~(engine.active[comp.flows] & np.isfinite(weights))] = 0.0
+        full = np.bincount(comp.flat, weights=weights[comp.own], minlength=len(comp.links))
+        assert engine.link_load[comp.links].tobytes() == full.tobytes()
+        checked["solves"] += 1
+        checked["refill-free"] += bool(gone) and len(comp.frozen) <= fills
+
+    with mock.patch.object(flowsim._EventEngine, "solve_component", spy):
+        FlowSimulator(topo).simulate(flows)
+    assert checked["solves"] > 30
+    assert checked["refill-free"] > 0
+
+
+def test_ring_fills_only_on_its_first_solve():
+    """On the flowsim-ep benchmark ring (8 leaves x 16 hosts, 15 shifts),
+    every re-solve after a completion drops rounds that froze only
+    finished flows, so nothing is refilled and the fill is skipped: one
+    fill in 202 solves (the parent filled 201 times, 200 of them with
+    nothing to refill)."""
+    from unittest import mock
+
+    from repro.network import flowsim, shifted_ring_flows
+
+    topo = two_layer_fat_tree(8, 16, 8)
+    flows = shifted_ring_flows(topo, range(1, 16), 64e6)
+    fill, solve = flowsim._Component.fill, flowsim._EventEngine.solve_component
+    calls = {"fill": 0, "solve": 0}
+
+    def spy_fill(comp, rest):
+        calls["fill"] += 1
+        return fill(comp, rest)
+
+    def spy_solve(engine, comp, gone=()):
+        calls["solve"] += 1
+        return solve(engine, comp, gone)
+
+    with mock.patch.object(flowsim._Component, "fill", spy_fill), \
+            mock.patch.object(flowsim._EventEngine, "solve_component", spy_solve):
+        FlowSimulator(topo).simulate(flows)
+    assert calls == {"fill": 1, "solve": 202}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     picks=_picks,
