@@ -18,14 +18,13 @@ then converts completion times into the NCCL test conventions:
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .flowsim import Flow, FlowSimulator
 from .latency import path_latency
 from .multiplane import ClusterNetwork, pxn_relay
 from .routing import RoutingPolicy, route_flows, route_pairs, spread_flows
-from .topology import SWITCH, Topology
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ def transfer_flows(
     transfers are routed from one equal-cost path table, so each
     network source costs one BFS.
     """
-    latency_of = _path_latencies(cluster)
     crossing = [(src, dst, size) for src, dst, size in transfers if not cluster.same_node(src, dst)]
     relays = [pxn_relay(cluster, src, dst) for src, dst, _ in crossing]
     pairs = [(net_src, dst) for (_, net_src), (_, dst, _) in zip(relays, crossing)]
@@ -81,7 +79,7 @@ def transfer_flows(
         src, dst, size = crossing[index]
         prefix = relays[index][0]
         full_paths = [prefix + p for p in paths] if prefix else paths
-        latency = latency_of(full_paths[0])
+        latency = path_latency(cluster, full_paths[0])
         return spread_flows(
             src, dst, size, full_paths, RoutingPolicy.ADAPTIVE, latency=latency, tag=tag
         )
@@ -91,47 +89,11 @@ def transfer_flows(
     for src, dst, size in transfers:
         if cluster.same_node(src, dst):
             path = cluster.nvlink_path(src, dst)
-            flows.append(Flow(src, dst, size, path, latency=latency_of(path), tag=tag))
+            latency = path_latency(cluster, path)
+            flows.append(Flow(src, dst, size, path, latency=latency, tag=tag))
         else:
             flows.extend(next(routed))
     return flows
-
-
-def _path_latencies(cluster: ClusterNetwork) -> Callable[[list[str]], float]:
-    """:func:`~repro.network.latency.path_latency` of a cluster's paths,
-    computed once per hop-kind shape.
-
-    A path's latency depends only on how many NVSwitches and how many
-    network switches it crosses, so each node's kind is read from the
-    graph once and each ``(nvswitch, switch)`` count pair is priced by
-    one ``path_latency`` call, whose float every path of that shape
-    then shares.
-    """
-    graph = cluster.topology.graph
-    kinds: dict[str, tuple[int, int]] = {}  # node -> (is NVSwitch, is network switch)
-    by_shape: dict[tuple[int, int], float] = {}
-
-    def kind(node: str) -> tuple[int, int]:
-        attrs = graph.nodes[node]
-        if attrs["kind"] != SWITCH:
-            return 0, 0
-        return (1, 0) if attrs.get("nvswitch") else (0, 1)
-
-    def latency(path: list[str]) -> float:
-        nv = net = 0
-        for node in path[1:-1]:
-            k = kinds.get(node)
-            if k is None:
-                k = kinds[node] = kind(node)
-            nv += k[0]
-            net += k[1]
-        shape = (nv, net)
-        value = by_shape.get(shape)
-        if value is None:
-            value = by_shape[shape] = path_latency(cluster, path)
-        return value
-
-    return latency
 
 
 def all_to_all_flows(

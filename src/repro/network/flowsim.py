@@ -452,8 +452,7 @@ class _EventEngine:
         in which a flow of ``gone`` froze, and keeps the rates of the
         flows frozen before it; the first solve (nothing frozen yet)
         starts at round 0.  When rounds ``k..`` froze no flow that is
-        still active, there is nothing to refill: the fill is skipped
-        and only the links of ``gone`` have their loads refreshed.
+        still active, there is nothing to refill and the fill is skipped.
         """
         on = comp.on
         for f in gone:
@@ -464,23 +463,9 @@ class _EventEngine:
             return
         k = min(map(comp.freeze.__getitem__, gone), default=len(comp.frozen))
         rest = comp.rewind(k)
-        if not rest:
-            # Nothing to refill: every active rate stands, and only the
-            # links of ``gone`` lost load.  Each is re-summed over its
-            # active flows in ``flows_on`` (= local id) order, the order
-            # ``bincount`` adds them in, so the bits match a full refresh.
-            rates, flows = self.rates, comp.flows
-            for link in {link for f in gone for link in comp.links_of[f]}:
-                load = 0.0
-                for f in comp.flows_on[link]:
-                    if on[f]:
-                        rate = rates.item(flows.item(f))
-                        if rate < math.inf:
-                            load += rate
-                self.link_load[comp.links.item(link)] = load
-            return
-        done, rates = comp.fill(rest)
-        self.rates[comp.flows[done]] = rates
+        if rest:
+            done, rates = comp.fill(rest)
+            self.rates[comp.flows[done]] = rates
         # Refresh the component's link loads for utilization sampling;
         # inactive and unbounded flows weigh zero.
         weights = self.rates[comp.flows]

@@ -562,7 +562,7 @@ def test_ring_fills_only_on_its_first_solve():
     """On the flowsim-ep benchmark ring (8 leaves x 16 hosts, 15 shifts),
     every re-solve after a completion drops rounds that froze only
     finished flows, so nothing is refilled and the fill is skipped: one
-    fill in 202 solves (the parent filled 201 times, 200 of them with
+    fill in 202 solves (without the skip: 201 fills, 200 of them with
     nothing to refill)."""
     from unittest import mock
 
