@@ -16,6 +16,11 @@ they compute.  These tests pin that contract bit-for-bit:
 Two scenarios cover the interesting code paths: a *colocated* run with
 a deliberately tight KV pool (preemption + recompute + MTP) and a
 *disaggregated* run (KV transfer, separate pools, bursty arrivals).
+A third, *streaming*, runs the default report mode on a colocated pool
+without MTP (the due calendar, with preemption) long enough that the
+decimated channel traces halve four times past ``STREAM_TRACE_POINTS``;
+it pins the report, the two traces by SHA-256 and each channel series'
+sample count and keep-stride.
 
 Flowsim's event engine is pinned the same way, by SHA-256 of
 repr-exact JSON, on two 4 x 8 fat-tree all-to-alls: a *leaf-local*
@@ -137,6 +142,58 @@ def test_simreport_matches_golden(name: str, tmp_path: Path) -> None:
     assert json.dumps(current, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
+STREAMING_GOLDEN = GOLDEN_DIR / "simreport_streaming.json"
+
+
+def _streaming_config() -> SimConfig:
+    return SimConfig(
+        workload=WorkloadSpec(
+            request_rate=8.0,
+            num_requests=1500,
+            prompt_mean=512,
+            prompt_cv=0.5,
+            output_mean=128,
+            output_cv=0.6,
+        ),
+        mode="colocated",
+        prefill_gpus=2,
+        decode_gpus=6,
+        kv_blocks_per_gpu=16,
+        seed=11,
+    )
+
+
+def _run_streaming() -> dict:
+    """Run the streaming scenario untraced; return its pins."""
+    simulator = ServingSimulator(_streaming_config())
+    report = report_asdict(simulator.run())
+    traces = {key: report.pop(key) for key in ("queue_depth_trace", "kv_occupancy_trace")}
+    fold = simulator.fold
+    return {
+        "report": report,
+        "traces_sha256": {key: _sha256(trace) for key, trace in traces.items()},
+        "series": {
+            series.name: {
+                "points": len(series.samples),
+                "seen": series._seen,
+                "stride": series._stride,
+            }
+            for series in (fold.queue_series, fold.kv_series)
+        },
+        "dropped": list(simulator.dropped),
+        "decode_batch_profile": [list(row) for row in simulator.decode_batch_profile],
+    }
+
+
+def test_streaming_simreport_matches_golden() -> None:
+    golden = json.loads(STREAMING_GOLDEN.read_text())
+    assert json.dumps(_run_streaming(), sort_keys=True) == json.dumps(golden, sort_keys=True)
+    # The pin covers decimation well past the point budget, and the
+    # calendar's preemption path.
+    assert all(series["stride"] >= 8 for series in golden["series"].values())
+    assert golden["report"]["preemptions"] > 0
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_null_fault_schedule_is_byte_identical(name: str, tmp_path: Path) -> None:
     """Faults *disabled* must mean exactly that: a config carrying an
@@ -249,6 +306,8 @@ def _regen() -> None:
             path = _golden_path(name)
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
+        STREAMING_GOLDEN.write_text(json.dumps(_run_streaming(), indent=2, sort_keys=True) + "\n")
+        print(f"wrote {STREAMING_GOLDEN}")
         with contextlib.redirect_stdout(io.StringIO()):
             payload = {
                 "scenarios": {name: _run_flowsim(name) for name in sorted(FLOWSIM_SCENARIOS)},
