@@ -69,6 +69,12 @@ class TimeSeries:
       resolution: whenever the buffer fills, every other sample is
       discarded and the keep-stride doubles, so the first sample is
       always retained and memory never exceeds ``max_points``.
+
+    :class:`repro.serving.report.RunFold` keeps two decimating series
+    sampled at the same instants in lockstep: it makes one keep decision
+    per sample for both and writes ``samples``, ``_seen`` and
+    ``_stride`` exactly as :meth:`record` would (a hypothesis property
+    in ``tests/test_serving_report.py`` pins the two equal).
     """
 
     __slots__ = ("name", "samples", "max_points", "mode", "_stride", "_seen")

@@ -261,8 +261,8 @@ class RunFold:
       TTFT/TPOT/E2E histograms, judged against the SLO once per request;
     * the channel fold — sample count, sums and maxima of queue depth
       and KV occupancy, and the registry's two channel series, fresh
-      per run (decimated to ``STREAM_TRACE_POINTS`` unless records are
-      kept);
+      per run (decimated in lockstep to ``STREAM_TRACE_POINTS`` unless
+      records are kept);
     * the optional :class:`WindowedMetrics` (``window_s`` set);
     * the ``dropped`` rids and, when records are kept, the ``admitted``
       requests (for the degradation report) and the ``finished`` ones
@@ -279,7 +279,7 @@ class RunFold:
         "draft_attempts", "draft_accepted", "faults", "batch_profile",
         "completed", "slo_met", "tokens", "ttft", "tpot", "e2e",
         "samples", "queue_sum", "queue_max", "kv_sum", "kv_peak",
-        "queue_series", "kv_series", "windowed", "admitted", "finished", "dropped",
+        "queue_series", "kv_series", "_skip", "windowed", "admitted", "finished", "dropped",
     )
 
     def __init__(
@@ -319,6 +319,7 @@ class RunFold:
         points = None if records else STREAM_TRACE_POINTS
         self.queue_series = metrics.fresh_series(QUEUE_DEPTH, max_points=points, mode="decimate")
         self.kv_series = metrics.fresh_series(KV_OCCUPANCY, max_points=points, mode="decimate")
+        self._skip = 0  # samples both series drop before keeping the next
         self.windowed = WindowedMetrics(window_s) if window_s is not None else None
         self.admitted: list[Request] | None = [] if records else None
         self.finished: list[Request] | None = [] if records else None
@@ -336,7 +337,12 @@ class RunFold:
             self.windowed.count("dropped", now)
 
     def finish(self, request: Request, now: float) -> None:
-        """One request completed; only record mode keeps the object."""
+        """One request completed; only record mode keeps the object.
+
+        ``request.generated`` is its final count here: a decode pool
+        that keeps a due calendar holds its members' counts relative to
+        its step counter and writes them back as they leave.
+        """
         if self.finished is not None:
             self.finished.append(request)
         met = self.slo.met_by(request)
@@ -359,17 +365,40 @@ class RunFold:
             windowed.observe("e2e", now, request.e2e)
 
     def sample(self, t: float, depth: int, used: int) -> None:
-        """One channel sample: queued requests and used KV blocks."""
+        """One channel sample: queued requests and used KV blocks.
+
+        The two channel series are sampled at the same instants with the
+        same point budget, so one decision keeps or drops the sample in
+        both: ``_skip`` counts down the samples to drop before the next
+        kept one.  Each series ends up exactly as its own
+        :meth:`repro.obs.TimeSeries.record` calls would leave it: the
+        same ``samples``, ``_seen`` and ``_stride``.
+        """
         occupancy = used / self.total_blocks
-        self.samples += 1
+        self.samples = seen = self.samples + 1
         self.queue_sum += depth
         self.kv_sum += occupancy
         if depth > self.queue_max:
             self.queue_max = depth
         if occupancy > self.kv_peak:
             self.kv_peak = occupancy
-        self.queue_series.record(t, depth)
-        self.kv_series.record(t, occupancy)
+        queue, kv = self.queue_series, self.kv_series
+        skip = self._skip
+        if skip:  # only a decimating series skips
+            self._skip = skip - 1
+            queue._seen = kv._seen = seen
+        else:
+            queue.samples.append((t, depth))
+            kv.samples.append((t, occupancy))
+            points = queue.max_points
+            if points is not None:
+                queue._seen = kv._seen = seen
+                if len(queue.samples) >= points:
+                    # Halve resolution, keeping the first sample.
+                    del queue.samples[1::2]
+                    del kv.samples[1::2]
+                    queue._stride = kv._stride = queue._stride * 2
+                self._skip = -seen % queue._stride
         windowed = self.windowed
         if windowed is not None:
             windowed.sample("queue_depth", t, depth)

@@ -49,9 +49,10 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   are fixed while it stays; one min-heap keyed ``(step, rid)`` holds
   the earlier of the two for each member against the pool's
   completed-step counter (filed when it joins, re-filed after each
-  extend).  A completed step bumps every member's token count in one
-  tight loop and then visits, in rid order, only the entries due at
-  it; entries of members that left are skipped when popped.  A
+  extend).  A member's token count is kept relative to that counter
+  while it stays, and written back as it leaves, so a completed step
+  bumps the counter and then visits, in rid order, only the entries
+  due at it; entries of members that left are skipped when popped.  A
   preemption victim later in rid order than the member being extended
   gives back the token the walk would not yet have given it.  MTP runs
   walk the sorted batch every step, as their acceptance draws are per
@@ -67,8 +68,9 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   replays the clock addition, step-cost lookup (only when the context
   bucket changes), batch profile, channel samples and block-crossing
   extends in order (a traced run also emits each step's
-  ``decode_step`` span and per-pool counters inline); token counts
-  advance once per horizon.  MTP runs complete each folded step
+  ``decode_step`` span and per-pool counters inline); the step counter
+  advances once per horizon, and no member outside the due entries is
+  touched.  MTP runs complete each folded step
   through the queued event's own code, drawing acceptance in the same
   rid/step order, so a horizon covers at most half the tokens any
   member has left and needs the two-tokens-each worst case to fit the
@@ -295,6 +297,14 @@ class _Pool:
     popped, so no entry outlives its step.  ``due`` is ``None`` under
     MTP, whose members emit one or two tokens a step, and when
     ``_CALENDAR`` is off.
+
+    On a calendar pool a decoding member's ``generated`` is
+    *tick-relative*: it holds the member's token count minus ``tick``,
+    fixed when the member joins, so a completed step bumps ``tick``
+    alone and the due and finish steps are per-member constants.  Read
+    a member's count through :meth:`generated`; :meth:`depart` writes
+    the absolute count back as the member leaves (a finish, a
+    preemption or a fault eviction).
     """
 
     __slots__ = (
@@ -348,34 +358,56 @@ class _Pool:
         self._concurrent_cap = cap
 
     def add_active(self, request: Request) -> None:
-        """Admit a request to the decode set, preserving scheduler order,
-        and file its due step in the calendar."""
+        """Admit a request to the decode set, preserving scheduler order;
+        on a calendar pool make its count tick-relative and file its due
+        step."""
         insort(self.active, request, key=_BY_ARRIVAL)
         self.active_ctx += request.prompt_tokens + request.generated
         request.decoding = True
         if self.due is not None:
+            request.generated -= self.tick
             self.file_due(request)
 
     def remove_active(self, request: Request) -> None:
         """Drop a request from the decode set (O(log n) index lookup)."""
         index = bisect_left(self.active, _BY_ARRIVAL(request), key=_BY_ARRIVAL)
         del self.active[index]
+        self.depart(request)
+
+    def pop_newest(self) -> Request:
+        """Drop the newest member (the preemption and eviction victim)."""
+        request = self.active.pop()
+        self.depart(request)
+        return request
+
+    def depart(self, request: Request) -> None:
+        """Write a leaving member's token count back and take it out of
+        ``active_ctx``; the caller has taken it out of ``active``."""
+        if self.due is not None:
+            request.generated += self.tick
         self.active_ctx -= request.prompt_tokens + request.generated
         request.decoding = False
 
-    # Both steps hold while tick and the member's token count are read
-    # at the same point: after a completed step, or at a horizon's start.
+    def generated(self, request: Request) -> int:
+        """A decoding member's token count."""
+        if self.due is not None:
+            return request.generated + self.tick
+        return request.generated
+
+    # On a calendar pool a member's tick-relative count is fixed while
+    # it stays, so both steps below are constants (the due step moves
+    # only when an extend grows ``kv_tokens``).
 
     def finish_step(self, request: Request) -> int:
         """The completed step at which the member has all its tokens."""
-        return self.tick + request.output_tokens - request.generated
+        return request.output_tokens - request.generated
 
     def due_step(self, request: Request) -> int:
         """The member's finish step, or the earlier completed step whose
         token first needs more than its held blocks (at or before
         ``tick`` when a re-prefill left it under-covered)."""
         covered = request.kv_tokens - request.prompt_tokens
-        return self.tick + min(request.output_tokens, covered) - request.generated
+        return min(request.output_tokens, covered) - request.generated
 
     def file_due(self, request: Request) -> None:
         """File (or re-file, after an extend) the member's due step."""
@@ -732,9 +764,7 @@ class ServingSimulator:
         # path (evicted work re-prefills after backoff).
         active = pool.active
         while active and (len(active) > pool.decode_cap or pool.kv.free_blocks < 0):
-            victim = active.pop()
-            pool.active_ctx -= victim.prompt_tokens + victim.generated
-            victim.decoding = False
+            victim = pool.pop_newest()
             pool.kv.free(victim.rid)
             victim.kv_tokens = 0
             self._fail_request(victim, now, push)
@@ -852,9 +882,12 @@ class ServingSimulator:
         step, and no extend fails, so a step's completion is replayed:
         the clock, the step's trace span and channel samples, and the KV
         extends of the members the calendar has due at that step, while
-        the token counts and ``tick`` advance once for the whole
-        horizon.  The first step at which a member finishes, or one a
-        re-prefill left under-covered is due, is the queued one.  With
+        ``tick`` and ``active_ctx`` advance once for the whole horizon.
+        Members' counts are tick-relative (see :class:`_Pool`), so the
+        horizon touches only the members due in it, and the batch is the
+        active set itself, not a copy.  The first step at which a member
+        finishes, or one a re-prefill left under-covered is due, is the
+        queued one.  With
         MTP each inline step runs :meth:`_finish_step` itself (same
         draws, same rid order), once the worst case of two tokens per
         member fits the free KV blocks.
@@ -872,7 +905,11 @@ class ServingSimulator:
         sample = fold.sample
         due = pool.due
         tick = pool.tick
-        batch, context_tokens = pool.active.copy(), pool.active_ctx
+        # A calendar step's batch is the active set itself: nothing joins
+        # or leaves a busy pool, and a fault that evicts aborts the step.
+        # The batch walk removes members as it goes, so it takes a copy.
+        batch = pool.active if due is not None else pool.active.copy()
+        context_tokens = pool.active_ctx
         size = len(batch)
         per_device = max(1, math.ceil(size / (2 * pool.num_gpus)))
         profile = fold.batch_profile.setdefault(size, [0, 0.0])
@@ -908,11 +945,11 @@ class ServingSimulator:
             else:
                 # The members due at this step; each crosses a block
                 # unless it finishes or is under-covered (due before the
-                # step), which ends the horizon.  tick and generated stay
-                # at their horizon-start values until the horizon ends,
-                # so a live entry still matches.  Equal entries pop
-                # together: a member that left and rejoined within one
-                # tick may have filed the same one.
+                # step), which ends the horizon.  Due steps are constants
+                # and pool.tick stays at its horizon-start value, so the
+                # member's count at the step is generated + step.  Equal
+                # entries pop together: a member that left and rejoined
+                # within one tick may have filed the same one.
                 step = tick + folded + 1
                 crossing = None
                 if due[0][0] <= step:
@@ -938,7 +975,7 @@ class ServingSimulator:
                     depth, used = _channel_levels(pools)
                 if crossing:
                     for request in crossing:
-                        need = request.prompt_tokens + request.generated + folded + 2
+                        need = request.prompt_tokens + request.generated + step + 1
                         kv.extend(request.rid, need)
                         request.kv_tokens = -(-need // block_tokens) * block_tokens
                         pool.file_due(request)
@@ -956,8 +993,6 @@ class ServingSimulator:
             now = end
         fold.decode_steps += folded + 1
         if folded and not mtp:
-            for request in batch:
-                request.generated += folded
             pool.active_ctx += folded * size
             pool.tick += folded
         pool.busy = True
@@ -1018,6 +1053,18 @@ class ServingSimulator:
         pools: tuple[_Pool, ...],
         push,
     ) -> None:
+        """Complete the pool's in-flight step at ``now``.
+
+        A prefill batch emits each request's first token and hands it to
+        a decode set (or, disaggregated, over a KV transfer to the decode
+        pool).  A decode step emits tokens, grows KV, preempts on
+        exhaustion and finishes members.  On a calendar pool the step
+        bumps ``tick``, which gives every member its token at once, and
+        visits only the calendar's entries due at it; there a decoding
+        member's ``generated`` is tick-relative, so its count is read
+        through the pool (:meth:`_Pool.generated`) until
+        :meth:`_Pool.depart` writes it back as the member leaves.
+        """
         cfg = self.config
         tracer = self.tracer
         batch, kind = pool.current_batch, pool.current_kind
@@ -1066,13 +1113,13 @@ class ServingSimulator:
             )
         due = pool.due
         if due is not None:
-            # Lockstep decode: every member emits one token, and only the
-            # calendar's entries due at this step can finish or cross a
-            # block.  Visiting them in rid order is the walk below with
-            # its no-op members skipped (stale entries fail its checks).
+            # Lockstep decode: every member emits one token, which the
+            # tick bump gives all of them at once (their counts are
+            # tick-relative), and only the calendar's entries due at
+            # this step can finish or cross a block.  Visiting them in
+            # rid order is the walk below with its no-op members skipped
+            # (stale entries fail its checks).
             pool.tick = tick = pool.tick + 1
-            for request in batch:
-                request.generated += 1
             pool.active_ctx += len(batch)
             entries = []
             while due and due[0][0] <= tick:
@@ -1082,11 +1129,12 @@ class ServingSimulator:
             for _, _, request in entries:
                 if not request.decoding:
                     continue  # left the pool, or preempted earlier in this loop
-                if request.generated >= request.output_tokens:
+                generated = request.generated + tick
+                if generated >= request.output_tokens:
                     pool.remove_active(request)
                     self._finish_request(request, now, pool, from_active=True)
                     continue
-                need = request.prompt_tokens + request.generated + 1
+                need = request.prompt_tokens + generated + 1
                 if need > request.kv_tokens and self._extend(pool, request, need, now, pools):
                     pool.file_due(request)
             return
@@ -1129,20 +1177,16 @@ class ServingSimulator:
 
         Under the calendar every member already holds this step's token,
         but the walk only reaches members in rid order, so a victim later
-        in rid order than ``request`` gives its token back first.
+        in rid order than ``request`` gives its token back as it leaves.
         """
         kv = pool.kv
-        active = pool.active
         tracer = self.tracer
         while not kv.extend(request.rid, need):
-            victim = active.pop()  # the newest member (scheduler order)
+            victim = pool.pop_newest()  # scheduler order
             kv.free(victim.rid)
             victim.kv_tokens = 0
             if pool.due is not None and victim.rid > request.rid:
                 victim.generated -= 1
-                pool.active_ctx -= 1
-            pool.active_ctx -= victim.prompt_tokens + victim.generated
-            victim.decoding = False
             self.fold.preemptions += 1
             if tracer.enabled:
                 self._span(

@@ -436,9 +436,9 @@ def training_scenario(config: dict, seed: int):
     return args, kwargs
 
 
-@register_target("training", warm=warm_imports("repro.training.trainer"))
+@register_target("training", warm=warm_imports("repro.training.goodput"))
 def _training_target(config: dict, seed: int) -> dict:
-    from ..training.trainer import simulate_checkpointed_training
+    from ..training.goodput import simulate_checkpointed_training
 
     args, kwargs = training_scenario(config, seed)
     return simulate_checkpointed_training(*args, **kwargs).asdict()

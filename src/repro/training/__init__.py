@@ -4,6 +4,7 @@ from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "data": ("SyntheticCorpus", "batch_iterator", "markov_corpus"),
+    "goodput": ("GoodputReport", "simulate_checkpointed_training"),
     "model": ("LossBreakdown", "MTPModule", "TrainableTransformer"),
     "modules": (
         "BF16_POLICY", "FP32_POLICY", "FP8_POLICY", "Linear", "Module", "PrecisionPolicy",
@@ -11,8 +12,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "TrainableMoELayer",
     ),
     "mtp_eval": ("AcceptanceReport", "measure_mtp_acceptance", "sample_windows"),
-    "trainer": (
-        "GoodputReport", "TrainResult", "ValidationReport", "simulate_checkpointed_training",
-        "train", "validate_precision",
-    ),
+    "trainer": ("TrainResult", "ValidationReport", "train", "validate_precision"),
 })

@@ -237,3 +237,68 @@ def test_table2_formulas_match_the_model_that_trains(config, seq_len, batch):
         model.logits(tokens)
     per_token = flops / (batch * seq_len)
     assert per_token == forward_flops_per_token(config, seq_len, causal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_tiny_configs(), seq_len=st.integers(4, 8), batch=st.integers(1, 2))
+def test_table2_training_rule_matches_the_backward_that_trains(config, seq_len, batch):
+    """Table 2's training rule, ``training_flops_per_token`` = 3 x
+    forward, against the backward pass ``TrainableTransformer`` runs.
+
+    Forward FLOPs are counted as in the test above: a spy on
+    ``Tensor.__matmul__``, 2 x output elements x contracted dim.
+    Backward FLOPs are the numpy matmuls the autograd backward closures
+    execute, counted the same way: both closures multiply the upstream
+    gradient by one operand transposed with ``np.swapaxes``, so
+    ``repro.autograd.tensor``'s ``np`` is replaced for the pass by a
+    proxy whose ``swapaxes`` returns an ndarray subclass that counts the
+    matmuls it takes part in.  The pass starts from a ones gradient on
+    the ``logits`` output, so it covers exactly the forward counted.
+
+    Every matmul operand in the model depends on a trainable parameter,
+    so each forward matmul costs two in the backward (the gradient of
+    each operand), and fwd + bwd is exactly ``training_flops_per_token(
+    config, S, causal=False)`` per token of the batch.
+    """
+    import types
+    from unittest import mock
+
+    import numpy as np
+
+    import repro.autograd.tensor as tensor_module
+    from repro.autograd.tensor import Tensor
+    from repro.training import TrainableTransformer
+
+    flops = {"forward": 0, "backward": 0}
+
+    class Counted(np.ndarray):
+        """An operand whose matmuls count as backward FLOPs."""
+
+        def __matmul__(self, other):
+            out = np.asarray(self) @ other
+            flops["backward"] += 2 * out.size * self.shape[-1]
+            return out
+
+        def __rmatmul__(self, other):
+            out = other @ np.asarray(self)
+            flops["backward"] += 2 * out.size * other.shape[-1]
+            return out
+
+    proxy = types.SimpleNamespace(**vars(np))
+    proxy.swapaxes = lambda a, *axes: np.swapaxes(a, *axes).view(Counted)
+    matmul = Tensor.__matmul__
+
+    def counted(self, other):
+        out = matmul(self, other)
+        flops["forward"] += 2 * out.data.size * self.shape[-1]
+        return out
+
+    model = TrainableTransformer(config, seed=0)
+    tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=(batch, seq_len))
+    with mock.patch.object(Tensor, "__matmul__", counted):
+        logits = model.logits(tokens)
+    with mock.patch.object(tensor_module, "np", proxy):
+        logits.backward(np.ones_like(logits.data))
+    assert flops["backward"] == 2 * flops["forward"]
+    per_token = (flops["forward"] + flops["backward"]) / (batch * seq_len)
+    assert per_token == training_flops_per_token(config, seq_len, causal=False)

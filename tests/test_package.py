@@ -51,6 +51,27 @@ NETWORK_IMPORTS = [
     "repro.obs", "repro.obs.metrics", "repro.obs.trace",
 ]
 
+#: ``repro`` modules loaded by resolving the ``training`` sweep target
+#: and evaluating one point: the sweep engine, and the checkpoint/restart
+#: simulation with its seeded stream, fault schedule and obs core.
+TRAINING_POINT_IMPORTS = [
+    "repro", "repro._exports",
+    "repro.core", "repro.core.rng",
+    "repro.faults", "repro.faults.schedule",
+    "repro.obs", "repro.obs.metrics", "repro.obs.summary", "repro.obs.trace",
+    "repro.sweep", "repro.sweep.cache", "repro.sweep.runner", "repro.sweep.spec",
+    "repro.sweep.supervise", "repro.sweep.targets",
+    "repro.training", "repro.training.goodput",
+]
+
+#: A training scenario with sampled failures and a scheduled one.
+TRAINING_POINT = {
+    "work_s": 100.0,
+    "interval_s": 10.0,
+    "mtbf_s": 30.0,
+    "faults": {"events": [{"time": 5.0, "kind": "gpu"}]},
+}
+
 #: A serving scenario that runs MTP, a pool fault, windows and an SLO.
 SERVING_POINT = {
     "mtp": True,
@@ -167,20 +188,24 @@ def test_a_serving_run_imports_nothing_after_import_repro_serving():
     assert out.strip() == "[]"
 
 
+def test_a_training_point_loads_only_the_goodput_simulation():
+    """The ``training`` target runs only
+    ``simulate_checkpointed_training``: none of the trainable model,
+    autograd or precision modules load for it."""
+    loaded = _loaded_by(
+        "from repro.sweep import resolve_target\n"
+        f"point = {TRAINING_POINT!r}\n"
+        "resolve_target('training', [point])(point, 0)"
+    )
+    assert loaded == TRAINING_POINT_IMPORTS
+
+
 @pytest.mark.parametrize(
     "target, point",
     [
         ("serving", SERVING_POINT),
         ("flowsim", {"num_leaves": 2, "hosts_per_leaf": 2, "shifts": 1}),
-        (
-            "training",
-            {
-                "work_s": 100.0,
-                "interval_s": 10.0,
-                "mtbf_s": 30.0,
-                "faults": {"events": [{"time": 5.0, "kind": "gpu"}]},
-            },
-        ),
+        ("training", TRAINING_POINT),
     ],
 )
 def test_warm_hook_covers_a_point(target, point):

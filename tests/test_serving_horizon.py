@@ -168,6 +168,64 @@ def test_due_calendar_matches_the_batch_walk_under_preemption():
         assert calendar[key] == walk[key], key
 
 
+def test_counts_are_written_back_once_per_departure():
+    """On a calendar pool a member's count is tick-relative while it
+    decodes and written back as it leaves.  A tight-KV colocated run with
+    two pool faults departs members all three ways (finish, preemption,
+    fault eviction): each departure writes back exactly once, the
+    written-back count is absolute, and the run equals the batch walk."""
+    config = SimConfig(
+        workload=WorkloadSpec(
+            request_rate=16.0,
+            num_requests=300,
+            prompt_mean=256,
+            output_mean=96,
+            output_cv=0.6,
+            arrival="bursty",
+        ),
+        mode=COLOCATED,
+        prefill_gpus=1,
+        decode_gpus=3,
+        kv_blocks_per_gpu=24,
+        block_tokens=16,
+        faults=FaultSchedule(
+            (
+                FaultEvent(6.0, "node", "pool", mttr=8.0),
+                FaultEvent(21.0, "gpu", "pool", mttr=5.0),
+            )
+        ),
+        seed=3,
+    )
+    departures = []
+    finishes = Counter()
+    depart = simulator._Pool.depart
+    finish_request = ServingSimulator._finish_request
+
+    def counting_depart(pool, request):
+        assert pool.due is not None and request.decoding
+        depart(pool, request)
+        departures.append(request)
+        assert 1 <= request.generated <= request.output_tokens
+
+    def counting_finish(sim, request, now, pool, from_active):
+        finishes[from_active] += 1
+        return finish_request(sim, request, now, pool, from_active)
+
+    with (
+        _patched(simulator._Pool, "depart", counting_depart),
+        _patched(ServingSimulator, "_finish_request", counting_finish),
+    ):
+        sim = ServingSimulator(config)
+        sim.run()
+    fold = sim.fold
+    assert (finishes[True], fold.preemptions, fold.faults["evicted"]) == (300, 563, 6)
+    assert len(departures) == finishes[True] + fold.preemptions + fold.faults["evicted"]
+    calendar = _outputs(config, DEFAULT_HORIZON)
+    walk = _outputs(config, DEFAULT_HORIZON, calendar=False)
+    for key in calendar:
+        assert calendar[key] == walk[key], key
+
+
 def _mtp_outputs(config: SimConfig, block: int) -> dict:
     with _patched(simulator, "_MTP_BLOCK", block):
         return _outputs(config, DEFAULT_HORIZON)
@@ -354,11 +412,16 @@ class _InvariantChecker:
                 holders |= {r.rid for r in pool.current_batch}
             held_by[id(pool)] = holders
             # Per-request state matches the pool's running aggregates,
-            # and every decode step's batch is the whole active set.
-            assert pool.active_ctx == sum(r.prompt_tokens + r.generated for r in pool.active)
+            # and every decode step's batch is the whole active set.  A
+            # calendar pool keeps its members' counts tick-relative, so
+            # they are read through the pool.
+            counts = [pool.generated(r) for r in pool.active]
+            assert pool.active_ctx == sum(
+                r.prompt_tokens + n for r, n in zip(pool.active, counts)
+            )
             assert len(pool.active) <= pool.decode_cap
-            for r in pool.active:
-                assert 1 <= r.generated < r.output_tokens
+            for r, n in zip(pool.active, counts):
+                assert 1 <= n < r.output_tokens
             if pool.due is not None:
                 # Every member has a live entry in the due calendar.
                 live_due = {r.rid for step, _, r in pool.due if step == pool.due_step(r)}

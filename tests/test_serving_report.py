@@ -1,8 +1,11 @@
-"""Report semantics: degenerate (single-token) requests, SLO rules."""
+"""Report semantics: degenerate (single-token) requests, SLO rules,
+the run fold's channel decimation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry
+import repro.serving.report as report_module
+from repro.obs import MetricsRegistry, TimeSeries
 from repro.serving import SLO, RunFold, ServingSimulator, SimConfig, WorkloadSpec, build_report
 from repro.serving.workload import Request
 
@@ -142,3 +145,34 @@ def test_serving_target_gpu_cost_per_hour_rides_the_sweep():
     assert priced["goodput_tokens_per_s"] == pytest.approx(
         priced["throughput_tokens_per_s"] * priced["slo_attainment"]
     )
+
+
+def _series_state(series) -> tuple:
+    return list(series.samples), series._seen, series._stride
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 64)), max_size=400),
+    max_points=st.one_of(st.none(), st.integers(2, 40)),
+)
+def test_lockstep_decimation_matches_per_sample_record(levels, max_points):
+    """The fold keeps or drops each channel sample in both series with
+    one decision; after every sample each series is exactly what its
+    own ``TimeSeries.record`` calls would leave (``None`` is a
+    record-mode fold, which keeps every sample)."""
+    original = report_module.STREAM_TRACE_POINTS
+    report_module.STREAM_TRACE_POINTS = max_points or original
+    try:
+        fold = RunFold(SLO(), MetricsRegistry(), total_blocks=64, records=max_points is None)
+    finally:
+        report_module.STREAM_TRACE_POINTS = original
+    queue = TimeSeries("queue", max_points=max_points, mode="decimate")
+    kv = TimeSeries("kv", max_points=max_points, mode="decimate")
+    for i, (depth, used) in enumerate(levels):
+        t = i * 0.5
+        fold.sample(t, depth, used)
+        queue.record(t, depth)
+        kv.record(t, used / 64)
+        assert _series_state(fold.queue_series) == _series_state(queue)
+        assert _series_state(fold.kv_series) == _series_state(kv)
