@@ -146,6 +146,8 @@ def build_degradation(
 ) -> DegradationReport:
     """Assemble the degradation section from per-request outcomes.
 
+    ``requests`` needs to hold only the finished requests: a phase
+    counts finishes, so requests that never finished add nothing.
     Each fault window's *before* phase spans from the previous window's
     end (or 0) to the fault; *during* spans the outage itself; *after*
     runs to the next fault (or the run horizon).  Permanent faults have

@@ -5,10 +5,11 @@ serving models cannot: KV-cache *capacity*, not per-token FLOPs, caps
 decode concurrency.  This allocator models a vLLM-style paged pool:
 capacity is block-granular (a block holds ``block_tokens`` tokens of
 cache for one request), requests allocate on admission, extend as they
-generate, and free on completion.  When the pool is exhausted the
-scheduler preempts a victim — its blocks are freed and its context is
-recomputed later, exactly the recompute-on-preemption policy production
-engines use.
+generate, and free on completion.  The pool counts free blocks; each
+request carries the tokens its own blocks cover (``Request.kv_tokens``),
+written only here.  When the pool is exhausted the scheduler preempts a
+victim — its blocks are freed and its context is recomputed later,
+exactly the recompute-on-preemption policy production engines use.
 
 Pool capacity is sized from :func:`repro.model.kvcache.kv_cache_bytes_per_token`
 against the HBM left after resident weights, keeping the simulator on
@@ -23,6 +24,7 @@ from ..core.hardware import GpuSpec
 from ..model.config import ModelConfig
 from ..model.kvcache import DTYPE_BYTES, kv_cache_bytes_per_token
 from ..model.params import count_params
+from .workload import Request
 
 
 @dataclass(frozen=True)
@@ -74,24 +76,23 @@ def kv_pool_blocks(
 
 
 class PagedKVPool:
-    """Block-granular KV allocator with per-request accounting.
+    """Block-granular KV allocator; the only writer of a request's holding.
 
-    Every operation is O(1): block counts come from pure integer
-    arithmetic (no float ``ceil`` on the hot path) and per-request
-    holdings live in one dict keyed by ``rid``.  The simulator caches
-    each request's covered-token cursor (``capacity_tokens``) so the
-    common decode step — the new token still fits in the last block —
-    does not even reach the allocator.
+    A request's holding lives on the request itself: ``allocate``,
+    ``extend`` and ``free`` take the :class:`Request` and keep
+    ``Request.kv_tokens``, the context tokens its blocks cover (held
+    blocks = ``kv_tokens // block_tokens``; 0 holds none).  The pool
+    keeps only its free-block count, so every operation is O(1) integer
+    arithmetic, and the simulator reads the same field to skip
+    :meth:`extend` while the next token still fits the last block.
     """
 
-    __slots__ = ("_config", "_free", "_held", "_block_tokens", "peak_used")
+    __slots__ = ("_config", "_free", "_block_tokens")
 
     def __init__(self, config: KVPoolConfig) -> None:
         self._config = config
         self._free = config.total_blocks
-        self._held: dict[int, int] = {}  # rid -> blocks held
         self._block_tokens = config.block_tokens
-        self.peak_used = 0
 
     @property
     def config(self) -> KVPoolConfig:
@@ -113,64 +114,56 @@ class PagedKVPool:
         """Blocks currently allocated."""
         return self._config.total_blocks - self._free
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the pool in use."""
-        return self.used_blocks / self._config.total_blocks
-
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` of context."""
         blocks = -(-tokens // self._block_tokens)  # exact integer ceil
         return blocks if blocks > 1 else 1
 
-    def capacity_tokens(self, rid: int) -> int:
-        """Context tokens the request's current blocks can hold (0 when
-        the request holds none) — the cursor the simulator caches to
-        skip :meth:`extend` while the next token still fits."""
-        return self._held.get(rid, 0) * self._block_tokens
+    def never_fits(self, tokens: int, faults_open: int) -> bool:
+        """Whether a request needing ``tokens`` of context must be
+        dropped: it needs more blocks than the whole pool and no fault
+        window is open (a shrunk pool may fit it again after repair)."""
+        return not faults_open and self.blocks_for(tokens) > self._config.total_blocks
 
-    def can_allocate(self, tokens: int) -> bool:
-        """Whether a fresh allocation of ``tokens`` would succeed."""
-        return self.blocks_for(tokens) <= self._free
-
-    def allocate(self, rid: int, tokens: int) -> bool:
-        """Reserve blocks for a new request; False when full."""
-        if rid in self._held:
-            raise ValueError(f"request {rid} already holds blocks")
+    def allocate(self, request: Request, tokens: int) -> bool:
+        """Reserve blocks for ``tokens`` of a request's context; False
+        (holding unchanged) when the pool is full."""
+        if request.kv_tokens:
+            raise ValueError(f"request {request.rid} already holds blocks")
         need = self.blocks_for(tokens)
         if need > self._free:
             return False
         self._free -= need
-        self._held[rid] = need
-        used = self._config.total_blocks - self._free
-        if used > self.peak_used:
-            self.peak_used = used
+        request.kv_tokens = need * self._block_tokens
         return True
 
-    def extend(self, rid: int, tokens: int) -> bool:
+    def extend(self, request: Request, tokens: int) -> bool:
         """Grow a request's reservation to cover ``tokens`` of context.
 
         Returns False (and leaves the reservation unchanged) when the
         pool cannot supply the extra blocks — the preemption trigger.
         """
-        held = self._held.get(rid)
-        if held is None:
-            raise KeyError(f"request {rid} holds no blocks")
-        need = self.blocks_for(tokens)
-        if need <= held:
+        held = request.kv_tokens
+        if not held:
+            raise KeyError(f"request {request.rid} holds no blocks")
+        if tokens <= held:
             return True
-        if need - held > self._free:
+        need = self.blocks_for(tokens)
+        extra = need - held // self._block_tokens
+        if extra > self._free:
             return False
-        self._free -= need - held
-        self._held[rid] = need
-        used = self._config.total_blocks - self._free
-        if used > self.peak_used:
-            self.peak_used = used
+        self._free -= extra
+        request.kv_tokens = need * self._block_tokens
         return True
 
-    def free(self, rid: int) -> None:
-        """Release all blocks of a finished or preempted request."""
-        self._free += self._held.pop(rid)
+    def free(self, request: Request) -> None:
+        """Release all blocks of a finished, preempted or migrating
+        request."""
+        held = request.kv_tokens
+        if not held:
+            raise KeyError(f"request {request.rid} holds no blocks")
+        self._free += held // self._block_tokens
+        request.kv_tokens = 0
 
     def resize(self, total_blocks: int) -> None:
         """Re-size the pool in place (fault injection / repair).
@@ -178,8 +171,7 @@ class PagedKVPool:
         Existing reservations are untouched; only the capacity moves.
         Shrinking below the blocks currently held leaves ``free_blocks``
         negative — an over-committed pool — and the fault engine evicts
-        requests until the deficit clears.  ``peak_used`` keeps its
-        high-water meaning across the resize.
+        requests until the deficit clears.
         """
         if total_blocks < 1:
             raise ValueError("total_blocks must be positive")

@@ -264,14 +264,13 @@ class RunFold:
       per run (decimated in lockstep to ``STREAM_TRACE_POINTS`` unless
       records are kept);
     * the optional :class:`WindowedMetrics` (``window_s`` set);
-    * the ``dropped`` rids and, when records are kept, the ``admitted``
-      requests (for the degradation report) and the ``finished`` ones
-      in finish order.
+    * the ``dropped`` rids and, when records are kept, the ``finished``
+      requests in finish order (also the degradation report's input).
 
     :meth:`arrival`, :meth:`drop`, :meth:`finish` and :meth:`sample`
     fold the run's events, each running the window hooks itself; the
-    simulator bumps the engine counters and fills ``admitted`` directly.
-    Both report builders read the fold and nothing else.
+    simulator bumps the engine counters directly.  Both report builders
+    read the fold and nothing else.
     """
 
     __slots__ = (
@@ -279,7 +278,7 @@ class RunFold:
         "draft_attempts", "draft_accepted", "faults", "batch_profile",
         "completed", "slo_met", "tokens", "ttft", "tpot", "e2e",
         "samples", "queue_sum", "queue_max", "kv_sum", "kv_peak",
-        "queue_series", "kv_series", "_skip", "windowed", "admitted", "finished", "dropped",
+        "queue_series", "kv_series", "_skip", "windowed", "finished", "dropped",
     )
 
     def __init__(
@@ -321,7 +320,6 @@ class RunFold:
         self.kv_series = metrics.fresh_series(KV_OCCUPANCY, max_points=points, mode="decimate")
         self._skip = 0  # samples both series drop before keeping the next
         self.windowed = WindowedMetrics(window_s) if window_s is not None else None
-        self.admitted: list[Request] | None = [] if records else None
         self.finished: list[Request] | None = [] if records else None
         self.dropped: list[int] = []
 

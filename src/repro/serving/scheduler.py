@@ -63,13 +63,9 @@ def form_prefill_batch(
             break
         if decode_load + len(batch) >= decode_cap:
             break
-        # Single allocate attempt: a False return is exactly the old
-        # can_allocate pre-check failing, without computing the block
-        # count twice per admitted request.
-        if not kv.allocate(head.rid, need):
+        if not kv.allocate(head, need):  # sets head.kv_tokens
             break
         queue.popleft()
-        head.kv_tokens = kv.capacity_tokens(head.rid)  # decode-step cursor
         batch.append(head)
         tokens += head.prompt_tokens
     return batch

@@ -40,9 +40,11 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   the preemption victim is ``active[-1]`` and the batch's mean context
   needs no per-step re-summation.  All maintained aggregates are
   integers, so they equal the from-scratch sums exactly.
-* Requests cache the token capacity of their held KV blocks
-  (``Request.kv_tokens``); a decode step only calls into the allocator
-  when the next token actually crosses a block boundary.
+* A request's KV holding is one field, ``Request.kv_tokens`` (the
+  tokens its held blocks cover), written only by
+  :class:`repro.serving.kvpool.PagedKVPool`; a decode step reads it and
+  calls into the allocator only when the next token actually crosses a
+  block boundary.
 * Without MTP a decode pool keeps a *due calendar*.  Every member
   emits one token per completed step, so the step at which it
   finishes and the step at which its next token crosses a KV block
@@ -285,7 +287,8 @@ class _Pool:
     scheduling is O(batch) with no sorting or re-summation.  The active
     set never exceeds ``decode_cap`` (admission, prefill formation and
     fault eviction all keep it so), so every decode step's batch is the
-    whole set.
+    whole set.  ``current_kind`` names the in-flight step (``"prefill"``
+    or ``"decode"``) and is ``None`` while the pool is idle.
 
     Without MTP every member therefore emits exactly one token per
     completed step, and the *due calendar* files one step number per
@@ -309,8 +312,8 @@ class _Pool:
 
     __slots__ = (
         "name", "pid", "num_gpus", "kv", "does_prefill", "does_decode",
-        "prefill_queue", "entry_queue", "active", "active_ctx", "busy",
-        "current_kind", "current_batch", "step_start", "_concurrent_cap",
+        "prefill_queue", "entry_queue", "active", "active_ctx",
+        "current_kind", "current_batch", "step_start", "decode_cap",
         "base_gpus", "base_cap", "base_blocks", "step_epoch",
         "tick", "due",
     )
@@ -323,6 +326,7 @@ class _Pool:
         kv: PagedKVPool,
         does_prefill: bool,
         does_decode: bool,
+        decode_cap: int,
         calendar: bool = False,
     ) -> None:
         self.name = name
@@ -335,7 +339,7 @@ class _Pool:
         self.entry_queue: deque[Request] = deque()  # awaiting KV admission
         self.active: list[Request] = []  # sorted by (arrival, rid)
         self.active_ctx = 0  # sum of context tokens over `active`
-        self.busy = False
+        self.decode_cap = decode_cap  # concurrent decode streams sustained
         self.current_kind: str | None = None
         self.current_batch: list[Request] = []
         self.step_start = 0.0
@@ -343,19 +347,18 @@ class _Pool:
         # scales from, and the epoch counter that invalidates the
         # in-flight _STEP_DONE event when a fault aborts a step.
         self.base_gpus = num_gpus
-        self.base_cap = 0
+        self.base_cap = decode_cap
         self.base_blocks = kv.config.total_blocks
         self.step_epoch = 0
         self.tick = 0
         self.due: list | None = [] if calendar else None
 
-    @property
-    def decode_cap(self) -> int:
-        """Concurrent decode streams this pool sustains."""
-        return self._concurrent_cap
-
-    def set_cap(self, cap: int) -> None:
-        self._concurrent_cap = cap
+    def rescale(self, num_gpus: int) -> None:
+        """Run on ``num_gpus`` GPUs (a fault or a repair): decode streams
+        and KV blocks scale from the healthy baseline."""
+        self.num_gpus = num_gpus
+        self.decode_cap = self.base_cap * num_gpus // self.base_gpus
+        self.kv.resize(max(1, self.base_blocks * num_gpus // self.base_gpus))
 
     def add_active(self, request: Request) -> None:
         """Admit a request to the decode set, preserving scheduler order;
@@ -431,7 +434,8 @@ class ServingSimulator:
 
     Each ``run`` folds what it measures into a fresh
     :class:`repro.serving.report.RunFold`, kept afterwards as
-    ``self.fold``.
+    ``self.fold`` (its dropped rids, decode batch profile and, with
+    records kept, finished requests).
     """
 
     def __init__(
@@ -451,7 +455,6 @@ class ServingSimulator:
 
     def _make_pools(self) -> tuple[_Pool, ...]:
         cfg = self.config
-        sched = cfg.scheduler
 
         def kv_for(num_gpus: int) -> PagedKVPool:
             if cfg.kv_blocks_per_gpu is not None:
@@ -472,20 +475,17 @@ class ServingSimulator:
             return PagedKVPool(pool_cfg)
 
         calendar = _CALENDAR and not cfg.costs.mtp.enabled
+        per_gpu = cfg.scheduler.max_concurrent_per_gpu
         if cfg.mode == COLOCATED:
             gpus = cfg.prefill_gpus + cfg.decode_gpus
-            pool = _Pool("pool", 1, gpus, kv_for(gpus), True, True, calendar)
-            pool.set_cap(sched.max_concurrent_per_gpu * gpus)
-            pool.base_cap = pool.decode_cap
-            return (pool,)
-        prefill = _Pool("prefill", 1, cfg.prefill_gpus, kv_for(cfg.prefill_gpus), True, False)
-        prefill.set_cap(0)
-        decode = _Pool(
-            "decode", 2, cfg.decode_gpus, kv_for(cfg.decode_gpus), False, True, calendar
+            return (
+                _Pool("pool", 1, gpus, kv_for(gpus), True, True, per_gpu * gpus, calendar),
+            )
+        gpus = cfg.decode_gpus
+        return (
+            _Pool("prefill", 1, cfg.prefill_gpus, kv_for(cfg.prefill_gpus), True, False, 0),
+            _Pool("decode", 2, gpus, kv_for(gpus), False, True, per_gpu * gpus, calendar),
         )
-        decode.set_cap(sched.max_concurrent_per_gpu * cfg.decode_gpus)
-        decode.base_cap = decode.decode_cap
-        return (prefill, decode)
 
     # -- event loop ------------------------------------------------------
 
@@ -531,7 +531,6 @@ class ServingSimulator:
             records=records_kept,
             window_s=cfg.window_s,
         )
-        admitted = fold.admitted
 
         # Workload state stays in flat numpy columns; a Request object
         # exists only from its arrival event until it finishes (or is
@@ -550,8 +549,6 @@ class ServingSimulator:
             nonlocal next_arrival
             request = columns.materialize(next_arrival)
             next_arrival += 1
-            if admitted is not None:
-                admitted.append(request)
             push(request.arrival, _ARRIVAL, request)
 
         feed_arrival()
@@ -598,7 +595,7 @@ class ServingSimulator:
                 payload.queued_since = now
                 prefill_pool.prefill_queue.append(payload)
             for pool in pools:
-                if not pool.busy:
+                if pool.current_kind is None:
                     self._try_start(pool, now, pools, push)
 
         duration = now
@@ -619,7 +616,7 @@ class ServingSimulator:
             for key, value in fold.faults.items():
                 metrics.counter(f"serving.fault_{key}").inc(value)
             degradation = build_degradation(
-                admitted,
+                fold.finished,
                 fault_events,
                 cfg.slo,
                 horizon=duration,
@@ -657,16 +654,8 @@ class ServingSimulator:
                             },
                         )
         if records_kept:
-            report = build_report(fold, duration, degradation, windows, alerts)
-        else:
-            report = build_streaming_report(fold, duration, windows, alerts)
-        self.decode_batch_profile = tuple(
-            (batch, count, total / count)
-            for batch, (count, total) in sorted(fold.batch_profile.items())
-        )
-        self.dropped = tuple(fold.dropped)
-        self.finished_requests = tuple(fold.finished or ())  # finish order; () when streaming
-        return report
+            return build_report(fold, duration, degradation, windows, alerts)
+        return build_streaming_report(fold, duration, windows, alerts)
 
     def _sample(self, t: float, pools: tuple[_Pool, ...]) -> None:
         """Fold one channel sample at ``t``; a traced run also emits the
@@ -736,11 +725,10 @@ class ServingSimulator:
         pool = self._fault_pool(event, pools)
         lost = min(event.gpus_lost, pool.num_gpus)
         prefill_pool = pools[0]
-        if pool.busy:
+        if pool.current_kind is not None:
             # The step dies with the hardware: its completion event is
             # invalidated via the epoch counter and its work is lost.
             batch, step_kind = pool.current_batch, pool.current_kind
-            pool.busy = False
             pool.current_batch, pool.current_kind = [], None
             pool.step_epoch += 1
             self.fold.faults["steps_aborted"] += 1
@@ -748,25 +736,21 @@ class ServingSimulator:
                 # Partial prefill produced nothing durable: release the
                 # batch's KV and put it back at the head of the queue.
                 for request in reversed(batch):
-                    pool.kv.free(request.rid)
-                    request.kv_tokens = 0
+                    pool.kv.free(request)
                     request.queued_since = now
                     prefill_pool.prefill_queue.appendleft(request)
             # An aborted decode step emitted no tokens; its requests
             # stay active (their KV survives on the remaining GPUs) and
             # the eviction pass below trims them to the shrunken pool.
         if lost:
-            pool.num_gpus -= lost
-            pool.set_cap(pool.base_cap * pool.num_gpus // pool.base_gpus)
-            pool.kv.resize(max(1, pool.base_blocks * pool.num_gpus // pool.base_gpus))
+            pool.rescale(pool.num_gpus - lost)
         # Evict newest-first until the survivors fit the degraded pool —
         # the same victim order as KV preemption, but through the retry
         # path (evicted work re-prefills after backoff).
         active = pool.active
         while active and (len(active) > pool.decode_cap or pool.kv.free_blocks < 0):
             victim = pool.pop_newest()
-            pool.kv.free(victim.rid)
-            victim.kv_tokens = 0
+            pool.kv.free(victim)
             self._fail_request(victim, now, push)
         self._active_faults += 1
         if math.isfinite(event.mttr):
@@ -781,9 +765,7 @@ class ServingSimulator:
     def _apply_repair(self, payload: tuple[_Pool, int], now: float) -> None:
         """Return repaired capacity to service after its MTTR."""
         pool, lost = payload
-        pool.num_gpus += lost
-        pool.set_cap(pool.base_cap * pool.num_gpus // pool.base_gpus)
-        pool.kv.resize(max(1, pool.base_blocks * pool.num_gpus // pool.base_gpus))
+        pool.rescale(pool.num_gpus + lost)
         self._active_faults -= 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -844,20 +826,12 @@ class ServingSimulator:
             )
             if not batch:
                 head = pool.prefill_queue[0]
-                if (
-                    not self._active_faults
-                    and pool.kv.blocks_for(head.context_tokens + 1)
-                    > pool.kv.config.total_blocks
-                ):
-                    # Larger than the whole pool: can never fit, drop it.
-                    # (While a fault window is open the pool is shrunk —
-                    # the head may fit again after repair, so it waits.)
+                if pool.kv.never_fits(head.context_tokens + 1, self._active_faults):
                     self._drop(pool.prefill_queue.popleft(), now)
                     return self._try_start(pool, now, pools, push)
             if batch:
                 tokens = sum(r.prompt_tokens + r.generated for r in batch)
                 duration = cfg.costs.prefill_time(tokens, pool.num_gpus)
-                pool.busy = True
                 pool.current_kind = "prefill"
                 pool.current_batch = batch
                 pool.step_start = now
@@ -975,9 +949,7 @@ class ServingSimulator:
                     depth, used = _channel_levels(pools)
                 if crossing:
                     for request in crossing:
-                        need = request.prompt_tokens + request.generated + step + 1
-                        kv.extend(request.rid, need)
-                        request.kv_tokens = -(-need // block_tokens) * block_tokens
+                        kv.extend(request, request.prompt_tokens + request.generated + step + 1)
                         pool.file_due(request)
                     used += len(crossing)  # one block per crossing
                 context_tokens += size
@@ -995,7 +967,6 @@ class ServingSimulator:
         if folded and not mtp:
             pool.active_ctx += folded * size
             pool.tick += folded
-        pool.busy = True
         pool.current_kind = "decode"
         pool.current_batch = batch
         pool.step_start = now
@@ -1019,7 +990,7 @@ class ServingSimulator:
         if pool.entry_queue or (pool.does_prefill and pool.prefill_queue):
             return 0
         for p in pools:
-            if p is not pool and not p.busy and p.num_gpus >= 1 and (
+            if p is not pool and p.current_kind is None and p.num_gpus >= 1 and (
                 p.prefill_queue or p.entry_queue or (p.does_decode and p.active)
             ):
                 return 0
@@ -1032,15 +1003,12 @@ class ServingSimulator:
         kv = pool.kv
         while pool.entry_queue and len(pool.active) < pool.decode_cap:
             head = pool.entry_queue[0]
-            if not kv.allocate(head.rid, head.context_tokens + 1):
-                if kv.blocks_for(head.context_tokens + 1) > kv.config.total_blocks:
-                    if self._active_faults:
-                        break  # pool is shrunk; may fit again after repair
+            if not kv.allocate(head, head.context_tokens + 1):
+                if kv.never_fits(head.context_tokens + 1, self._active_faults):
                     self._drop(pool.entry_queue.popleft(), now)
                     continue
                 break
             pool.entry_queue.popleft()
-            head.kv_tokens = kv.capacity_tokens(head.rid)
             head.decode_since = now
             pool.add_active(head)
 
@@ -1069,7 +1037,6 @@ class ServingSimulator:
         tracer = self.tracer
         batch, kind = pool.current_batch, pool.current_kind
         start = pool.step_start
-        pool.busy = False
         pool.current_batch, pool.current_kind = [], None
         if kind == "prefill":
             if tracer.enabled:
@@ -1081,7 +1048,6 @@ class ServingSimulator:
                     },
                 )
             for request in batch:
-                request.prefill_runs += 1
                 if tracer.enabled:
                     self._span(
                         "prefill", request, start, now, tokens=request.prompt_tokens
@@ -1095,8 +1061,7 @@ class ServingSimulator:
                     request.decode_since = now
                     pool.add_active(request)
                 else:
-                    pool.kv.free(request.rid)  # cache migrates to decode pool
-                    request.kv_tokens = 0
+                    pool.kv.free(request)  # cache migrates to decode pool
                     delay = cfg.costs.kv_transfer_time(request.context_tokens)
                     if tracer.enabled:
                         self._span(
@@ -1181,10 +1146,9 @@ class ServingSimulator:
         """
         kv = pool.kv
         tracer = self.tracer
-        while not kv.extend(request.rid, need):
+        while not kv.extend(request, need):
             victim = pool.pop_newest()  # scheduler order
-            kv.free(victim.rid)
-            victim.kv_tokens = 0
+            kv.free(victim)
             if pool.due is not None and victim.rid > request.rid:
                 victim.generated -= 1
             self.fold.preemptions += 1
@@ -1198,16 +1162,13 @@ class ServingSimulator:
             pools[0].prefill_queue.appendleft(victim)  # recompute re-runs prefill
             if victim is request:
                 return False
-        block_tokens = kv.config.block_tokens
-        request.kv_tokens = -(-need // block_tokens) * block_tokens
         return True
 
     def _finish_request(
         self, request: Request, now: float, pool: _Pool, from_active: bool
     ) -> None:
         request.finish_time = now
-        pool.kv.free(request.rid)
-        request.kv_tokens = 0
+        pool.kv.free(request)
         self.fold.finish(request, now)
         if self._on_progress is not None:
             self._progress(now)

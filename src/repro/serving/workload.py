@@ -45,12 +45,11 @@ class Request:
     first_token_time: float = -1.0
     finish_time: float = -1.0
     generated: int = 0
-    prefill_runs: int = 0  # >1 means the request was preempted and recomputed
     retries: int = 0  # fault-eviction requeues consumed (bounded by the retry budget)
     queued_since: float = -1.0  # start of the current wait (arrival or requeue)
     decode_since: float = -1.0  # when the request last entered a decode pool
-    # -- hot-path caches (owned by the pool the request sits in) --------
-    kv_tokens: int = 0  # context tokens covered by currently held KV blocks
+    # -- hot-path state (owned by the pool the request sits in) ---------
+    kv_tokens: int = 0  # tokens its held KV blocks cover; written only by PagedKVPool
     decoding: bool = False  # member of a pool's active decode set
 
     @property

@@ -42,10 +42,6 @@ class SweepCache:
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = _resolve_root(root)
-        # Per-shard membership index for get_many: shard name →
-        # (dir mtime_ns, {keys present}).  Process-local and advisory —
-        # see _shard_keys for the staleness argument.
-        self._shards: dict[str, tuple[int, set[str]]] = {}
 
     def path_for(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
@@ -69,62 +65,11 @@ class SweepCache:
         result = entry.get("result")
         return result if isinstance(result, dict) else None
 
-    def _shard_keys(self, shard: str) -> set[str]:
-        """Keys present in one shard directory, via the in-memory index.
-
-        The index entry is validated against the directory's current
-        ``st_mtime_ns`` and rebuilt with a single ``os.scandir`` when
-        another process has written to the shard.  Staleness is safe by
-        construction: a key *in* the index is still fully validated by
-        :meth:`get` (a deleted or corrupted file is a miss), and a key
-        *missing* from the index merely causes a recompute — the engine
-        then overwrites the entry with identical content.  Our own
-        :meth:`put` updates the entry in place, so probe→evaluate→probe
-        loops (search rungs) never rescan shards only we are writing.
-        """
-        path = self.root / shard
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            self._shards.pop(shard, None)
-            return set()
-        cached = self._shards.get(shard)
-        if cached is not None and cached[0] == mtime:
-            return cached[1]
-        keys = set()
-        try:
-            with os.scandir(path) as it:
-                for entry in it:
-                    name = entry.name
-                    if name.endswith(".json"):
-                        keys.add(name[: -len(".json")])
-        except OSError:  # not a directory (or unreadable): every key misses
-            self._shards.pop(shard, None)
-            return set()
-        self._shards[shard] = (mtime, keys)
-        return keys
-
     def get_many(self, keys: list[str]) -> dict[str, dict | None]:
-        """Probe many keys in one pass: ``{key: result-or-None}``.
-
-        Misses are resolved from the per-shard membership index — one
-        ``stat`` + (at most) one ``scandir`` per *shard* instead of one
-        failed ``open`` per *key* — so a mostly-cold probe of a large
-        search frontier touches the filesystem O(shards), not O(keys).
-        Hits still go through :meth:`get`'s full per-entry validation.
-        Warm/cold timings are recorded by ``benchmarks/bench_optimize.py``
-        (``get_many`` section): ~4× fewer syscalls on an all-miss probe
-        of 4k keys, identical results to per-key :meth:`get`.
-        """
-        out: dict[str, dict | None] = {}
-        by_shard: dict[str, list[str]] = {}
-        for key in keys:
-            by_shard.setdefault(key[:2], []).append(key)
-        for shard in sorted(by_shard):
-            present = self._shard_keys(shard)
-            for key in by_shard[shard]:
-                out[key] = self.get(key) if key in present else None
-        return out
+        """Probe many keys: ``{key: result-or-None}``, one :meth:`get`
+        per key (sweeps and search rungs probe tens of keys, so one
+        open per key is cheap)."""
+        return {key: self.get(key) for key in keys}
 
     def put(
         self, key: str, *, target: str, config: dict, seed: int, version: str, result: dict
@@ -159,18 +104,6 @@ class SweepCache:
             except OSError:
                 pass
             raise
-        # Keep the shard index warm for this process: record the key
-        # under the directory's post-write mtime so the next get_many
-        # neither rescans nor misses what we just wrote.
-        shard = key[:2]
-        cached = self._shards.get(shard)
-        if cached is not None:
-            keys = cached[1]
-            keys.add(key)
-            try:
-                self._shards[shard] = (path.parent.stat().st_mtime_ns, keys)
-            except OSError:
-                self._shards.pop(shard, None)
         return path
 
     def __len__(self) -> int:

@@ -307,9 +307,6 @@ def run_sweep(
         )
 
     if cache is not None:
-        # One batched probe (per-shard membership index + scandir)
-        # instead of one failed open per cold key — the difference is
-        # felt by search frontiers probing thousands of points a rung.
         hits = cache.get_many(keys)
         for i, key in enumerate(keys):
             hit = hits[key]

@@ -42,6 +42,7 @@ from repro.reliability import (
 from repro.serving import (
     KVPoolConfig,
     PagedKVPool,
+    Request,
     ServingSimulator,
     SimConfig,
     WorkloadSpec,
@@ -350,15 +351,18 @@ class TestServingFaults:
 class TestKvPoolResize:
     def test_grow_and_shrink(self):
         pool = PagedKVPool(KVPoolConfig(total_blocks=10, block_tokens=64))
-        assert pool.allocate(1, 64 * 6)
+        request = Request(rid=1, arrival=0.0, prompt_tokens=1, output_tokens=1)
+        assert pool.allocate(request, 64 * 6)
         assert pool.free_blocks == 4
         pool.resize(16)
         assert pool.free_blocks == 10
         assert pool.config.total_blocks == 16
         pool.resize(4)  # below the 6 blocks held: over-committed
         assert pool.free_blocks == -2
-        pool.free(1)
-        assert pool.free_blocks == 4
+        assert request.kv_tokens == 64 * 6  # the holding survives a resize
+        assert pool.never_fits(64 * 4 + 1, 0)  # the rule reads the new size
+        pool.free(request)
+        assert (pool.free_blocks, request.kv_tokens) == (4, 0)
 
     def test_resize_validation(self):
         pool = PagedKVPool(KVPoolConfig(total_blocks=4))

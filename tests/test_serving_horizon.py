@@ -21,7 +21,7 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.serving.simulator as simulator
 from repro.faults import FaultEvent, FaultSchedule
@@ -111,9 +111,9 @@ def _outputs(
     return {
         "report": report_asdict(report),
         "metrics": sim.metrics.snapshot(),
-        "decode_batch_profile": sim.decode_batch_profile,
-        "finished": [dataclasses.astuple(r) for r in sim.finished_requests],
-        "dropped": sim.dropped,
+        "decode_batch_profile": sim.fold.batch_profile,
+        "finished": [dataclasses.astuple(r) for r in sim.fold.finished or ()],
+        "dropped": sim.fold.dropped,
         "trace": tracer.to_json() if traced else None,
     }
 
@@ -397,19 +397,19 @@ class _InvariantChecker:
         for pool in self.pools:
             done = (pool, pool.step_epoch)
             live = [e for e in pending if e[1] == simulator._STEP_DONE and e[3] == done]
-            assert len(live) == pool.busy
+            assert len(live) == (pool.current_kind is not None)
         in_flight = [
             e[3] for e in pending if e[1] in (simulator._DECODE_ENTER, simulator._RETRY)
         ]
-        held_by: dict[int, set[int]] = {}
+        held_by: dict[int, list] = {}
         for pool in self.pools:
             in_flight += pool.prefill_queue
             in_flight += pool.entry_queue
             in_flight += pool.active
-            holders = {r.rid for r in pool.active}
-            if pool.busy and pool.current_kind == "prefill":
+            holders = list(pool.active)
+            if pool.current_kind == "prefill":
                 in_flight += pool.current_batch
-                holders |= {r.rid for r in pool.current_batch}
+                holders += pool.current_batch
             held_by[id(pool)] = holders
             # Per-request state matches the pool's running aggregates,
             # and every decode step's batch is the whole active set.  A
@@ -430,14 +430,21 @@ class _InvariantChecker:
         assert len({id(r) for r in in_flight}) == len(in_flight)
         # admitted = finished + dropped + in flight
         assert self.arrivals == sim.fold.completed + len(sim.fold.dropped) + len(in_flight)
-        # KV blocks: held + free = total, and only live requests hold any.
+        # KV blocks are conserved per pool: its holders' blocks plus its
+        # free blocks are its total.  Every holder holds whole blocks,
+        # and every other live request holds none.
         for pool in self.pools:
             kv = pool.kv
-            held = kv._held
-            assert sum(held.values()) + kv.free_blocks == kv.config.total_blocks
-            assert set(held) == held_by[id(pool)]
-            for r in pool.active:
-                assert r.kv_tokens == held[r.rid] * kv.config.block_tokens
+            block_tokens = kv.config.block_tokens
+            holders = held_by[id(pool)]
+            for r in holders:
+                assert r.kv_tokens > 0 and r.kv_tokens % block_tokens == 0
+            held = sum(r.kv_tokens // block_tokens for r in holders)
+            assert held + kv.free_blocks == kv.config.total_blocks
+        holding = {id(r) for holders in held_by.values() for r in holders}
+        for r in in_flight:
+            if id(r) not in holding:
+                assert r.kv_tokens == 0
         # tokens_generated = sum of generated over finished requests.
         assert sim.fold.tokens == sum(r.generated for r in self.finished)
         self.checks += 1
@@ -482,10 +489,11 @@ class _InvariantChecker:
         self.check(self.queue)
         assert self.arrivals == sim.config.workload.num_requests
         unserved = report.degradation.unserved if report.degradation else 0
-        assert report.completed + len(sim.dropped) + unserved == self.arrivals
+        assert report.completed + len(sim.fold.dropped) + unserved == self.arrivals
         assert report.tokens_generated == sum(r.generated for r in self.finished)
         for r in self.finished:
             assert r.generated == r.output_tokens
+            assert r.kv_tokens == 0
         # Samples taken inside a folded horizon keep the clock monotone.
         snapshot = sim.metrics.snapshot()
         for channel in (QUEUE_DEPTH, KV_OCCUPANCY):
@@ -494,9 +502,31 @@ class _InvariantChecker:
             assert not times or times[-1] <= report.duration
 
 
+#: Disaggregated with a tight decode-side KV pool: decode members are
+#: preempted back to the prefill pool's queue, so a block freed into the
+#: wrong pool breaks conservation in both.
+TIGHT_DISAGGREGATED = SimConfig(
+    workload=WorkloadSpec(
+        request_rate=64.0, num_requests=60, prompt_mean=128, output_mean=48
+    ),
+    mode=DISAGGREGATED,
+    kv_blocks_per_gpu=8,
+    block_tokens=16,
+    seed=5,
+)
+
+
+def test_tight_disaggregated_example_preempts():
+    """The pinned invariant example reaches decode-side preemption."""
+    sim = ServingSimulator(TIGHT_DISAGGREGATED)
+    sim.run()
+    assert sim.fold.preemptions > 0
+
+
 @pytest.mark.parametrize("horizon", [DEFAULT_HORIZON, 1], ids=["default", "one"])
 @settings(max_examples=30, deadline=None)
 @given(config=sim_configs())
+@example(config=TIGHT_DISAGGREGATED)
 def test_invariants_hold_at_every_event(horizon, config):
     checker = _InvariantChecker()
     checker.run(config, horizon)

@@ -15,6 +15,7 @@ from repro.serving import (
     MTPConfig,
     SLO,
     PagedKVPool,
+    Request,
     SchedulerConfig,
     ServingSimulator,
     SimConfig,
@@ -91,33 +92,78 @@ def test_workload_validation():
 # -- paged KV pool --------------------------------------------------------
 
 
+def _req(rid: int) -> Request:
+    return Request(rid=rid, arrival=0.0, prompt_tokens=1, output_tokens=1)
+
+
 def test_paged_pool_allocate_extend_free():
     pool = PagedKVPool(KVPoolConfig(total_blocks=10, block_tokens=16))
-    assert pool.allocate(1, 33)  # 3 blocks
-    assert pool.used_blocks == 3
-    assert pool.extend(1, 48)  # still 3 blocks
-    assert pool.used_blocks == 3
-    assert pool.extend(1, 49)  # 4th block
-    assert pool.used_blocks == 4
-    assert not pool.allocate(2, 16 * 7)  # 7 blocks > 6 free
-    assert pool.allocate(2, 16 * 6)
-    assert not pool.extend(1, 65)  # pool exhausted
-    pool.free(2)
-    assert pool.extend(1, 65)
-    pool.free(1)
+    a, b = _req(1), _req(2)
+    assert pool.allocate(a, 33)  # 3 blocks
+    assert (pool.used_blocks, a.kv_tokens) == (3, 48)
+    assert pool.extend(a, 48)  # still 3 blocks
+    assert (pool.used_blocks, a.kv_tokens) == (3, 48)
+    assert pool.extend(a, 49)  # 4th block
+    assert (pool.used_blocks, a.kv_tokens) == (4, 64)
+    assert not pool.allocate(b, 16 * 7)  # 7 blocks > 6 free
+    assert b.kv_tokens == 0
+    assert pool.allocate(b, 16 * 6)
+    assert b.kv_tokens == 96
+    assert not pool.extend(a, 65)  # pool exhausted
+    assert a.kv_tokens == 64
+    pool.free(b)
+    assert b.kv_tokens == 0
+    assert pool.extend(a, 65)
+    assert a.kv_tokens == 80
+    pool.free(a)
+    assert a.kv_tokens == 0
     assert pool.used_blocks == 0
-    assert pool.peak_used == 10
 
 
 def test_paged_pool_errors():
     pool = PagedKVPool(KVPoolConfig(total_blocks=4))
-    pool.allocate(1, 10)
+    a, b = _req(1), _req(2)
+    pool.allocate(a, 10)
     with pytest.raises(ValueError):
-        pool.allocate(1, 10)
+        pool.allocate(a, 10)
+    assert (a.kv_tokens, pool.free_blocks) == (64, 3)
     with pytest.raises(KeyError):
-        pool.extend(2, 10)
+        pool.extend(b, 10)
     with pytest.raises(KeyError):
-        pool.free(2)
+        pool.free(b)
+    pool.free(a)
+    with pytest.raises(KeyError):
+        pool.free(a)  # a second free of the same holding
+    assert pool.free_blocks == 4
+
+
+def test_paged_pool_holding_is_the_request_cursor():
+    """Held blocks are ``kv_tokens // block_tokens``: the pool's used
+    blocks are the sum over holders, and a failed call moves nothing."""
+    pool = PagedKVPool(KVPoolConfig(total_blocks=8, block_tokens=4))
+    holders = [_req(rid) for rid in range(3)]
+    for request, tokens in zip(holders, (1, 5, 9)):
+        assert pool.allocate(request, tokens)
+    assert [r.kv_tokens for r in holders] == [4, 8, 12]
+    assert pool.used_blocks == sum(r.kv_tokens // 4 for r in holders) == 6
+    assert not pool.extend(holders[0], 13)  # 3 more blocks, 2 free
+    assert not pool.allocate(_req(9), 9)
+    assert [r.kv_tokens for r in holders] == [4, 8, 12]
+    assert pool.free_blocks == 2
+
+
+def test_paged_pool_whole_pool_rule_boundary():
+    """A request of exactly the pool's tokens fits; one token more can
+    never fit and is dropped, unless a fault window is open."""
+    pool = PagedKVPool(KVPoolConfig(total_blocks=5, block_tokens=16))
+    whole = 5 * 16
+    assert not pool.never_fits(whole, 0)
+    assert pool.never_fits(whole + 1, 0)
+    assert not pool.never_fits(whole + 1, 1)  # may fit after repair
+    request = _req(1)
+    assert not pool.allocate(request, whole + 1)
+    assert pool.allocate(request, whole)
+    assert pool.free_blocks == 0
 
 
 def test_kv_pool_sizing_tracks_table1():
@@ -237,11 +283,11 @@ def test_steady_state_tpot_matches_analytic():
     pool_gpus = 1 + decode_gpus
     per_device = math.ceil(streams / (2 * pool_gpus))
     analytic = serving_point(serving, per_device).tpot
-    full_batch = [e for e in simulator.decode_batch_profile if e[0] == streams]
-    assert full_batch, f"no full-batch steps in {simulator.decode_batch_profile}"
-    _, steps, mean_step = full_batch[0]
+    profile = simulator.fold.batch_profile
+    assert streams in profile, f"no full-batch steps in {profile}"
+    steps, total = profile[streams]
     assert steps > 100
-    assert abs(mean_step - analytic) / analytic < 0.05
+    assert abs(total / steps - analytic) / analytic < 0.05
     # Per-request TPOT sees the same steady state.
     assert abs(report.tpot.p50 - analytic) / analytic < 0.05
 
@@ -307,7 +353,7 @@ def test_kv_exhaustion_preempts_and_recovers():
     assert report.completed == 24
     assert report.preemptions > 0
     assert report.peak_kv_occupancy > 0.9
-    assert not simulator.dropped
+    assert not simulator.fold.dropped
     # Preempted requests re-ran prefill yet still produced full outputs.
     assert report.tokens_generated == 24 * 96
 
@@ -325,7 +371,7 @@ def test_oversized_request_dropped_not_deadlocked():
     simulator = ServingSimulator(config)
     report = simulator.run()
     assert report.completed == 0
-    assert len(simulator.dropped) == 5
+    assert len(simulator.fold.dropped) == 5
 
 
 # -- disaggregation -------------------------------------------------------
@@ -451,24 +497,24 @@ def test_streaming_matches_record_mode_exactly(
         assert getattr(stream, field) == pytest.approx(getattr(rec, field), rel=1e-12)
 
     # Record mode keeps per-request records; streaming keeps none.
-    assert len(recorder.finished_requests) == rec.completed
-    assert streamer.finished_requests == ()
+    assert len(recorder.fold.finished) == rec.completed
+    assert streamer.fold.finished is None
     assert rec.degradation is None and stream.degradation is None
-    assert recorder.dropped == streamer.dropped
+    assert recorder.fold.dropped == streamer.fold.dropped
 
     # Every request either finished or was dropped, and the registry's
     # counters agree with the report.
     for simulator, report in ((recorder, rec), (streamer, stream)):
-        assert report.completed + len(simulator.dropped) == num_requests
+        assert report.completed + len(simulator.fold.dropped) == num_requests
         counters = simulator.metrics.snapshot()
         assert counters["serving.requests_completed"] == report.completed
-        assert counters["serving.requests_dropped"] == len(simulator.dropped)
+        assert counters["serving.requests_dropped"] == len(simulator.fold.dropped)
         assert counters["serving.preemptions"] == report.preemptions
         assert counters["serving.decode_steps"] == report.decode_steps
         assert counters["serving.prefill_batches"] == report.prefill_batches
 
     ttft, tpot, e2e = Histogram("ttft"), Histogram("tpot"), Histogram("e2e")
-    for request in recorder.finished_requests:  # finish order, like streaming
+    for request in recorder.fold.finished:  # finish order, like streaming
         ttft.observe(request.ttft)
         if request.has_tpot:
             tpot.observe(request.tpot)

@@ -122,11 +122,19 @@ def _run(name: str, trace_path: Path, config: SimConfig | None = None) -> dict:
     # runs, so the payload shape matches the pre-fault-engine goldens.
     return {
         "report": report_asdict(report),
-        "dropped": list(simulator.dropped),
-        "decode_batch_profile": [list(row) for row in simulator.decode_batch_profile],
+        "dropped": list(simulator.fold.dropped),
+        "decode_batch_profile": _batch_profile(simulator.fold),
         "trace_sha256": hashlib.sha256(trace_path.read_bytes()).hexdigest(),
         "trace_events": len(tracer.events),
     }
+
+
+def _batch_profile(fold) -> list:
+    """``[batch, steps, mean step seconds]`` rows in batch order."""
+    return [
+        [batch, count, total / count]
+        for batch, (count, total) in sorted(fold.batch_profile.items())
+    ]
 
 
 def _golden_path(name: str) -> Path:
@@ -180,8 +188,8 @@ def _run_streaming() -> dict:
             }
             for series in (fold.queue_series, fold.kv_series)
         },
-        "dropped": list(simulator.dropped),
-        "decode_batch_profile": [list(row) for row in simulator.decode_batch_profile],
+        "dropped": list(simulator.fold.dropped),
+        "decode_batch_profile": _batch_profile(simulator.fold),
     }
 
 

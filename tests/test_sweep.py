@@ -838,19 +838,18 @@ def test_get_many_matches_per_key_get(tmp_path):
     assert all(v is not None for v in got.values())
 
 
-def test_get_many_index_survives_own_puts_and_rescans_foreign_writes(tmp_path):
+def test_get_many_sees_own_and_foreign_puts(tmp_path):
     cache = SweepCache(tmp_path)
     spec = _counting_spec()
     configs = spec.configs()
     keys = [spec.key(c) for c in configs]
-    cache.get_many(keys)  # warm the (empty) shard index
-    # Our own put updates the index in place: no rescan needed.
+    assert cache.get_many(keys) == {k: None for k in keys}
+    # A probe after our own put sees it.
     cache.put(keys[0], target=spec.target, config=configs[0],
               seed=spec.point_seed(configs[0]), version=spec.version,
               result={"value": 1})
     assert cache.get_many(keys)[keys[0]] == {"value": 1}
-    # A foreign writer (second cache instance) bumps the shard mtime;
-    # the next probe revalidates and sees the new entry.
+    # So does a probe after a foreign writer's (a second instance).
     other = SweepCache(tmp_path)
     other.put(keys[1], target=spec.target, config=configs[1],
               seed=spec.point_seed(configs[1]), version=spec.version,
@@ -864,5 +863,5 @@ def test_get_many_validates_entries_like_get(tmp_path):
     run_sweep(spec, cache=cache)
     key = spec.key(spec.configs()[0])
     cache.path_for(key).write_text("{not json")
-    fresh = SweepCache(tmp_path)  # no index: forces scandir + full get
+    fresh = SweepCache(tmp_path)
     assert fresh.get_many([key])[key] is None  # corrupt entry is a miss
