@@ -106,6 +106,8 @@ def cluster_reroute(cluster: ClusterNetwork) -> ReroutePolicy:
     cross that plane, and hop back at the destination node.  Returns
     None when the damaged fabric has no path at all.
     """
+    # The one networkx user in the package: its ``shortest_path`` tie-break
+    # picks the detours ``BENCH_faults.json``'s reroute makespan pins.
     import networkx as nx
 
     nodes = list(cluster.topology.graph.nodes)

@@ -33,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "planes_used", "pxn_path",
     ),
     "routing": (
-        "RoutingPolicy", "collision_free_static_table", "ecmp_index",
+        "NoPathError", "RoutingPolicy", "collision_free_static_table", "ecmp_index",
         "equal_cost_path_table", "equal_cost_paths", "route_flows", "shifted_ring_flows",
         "spread_flows",
     ),

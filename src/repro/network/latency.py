@@ -118,7 +118,7 @@ def path_latency(
     if msg_bytes:
         # Serialization on the slowest link of the path.
         slowest = min(
-            graph.edges[a, b]["bandwidth"] for a, b in zip(path[:-1], path[1:])
+            graph.adj[a][b]["bandwidth"] for a, b in zip(path[:-1], path[1:])
         )
         total += msg_bytes / slowest
     return total

@@ -41,6 +41,29 @@ class RoutingPolicy(enum.Enum):
     STATIC = "static"
 
 
+class NoPathError(LookupError):
+    """A routed pair has no path: its source or destination is not in the
+    topology, or the destination cannot be reached from the source."""
+
+
+def _predecessors(adj: dict[str, dict[str, dict]], src: str) -> dict[str, list[str]]:
+    """One BFS from ``src``: each reached node's neighbours one level
+    nearer ``src`` (``[]`` for ``src``), in discovery order."""
+    pred: dict[str, list[str]] = {src: []}
+    level = [src]
+    while level:
+        reached: dict[str, list[str]] = {}
+        for node in level:
+            for neighbor in adj[node]:
+                if neighbor in reached:
+                    reached[neighbor].append(node)
+                elif neighbor not in pred:
+                    reached[neighbor] = [node]
+        pred.update(reached)
+        level = list(reached)
+    return pred
+
+
 def equal_cost_path_table(
     topology: Topology, pairs: Sequence[tuple[str, str]]
 ) -> Iterator[tuple[int, list[list[str]]]]:
@@ -48,27 +71,29 @@ def equal_cost_path_table(
 
     Yields ``(index, paths)`` for each ``pairs[index]``, grouped by
     source: sources in order of first appearance, each one's pairs in
-    input order.  ``paths`` is ``sorted(nx.all_shortest_paths(graph,
-    src, dst))``, backtracked from the source's ``nx.predecessor`` BFS.
-    As in networkx, a source missing from the graph raises
-    ``NodeNotFound`` and a destination it cannot reach (or a missing
-    one) raises ``NetworkXNoPath``, once the walk gets to that pair.
+    input order.  ``paths`` is every shortest path from ``src`` to
+    ``dst``, sorted (what ``sorted(nx.all_shortest_paths(...))`` gives),
+    backtracked from the source's BFS.  A source missing from the
+    topology, or a destination that is missing or unreachable, raises
+    :class:`NoPathError` naming the pair, once the walk gets to it.
 
     Only one source's BFS is held at a time, and no entry is kept after
     it is yielded.  Nothing is cached on ``topology``: its graph may be
     edited between calls (see :mod:`repro.reliability.failover`).
     """
-    import networkx as nx
-
+    adj = topology.graph.adj
     by_source: dict[str, list[int]] = {}
     for index, (src, _) in enumerate(pairs):
         by_source.setdefault(src, []).append(index)
     for src, indices in by_source.items():
-        pred = nx.predecessor(topology.graph, src)
+        if src not in adj:
+            dst = pairs[indices[0]][1]
+            raise NoPathError(f"no path {src} -> {dst}: {src} is not in {topology.name}")
+        pred = _predecessors(adj, src)
         for index in indices:
             dst = pairs[index][1]
             if dst not in pred:
-                raise nx.NetworkXNoPath(f"Target {dst} cannot be reached from given sources")
+                raise NoPathError(f"no path {src} -> {dst} in {topology.name}")
             # Walk back one BFS level per step: every partial path sits on
             # the same level, so all of them reach ``src`` together.
             reversed_paths = [[dst]]

@@ -1,12 +1,19 @@
 """Topology core: graphs of GPUs, NICs, switches and links.
 
 Every topology in :mod:`repro.network` is a :class:`Topology`: an
-undirected multigraph-free :mod:`networkx` graph whose nodes are either
-*hosts* (GPU/NIC endpoints) or *switches*, and whose edges carry a
+undirected simple :class:`Graph` whose nodes are either *hosts*
+(GPU/NIC endpoints) or *switches*, and whose edges carry a
 per-direction ``bandwidth`` (bytes/s) and a ``kind`` tag
 (``"endpoint"``, ``"interswitch"`` or ``"nvlink"``).  The flow
 simulator treats each undirected edge as two independent directed
 capacities, matching full-duplex links.
+
+:class:`Graph` is the repo's own adjacency (two dicts and one BFS), not
+:mod:`networkx`: building, routing over and damaging a topology imports
+no graph library.  networkx is used only by
+:func:`repro.faults.network.cluster_reroute`, whose ``nx.shortest_path``
+tie-break picks the detours behind ``BENCH_faults.json``'s reroute
+makespan, and by the tests as the reference oracle.
 
 :class:`TopologySpec` is the lightweight counting record used by the
 Table 3 cost comparison — large topologies (65k-endpoint FT3, 260k-
@@ -17,11 +24,11 @@ graph, while small instances are built as real graphs for simulation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-# networkx is imported where a graph is built or searched, not here: the
-# serving simulator imports this package but never builds a graph, and
-# the import costs ~15 MB of RSS and ~0.2 s in every process that pays it.
+# No networkx here: importing it costs ~18 MB of RSS and ~0.12 s, and the
+# network core needs only an adjacency dict and a BFS.
 
 HOST = "host"
 SWITCH = "switch"
@@ -50,14 +57,95 @@ class TopologySpec:
             raise ValueError("counts must be non-negative")
 
 
+class Graph:
+    """An undirected simple graph as two dicts.
+
+    ``nodes`` maps each node to its attribute dict, and ``adj`` maps each
+    node to its neighbours, each to the link's attribute dict (one dict
+    shared by both directions).  Adding, removing and re-adding nodes
+    and edges orders both dicts as :class:`networkx.Graph` orders its
+    own, so :meth:`edges` yields what networkx's ``edges`` yields, in
+    the same order: every routed flow and capacity dict depends on it.
+    """
+
+    __slots__ = ("nodes", "adj")
+
+    def __init__(self) -> None:
+        self.nodes: dict[str, dict] = {}
+        self.adj: dict[str, dict[str, dict]] = {}
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.nodes
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def add_node(self, node: str, /, **attrs: object) -> None:
+        """Add ``node``, or update the attributes of an existing one."""
+        if node in self.nodes:
+            self.nodes[node].update(attrs)
+        else:
+            self.adj[node] = {}
+            self.nodes[node] = attrs
+
+    def add_edge(self, a: str, b: str, /, **attrs: object) -> None:
+        """Add edge (a, b), adding missing endpoints, or update its attributes."""
+        for node in (a, b):
+            if node not in self.nodes:
+                self.add_node(node)
+        data = self.adj[a].get(b, {})
+        data.update(attrs)
+        self.adj[a][b] = data
+        self.adj[b][a] = data
+
+    def remove_node(self, node: str) -> None:
+        """Remove ``node`` and its edges; ``KeyError`` if it is absent."""
+        for neighbor in self.adj.pop(node):
+            if neighbor != node:
+                del self.adj[neighbor][node]
+        del self.nodes[node]
+
+    def remove_edge(self, a: str, b: str) -> None:
+        """Remove edge (a, b); ``KeyError`` if it is absent."""
+        del self.adj[a][b]
+        if a != b:
+            del self.adj[b][a]
+
+    def has_edge(self, a: str, b: str) -> bool:
+        return a in self.adj and b in self.adj[a]
+
+    def edges(self, data: bool = False) -> Iterator[tuple]:
+        """Each edge once, as ``(a, b)`` or ``(a, b, attrs)``: ``a`` is the
+        endpoint that comes first in ``adj``."""
+        seen: set[str] = set()
+        for a, neighbors in self.adj.items():
+            for b, attrs in neighbors.items():
+                if b not in seen:
+                    yield (a, b, attrs) if data else (a, b)
+            seen.add(a)
+
+    def component(self, source: str) -> set[str]:
+        """Every node connected to ``source``, itself included (one BFS)."""
+        adj = self.adj
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for neighbor in adj[node]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        reached.append(neighbor)
+            frontier = reached
+        return seen
+
+
 class Topology:
     """A network graph with typed nodes and capacitated links."""
 
     def __init__(self, name: str) -> None:
-        import networkx as nx
-
         self.name = name
-        self.graph = nx.Graph()
+        self.graph = Graph()
 
     # -- construction ---------------------------------------------------
 
@@ -82,12 +170,12 @@ class Topology:
     @property
     def hosts(self) -> list[str]:
         """All host nodes, sorted."""
-        return sorted(n for n, d in self.graph.nodes(data=True) if d["kind"] == HOST)
+        return sorted(n for n, d in self.graph.nodes.items() if d["kind"] == HOST)
 
     @property
     def switches(self) -> list[str]:
         """All switch nodes, sorted."""
-        return sorted(n for n, d in self.graph.nodes(data=True) if d["kind"] == SWITCH)
+        return sorted(n for n, d in self.graph.nodes.items() if d["kind"] == SWITCH)
 
     def links(self, kind: str | None = None) -> list[tuple[str, str]]:
         """Edges, optionally filtered by kind."""
@@ -109,30 +197,26 @@ class Topology:
 
     def bandwidth(self, a: str, b: str) -> float:
         """Per-direction bandwidth of link (a, b)."""
-        return self.graph.edges[a, b]["bandwidth"]
+        return self.graph.adj[a][b]["bandwidth"]
 
     def degree_of(self, node: str) -> int:
         """Link count at ``node``."""
-        return self.graph.degree[node]
+        return len(self.graph.adj[node])
 
     def max_switch_degree(self) -> int:
         """Largest switch degree (must not exceed the switch radix)."""
-        degrees = [self.graph.degree[s] for s in self.switches]
-        return max(degrees) if degrees else 0
+        return max((self.degree_of(s) for s in self.switches), default=0)
 
     def validate_radix(self, ports: int) -> None:
         """Raise if any switch uses more links than it has ports."""
         for s in self.switches:
-            if self.graph.degree[s] > ports:
-                raise ValueError(
-                    f"switch {s} uses {self.graph.degree[s]} ports, radix is {ports}"
-                )
+            if self.degree_of(s) > ports:
+                raise ValueError(f"switch {s} uses {self.degree_of(s)} ports, radix is {ports}")
 
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""
-        import networkx as nx
-
-        return nx.is_connected(self.graph) if len(self.graph) else True
+        nodes = self.graph.nodes
+        return not nodes or len(self.graph.component(next(iter(nodes)))) == len(nodes)
 
     def switch_hops(self, path: list[str]) -> int:
         """Number of switch nodes traversed by a path."""

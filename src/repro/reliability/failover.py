@@ -25,7 +25,7 @@ def fail_link(topology: Topology, a: str, b: str) -> dict:
     """
     if not topology.graph.has_edge(a, b):
         raise KeyError(f"no link {a} -- {b}")
-    attrs = dict(topology.graph.edges[a, b])
+    attrs = dict(topology.graph.adj[a][b])
     topology.graph.remove_edge(a, b)
     return attrs
 
@@ -46,10 +46,7 @@ def fail_switch(topology: Topology, switch: str) -> tuple[dict, list[tuple[str, 
     if switch not in topology.graph or topology.graph.nodes[switch]["kind"] != SWITCH:
         raise KeyError(f"{switch} is not a switch")
     node_attrs = dict(topology.graph.nodes[switch])
-    links = [
-        (neighbor, dict(data))
-        for neighbor, data in topology.graph.adj[switch].items()
-    ]
+    links = [(neighbor, dict(data)) for neighbor, data in topology.graph.adj[switch].items()]
     topology.graph.remove_node(switch)
     return node_attrs, links
 
@@ -95,10 +92,13 @@ def failed(
 
 
 def hosts_reachable(topology: Topology, src: str, dst: str) -> bool:
-    """Whether two hosts can still communicate."""
-    import networkx as nx
-
-    return nx.has_path(topology.graph, src, dst)
+    """Whether two hosts can still communicate (``KeyError`` if either
+    is not in the topology)."""
+    graph = topology.graph
+    for host in (src, dst):
+        if host not in graph:
+            raise KeyError(f"{host} is not in {topology.name}")
+    return dst in graph.component(src)
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,14 @@ class FailureImpact:
 
 def assess_impact(cluster: ClusterNetwork, sample_pairs: int | None = None) -> FailureImpact:
     """Measure pairwise connectivity of a (possibly damaged) cluster."""
-    import networkx as nx
-
     gpus = cluster.gpus()
     graph = cluster.topology.graph
-    components = list(nx.connected_components(graph))
-    comp_of: dict[str, int] = {}
-    for ci, comp in enumerate(components):
-        for node in comp:
-            if node in comp_of or node not in graph:
-                continue
-            comp_of[node] = ci
+    # Label each GPU's component by the first GPU found in it (one BFS per
+    # component); a GPU missing from the graph has no label.
+    comp_of: dict[str, str] = {}
+    for gpu in gpus:
+        if gpu in graph and gpu not in comp_of:
+            comp_of.update(dict.fromkeys(graph.component(gpu), gpu))
     disconnected = 0
     total = 0
     affected: set[int] = set()

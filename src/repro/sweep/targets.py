@@ -392,9 +392,7 @@ def flowsim_scenario(config: dict):
 
 @register_target(
     "flowsim",
-    warm=warm_imports(
-        "networkx", "repro.network.fattree", "repro.network.flowsim", "repro.network.routing"
-    ),
+    warm=warm_imports("repro.network.fattree", "repro.network.flowsim", "repro.network.routing"),
 )
 def _flowsim_target(config: dict, seed: int) -> dict:
     del seed  # the routed shifted-ring pattern is fully deterministic

@@ -16,6 +16,8 @@ from repro.comm import (
 from repro.model import node_limited_topk, topk_routing
 from repro.network import build_mpft_cluster, gpu_name, planes_used
 
+from .graph_oracle import to_networkx
+
 RNG = np.random.default_rng
 
 
@@ -161,7 +163,7 @@ def test_ep_stage_time_is_drain_plus_latency(nodes, nodes_per_leaf, stage):
     bandwidth, plus the largest flow latency, computed here from the
     flows and the graph without the flow simulator."""
     dep, decisions, _, _, flows = _ep_stage_case(nodes, nodes_per_leaf, stage, seed=12)
-    graph = dep.cluster.topology.graph
+    graph = to_networkx(dep.cluster.topology)
     load = {}
     for flow in flows:
         for edge in zip(flow.path[:-1], flow.path[1:]):

@@ -50,6 +50,8 @@ from repro.serving import (
 )
 from repro.training import simulate_checkpointed_training
 
+from .graph_oracle import to_networkx
+
 
 # -- schedules -----------------------------------------------------------
 
@@ -378,11 +380,11 @@ class TestFailoverRestore:
         cluster = build_mpft_cluster(2)
         topo = cluster.topology
         a, b = "n0g0", "MPFT/p0/leaf0"
-        before = dict(topo.graph.edges[a, b])
+        before = dict(to_networkx(topo).edges[a, b])
         attrs = fail_link(topo, a, b)
         assert not topo.graph.has_edge(a, b)
         restore_link(topo, a, b, attrs)
-        assert dict(topo.graph.edges[a, b]) == before
+        assert dict(to_networkx(topo).edges[a, b]) == before
         with pytest.raises(KeyError):
             restore_link(topo, a, b, attrs)  # already up
         with pytest.raises(KeyError):
@@ -392,12 +394,12 @@ class TestFailoverRestore:
         cluster = build_mpft_cluster(2)
         topo = cluster.topology
         switch = "MPFT/p1/leaf0"
-        degree = topo.graph.degree[switch]
+        degree = to_networkx(topo).degree[switch]
         node_attrs, links = fail_switch(topo, switch)
         assert switch not in topo.graph
         assert len(links) == degree
         restore_switch(topo, switch, node_attrs, links)
-        assert topo.graph.degree[switch] == degree
+        assert to_networkx(topo).degree[switch] == degree
         assert topo.graph.nodes[switch]["plane"] == 1
         with pytest.raises(KeyError):
             restore_switch(topo, switch, node_attrs, links)
@@ -407,22 +409,22 @@ class TestFailoverRestore:
     def test_failed_context_manager_heals(self):
         cluster = build_mpft_cluster(2)
         topo = cluster.topology
-        edges_before = topo.graph.number_of_edges()
+        edges_before = to_networkx(topo).number_of_edges()
         with failed(topo, links=(("n0g0", "MPFT/p0/leaf0"),), switches=("MPFT/p0/leaf0",)):
             assert "MPFT/p0/leaf0" not in topo.graph
             # Plane 0 is gone, but the NVLink detour keeps hosts reachable.
             assert hosts_reachable(topo, "n0g0", "n1g0")
-        assert topo.graph.number_of_edges() == edges_before
+        assert to_networkx(topo).number_of_edges() == edges_before
         assert topo.graph.has_edge("n0g0", "MPFT/p0/leaf0")
 
     def test_failed_restores_on_exception(self):
         cluster = build_mpft_cluster(2)
         topo = cluster.topology
-        edges_before = topo.graph.number_of_edges()
+        edges_before = to_networkx(topo).number_of_edges()
         with pytest.raises(RuntimeError):
             with failed(topo, switches=("MPFT/p0/leaf0",)):
                 raise RuntimeError("body blew up")
-        assert topo.graph.number_of_edges() == edges_before
+        assert to_networkx(topo).number_of_edges() == edges_before
 
 
 # -- network flow integration --------------------------------------------

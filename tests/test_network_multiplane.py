@@ -1,5 +1,6 @@
 """MPFT / MRFT cluster builders and PXN path selection (Section 5.1)."""
 
+import networkx as nx
 import pytest
 
 from repro.network import (
@@ -11,6 +12,8 @@ from repro.network import (
     uses_nvlink_forwarding,
 )
 from repro.network.multiplane import pxn_relay
+
+from .graph_oracle import to_networkx
 
 
 def test_gpu_naming():
@@ -39,18 +42,14 @@ def test_mrft_cross_rail_has_network_path():
     path = equal_cost_paths(c.topology, "n0g0", "n1g3")[0]
     # The shortest path may still prefer NVLink (3 hops); check that a
     # cross-rail network route exists at all by removing NVLink.
-    import networkx as nx
-
-    g = c.topology.graph.copy()
+    g = to_networkx(c.topology)
     g.remove_nodes_from([f"n{i}/nvsw" for i in range(16)])
     assert nx.has_path(g, "n0g0", "n1g3")
 
 
 def test_mpft_cross_plane_requires_nvlink():
-    import networkx as nx
-
     c = build_mpft_cluster(16)
-    g = c.topology.graph.copy()
+    g = to_networkx(c.topology)
     g.remove_nodes_from([f"n{i}/nvsw" for i in range(16)])
     assert not nx.has_path(g, "n0g0", "n1g3")
 

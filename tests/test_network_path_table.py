@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.network import (
     DragonflyParams,
     Flow,
+    NoPathError,
     RoutingPolicy,
     all_to_all_flows,
     build_dragonfly,
@@ -28,8 +29,11 @@ from repro.network import (
     three_layer_fat_tree,
     two_layer_fat_tree,
 )
+from repro.network import routing
 from repro.network.collectives import transfer_flows
 from repro.network.multiplane import pxn_relay
+
+from .graph_oracle import to_networkx
 
 #: Small instances of every topology family the repo builds.
 TOPOLOGIES = {
@@ -43,11 +47,12 @@ TOPOLOGIES = {
 
 
 def _reference_paths(graph, src, dst):
-    """One ``nx.all_shortest_paths`` search per pair, or the exception type."""
+    """One ``nx.all_shortest_paths`` search per pair, or None where
+    networkx refuses the pair."""
     try:
         return sorted(nx.all_shortest_paths(graph, src, dst))
-    except nx.NetworkXException as exc:
-        return type(exc)
+    except nx.NetworkXException:
+        return None
 
 
 @st.composite
@@ -74,24 +79,30 @@ def _table_cases(draw):
 @given(case=_table_cases())
 def test_table_equals_one_networkx_search_per_pair(case):
     """Each entry is ``sorted(nx.all_shortest_paths(...))``; the walk is
-    by source in first-appearance order, and it stops with networkx's own
-    exception type at the first pair networkx refuses."""
+    by source in first-appearance order, and it stops with ``NoPathError``
+    at the first pair networkx refuses (networkx raises ``NodeNotFound``
+    or ``NetworkXNoPath`` there)."""
     topo, pairs = case
-    expected = [_reference_paths(topo.graph, src, dst) for src, dst in pairs]
+    graph = to_networkx(topo)
+    expected = [_reference_paths(graph, src, dst) for src, dst in pairs]
     sources = list(dict.fromkeys(src for src, _ in pairs))
     walk = [i for src in sources for i, pair in enumerate(pairs) if pair[0] == src]
-    failure = next((i for i in walk if isinstance(expected[i], type)), None)
+    failure = next((i for i in walk if expected[i] is None), None)
     entries = []
     raised = None
     try:
         for index, paths in equal_cost_path_table(topo, pairs):
             entries.append((index, paths))
-    except nx.NetworkXException as exc:
-        raised = type(exc)
+    except NoPathError as exc:
+        raised = exc
     stop = len(walk) if failure is None else walk.index(failure)
     assert [index for index, _ in entries] == walk[:stop]
     assert all(paths == expected[index] for index, paths in entries)
-    assert raised is (None if failure is None else expected[failure])
+    if failure is None:
+        assert raised is None
+    else:
+        src, dst = pairs[failure]
+        assert f"no path {src} -> {dst}" in str(raised)
 
 
 def test_table_runs_one_bfs_per_distinct_source(monkeypatch):
@@ -104,16 +115,27 @@ def test_table_runs_one_bfs_per_distinct_source(monkeypatch):
     assert table[0] == [["h0", "FT2/leaf0", f"FT2/spine{s}", "FT2/leaf1", "h3"] for s in (0, 1)]
 
 
+def test_no_path_error_names_the_pair():
+    """A missing source, a missing destination and an unreachable one
+    each raise ``NoPathError`` (a ``LookupError``) naming the pair."""
+    topo = two_layer_fat_tree(2, 2, 2)
+    topo.add_host("island")
+    for src, dst in [("ghost", "h0"), ("h0", "ghost"), ("h0", "island")]:
+        with pytest.raises(NoPathError, match=f"no path {src} -> {dst}"):
+            equal_cost_paths(topo, src, dst)
+    assert issubclass(NoPathError, LookupError)
+
+
 def _count_bfs(monkeypatch) -> list:
-    """Record the source of every ``nx.predecessor`` BFS."""
+    """Record the source of every BFS the path table runs."""
     calls = []
-    predecessor = nx.predecessor
+    predecessors = routing._predecessors
 
-    def counted(graph, source, *args, **kwargs):
+    def counted(adj, source):
         calls.append(source)
-        return predecessor(graph, source, *args, **kwargs)
+        return predecessors(adj, source)
 
-    monkeypatch.setattr(nx, "predecessor", counted)
+    monkeypatch.setattr(routing, "_predecessors", counted)
     return calls
 
 
@@ -148,21 +170,12 @@ def test_all_to_all_runs_one_bfs_per_gpu(monkeypatch, build):
 )
 def test_allreduce_rings_run_one_bfs_per_source_gpu(monkeypatch, run):
     """Both all-reduces on 8 nodes route their 64 network sources from the
-    table (intra-node hops are NVLink paths): one BFS per source GPU and
-    no per-pair ``nx.all_shortest_paths`` search."""
+    table (intra-node hops are NVLink paths): one BFS per source GPU, so
+    no source is searched twice (a per-pair search would repeat one)."""
     cluster = build_mpft_cluster(8)
     calls = _count_bfs(monkeypatch)
-    searches = []
-    search = nx.all_shortest_paths
-
-    def counted(graph, source, target, *args, **kwargs):
-        searches.append((source, target))
-        return search(graph, source, target, *args, **kwargs)
-
-    monkeypatch.setattr(nx, "all_shortest_paths", counted)
     run(cluster, 1e6)
     assert len(calls) == len(set(calls)) == 64
-    assert searches == []
 
 
 def test_self_sending_shift_is_refused():
@@ -176,9 +189,10 @@ def test_self_sending_shift_is_refused():
 # -- builders against a per-pair reference ---------------------------------
 
 
-def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
-    """``route_flows`` of one transfer, as one networkx search for the pair."""
-    paths = sorted(nx.all_shortest_paths(topo.graph, src, dst))
+def _reference_route(graph, src, dst, size, policy, static_table=None, tag=""):
+    """``route_flows`` of one transfer, as one networkx search for the
+    pair in ``graph`` (the topology's :func:`to_networkx` copy)."""
+    paths = sorted(nx.all_shortest_paths(graph, src, dst))
     if policy is RoutingPolicy.ADAPTIVE:
         return [Flow(src, dst, size / len(paths), p, tag=tag) for p in paths]
     if policy is RoutingPolicy.ECMP:
@@ -188,13 +202,14 @@ def _reference_route(topo, src, dst, size, policy, static_table=None, tag=""):
     return [Flow(src, dst, size, paths[index], tag=tag)]
 
 
-def _reference_pair(cluster, src, dst, size, tag):
-    """``transfer_flows`` of one transfer, as one networkx search for the pair."""
+def _reference_pair(cluster, graph, src, dst, size, tag):
+    """``transfer_flows`` of one transfer, as one networkx search for the
+    pair in ``graph`` (the cluster topology's :func:`to_networkx` copy)."""
     if cluster.same_node(src, dst):
         path = [src, f"n{cluster.node_of[src]}/nvsw", dst]
         return [Flow(src, dst, size, path, latency=path_latency(cluster, path), tag=tag)]
     prefix, net_src = pxn_relay(cluster, src, dst)
-    paths = [prefix + p for p in sorted(nx.all_shortest_paths(cluster.topology.graph, net_src, dst))]
+    paths = [prefix + p for p in sorted(nx.all_shortest_paths(graph, net_src, dst))]
     latency = path_latency(cluster, paths[0])
     return [Flow(src, dst, size / len(paths), p, latency=latency, tag=tag) for p in paths]
 
@@ -205,6 +220,7 @@ def test_shifted_ring_matches_per_pair_routing(name, policy):
     """``route_flows`` of the shifted-ring transfers under each policy,
     and ``shifted_ring_flows`` (always ECMP), match per-pair routing."""
     topo = TOPOLOGIES[name]()
+    graph = to_networkx(topo)
     hosts = topo.hosts
     shifts = [1, 2, len(hosts) + 1]  # the last repeats shift 1's pairs
     transfers = [
@@ -215,7 +231,7 @@ def test_shifted_ring_matches_per_pair_routing(name, policy):
     expected = [
         flow
         for src, dst, size, tag in transfers
-        for flow in _reference_route(topo, src, dst, size, policy, tag=tag)
+        for flow in _reference_route(graph, src, dst, size, policy, tag=tag)
     ]
     assert route_flows(topo, transfers, policy) == expected
     if policy is RoutingPolicy.ECMP:
@@ -226,9 +242,10 @@ def test_static_table_and_rings_match_per_pair_routing():
     topo = two_layer_fat_tree(4, 4, 4)
     rings = [[f"h{leaf * 4 + slot}" for leaf in range(4)] for slot in range(4)]
     pairs = [(r[i], r[(i + 1) % len(r)]) for r in rings for i in range(len(r))]
+    graph = to_networkx(topo)
     link_use, expected_table = {}, {}
     for src, dst in pairs:
-        paths = sorted(nx.all_shortest_paths(topo.graph, src, dst))
+        paths = sorted(nx.all_shortest_paths(graph, src, dst))
         costs = [max(link_use.get(e, 0) for e in zip(p[:-1], p[1:])) for p in paths]
         best = costs.index(min(costs))
         expected_table[(src, dst)] = best
@@ -243,7 +260,7 @@ def test_static_table_and_rings_match_per_pair_routing():
                 flow
                 for i, src in enumerate(ring)
                 for flow in _reference_route(
-                    topo, src, ring[(i + 1) % len(ring)], per_link, policy, table, "ring"
+                    graph, src, ring[(i + 1) % len(ring)], per_link, policy, table, "ring"
                 )
             ]
             assert ring_collective_flows(topo, ring, 4e6, policy, table) == expected
@@ -256,12 +273,13 @@ def test_static_table_and_rings_match_per_pair_routing():
 def test_all_to_all_matches_per_pair_routing(build, spread):
     cluster = build(3, nodes_per_leaf=2)
     gpus = cluster.gpus()[::3]  # a mix of same-node, same-plane and cross-plane pairs
+    graph = to_networkx(cluster.topology)
     expected = [
         flow
         for src in gpus
         for dst in gpus
         if src != dst
-        for flow in _reference_pair(cluster, src, dst, 1e6, "a2a")
+        for flow in _reference_pair(cluster, graph, src, dst, 1e6, "a2a")
     ]
     assert all_to_all_flows(cluster, gpus, 1e6) == expected
 

@@ -1,12 +1,18 @@
 """Topology core and fat-tree builders."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network import (
     ENDPOINT_LINK,
     INTERSWITCH_LINK,
+    DragonflyParams,
     Topology,
     TopologySpec,
+    build_dragonfly,
+    build_mpft_cluster,
+    build_slimfly,
     equal_cost_paths,
     ft2_from_radix,
     ft2_spec,
@@ -14,6 +20,10 @@ from repro.network import (
     three_layer_fat_tree,
     two_layer_fat_tree,
 )
+from repro.network.topology import Graph
+from repro.reliability import assess_impact, failed, hosts_reachable
+
+from .graph_oracle import to_networkx
 
 
 def test_add_nodes_and_links():
@@ -123,3 +133,119 @@ def test_invalid_builders():
         ft2_spec(7)
     with pytest.raises(ValueError):
         ft3_spec(0)
+
+
+# -- the graph against networkx ---------------------------------------------
+
+_NAMES = ["a", "b", "c", "d", "e"]
+_ATTRS = st.dictionaries(
+    st.sampled_from(["kind", "bandwidth", "plane"]), st.integers(0, 3), max_size=2
+)
+_OPS = st.one_of(
+    st.tuples(st.just("add_node"), st.sampled_from(_NAMES), _ATTRS),
+    st.tuples(st.just("add_edge"), st.sampled_from(_NAMES), st.sampled_from(_NAMES), _ATTRS),
+    st.tuples(st.just("remove_node"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("remove_edge"), st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_graph_orders_nodes_and_edges_as_networkx(ops):
+    """Any add/remove/re-add sequence leaves ``nodes``, ``adj`` and
+    ``edges(data=True)`` in the order (and with the attributes)
+    ``nx.Graph`` has after the same sequence."""
+    graph, reference = Graph(), nx.Graph()
+    for op, *args in ops:
+        if op == "add_node":
+            graph.add_node(args[0], **args[1])
+            reference.add_node(args[0], **args[1])
+        elif op == "add_edge":
+            graph.add_edge(args[0], args[1], **args[2])
+            reference.add_edge(args[0], args[1], **args[2])
+        elif op == "remove_node":
+            if args[0] not in reference:
+                with pytest.raises(KeyError):
+                    graph.remove_node(args[0])
+                continue
+            graph.remove_node(args[0])
+            reference.remove_node(args[0])
+        else:
+            assert graph.has_edge(*args) == reference.has_edge(*args)
+            if not reference.has_edge(*args):
+                with pytest.raises(KeyError):
+                    graph.remove_edge(*args)
+                continue
+            graph.remove_edge(*args)
+            reference.remove_edge(*args)
+    assert len(graph) == len(reference)
+    assert list(graph.nodes.items()) == list(reference.nodes(data=True))
+    assert [(n, list(nbrs.items())) for n, nbrs in graph.adj.items()] == [
+        (n, list(nbrs.items())) for n, nbrs in reference.adj.items()
+    ]
+    assert list(graph.edges(data=True)) == list(reference.edges(data=True))
+    assert list(graph.edges()) == list(reference.edges())
+
+
+def _mpft():
+    cluster = build_mpft_cluster(2, nodes_per_leaf=1)
+    return cluster.topology, cluster
+
+
+#: One small instance of each family; MPFT also yields its cluster, the
+#: input of ``assess_impact``.
+_FAMILIES = {
+    "ft2": lambda: (two_layer_fat_tree(3, 2, 2), None),
+    "ft3": lambda: (three_layer_fat_tree(4), None),
+    "dragonfly": lambda: (build_dragonfly(DragonflyParams(p=1, a=3, h=1, g=4)), None),
+    "slimfly": lambda: (build_slimfly(5), None),
+    "mpft": _mpft,
+}
+
+
+@st.composite
+def _damage(draw):
+    topo, cluster = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]()
+    links = draw(st.lists(st.sampled_from(topo.links()), max_size=6, unique=True))
+    switches = draw(st.lists(st.sampled_from(topo.switches), max_size=3, unique=True))
+    host = st.sampled_from(topo.hosts)
+    pairs = draw(st.lists(st.tuples(host, host), min_size=1, max_size=8))
+    return topo, cluster, tuple(links), tuple(switches), pairs
+
+
+def _reference_impact(cluster, graph):
+    """``(disconnected_pairs, affected_planes)`` of ``assess_impact``,
+    from networkx's connected components of the damaged ``graph``."""
+    component = {
+        node: index for index, nodes in enumerate(nx.connected_components(graph)) for node in nodes
+    }
+    gpus = cluster.gpus()
+    pairs = [(a, b) for i, a in enumerate(gpus) for b in gpus[i + 1 :]]
+    cut = [(a, b) for a, b in pairs if component[a] != component[b]]
+    return len(cut), {cluster.plane_of[gpu] for pair in cut for gpu in pair}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_damage())
+def test_reachability_and_round_trips_match_networkx(case):
+    """Under random link and switch failures, ``is_connected``,
+    ``hosts_reachable`` and ``assess_impact`` give networkx's answers on
+    the damaged graph; healing leaves the graph exactly as the same
+    failover code leaves an ``nx.Graph`` copy (edge order and
+    attributes), with every original link back."""
+    topo, cluster, links, switches, pairs = case
+    before = {frozenset((a, b)): dict(d) for a, b, d in topo.graph.edges(data=True)}
+    mirror = Topology(topo.name)
+    mirror.graph = to_networkx(topo)  # the failover code duck-types over nx.Graph
+    with failed(topo, links=links, switches=switches), failed(mirror, links, switches):
+        damaged = to_networkx(topo)
+        assert topo.is_connected() == nx.is_connected(damaged)
+        for a, b in pairs:
+            assert hosts_reachable(topo, a, b) == nx.has_path(damaged, a, b)
+        if cluster is not None:
+            impact = assess_impact(cluster)
+            expected = _reference_impact(cluster, damaged)
+            assert (impact.disconnected_pairs, impact.affected_planes) == expected
+    assert list(topo.graph.nodes.items()) == list(mirror.graph.nodes(data=True))
+    assert list(topo.graph.edges(data=True)) == list(mirror.graph.edges(data=True))
+    assert {frozenset((a, b)): d for a, b, d in topo.graph.edges(data=True)} == before

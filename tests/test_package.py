@@ -225,6 +225,63 @@ def test_warm_hook_covers_a_point(target, point):
     assert out.strip() == "[]"
 
 
+#: Network-core runs that must not import networkx: ``flowsim-ep``'s
+#: scenario, a 4-node MPFT all-to-all, a plane failure's impact, and one
+#: ``flowsim`` sweep point.  CI's perf-smoke job runs the same four with
+#: the import blocked.
+NETWORK_CORE_RUNS = {
+    "flowsim-ep": (
+        "from repro.network import FlowSimulator, shifted_ring_flows, two_layer_fat_tree\n"
+        "topo = two_layer_fat_tree(2, 4, 2)\n"
+        "FlowSimulator(topo).simulate(shifted_ring_flows(topo, range(1, 4), 64e6))\n"
+    ),
+    "mpft-all-to-all": (
+        "from repro.network import all_to_all_flows, build_mpft_cluster\n"
+        "cluster = build_mpft_cluster(4)\n"
+        "assert len(all_to_all_flows(cluster, cluster.gpus(), 1e6)) > 0\n"
+    ),
+    "plane-failure": (
+        "from repro.network import build_mpft_cluster\n"
+        "from repro.reliability import assess_impact, fail_entire_plane\n"
+        "cluster = build_mpft_cluster(4)\n"
+        "fail_entire_plane(cluster, 0)\n"
+        "assert assess_impact(cluster).connectivity == 1.0\n"
+    ),
+    "flowsim-point": (
+        "from repro.sweep import resolve_target\n"
+        "point = {'num_leaves': 2, 'hosts_per_leaf': 2, 'shifts': 1}\n"
+        "resolve_target('flowsim', [point])(point, 0)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(NETWORK_CORE_RUNS))
+def test_network_core_runs_without_networkx(run):
+    out = _fresh(f"import sys\n{NETWORK_CORE_RUNS[run]}print('networkx' in sys.modules)\n")
+    assert out.strip() == "False"
+
+
+def test_a_rerouting_fault_run_imports_networkx():
+    """``cluster_reroute`` is the one networkx user: a plane outage
+    rerouted by it loads networkx."""
+    out = _fresh(
+        "import sys\n"
+        "from repro.faults import FaultEvent, FaultSchedule, cluster_reroute\n"
+        "from repro.faults import expand_plane_schedule\n"
+        "from repro.network import Flow, FlowSimulator, build_mpft_cluster, pxn_path\n"
+        "cluster = build_mpft_cluster(4)\n"
+        "flows = [Flow('n0g0', 'n1g0', 1e9, pxn_path(cluster, 'n0g0', 'n1g0'))]\n"
+        "plane = FaultSchedule(events=(FaultEvent(time=0.001, kind='plane', target='0'),))\n"
+        "schedule = expand_plane_schedule(cluster, plane)\n"
+        "before = 'networkx' in sys.modules\n"
+        "result = FlowSimulator(cluster.topology).simulate(\n"
+        "    flows, faults=schedule, reroute=cluster_reroute(cluster))\n"
+        "assert 0 in result.fault_report.rerouted\n"
+        "print(before, 'networkx' in sys.modules)\n"
+    )
+    assert out.strip() == "False True"
+
+
 def test_package_version_matches_pyproject():
     """``repro.__version__`` is folded into sweep cache keys and served
     on ``/healthz``; the distribution metadata must say the same."""
