@@ -620,7 +620,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         server = ExperimentServer(config)
         await server.start()
         cache = "off" if server.cache is None else str(server.cache.root)
-        resumed = sum(1 for j in server.manager.jobs.values() if not j.terminal)
+        resumed = len(server.manager.live)
         print(
             f"repro service listening on http://{server.host}:{server.port}",
             flush=True,

@@ -117,7 +117,7 @@ class FailureImpact:
         return 1.0 - self.disconnected_pairs / self.total_pairs
 
 
-def assess_impact(cluster: ClusterNetwork, sample_pairs: int | None = None) -> FailureImpact:
+def assess_impact(cluster: ClusterNetwork) -> FailureImpact:
     """Measure pairwise connectivity of a (possibly damaged) cluster."""
     gpus = cluster.gpus()
     graph = cluster.topology.graph

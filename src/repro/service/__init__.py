@@ -57,7 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "client": ("ServiceClient",),
     "dash": ("render_dashboard",),
     "events": ("EventBroker", "TERMINAL_EVENTS"),
-    "jobs": ("Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES"),
+    "jobs": ("FinishedJob", "Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES"),
     "server": ("ExperimentServer", "ServiceConfig"),
     "state": ("StateStore",),
 })

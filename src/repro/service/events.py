@@ -1,6 +1,8 @@
 """Per-job event fan-out with bounded per-client buffers.
 
-Every job owns one :class:`EventBroker`.  The sweep thread pushes
+Every live job owns one :class:`EventBroker`; a finished job keeps
+only its :meth:`~EventBroker.replay`, encoded once
+(:class:`repro.service.jobs.FinishedJob`).  The sweep thread pushes
 events through the event loop into each subscriber's bounded
 ``asyncio.Queue`` — **never** awaiting, so a slow or stalled SSE client
 cannot block the worker or grow server memory:
@@ -80,12 +82,17 @@ class EventBroker:
         """
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.buffer)
         self._subscribers.add(queue)
+        return self.replay(), queue
+
+    def replay(self) -> list[tuple[str, dict]]:
+        """The frames a new subscriber is replayed: the kept history,
+        led by the ``truncated`` marker when the cap dropped events."""
         replay = list(self.history)
         if self.trimmed:
             replay.insert(
                 0, ("truncated", {"trimmed": self.trimmed, "kept": len(replay)})
             )
-        return replay, queue
+        return replay
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         self._subscribers.discard(queue)

@@ -30,12 +30,18 @@ sweep writes every evaluated point to the shared
 can always be restarted: non-terminal journaled jobs are re-enqueued
 and re-run, and every point that completed before the kill is a cache
 hit — resume recomputes only unevaluated points.
+
+The manager's memory follows its live work.  A job that turns terminal
+is swapped for a :class:`FinishedJob` — its summary, its metrics
+registry and its encoded SSE replay — and only live jobs are scanned by
+the watchdog, drain, capacity check and utilization gauges.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -57,9 +63,12 @@ from ..sweep import (
 from ..sweep.targets import check_points
 from .breaker import CircuitBreaker
 from .events import EventBroker
+from .http import sse_event
 from .state import StateStore
 
-__all__ = ["Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES"]
+__all__ = [
+    "FinishedJob", "Job", "JobManager", "JobSpec", "ServiceBusy", "TERMINAL_STATES",
+]
 
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
@@ -279,28 +288,15 @@ class Job:
 
     def describe(self) -> dict:
         """The ``GET /jobs`` / ``GET /jobs/{id}`` summary."""
-        return {
-            "id": self.id,
-            "name": self.spec.name,
-            "target": self.spec.target,
-            "state": self.state,
-            "resumed": self.resumed,
-            "created": self.created,
-            "seed": self.spec.seed,
-            "workers": self.spec.workers,
-            "total": self.total,
-            "done": self.done_points,
-            "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "errors": self.errors,
-            **({"error": self.error} if self.error else {}),
-            **({"hung": True} if self.hung else {}),
-            **(
-                {"deadline_s": self.spec.deadline_s}
-                if self.spec.deadline_s is not None
-                else {}
-            ),
-        }
+        return _summary(
+            self.spec,
+            self.state,
+            self._counts(),
+            resumed=self.resumed,
+            created=self.created,
+            error=self.error,
+            hung=self.hung,
+        )
 
     def _counts(self) -> dict:
         return {
@@ -311,6 +307,79 @@ class Job:
             "cache_hits": self.cache_hits,
             "errors": self.errors,
         }
+
+
+def _summary(
+    spec: JobSpec,
+    state: str,
+    counts: dict,
+    *,
+    resumed: bool,
+    created: float,
+    error: str | None = None,
+    hung: bool = False,
+) -> dict:
+    """A job's ``describe()`` dict from its spec, state and counts."""
+    return {
+        "id": counts["job"],
+        "name": spec.name,
+        "target": sys.intern(spec.target),
+        "state": state,
+        "resumed": resumed,
+        "created": created,
+        "seed": spec.seed,
+        "workers": spec.workers,
+        "total": counts["total"],
+        "done": counts["done"],
+        "evaluated": counts["evaluated"],
+        "cache_hits": counts["cache_hits"],
+        "errors": counts["errors"],
+        **({"error": error} if error else {}),
+        **({"hung": True} if hung else {}),
+        **({"deadline_s": spec.deadline_s} if spec.deadline_s is not None else {}),
+    }
+
+
+class FinishedJob:
+    """What a terminal job keeps: its summary, its metrics registry and
+    its SSE replay, encoded once.
+
+    The live :class:`Job`'s broker, tracer, events and spec are dropped
+    when it turns terminal (a ``done`` job's trace is already an
+    artifact), so the server's memory scales with live work rather than
+    with every job it has served.  ``GET /jobs/{id}`` and the
+    ``/metrics`` scrape still read ``metrics``, and a late SSE
+    subscriber is sent ``replay`` verbatim: the bytes a subscriber to
+    the job's broker would have been replayed.
+    """
+
+    __slots__ = ("_keys", "_values", "metrics", "replay")
+
+    def __init__(self, summary: dict, metrics: MetricsRegistry, replay: bytes) -> None:
+        # The summary is kept as a tuple of values under a key tuple
+        # shared by every record of the same layout: a third of a dict.
+        keys = tuple(summary)
+        self._keys = _SUMMARY_LAYOUTS.setdefault(keys, keys)
+        self._values = tuple(summary.values())
+        self.metrics = metrics
+        self.replay = replay
+
+    @classmethod
+    def from_job(cls, job: Job) -> "FinishedJob":
+        replay = b"".join(sse_event(event, data) for event, data in job.broker.replay())
+        return cls(job.describe(), job.metrics, replay)
+
+    @property
+    def state(self) -> str:
+        return self._values[self._keys.index("state")]
+
+    def describe(self) -> dict:
+        return dict(zip(self._keys, self._values))
+
+
+#: The distinct key tuples of finished summaries (a handful: ``error``,
+#: ``hung`` and ``deadline_s`` are the only optional keys).
+_SUMMARY_LAYOUTS: dict[tuple, tuple] = {}
 
 
 class JobManager:
@@ -346,7 +415,12 @@ class JobManager:
         self.breaker = breaker
         self.hung_after_s = hung_after_s
         self.watchdog_interval_s = watchdog_interval_s
-        self.jobs: dict[str, Job] = {}
+        # Every job the server knows, in submission order: a Job while
+        # it is live, a FinishedJob once it is terminal.  ``live`` indexes
+        # the queued, running and interrupted ones, so nothing that
+        # watches running work scans the finished jobs.
+        self.jobs: dict[str, Job | FinishedJob] = {}
+        self.live: dict[str, Job] = {}
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._tasks: list[asyncio.Task] = []
         self._seq = 0
@@ -406,13 +480,13 @@ class JobManager:
         if not self._drain.is_set():
             self._drain.set()
             self.registry.counter("service.drains").inc()
-            for job in self.jobs.values():
+            for job in self.live.values():
                 if job.state == "queued":
                     self.state.append(
                         job.id, {"kind": "drain", "done": 0, "total": job.total}
                     )
         deadline = time.monotonic() + grace_s
-        while any(job.state == "running" for job in self.jobs.values()):
+        while any(job.state == "running" for job in self.live.values()):
             if time.monotonic() >= deadline:
                 self.registry.counter("service.drain.overruns").inc()
                 return False
@@ -424,7 +498,7 @@ class JobManager:
     @property
     def in_flight(self) -> int:
         """Jobs currently queued or running (the bounded resource)."""
-        return sum(1 for job in self.jobs.values() if not job.terminal)
+        return len(self.live)
 
     @property
     def capacity(self) -> int:
@@ -450,16 +524,15 @@ class JobManager:
         self.registry.counter("service.jobs.submitted").inc()
         return job
 
-    def cancel(self, job_id: str) -> Job:
+    def cancel(self, job_id: str) -> Job | FinishedJob:
         """Request cancellation; idempotent once terminal."""
-        job = self.jobs[job_id]
-        if job.terminal:
-            return job
-        job.cancel_requested.set()
-        if job.state == "queued":
-            # The worker will skip it when popped; settle it right away.
-            self._finalize(job, "cancelled")
-        return job
+        job = self.live.get(job_id)
+        if job is not None:
+            job.cancel_requested.set()
+            if job.state == "queued":
+                # The worker will skip it when popped; settle it right away.
+                self._finalize(job, "cancelled")
+        return self.jobs[job_id]
 
     def _new_job(self, spec: JobSpec, *, resumed: bool = False) -> Job:
         self._seq += 1
@@ -470,7 +543,7 @@ class JobManager:
             history_limit=self.history_limit,
             resumed=resumed,
         )
-        self.jobs[job.id] = job
+        self.jobs[job.id] = self.live[job.id] = job
         return job
 
     def _enqueue(self, job: Job) -> None:
@@ -511,27 +584,17 @@ class JobManager:
                 ),
                 None,
             )
+            if terminal is not None:
+                self.jobs[job_id] = _restored_finished(job_id, spec, terminal, records)
+                continue
             job = Job(
                 job_id,
                 spec,
                 buffer=self.client_buffer,
                 history_limit=self.history_limit,
-                resumed=terminal is None,
+                resumed=True,
             )
-            self.jobs[job.id] = job
-            if terminal is not None:
-                job.state = terminal
-                summary = next(
-                    (r for r in reversed(records) if r.get("kind") == "summary"), {}
-                )
-                job.done_points = summary.get("done", job.total)
-                job.evaluated = summary.get("evaluated", 0)
-                job.cache_hits = summary.get("cache_hits", 0)
-                job.errors = summary.get("errors", 0)
-                job.error = summary.get("error")
-                # Seed the broker so a late SSE client sees the ending.
-                job.broker.publish(terminal, {"state": terminal, **job._counts()})
-                continue
+            self.jobs[job.id] = self.live[job.id] = job
             self.state.append(job.id, {"kind": "resume"})
             self.registry.counter("service.jobs.resumed").inc()
             self._enqueue(job)
@@ -566,7 +629,7 @@ class JobManager:
         while True:
             await asyncio.sleep(self.watchdog_interval_s)
             now = time.monotonic()
-            for job in self.jobs.values():
+            for job in self.live.values():
                 if job.state != "running" or job.run_started is None:
                     continue
                 deadline = job.spec.deadline_s
@@ -593,7 +656,7 @@ class JobManager:
                         "hung", {"stalled_s": round(stalled, 3), **job._counts()}
                     )
                     self.registry.counter("service.jobs.hung_detected").inc()
-            hung_gauge.set(sum(1 for j in self.jobs.values() if j.hung))
+            hung_gauge.set(sum(1 for job in self.live.values() if job.hung))
 
     async def _run_job(self, job: Job) -> None:
         assert self._loop is not None
@@ -737,7 +800,7 @@ class JobManager:
         from the server's telemetry pump)."""
         from ..core.proc import peak_rss_bytes
 
-        running = sum(1 for job in self.jobs.values() if job.state == "running")
+        running = sum(1 for job in self.live.values() if job.state == "running")
         self.registry.gauge("service.workers.busy").set(running)
         self.registry.gauge("service.workers.utilization").set(
             running / self.job_workers if self.job_workers else 0.0
@@ -767,6 +830,9 @@ class JobManager:
             },
         )
         job.broker.publish(state, {"state": state, **job._counts()})
+        # The terminal frame is the replay's last: swap in the record.
+        del self.live[job.id]
+        self.jobs[job.id] = FinishedJob.from_job(job)
         self.registry.counter(f"service.jobs.{state}").inc()
         self.registry.gauge("service.jobs.in_flight").set(self.in_flight)
         if self.breaker is not None and state in ("done", "failed"):
@@ -781,6 +847,31 @@ class JobManager:
             else:
                 self.breaker.record_success(job.spec.target)
             self.registry.gauge("service.breaker.open").set(self.breaker.open_count)
+
+
+def _restored_finished(
+    job_id: str, spec: JobSpec, state: str, records: list[dict]
+) -> FinishedJob:
+    """The record of a job whose journal ends terminal.  Its replay is
+    the one terminal frame, so a late SSE client sees the ending."""
+    summary = next((r for r in reversed(records) if r.get("kind") == "summary"), {})
+    total = len(spec.points)
+    counts = {
+        "job": job_id,
+        "done": summary.get("done", total),
+        "total": total,
+        "evaluated": summary.get("evaluated", 0),
+        "cache_hits": summary.get("cache_hits", 0),
+        "errors": summary.get("errors", 0),
+    }
+    return FinishedJob(
+        _summary(
+            spec, state, counts, resumed=False, created=time.time(),
+            error=summary.get("error"),
+        ),
+        MetricsRegistry(),
+        sse_event(state, {"state": state, **counts}),
+    )
 
 
 def _job_seq(job_id: str) -> int:

@@ -62,7 +62,7 @@ from .http import (
     sse_event,
 )
 from .breaker import CircuitBreaker, CircuitOpen
-from .jobs import JobManager, JobSpec, ServiceBusy
+from .jobs import FinishedJob, JobManager, JobSpec, ServiceBusy
 from .state import StateStore
 
 __all__ = ["ExperimentServer", "ServiceConfig"]
@@ -285,8 +285,8 @@ class ExperimentServer:
         if request.query.get("format") == "json":
             return json_response({"server": self.metrics.snapshot()})
         registries = [(self.metrics, None)]
-        for job in self.manager.jobs.values():
-            registries.append((job.metrics, {"job": job.id}))
+        for job_id, job in self.manager.jobs.items():
+            registries.append((job.metrics, {"job": job_id}))
         return HttpResponse(
             body=_om.render_openmetrics(registries).encode(),
             content_type=_om.CONTENT_TYPE,
@@ -373,11 +373,21 @@ class ExperimentServer:
         slow client only ever stalls *this* coroutine — the broker
         queue between it and the worker is bounded and lossy (metrics
         frames drop first), so the job never blocks and memory never
-        grows with client count or slowness.
+        grows with client count or slowness.  A finished job has no
+        broker: its client gets the replay the job stored when it
+        turned terminal, and the stream ends there.
         """
         job = self._job_or_404(job_id)
-        replay, queue = job.broker.subscribe()
         self.metrics.counter("service.sse.clients").inc()
+        if isinstance(job, FinishedJob):
+            try:
+                writer.write(SSE_HEADER)
+                writer.write(job.replay)
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            return
+        replay, queue = job.broker.subscribe()
         try:
             writer.write(SSE_HEADER)
             terminal = False

@@ -48,7 +48,7 @@ from repro.serving import (
     WorkloadSpec,
     report_asdict,
 )
-from repro.training import simulate_checkpointed_training
+from repro.training import GoodputReport, simulate_checkpointed_training
 
 from .graph_oracle import to_networkx
 
@@ -536,7 +536,93 @@ class TestNetworkFaults:
 # -- checkpoint/restart goodput ------------------------------------------
 
 
+def _exact_wall_time(work, interval, ckpt, restart, mtbf) -> float:
+    """The simulator's expected wall time, exactly (Daly's higher-order
+    model, FGCS 22(3), 2006).  Failures are memoryless with mean ``mtbf``
+    M; a failure sends a segment back to its start after a restart of R
+    seconds, which a failure also restarts.  A segment of s seconds then
+    takes M·e^{R/M}·(e^{s/M} − 1) in expectation.  Every interval but
+    the last is followed by a checkpoint (s = τ + C); the last chunk is
+    the rest of the work and takes none."""
+    segments = math.ceil(work / interval)
+    last = work - (segments - 1) * interval
+
+    def expected(s: float) -> float:
+        return mtbf * math.exp(restart / mtbf) * math.expm1(s / mtbf)
+
+    return (segments - 1) * expected(interval + ckpt) + expected(last)
+
+
+@st.composite
+def _checkpointed_runs(draw):
+    """(W, τ, C, R, M) in whole seconds, so each interval count is exact:
+    intervals of M/20 to M, checkpoints up to τ/2, restarts up to M/2,
+    and at least M/2 of work so that some runs fail."""
+    mtbf = draw(st.integers(500, 10_000))
+    interval = draw(st.integers(mtbf // 20, mtbf))
+    ckpt = draw(st.integers(0, interval // 2))
+    restart = draw(st.integers(0, mtbf // 2))
+    work = draw(st.integers(max(interval, mtbf // 2), 12 * interval))
+    return tuple(map(float, (work, interval, ckpt, restart, mtbf)))
+
+
 class TestCheckpointedTraining:
+    #: Seeds per generated run, and the bound on the z score of their
+    #: mean wall time against the exact expectation.
+    SEEDS, Z_BOUND = 200, 4.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(run=_checkpointed_runs())
+    def test_mean_wall_time_matches_the_exact_expectation(self, run):
+        work, interval, ckpt, restart, mtbf = run
+        walls = [
+            simulate_checkpointed_training(
+                work, interval, ckpt, restart, mtbf=mtbf, seed=seed
+            ).wall_time
+            for seed in range(self.SEEDS)
+        ]
+        mean = sum(walls) / self.SEEDS
+        std = math.sqrt(sum((w - mean) ** 2 for w in walls) / (self.SEEDS - 1))
+        z = (mean - _exact_wall_time(*run)) / (std / math.sqrt(self.SEEDS))
+        assert abs(z) < self.Z_BOUND
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        run=_checkpointed_runs(),
+        failures=st.lists(st.integers(0, 200_000), max_size=12),
+        exponent=st.integers(-4, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scaling_every_time_by_k_scales_the_run(self, run, failures, exponent, seed):
+        """Scale W, τ, C, R and the failure instants (a ``FaultSchedule``
+        or the MTBF) by k: every time in the report scales by k and the
+        counts stay.  k is a power of two, so it holds bit for bit."""
+        k = 2.0**exponent
+        work, interval, ckpt, restart, mtbf = run
+
+        def schedule(scale: float) -> FaultSchedule:
+            return FaultSchedule(
+                events=tuple(FaultEvent(time=scale * t, kind="step") for t in failures)
+            )
+
+        for base_kw, scaled_kw in (
+            ({"faults": schedule(1.0)}, {"faults": schedule(k)}),
+            ({"mtbf": mtbf, "seed": seed}, {"mtbf": k * mtbf, "seed": seed}),
+        ):
+            base = simulate_checkpointed_training(work, interval, ckpt, restart, **base_kw)
+            scaled = simulate_checkpointed_training(
+                k * work, k * interval, k * ckpt, k * restart, **scaled_kw
+            )
+            assert scaled == GoodputReport(
+                work_target=k * base.work_target,
+                wall_time=k * base.wall_time,
+                checkpoint_time=k * base.checkpoint_time,
+                restart_time=k * base.restart_time,
+                lost_time=k * base.lost_time,
+                failures=base.failures,
+                checkpoints=base.checkpoints,
+            )
+
     def test_matches_young_daly_at_optimal_interval(self):
         """§6.1: simulated goodput within 10% of the closed form."""
         mtbf, ckpt, restart = 7200.0, 60.0, 900.0

@@ -161,8 +161,61 @@ def test_sse_metrics_frames_and_late_subscriber(tmp_path):
         replayed = await client.collect_events(f"/jobs/{job['id']}/events", timeout=5)
         replay_counts = _counts(replayed)
         assert replay_counts["progress"] == 3 and replay_counts["done"] == 1
+        # The finished job's stored replay is the live stream's frames
+        # without the droppable metrics ticks.
+        assert replayed == [(e, d) for e, d in events if e != "metrics"]
 
     asyncio.run(_with_server(_config(tmp_path), body))
+
+
+def test_finished_jobs_keep_a_small_record(tmp_path):
+    """A terminal job keeps its summary, its metrics registry and its
+    encoded SSE replay, not its broker, tracer, events and spec: over
+    100 jobs run after a warm-up, the traced bytes the server keeps grow
+    by at most 3 KiB per finished job (a live ``Job`` kept about 10 KiB).
+    Tracing starts before the warm-up, so what the warm-up fills and the
+    measured jobs evict from bounded caches (``urlsplit``'s LRU) nets
+    out.  ``pathlib.py`` is left out: the interpreter's one-off resize
+    of its interned-string table is charged there."""
+    import gc
+    import tracemalloc
+
+    warmup, measured = 50, 100
+
+    async def run(client, first: int, count: int) -> None:
+        for index in range(first, first + count):
+            _, job = await client.post_json(
+                "/jobs",
+                {"target": "svc-sleepy", "grid": {"x": [1, 2]},
+                 "base": {"sleep_s": 0.0}, "seed": index},
+            )
+            events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+            assert events[-1][0] == "done"
+            status, _, _ = await client.request("GET", f"/jobs/{job['id']}/report")
+            assert status == 200
+
+    def kept(snapshot) -> int:
+        return sum(
+            stat.size for stat in snapshot.statistics("filename")
+            if not stat.traceback[0].filename.endswith("pathlib.py")
+        )
+
+    async def body(server, client):
+        tracemalloc.start()
+        try:
+            await run(client, 0, warmup)
+            gc.collect()
+            before = kept(tracemalloc.take_snapshot())
+            await run(client, warmup, measured)
+            gc.collect()
+            after = kept(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+        assert not server.manager.live
+        assert len(server.manager.jobs) == warmup + measured
+        assert (after - before) / measured <= 3 * 1024
+
+    asyncio.run(_with_server(_config(tmp_path, telemetry_interval_s=0.05), body))
 
 
 # ---------------------------------------------------------------------------

@@ -350,9 +350,34 @@ def test_hung_watchdog_flags_and_clears(tmp_path):
         events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
         assert any(event == "hung" for event, _ in events)
         assert events[-1][0] == "done"  # it was slow, not dead
-        assert not server.manager.jobs[job["id"]].hung  # progress cleared it
+        # Progress cleared the flag before the job finished.
+        assert "hung" not in server.manager.jobs[job["id"]].describe()
         assert "hung" in _journal_kinds(config.state_dir, job["id"])
         assert server.metrics.snapshot()["service.jobs.hung_detected"] >= 1
+
+    asyncio.run(_with_server(config, body))
+
+
+def test_hung_gauge_counts_live_jobs_only(tmp_path):
+    """A hung job that is then cancelled leaves the ``service.jobs.hung``
+    gauge on the next watchdog tick; its summary keeps the flag."""
+    config = _config(tmp_path, hung_after_s=0.2)
+    spec = {"target": "robust-sleepy", "points": [{"x": 0, "sleep_s": 30.0}], "seed": 1}
+
+    async def body(server, client):
+        def hung_gauge() -> float:
+            return server.metrics.snapshot().get("service.jobs.hung", 0.0)
+
+        await client.wait_healthy()
+        _, job = await client.post_json("/jobs", spec)
+        await _wait_for(lambda: hung_gauge() == 1, timeout=10)
+        status, _ = await client.delete_json(f"/jobs/{job['id']}")
+        assert status == 200
+        events = await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
+        assert events[-1][0] == "cancelled"
+        await _wait_for(lambda: hung_gauge() == 0, timeout=2)
+        _, detail = await client.get_json(f"/jobs/{job['id']}")
+        assert detail["state"] == "cancelled" and detail["hung"] is True
 
     asyncio.run(_with_server(config, body))
 
@@ -648,7 +673,7 @@ def test_fuzzed_journal_loads_and_restores_or_skips(tmp_path, lines):
             valid = False
         assert (job_id in manager.jobs) == valid
     assert set(manager.jobs) <= set(journals)
-    for job in manager.jobs.values():
+    for job in manager.live.values():  # a finished job keeps no spec
         assert JobSpec.from_payload(job.spec.to_payload()) == job.spec
     store.journal_path("j0001").unlink()
 
