@@ -373,7 +373,10 @@ def _trace_network(args: argparse.Namespace, tracer, metrics) -> str:
         faults = parse_faults_arg(
             args.faults, horizon=1.0, seed=args.seed, kind="link", targets=links
         )
-    result = sim.simulate(flows, mode=mode, faults=faults)
+    try:
+        result = sim.simulate(flows, mode=mode, faults=faults)
+    except ValueError as exc:  # e.g. a fault target not in the topology
+        raise SystemExit(str(exc)) from None
     headline = (
         f"network: {len(flows)} flows over {topo.name}, "
         f"makespan {result.makespan * 1e3:.2f} ms"

@@ -10,14 +10,18 @@ whose path lost an edge either reroute onto the surviving fabric (via a
 caller-supplied policy such as :func:`cluster_reroute`, which finds the
 NVLink/PXN detour through another plane) or stall at zero rate until
 repair; flows that never regain a path finish at infinity and are
-reported as unfinished in a :class:`NetworkFaultReport`.
+reported as unfinished in a :class:`NetworkFaultReport`.  A ``link`` or
+``switch`` target that is not a link or switch of the simulated
+topology is a ``ValueError`` before the simulation starts.
 
 The timeline itself runs inside the flow simulator's one event loop
 (:meth:`~repro.network.flowsim.FlowSimulator.simulate`): each
 failure/repair instant is a loop boundary at which the incremental
 engine is rebuilt over the flows that still have a live path.  This
 module keeps the schedule helpers (:func:`link_target`,
-:func:`expand_plane_schedule`), the reroute policy and the report.
+:func:`expand_plane_schedule`), the reroute policy and the report.  The
+reroute walks :func:`repro.network.routing.first_shortest_path`, the
+routing BFS every flow builder uses, so no graph library is imported.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from typing import Callable
 
 from ..network.flowsim import Flow
 from ..network.multiplane import ClusterNetwork
+from ..network.routing import first_shortest_path
+from ..network.topology import SWITCH, Topology
 from ..reliability.failover import plane_switches
 from .schedule import FaultEvent, FaultSchedule
 
@@ -64,13 +70,26 @@ def link_target(a: str, b: str) -> str:
     return f"{a}|{b}"
 
 
-def _edges_of(event: FaultEvent, capacities: dict) -> list[tuple[str, str]]:
-    """Directed capacity entries an event takes down."""
+def _edges_of(
+    event: FaultEvent, topology: Topology, capacities: dict
+) -> list[tuple[str, str]]:
+    """Directed capacity entries an event takes down.  A target that is
+    not a link of ``capacities`` or a switch of ``topology`` raises
+    ``ValueError`` naming it."""
     if event.kind == "link":
         a, sep, b = event.target.partition("|")
         if not sep:
             raise ValueError(f"link target must be 'a|b', got {event.target!r}")
+        if (a, b) not in capacities:
+            raise ValueError(
+                f"link fault target {event.target!r} is not a link of {topology.name}"
+            )
         return [(a, b), (b, a)]
+    node = topology.graph.nodes.get(event.target)
+    if node is None or node.get("kind") != SWITCH:
+        raise ValueError(
+            f"switch fault target {event.target!r} is not a switch of {topology.name}"
+        )
     return [e for e in capacities if event.target in e]
 
 
@@ -98,27 +117,25 @@ def expand_plane_schedule(
 
 
 def cluster_reroute(cluster: ClusterNetwork) -> ReroutePolicy:
-    """Reroute policy over a multiplane cluster: shortest surviving path.
+    """Reroute policy over a multiplane cluster: the first surviving
+    shortest path.
 
     Because the cluster graph contains the intra-node NVLink fabric,
     the shortest path around a dead plane is the paper's PXN-style
     detour — hop to a same-node GPU on a healthy plane over NVLink,
-    cross that plane, and hop back at the destination node.  Returns
-    None when the damaged fabric has no path at all.
+    cross that plane, and hop back at the destination node.  Of the
+    shortest paths over the live capacities it returns the
+    lexicographically smallest, as every flow builder's equal-cost path
+    table orders them, and None when the damaged fabric has no path at
+    all.
     """
-    # The one networkx user in the package: its ``shortest_path`` tie-break
-    # picks the detours ``BENCH_faults.json``'s reroute makespan pins.
-    import networkx as nx
-
-    nodes = list(cluster.topology.graph.nodes)
+    adj = cluster.topology.graph.adj
 
     def reroute(flow: Flow, capacities: dict) -> list[str] | None:
-        alive = nx.Graph()
-        alive.add_nodes_from(nodes)
-        alive.add_edges_from(capacities)
-        try:
-            return nx.shortest_path(alive, flow.src, flow.dst)
-        except nx.NetworkXNoPath:
-            return None
+        alive = {
+            node: [nb for nb in neighbors if (node, nb) in capacities]
+            for node, neighbors in adj.items()
+        }
+        return first_shortest_path(alive, flow.src, flow.dst)
 
     return reroute

@@ -34,8 +34,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "routing": (
         "NoPathError", "RoutingPolicy", "collision_free_static_table", "ecmp_index",
-        "equal_cost_path_table", "equal_cost_paths", "route_flows", "shifted_ring_flows",
-        "spread_flows",
+        "equal_cost_path_table", "equal_cost_paths", "first_shortest_path", "route_flows",
+        "shifted_ring_flows", "spread_flows",
     ),
     "slimfly": ("build_slimfly", "slimfly_network_degree", "slimfly_spec"),
     "topology": (

@@ -581,7 +581,9 @@ class FlowSimulator:
                 instants; each instant is a boundary of the event loop
                 (see below), and the result's ``fault_report`` records
                 what the timeline did.  A schedule without such events leaves
-                the run byte-identical to the fault-free simulation.
+                the run byte-identical to the fault-free simulation.  A
+                target that is not a link or switch of the topology
+                raises ``ValueError`` before any engine is built.
             reroute: Optional reroute policy for flows whose path lost
                 an edge (see :func:`repro.faults.cluster_reroute`);
                 without one, broken flows stall until repair.
@@ -641,11 +643,13 @@ class FlowSimulator:
             events = faults.for_kinds(NETWORK_FAULT_KINDS)
         # (time, failing, event): failures sort before repairs at the
         # same instant so a flapping component is down for its full window.
+        # Every target is resolved (and checked) before any engine is built.
         timeline = []
         for event in events:
-            timeline.append((event.time, True, event))
+            edges = _edges_of(event, self.topology, self.capacities)
+            timeline.append((event.time, True, event, edges))
             if math.isfinite(event.mttr):
-                timeline.append((event.time + event.mttr, False, event))
+                timeline.append((event.time + event.mttr, False, event, edges))
         timeline.sort(key=lambda entry: (entry[0], not entry[1]))
         alive = dict(self.capacities)
         # Reference-count downed capacity entries: overlapping failures may
@@ -653,8 +657,8 @@ class FlowSimulator:
         down: dict[tuple[str, str], int] = {}
         tracer = self.tracer
 
-        def apply(failing: bool, event, now: float) -> None:
-            for edge in _edges_of(event, self.capacities):
+        def apply(failing: bool, event, edges, now: float) -> None:
+            for edge in edges:
                 if failing:
                     down[edge] = down.get(edge, 0) + 1
                     alive.pop(edge, None)
@@ -680,8 +684,8 @@ class FlowSimulator:
         cursor = 0
         while remaining:
             while cursor < len(timeline) and timeline[cursor][0] <= now:
-                _, failing, event = timeline[cursor]
-                apply(failing, event, now)
+                _, failing, event, edges = timeline[cursor]
+                apply(failing, event, edges, now)
                 cursor += 1
             boundary = timeline[cursor][0] if cursor < len(timeline) else math.inf
             # Route check, once per boundary: a flow runs iff no edge of

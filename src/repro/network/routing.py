@@ -20,14 +20,16 @@ by the policy they are given, :func:`shifted_ring_flows` by ECMP, cluster
 transfers (all-to-all, EP
 dispatch/combine) by ADAPTIVE spraying, the all-reduce rings by STATIC
 index 0, and :func:`~repro.network.multiplane.pxn_path` takes the first
-table path after its NVLink relay.
+table path after its NVLink relay.  A fault reroute
+(:func:`~repro.faults.cluster_reroute`) takes the first surviving one,
+from :func:`first_shortest_path`.
 """
 
 from __future__ import annotations
 
 import enum
 import zlib
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .flowsim import Flow
 from .topology import Topology
@@ -46,7 +48,7 @@ class NoPathError(LookupError):
     topology, or the destination cannot be reached from the source."""
 
 
-def _predecessors(adj: dict[str, dict[str, dict]], src: str) -> dict[str, list[str]]:
+def _predecessors(adj: Mapping[str, Iterable[str]], src: str) -> dict[str, list[str]]:
     """One BFS from ``src``: each reached node's neighbours one level
     nearer ``src`` (``[]`` for ``src``), in discovery order."""
     pred: dict[str, list[str]] = {src: []}
@@ -62,6 +64,29 @@ def _predecessors(adj: dict[str, dict[str, dict]], src: str) -> dict[str, list[s
         pred.update(reached)
         level = list(reached)
     return pred
+
+
+def first_shortest_path(
+    adj: Mapping[str, Iterable[str]], src: str, dst: str
+) -> list[str] | None:
+    """The lexicographically smallest shortest path from ``src`` to
+    ``dst`` over the symmetric adjacency ``adj`` (the path
+    :func:`equal_cost_path_table` lists first for the pair), or None when
+    ``src`` cannot reach ``dst``.
+
+    One BFS rooted at ``dst`` gives each reached node its neighbours one
+    level nearer ``dst``; the walk from ``src`` takes the smallest of
+    them at each level.
+    """
+    if dst not in adj:
+        return None
+    pred = _predecessors(adj, dst)
+    if src not in pred:
+        return None
+    path = [src]
+    while path[-1] != dst:
+        path.append(min(pred[path[-1]]))
+    return path
 
 
 def equal_cost_path_table(

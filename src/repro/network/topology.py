@@ -9,11 +9,9 @@ simulator treats each undirected edge as two independent directed
 capacities, matching full-duplex links.
 
 :class:`Graph` is the repo's own adjacency (two dicts and one BFS), not
-:mod:`networkx`: building, routing over and damaging a topology imports
-no graph library.  networkx is used only by
-:func:`repro.faults.network.cluster_reroute`, whose ``nx.shortest_path``
-tie-break picks the detours behind ``BENCH_faults.json``'s reroute
-makespan, and by the tests as the reference oracle.
+:mod:`networkx`: building, routing over, damaging and rerouting around
+damage in a topology imports no graph library.  networkx is a dev
+dependency only, the tests' reference oracle.
 
 :class:`TopologySpec` is the lightweight counting record used by the
 Table 3 cost comparison — large topologies (65k-endpoint FT3, 260k-

@@ -3,8 +3,8 @@
 The co-design loop the paper closes with (§6) only pays off when
 experiments run continuously against a shared engine — not as one-shot
 scripts.  ``repro serve`` turns this repository's simulators into that
-service: a stdlib-only asyncio HTTP server (no runtime deps beyond
-numpy/networkx) that
+service: a stdlib-only asyncio HTTP server (no runtime dependency
+beyond numpy) that
 
 * accepts sweep **jobs** over ``POST /jobs`` — any registered sweep
   target, a grid and/or explicit points, shared ``base`` keys (a

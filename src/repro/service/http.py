@@ -1,7 +1,7 @@
 """Minimal HTTP/1.1 + Server-Sent Events on raw asyncio streams.
 
 The experiment service deliberately runs on the standard library only
-(the repo rule: no runtime deps beyond numpy/networkx), so this module
+(the repo rule: no runtime dependency beyond numpy), so this module
 is the thin slice of HTTP it actually needs — request parsing with
 bounded header/body sizes, plain JSON responses, and the
 ``text/event-stream`` wire format.  One request per connection: every

@@ -261,12 +261,13 @@ class Job:
         buffer: int = 256,
         history_limit: int = 10_000,
         resumed: bool = False,
+        created: float | None = None,
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.state = "queued"
         self.resumed = resumed
-        self.created = time.time()
+        self.created = time.time() if created is None else created
         self.total = len(spec.points)
         self.done_points = 0
         self.evaluated = 0
@@ -345,7 +346,7 @@ class FinishedJob:
     its SSE replay, encoded once.
 
     The live :class:`Job`'s broker, tracer, events and spec are dropped
-    when it turns terminal (a ``done`` job's trace is already an
+    when it turns terminal (the trace of a job that ran is already an
     artifact), so the server's memory scales with live work rather than
     with every job it has served.  ``GET /jobs/{id}`` and the
     ``/metrics`` scrape still read ``metrics``, and a late SSE
@@ -519,7 +520,9 @@ class JobManager:
                 self.registry.counter("service.breaker.rejected").inc()
                 raise
         job = self._new_job(spec)
-        self.state.append(job.id, {"kind": "submit", "spec": spec.to_payload()})
+        self.state.append(
+            job.id, {"kind": "submit", "spec": spec.to_payload(), "created": job.created}
+        )
         self._enqueue(job)
         self.registry.counter("service.jobs.submitted").inc()
         return job
@@ -584,8 +587,11 @@ class JobManager:
                 ),
                 None,
             )
+            created = _journaled_created(submit)
             if terminal is not None:
-                self.jobs[job_id] = _restored_finished(job_id, spec, terminal, records)
+                self.jobs[job_id] = _restored_finished(
+                    job_id, spec, terminal, records, created
+                )
                 continue
             job = Job(
                 job_id,
@@ -593,6 +599,7 @@ class JobManager:
                 buffer=self.client_buffer,
                 history_limit=self.history_limit,
                 resumed=True,
+                created=created,
             )
             self.jobs[job.id] = self.live[job.id] = job
             self.state.append(job.id, {"kind": "resume"})
@@ -719,7 +726,6 @@ class JobManager:
             self._finalize(job, "failed")
         else:
             self.state.report_path(job.id).write_text(result.to_report_json())
-            job.tracer.write(self.state.trace_path(job.id))
             self._finalize(job, "done")
         finally:
             pump.cancel()
@@ -816,6 +822,11 @@ class JobManager:
         job.broker.publish("status", {"state": state, **job._counts()})
 
     def _finalize(self, job: Job, state: str) -> None:
+        if job.run_started is not None:
+            # Done, failed or cancelled, a job that ran keeps its trace,
+            # written before its terminal status is journaled: the
+            # record swapped in below drops the tracer.
+            job.tracer.write(self.state.trace_path(job.id))
         job.state = state
         self.state.append(job.id, {"kind": "status", "state": state})
         self.state.append(
@@ -849,8 +860,16 @@ class JobManager:
             self.registry.gauge("service.breaker.open").set(self.breaker.open_count)
 
 
+def _journaled_created(submit: dict) -> float:
+    """A journaled job's creation time: the ``submit`` record's
+    ``created``, or the restart's clock for a journal written before
+    submit records carried one."""
+    created = submit.get("created")
+    return float(created) if _is_positive_number(created) else time.time()
+
+
 def _restored_finished(
-    job_id: str, spec: JobSpec, state: str, records: list[dict]
+    job_id: str, spec: JobSpec, state: str, records: list[dict], created: float
 ) -> FinishedJob:
     """The record of a job whose journal ends terminal.  Its replay is
     the one terminal frame, so a late SSE client sees the ending."""
@@ -866,7 +885,7 @@ def _restored_finished(
     }
     return FinishedJob(
         _summary(
-            spec, state, counts, resumed=False, created=time.time(),
+            spec, state, counts, resumed=False, created=created,
             error=summary.get("error"),
         ),
         MetricsRegistry(),

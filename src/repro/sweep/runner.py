@@ -246,7 +246,9 @@ def run_sweep(
         workers: The most forked workers evaluating cache misses at
             once (1 = one forked worker).
         cache: Result cache; ``None`` disables caching entirely.
-        tracer: Optional span tracer (defaults to the null object).
+        tracer: Optional span tracer (defaults to the null object).  It
+            gets one event per settled point, in index order, also when
+            the sweep is interrupted or raises.
         metrics: Optional registry for counters and the progress gauge.
         progress: Print ``done/total`` lines to stderr as points finish.
         strict: With the default ``True``, the first failing point
@@ -293,6 +295,7 @@ def run_sweep(
     errors: list[dict | None] = [None] * total
     timings: list[tuple[float, float]] = [(0.0, 0.0)] * total
     cached = [False] * total
+    evaluated = [False] * total
 
     def _point(i: int) -> PointResult:
         return PointResult(
@@ -333,6 +336,7 @@ def run_sweep(
         results[i] = result
         errors[i] = error
         timings[i] = (started, elapsed)
+        evaluated[i] = True
         if cache is not None and error is None:
             cache.put(
                 keys[i],
@@ -350,13 +354,13 @@ def run_sweep(
         if on_point is not None:
             on_point(_point(i))
 
-    if _interrupted():
-        raise SweepInterrupted(done, total)
-    if missing:
-        # Resolved (and warmed) once, here, before any worker is
-        # borrowed: a worker forked for this sweep inherits it.
-        resolve_target(spec.target, [configs[i] for i in missing])
-        try:
+    try:
+        if _interrupted():
+            raise SweepInterrupted(done, total)
+        if missing:
+            # Resolved (and warmed) once, here, before any worker is
+            # borrowed: a worker forked for this sweep inherits it.
+            resolve_target(spec.target, [configs[i] for i in missing])
             run_forked(
                 target=spec.target,
                 configs=configs,
@@ -371,20 +375,25 @@ def run_sweep(
                 metrics=metrics,
                 worker_set=worker_set,
             )
-        except InterruptedError:
-            raise SweepInterrupted(done, total) from None
+    except InterruptedError:
+        raise SweepInterrupted(done, total) from None
+    finally:
+        wall = time.perf_counter() - epoch
+        # Every settled point is traced, so an interrupted or failed
+        # sweep's trace still shows what it ran.
+        tracer.process(0, f"sweep:{spec.name or spec.target}")
+        for i in range(total):
+            if cached[i]:
+                tracer.instant(
+                    f"cache_hit[{i}]", "sweep", 0, i, 0.0, args={"key": keys[i][:12]}
+                )
+            elif evaluated[i]:
+                started, elapsed = timings[i]
+                tracer.complete(
+                    f"point[{i}]", "sweep", 0, i, max(started, 0.0), elapsed,
+                    args={"key": keys[i][:12]},
+                )
 
-    wall = time.perf_counter() - epoch
-    tracer.process(0, f"sweep:{spec.name or spec.target}")
-    for i in range(total):
-        started, elapsed = timings[i]
-        if cached[i]:
-            tracer.instant(f"cache_hit[{i}]", "sweep", 0, i, 0.0, args={"key": keys[i][:12]})
-        else:
-            tracer.complete(
-                f"point[{i}]", "sweep", 0, i, max(started, 0.0), elapsed,
-                args={"key": keys[i][:12]},
-            )
     if metrics is not None:
         metrics.counter("sweep.points").inc(total)
         metrics.counter("sweep.evaluated").inc(len(missing))

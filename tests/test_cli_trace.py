@@ -1,6 +1,10 @@
 """CLI: ``repro trace`` and ``serve-sim --json``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,27 @@ def test_trace_network_smoke_matches_flowsim_target_default(tmp_path, capsys):
         f"network: {record['flows']} flows over FT2, "
         f"makespan {record['makespan_ms']:.2f} ms"
     )
+
+
+def test_trace_network_refuses_an_unknown_fault_target_in_one_line(tmp_path):
+    """A link fault between two hosts no cable joins exits 1 with one
+    line naming it, before any flow runs; it used to end in a bare
+    ``KeyError`` traceback at the repair instant."""
+    faults = tmp_path / "faults.json"
+    faults.write_text(
+        json.dumps({"events": [{"time": 1e-4, "kind": "link", "target": "h0|h1", "mttr": 1e-3}]})
+    )
+    out = tmp_path / "network.trace.json"
+    argv = [
+        sys.executable, "-m", "repro", "trace", "--scenario", "network", "--smoke",
+        "--faults", str(faults), "--out", str(out),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["link fault target 'h0|h1' is not a link of FT2"]
+    assert not out.exists()
 
 
 def test_trace_training_faults_match_training_scenario(tmp_path, capsys):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,14 @@ from repro.faults import (
     link_target,
     parse_faults_arg,
 )
-from repro.network import Flow, FlowSimulator, build_mpft_cluster, planes_used, pxn_path
+from repro.network import (
+    Flow,
+    FlowSimulator,
+    build_mpft_cluster,
+    build_mrft_cluster,
+    planes_used,
+    pxn_path,
+)
 from repro.obs import Tracer
 from repro.reliability import (
     fail_link,
@@ -531,6 +539,102 @@ class TestNetworkFaults:
         assert result.completion[2] == pytest.approx(base.completion[2] + 0.01, rel=1e-6)
         for i in (0, 1, 3):
             assert result.completion[i] == pytest.approx(base.completion[i], abs=1e-9)
+
+    def test_unknown_fault_targets_are_refused_before_any_engine(self, mpft, monkeypatch):
+        """A link or switch target that is not in the topology is a
+        ``ValueError`` naming it, raised before the first engine is
+        built, whether or not the component would ever be repaired."""
+        from repro.network import flowsim
+
+        cluster, flows = mpft
+        sim = FlowSimulator(cluster.topology)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(flowsim, "_EventEngine", no_engine)
+        for kind, target in [
+            ("link", "n0g0|n1g0"),  # both hosts exist, no cable joins them
+            ("link", "h0|h1"),
+            ("switch", "MPFT/p9/leaf0"),
+            ("switch", "n0g0"),  # a host, not a switch
+        ]:
+            for mttr in (0.001, math.inf):
+                event = FaultEvent(time=0.0001, kind=kind, target=target, mttr=mttr)
+                with pytest.raises(ValueError, match=f"{kind} fault target '{target}'"):
+                    sim.simulate(flows, faults=FaultSchedule(events=(event,)))
+
+
+def _damaged_capacities(cluster, links, switches, planes):
+    """The live directed capacities of ``cluster`` once ``links``,
+    ``switches`` and every switch of ``planes`` are down."""
+    graph = cluster.topology.graph
+    dead = set(switches) | {
+        s
+        for s in cluster.topology.switches
+        if graph.nodes[s].get("plane", graph.nodes[s].get("rail")) in planes
+    }
+    cut = set(links) | {(b, a) for a, b in links}
+    return {
+        edge: cap
+        for edge, cap in FlowSimulator(cluster.topology).capacities.items()
+        if edge not in cut and not dead & set(edge)
+    }
+
+
+@st.composite
+def _reroute_cases(draw):
+    build = draw(st.sampled_from([build_mpft_cluster, build_mrft_cluster]))
+    cluster = build(draw(st.integers(2, 4)), nodes_per_leaf=draw(st.integers(1, 2)))
+    topo = cluster.topology
+    links = draw(st.lists(st.sampled_from(list(topo.graph.edges())), max_size=12))
+    switches = draw(st.lists(st.sampled_from(topo.switches), max_size=3))
+    planes = draw(st.sets(st.integers(0, cluster.gpus_per_node - 1), max_size=2))
+    gpus = cluster.gpus()
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(gpus), st.sampled_from(gpus)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return cluster, _damaged_capacities(cluster, links, switches, planes), pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_reroute_cases())
+def test_reroute_is_the_first_surviving_shortest_path(case):
+    """On a damaged MPFT/MRFT, the reroute is the lexicographically
+    first shortest path over the live capacities —
+    ``min(nx.all_shortest_paths(...))``, not networkx's own
+    ``shortest_path`` pick — and None exactly when no path survives."""
+    cluster, alive, pairs = case
+    damaged = nx.Graph()
+    damaged.add_nodes_from(cluster.topology.graph.nodes)
+    damaged.add_edges_from(alive)
+    reroute = cluster_reroute(cluster)
+    for src, dst in pairs:
+        path = reroute(Flow(src, dst, 1e6, [src, dst]), alive)
+        if nx.has_path(damaged, src, dst):
+            assert path == min(nx.all_shortest_paths(damaged, src, dst))
+        else:
+            assert path is None
+
+
+def test_reroute_ties_break_by_the_sorted_rule():
+    """Of a cross-plane pair's two equal-length detours, the reroute takes
+    the lexicographically first, as every flow builder's path table
+    orders them; networkx's ``shortest_path`` takes the other one."""
+    cluster = build_mpft_cluster(2, nodes_per_leaf=1)
+    alive = _damaged_capacities(cluster, [], [], {0})
+    path = cluster_reroute(cluster)(Flow("n0g1", "n1g2", 1e6, ["n0g1", "n1g2"]), alive)
+    assert path == [
+        "n0g1", "MPFT/p1/leaf0", "MPFT/p1/spine0", "MPFT/p1/leaf1", "n1g1", "n1/nvsw", "n1g2",
+    ]
+    damaged = nx.Graph(alive.keys())
+    assert nx.shortest_path(damaged, "n0g1", "n1g2") != path
 
 
 # -- checkpoint/restart goodput ------------------------------------------

@@ -718,7 +718,7 @@ def _reference_fault_run(topo, flows, events, reroute):
     while left:
         while timeline and timeline[0][0] <= now:
             _, repair, event = timeline.pop(0)
-            for edge in _edges_of(event, caps):
+            for edge in _edges_of(event, topo, caps):
                 down[edge] = down.get(edge, 0) + (-1 if repair else 1)
         alive = {e: c for e, c in caps.items() if not down.get(e)}
         live = {}

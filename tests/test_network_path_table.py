@@ -105,6 +105,20 @@ def test_table_equals_one_networkx_search_per_pair(case):
         assert f"no path {src} -> {dst}" in str(raised)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_table_cases())
+def test_first_shortest_path_is_the_first_table_path(case):
+    """``first_shortest_path`` is ``min(nx.all_shortest_paths(...))``,
+    the table's first path, and None wherever networkx refuses the pair
+    (a missing node or no path)."""
+    topo, pairs = case
+    graph = to_networkx(topo)
+    for src, dst in pairs:
+        expected = _reference_paths(graph, src, dst)
+        got = routing.first_shortest_path(topo.graph.adj, src, dst)
+        assert got == (None if expected is None else expected[0])
+
+
 def test_table_runs_one_bfs_per_distinct_source(monkeypatch):
     calls = _count_bfs(monkeypatch)
     topo = two_layer_fat_tree(2, 2, 2)

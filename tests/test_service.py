@@ -1189,11 +1189,14 @@ def test_restart_lists_finished_jobs(tmp_path):
         _, job = await client.post_json("/jobs", spec)
         await client.collect_events(f"/jobs/{job['id']}/events", timeout=30)
         job_box["id"] = job["id"]
+        _, listing = await client.get_json("/jobs")
+        job_box["created"] = listing["jobs"][0]["created"]
 
     async def second(server, client):
         status, listing = await client.get_json("/jobs")
         assert [j["id"] for j in listing["jobs"]] == [job_box["id"]]
         assert listing["jobs"][0]["state"] == "done"
+        assert listing["jobs"][0]["created"] == job_box["created"]  # not the restart's
         status, _, report = await client.request(
             "GET", f"/jobs/{job_box['id']}/report"
         )

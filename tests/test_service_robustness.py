@@ -301,6 +301,10 @@ def test_job_deadline_interrupts_at_point_boundary(tmp_path):
         assert "deadline" in kinds
         snapshot = server.metrics.snapshot()
         assert snapshot["service.jobs.deadline_exceeded"] == 1
+        # The failed job keeps its trace: the spans of the points it ran.
+        status, _, trace = await client.request("GET", f"/jobs/{job['id']}/trace")
+        assert status == 200
+        assert any(event["ph"] == "X" for event in json.loads(trace))
 
     asyncio.run(_with_server(config, body))
 
@@ -601,6 +605,29 @@ def test_restore_skips_an_invalid_journaled_spec(tmp_path, corrupt):
     assert manager.jobs["j0001"].state == "queued"
 
 
+def test_restore_keeps_each_job_created_time(tmp_path):
+    """A restored job, finished or resumed, keeps the ``created`` time
+    its ``submit`` record journaled; a journal written before submit
+    records carried one falls back to the restart's clock."""
+    state_dir = tmp_path / "state"
+    manager = _manager(state_dir)
+    spec = JobSpec.from_payload({"target": "robust-sleepy", "points": [{"x": 1}]})
+    finished, resumed = manager.submit(spec), manager.submit(spec)
+    manager._finalize(finished, "done")
+    created = {job_id: job.describe()["created"] for job_id, job in manager.jobs.items()}
+    store = StateStore(state_dir)
+    store.append("j0003", {"kind": "submit", "spec": spec.to_payload()})
+    before = time.time()
+    restarted = _manager(state_dir)
+    restarted._restore()
+    after = time.time()
+    assert restarted.jobs[finished.id].state == "done"
+    assert restarted.live[resumed.id].resumed
+    for job_id, stamp in created.items():
+        assert restarted.jobs[job_id].describe()["created"] == stamp
+    assert before <= restarted.jobs["j0003"].describe()["created"] <= after
+
+
 def test_skipped_journal_still_claims_its_id(tmp_path):
     """A new submission never reuses the id of a skipped journal, so a
     second restart brings the new job back instead of the stale spec."""
@@ -631,7 +658,10 @@ _SPEC_VALUES = {
 _journal_record = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("submit")},
-        optional={"spec": st.fixed_dictionaries({}, optional=_SPEC_VALUES)},
+        optional={
+            "spec": st.fixed_dictionaries({}, optional=_SPEC_VALUES),
+            "created": st.sampled_from([1.7e9, 0, -1.0, float("nan"), "x", True, None]),
+        },
     ),
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["status", "summary", "resume", "point"])},

@@ -816,6 +816,27 @@ def test_interrupt_raises_and_the_cache_resumes(tmp_path):
     assert resumed.cache_hits == 1 and resumed.evaluated == 2
 
 
+def test_an_interrupted_sweep_traces_the_points_it_settled(tmp_path):
+    """The trace of an interrupted sweep holds one event per settled
+    point, as a finished sweep's does, and nothing for the rest."""
+    from repro.sweep import SweepInterrupted
+
+    cache = SweepCache(tmp_path)
+    spec = _counting_spec()
+    run_sweep(_counting_spec(points=grid(x=[1])), cache=cache)  # point 0 is a hit
+    settled, tracer = [], Tracer()
+    with pytest.raises(SweepInterrupted):
+        run_sweep(
+            spec,
+            cache=cache,
+            tracer=tracer,
+            on_point=settled.append,
+            interrupt=lambda: len(settled) >= 2,
+        )
+    names = [e["name"] for e in tracer.events if e["ph"] in ("X", "i")]
+    assert names == ["cache_hit[0]", f"point[{settled[1].index}]"]
+
+
 def test_report_payload_is_cache_independent(tmp_path):
     cache = SweepCache(tmp_path)
     spec = _counting_spec()
