@@ -34,12 +34,14 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
 
 * Requests have identity semantics (``eq=False``), so membership and
   removal never run field-wise dataclass comparison.
-* Each pool keeps its active set pre-sorted by ``(arrival, rid)`` and
-  carries a running integer sum of context tokens.  The set never
-  exceeds the pool's decode cap, so the decode batch is the whole set,
-  the preemption victim is ``active[-1]`` and the batch's mean context
-  needs no per-step re-summation.  All maintained aggregates are
-  integers, so they equal the from-scratch sums exactly.
+* Each pool keeps its active set sorted by rid, the scheduler order
+  (arrivals are a cumsum of non-negative gaps in rid order, and a
+  preempted or retried request keeps both), with a running integer sum
+  of context tokens.  The set never exceeds the pool's decode cap, so
+  the decode batch is the whole set, the preemption victim is
+  ``active[-1]`` and the batch's mean context needs no per-step
+  re-summation.  All maintained aggregates are integers, so they equal
+  the from-scratch sums exactly.
 * A request's KV holding is one field, ``Request.kv_tokens`` (the
   tokens its held blocks cover), written only by
   :class:`repro.serving.kvpool.PagedKVPool`; a decode step reads it and
@@ -55,9 +57,9 @@ Hot-path design (pinned bit-for-bit by ``tests/test_simcore_golden.py``):
   while it stays, and written back as it leaves, so a completed step
   bumps the counter and then visits, in rid order, only the entries
   due at it; entries of members that left are skipped when popped.  A
-  preemption victim later in rid order than the member being extended
-  gives back the token the walk would not yet have given it.  MTP runs
-  walk the sorted batch every step, as their acceptance draws are per
+  preemption victim other than the member being extended gives back
+  the token the walk would not yet have given it.  MTP runs walk the
+  active set in place every step, as their acceptance draws are per
   member; ``_CALENDAR = False`` walks non-MTP runs too (and folds none
   of their steps), the reference the tests compare against.
 * Quiescent decode steps fold into one *horizon*.  When a decode step
@@ -177,10 +179,7 @@ _CALENDAR = True
 #: Fault kinds the serving simulator consumes (see repro.faults).
 _SERVING_FAULT_KINDS = ("gpu", "node")
 
-#: Scheduler order: oldest first with rid tie-break; the newest member
-#: is the preemption victim.
-_BY_ARRIVAL = attrgetter("arrival", "rid")
-_BY_RID = attrgetter("rid")
+_BY_RID = attrgetter("rid")  # scheduler order (see _Pool)
 _ENTRY_RID = itemgetter(1)  # (step, rid, request) calendar entries
 
 
@@ -279,16 +278,16 @@ def _channel_levels(pools) -> tuple[int, int]:
 class _Pool:
     """Runtime state of one GPU pool.
 
-    ``active`` is kept sorted by ``(arrival, rid)`` — the scheduler
-    order, so ``active[-1]`` is the preemption victim — and
-    ``active_ctx`` is the running integer sum of its members' context
-    tokens (prompt + generated).  Both are maintained incrementally at
-    every admission, emission, preemption and completion, so per-step
-    scheduling is O(batch) with no sorting or re-summation.  The active
-    set never exceeds ``decode_cap`` (admission, prefill formation and
-    fault eviction all keep it so), so every decode step's batch is the
-    whole set.  ``current_kind`` names the in-flight step (``"prefill"``
-    or ``"decode"``) and is ``None`` while the pool is idle.
+    ``active`` is kept sorted by rid — the scheduler order, so
+    ``active[-1]`` is the preemption victim — and ``active_ctx`` is the
+    running integer sum of its members' context tokens (prompt +
+    generated).  Both are maintained incrementally at every admission,
+    emission, preemption and completion, so per-step scheduling is
+    O(batch) with no sorting or re-summation.  The active set never
+    exceeds ``decode_cap`` (admission, prefill formation and fault
+    eviction all keep it so), so every decode step's batch is the whole
+    set.  ``current_kind`` names the in-flight step (``"prefill"`` or
+    ``"decode"``) and is ``None`` while the pool is idle.
 
     Without MTP every member therefore emits exactly one token per
     completed step, and the *due calendar* files one step number per
@@ -337,7 +336,7 @@ class _Pool:
         self.does_decode = does_decode
         self.prefill_queue: deque[Request] = deque()
         self.entry_queue: deque[Request] = deque()  # awaiting KV admission
-        self.active: list[Request] = []  # sorted by (arrival, rid)
+        self.active: list[Request] = []  # sorted by rid
         self.active_ctx = 0  # sum of context tokens over `active`
         self.decode_cap = decode_cap  # concurrent decode streams sustained
         self.current_kind: str | None = None
@@ -364,7 +363,7 @@ class _Pool:
         """Admit a request to the decode set, preserving scheduler order;
         on a calendar pool make its count tick-relative and file its due
         step."""
-        insort(self.active, request, key=_BY_ARRIVAL)
+        insort(self.active, request, key=_BY_RID)
         self.active_ctx += request.prompt_tokens + request.generated
         request.decoding = True
         if self.due is not None:
@@ -373,7 +372,7 @@ class _Pool:
 
     def remove_active(self, request: Request) -> None:
         """Drop a request from the decode set (O(log n) index lookup)."""
-        index = bisect_left(self.active, _BY_ARRIVAL(request), key=_BY_ARRIVAL)
+        index = bisect_left(self.active, request.rid, key=_BY_RID)
         del self.active[index]
         self.depart(request)
 
@@ -818,17 +817,13 @@ class ServingSimulator:
         cfg = self.config
         tracer = self.tracer
         self._admit_entrants(pool, now)
-        if pool.does_prefill and pool.prefill_queue:
+        queue = pool.prefill_queue
+        while pool.does_prefill and queue:
             decode_pool = pools[-1]
             inflight = len(decode_pool.active) + len(decode_pool.entry_queue)
             batch = form_prefill_batch(
-                pool.prefill_queue, pool.kv, cfg.scheduler, inflight, decode_pool.decode_cap
+                queue, pool.kv, cfg.scheduler, inflight, decode_pool.decode_cap
             )
-            if not batch:
-                head = pool.prefill_queue[0]
-                if pool.kv.never_fits(head.context_tokens + 1, self._active_faults):
-                    self._drop(pool.prefill_queue.popleft(), now)
-                    return self._try_start(pool, now, pools, push)
             if batch:
                 tokens = sum(r.prompt_tokens + r.generated for r in batch)
                 duration = cfg.costs.prefill_time(tokens, pool.num_gpus)
@@ -841,6 +836,10 @@ class ServingSimulator:
                         self._span("queued", request, request.queued_since, now)
                 push(now + duration, _STEP_DONE, (pool, pool.step_epoch))
                 return
+            # Drop a head that never fits, offer the next (thousands may queue).
+            if not pool.kv.never_fits(queue[0].context_tokens + 1, self._active_faults):
+                break
+            self._drop(queue.popleft(), now)
         if pool.does_decode and pool.active:
             self._advance_decode(pool, now, pools, push)
 
@@ -858,15 +857,13 @@ class ServingSimulator:
         extends of the members the calendar has due at that step, while
         ``tick`` and ``active_ctx`` advance once for the whole horizon.
         Members' counts are tick-relative (see :class:`_Pool`), so the
-        horizon touches only the members due in it, and the batch is the
-        active set itself, not a copy.  The first step at which a member
-        finishes, or one a re-prefill left under-covered is due, is the
-        queued one.  With
-        MTP each inline step runs :meth:`_finish_step` itself (same
-        draws, same rid order), once the worst case of two tokens per
-        member fits the free KV blocks.
+        horizon touches only the members due in it.  The first step at
+        which a member finishes, or one a re-prefill left under-covered
+        is due, is the queued one.  With MTP each inline step runs
+        :meth:`_finish_step` itself (same draws, same rid order), once
+        the worst case of two tokens per member fits the free KV blocks.
         With ``_HORIZON = 1`` the horizon is always empty: one step per
-        queued event.
+        queued event.  Either way the batch is the active set itself.
         """
         cfg = self.config
         traced = self.tracer.enabled
@@ -879,10 +876,9 @@ class ServingSimulator:
         sample = fold.sample
         due = pool.due
         tick = pool.tick
-        # A calendar step's batch is the active set itself: nothing joins
-        # or leaves a busy pool, and a fault that evicts aborts the step.
-        # The batch walk removes members as it goes, so it takes a copy.
-        batch = pool.active if due is not None else pool.active.copy()
+        # The batch is the active set: nothing joins or leaves a busy
+        # pool, and a fault that evicts aborts the step.
+        batch = pool.active
         context_tokens = pool.active_ctx
         size = len(batch)
         per_device = max(1, math.ceil(size / (2 * pool.num_gpus)))
@@ -915,7 +911,7 @@ class ServingSimulator:
                 pool.current_batch, pool.current_kind, pool.step_start = batch, "decode", now
                 self._finish_step(pool, end, pools, push)
                 self._sample(end, pools)
-                batch, context_tokens = pool.active.copy(), pool.active_ctx
+                context_tokens = pool.active_ctx
             else:
                 # The members due at this step; each crosses a block
                 # unless it finishes or is under-covered (due before the
@@ -1103,35 +1099,39 @@ class ServingSimulator:
                 if need > request.kv_tokens and self._extend(pool, request, need, now, pools):
                     pool.file_due(request)
             return
-        mtp = cfg.costs.mtp
-        mtp_enabled = mtp.enabled
-        acceptance = mtp.acceptance_rate
+        drafting, acceptance = cfg.costs.mtp.enabled, cfg.costs.mtp.acceptance_rate
         uniform = self._mtp_uniform
-        fold = self.fold
-        batch.sort(key=_BY_RID)  # rid order fixes the MTP draw sequence
-        for request in batch:
-            if not request.decoding:
-                continue  # preempted earlier in this loop
-            generated = request.generated
+        # The active set, in rid order (the draw order), walked in place: a
+        # finisher is deleted at its index; _extend preempts only from the
+        # tail (a member preempting itself is the last one).  No member
+        # holds its output yet, so no emission overshoots.
+        attempts = accepted = visited = i = 0
+        size = len(batch)
+        while i < size:
+            request = batch[i]
+            visited += 1
             output_tokens = request.output_tokens
-            emit = 1
-            if mtp_enabled and generated + 1 < output_tokens:
-                fold.draft_attempts += 1
+            generated = request.generated + 1
+            if drafting and generated < output_tokens:
+                attempts += 1
                 if uniform() < acceptance:
-                    fold.draft_accepted += 1
-                    emit = 2
-            new_generated = generated + emit
-            if new_generated > output_tokens:
-                new_generated = output_tokens
-            pool.active_ctx += new_generated - generated
-            request.generated = new_generated
-            if new_generated >= output_tokens:
-                pool.remove_active(request)
+                    accepted += 1
+                    generated += 1
+            request.generated = generated
+            if generated >= output_tokens:
+                del batch[i]
+                size -= 1
+                pool.depart(request)
                 self._finish_request(request, now, pool, from_active=True)
                 continue
-            need = request.prompt_tokens + new_generated + 1
+            need = request.prompt_tokens + generated + 1
             if need > request.kv_tokens:  # the next token needs another block
                 self._extend(pool, request, need, now, pools)
+                size = len(batch)
+            i += 1
+        pool.active_ctx += visited + accepted  # one token each, two if accepted
+        self.fold.draft_attempts += attempts
+        self.fold.draft_accepted += accepted
 
     def _extend(
         self, pool: _Pool, request: Request, need: int, now: float, pools: tuple[_Pool, ...]
@@ -1141,15 +1141,15 @@ class ServingSimulator:
         preempted.
 
         Under the calendar every member already holds this step's token,
-        but the walk only reaches members in rid order, so a victim later
-        in rid order than ``request`` gives its token back as it leaves.
+        but the walk only reaches members in rid order, so every victim
+        but ``request`` itself gives its token back as it leaves.
         """
         kv = pool.kv
         tracer = self.tracer
         while not kv.extend(request, need):
             victim = pool.pop_newest()  # scheduler order
             kv.free(victim)
-            if pool.due is not None and victim.rid > request.rid:
+            if pool.due is not None and victim is not request:
                 victim.generated -= 1
             self.fold.preemptions += 1
             if tracer.enabled:

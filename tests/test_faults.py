@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import networkx as nx
 import pytest
@@ -345,6 +346,26 @@ class TestServingFaults:
         assert w.end == NEVER
         assert w.goodput_after == 0.0
 
+    def test_a_repair_drops_thousands_of_never_fitting_heads(self):
+        """While a fault window is open a request larger than the whole
+        pool queues (the repaired pool might fit it); at the repair every
+        such head is dropped in one loop, with no recursion, however
+        many queued."""
+        config = SimConfig(
+            workload=WorkloadSpec(
+                request_rate=100.0, num_requests=3000, prompt_mean=4096, prompt_cv=0.0
+            ),
+            mode="colocated",
+            kv_blocks_per_gpu=1,
+            faults=FaultSchedule(events=(FaultEvent(time=0.0, kind="gpu", mttr=25.0),)),
+            recovery=RecoveryPolicy(degraded_queue_limit=5000),
+        )
+        report = ServingSimulator(config).run()
+        d = report.degradation
+        assert d.admitted == 3000
+        assert report.completed + d.dropped + d.unserved == d.admitted
+        assert d.dropped > sys.getrecursionlimit()
+
     def test_null_schedule_equals_no_schedule(self):
         base = SimConfig(workload=WorkloadSpec(request_rate=4.0, num_requests=40), seed=2)
         nulled = SimConfig(
@@ -635,6 +656,59 @@ def test_reroute_ties_break_by_the_sorted_rule():
     ]
     damaged = nx.Graph(alive.keys())
     assert nx.shortest_path(damaged, "n0g1", "n1g2") != path
+
+
+def test_reroute_builds_one_live_adjacency_per_fault_boundary(monkeypatch):
+    """The flow simulator hands the policy one capacities mapping per
+    fault boundary, and ``cluster_reroute`` builds the live adjacency
+    once per mapping, however many flows reroute at that boundary."""
+    import repro.faults.network as fault_network
+
+    build = fault_network._live_adjacency
+    builds = []
+
+    def counted_build(adj, capacities):
+        builds.append(capacities)
+        return build(adj, capacities)
+
+    monkeypatch.setattr(fault_network, "_live_adjacency", counted_build)
+    cluster = build_mpft_cluster(4)
+    flows = []
+    for p in (0, 1):
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    src, dst = f"n{a}g{p}", f"n{b}g{p}"
+                    flows.append(Flow(src, dst, 1e9, pxn_path(cluster, src, dst)))
+    schedule = expand_plane_schedule(
+        cluster,
+        FaultSchedule(
+            events=(
+                FaultEvent(time=0.001, kind="plane", target="0"),
+                FaultEvent(time=0.002, kind="plane", target="1"),
+            )
+        ),
+    )
+    policy = cluster_reroute(cluster)
+    handed, calls = [], []
+
+    def counted_policy(flow, capacities):
+        if not handed or handed[-1] is not capacities:
+            handed.append(capacities)
+            calls.append(0)
+        calls[-1] += 1
+        return policy(flow, capacities)
+
+    result = FlowSimulator(cluster.topology).simulate(
+        flows, faults=schedule, reroute=counted_policy
+    )
+    # Plane 0's 12 flows reroute at the first boundary; at the second,
+    # plane 1's 12 and the 12 detours that crossed plane 1.
+    assert calls == [12, 24]
+    assert len(result.fault_report.rerouted) == 24
+    assert len(builds) == 2
+    assert all(b is h for b, h in zip(builds, handed))
+    assert result.fault_report.unfinished == ()
 
 
 # -- checkpoint/restart goodput ------------------------------------------

@@ -32,6 +32,7 @@ from repro.serving import (
     KV_OCCUPANCY,
     QUEUE_DEPTH,
     MTPConfig,
+    Request,
     SchedulerConfig,
     ServingSimulator,
     SimConfig,
@@ -40,6 +41,7 @@ from repro.serving import (
     report_asdict,
 )
 from repro.serving.calqueue import CalendarQueue
+from repro.serving.report import RunFold
 
 DEFAULT_HORIZON = simulator._HORIZON
 DEFAULT_MTP_BLOCK = simulator._MTP_BLOCK
@@ -224,6 +226,87 @@ def test_counts_are_written_back_once_per_departure():
     walk = _outputs(config, DEFAULT_HORIZON, calendar=False)
     for key in calendar:
         assert calendar[key] == walk[key], key
+
+
+class _CountingUniform:
+    """Stands in for the MTP acceptance stream: replays ``values`` in a
+    cycle and counts the draws."""
+
+    def __init__(self, *values: float) -> None:
+        self.values = values
+        self.draws = 0
+
+    def __call__(self) -> float:
+        value = self.values[self.draws % len(self.values)]
+        self.draws += 1
+        return value
+
+
+def _mtp_step(members, total_blocks: int, *draws: float):
+    """Complete one MTP decode step (acceptance 0.5) of a hand-built
+    colocated pool.  ``members`` are ``(output_tokens, generated,
+    spare)`` in rid order, with 8-token prompts and 4-token blocks, each
+    holding the blocks of its context plus ``spare`` tokens; the KV pool
+    is then resized to ``total_blocks``."""
+    config = SimConfig(
+        costs=StepCostModel(mtp=MTPConfig(enabled=True, acceptance_rate=0.5)),
+        prefill_gpus=1,
+        decode_gpus=1,
+        kv_blocks_per_gpu=64,
+        block_tokens=4,
+    )
+    sim = ServingSimulator(config)
+    sim.fold = RunFold(config.slo, sim.metrics, 128, records=True)
+    sim._mtp_uniform = uniform = _CountingUniform(*draws)
+    pools = sim._make_pools()
+    pool = pools[0]
+    requests = []
+    for rid, (output, generated, spare) in enumerate(members):
+        request = Request(rid, 0.0, 8, output, first_token_time=0.0, generated=generated)
+        assert pool.kv.allocate(request, request.context_tokens + spare)
+        pool.add_active(request)
+        requests.append(request)
+    pool.kv.resize(total_blocks)
+    pool.current_batch, pool.current_kind = pool.active, "decode"
+    sim._finish_step(pool, 1.0, pools, None)
+    assert pool.active_ctx == sum(r.context_tokens for r in pool.active)
+    assert sim.fold.draft_attempts == uniform.draws
+    return sim.fold, pool, requests
+
+
+def test_mtp_walk_deletes_a_finishing_member_in_place():
+    """The middle member accepts its draft and finishes; the walk goes on
+    to the member after it, and every visited member drafted once."""
+    fold, pool, (r0, r1, r2) = _mtp_step(
+        [(40, 4, 8), (10, 8, 8), (40, 4, 8)], 128, 0.9, 0.1, 0.9
+    )
+    assert pool.active == [r0, r2]
+    assert (r0.generated, r1.generated, r2.generated) == (5, 10, 5)
+    assert r1.finish_time == 1.0 and r1.kv_tokens == 0
+    assert (fold.draft_attempts, fold.draft_accepted, fold.completed) == (3, 1, 1)
+
+
+def test_mtp_walk_never_visits_a_member_an_extend_preempted():
+    """The first member crosses a block of a full pool and preempts the
+    newest member, which the walk then never reaches."""
+    fold, pool, (r0, r1, r2, r3) = _mtp_step(
+        [(40, 4, 0), (40, 6, 8), (40, 6, 8), (40, 6, 8)], 21, 0.9
+    )
+    assert pool.active == [r0, r1, r2]
+    assert list(pool.prefill_queue) == [r3]
+    assert (r0.generated, r1.generated, r2.generated, r3.generated) == (5, 7, 7, 6)
+    assert r3.kv_tokens == 0 and not r3.decoding
+    assert (fold.draft_attempts, fold.preemptions) == (3, 1)
+
+
+def test_mtp_walk_ends_when_a_member_preempts_itself():
+    """On an over-committed pool the first member's extend preempts the
+    member after it and then itself, the last one left: the walk ends."""
+    fold, pool, (r0, r1) = _mtp_step([(40, 4, 0), (40, 4, 0)], 3, 0.9)
+    assert pool.active == [] and pool.active_ctx == 0
+    assert list(pool.prefill_queue) == [r0, r1]
+    assert (r0.generated, r1.generated) == (5, 4)
+    assert (fold.draft_attempts, fold.preemptions) == (1, 2)
 
 
 def _mtp_outputs(config: SimConfig, block: int) -> dict:
@@ -420,6 +503,9 @@ class _InvariantChecker:
                 r.prompt_tokens + n for r, n in zip(pool.active, counts)
             )
             assert len(pool.active) <= pool.decode_cap
+            # Scheduler order is rid order: the walk and the victim rest on it.
+            rids = [r.rid for r in pool.active]
+            assert all(a < b for a, b in zip(rids, rids[1:]))
             for r, n in zip(pool.active, counts):
                 assert 1 <= n < r.output_tokens
             if pool.due is not None:

@@ -15,6 +15,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
     ServingSimulator,
@@ -60,6 +61,29 @@ def test_column_invariants(name: str) -> None:
     assert columns.prompts.min() >= 1 and columns.outputs.min() >= 1
     assert columns.arrivals.dtype == np.float64
     assert columns.prompts.dtype == np.int64
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.builds(
+        WorkloadSpec,
+        request_rate=st.floats(1e-3, 1e6),
+        num_requests=st.integers(1, 400),
+        prompt_cv=st.sampled_from([0.0, 0.5, 3.0]),
+        output_cv=st.sampled_from([0.0, 0.5, 3.0]),
+        arrival=st.sampled_from(["poisson", "bursty"]),
+        burst_fraction=st.floats(0.001, 0.999),
+        burst_factor=st.floats(1.001, 1e6),
+    ),
+    chunk=st.integers(0, 200).map(lambda k: 2 * k + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arrivals_never_decrease_in_rid(spec: WorkloadSpec, chunk: int, seed: int) -> None:
+    """Rid order is arrival order for any valid spec and chunking: the
+    serving core keys its scheduler order on rid alone."""
+    arrivals = _columns(spec, chunk=chunk, seed=seed).arrivals
+    assert arrivals[0] >= 0.0
+    assert (np.diff(arrivals) >= 0).all()
 
 
 def test_generate_requests_wraps_columns() -> None:
