@@ -41,11 +41,7 @@ NETWORK_FAULT_KINDS = ("link", "switch")
 
 #: A reroute policy: given a flow whose path lost an edge and the
 #: currently alive directed capacities, return a replacement node path
-#: (src..dst) or None to stall the flow until repair.  The flow
-#: simulator hands every call at one fault boundary the same mapping and
-#: each new boundary a new one, never changing a mapping once handed
-#: out, so a policy may keep what it derives from a mapping until it is
-#: handed another.
+#: (src..dst) or None to stall the flow until repair.
 ReroutePolicy = Callable[[Flow, dict], "list[str] | None"]
 
 
@@ -131,24 +127,15 @@ def cluster_reroute(cluster: ClusterNetwork) -> ReroutePolicy:
     shortest paths over the live capacities it returns the
     lexicographically smallest, as every flow builder's equal-cost path
     table orders them, and None when the damaged fabric has no path at
-    all.  The live adjacency is built once per capacities mapping, that
-    is once per fault boundary (see :data:`ReroutePolicy`).
+    all.
     """
     adj = cluster.topology.graph.adj
-    last = live = None  # the last mapping handed in and its live adjacency
 
     def reroute(flow: Flow, capacities: dict) -> list[str] | None:
-        nonlocal last, live
-        if capacities is not last:
-            last, live = capacities, _live_adjacency(adj, capacities)
-        return first_shortest_path(live, flow.src, flow.dst)
+        alive = {
+            node: [nb for nb in neighbors if (node, nb) in capacities]
+            for node, neighbors in adj.items()
+        }
+        return first_shortest_path(alive, flow.src, flow.dst)
 
     return reroute
-
-
-def _live_adjacency(adj: dict, capacities: dict) -> dict[str, list[str]]:
-    """Each node's neighbours over the edges ``capacities`` keeps."""
-    return {
-        node: [nb for nb in neighbors if (node, nb) in capacities]
-        for node, neighbors in adj.items()
-    }

@@ -683,11 +683,6 @@ class FlowSimulator:
         stall_time = now = 0.0
         cursor = 0
         while remaining:
-            if cursor < len(timeline) and timeline[cursor][0] <= now:
-                # Each boundary gets its own mapping, left alone until the
-                # next, so a reroute policy may cache what it derives from
-                # one mapping (see ReroutePolicy).
-                alive = dict(alive)
             while cursor < len(timeline) and timeline[cursor][0] <= now:
                 _, failing, event, edges = timeline[cursor]
                 apply(failing, event, edges, now)

@@ -658,20 +658,25 @@ def test_reroute_ties_break_by_the_sorted_rule():
     assert nx.shortest_path(damaged, "n0g1", "n1g2") != path
 
 
-def test_reroute_builds_one_live_adjacency_per_fault_boundary(monkeypatch):
-    """The flow simulator hands the policy one capacities mapping per
-    fault boundary, and ``cluster_reroute`` builds the live adjacency
-    once per mapping, however many flows reroute at that boundary."""
-    import repro.faults.network as fault_network
+def test_reroute_reads_the_capacities_at_every_call():
+    """The policy derives nothing it keeps from a capacities mapping: a
+    caller that takes edges out of the same dict in place gets a path
+    over the edges left, never one over an edge now down."""
+    cluster = build_mpft_cluster(2, nodes_per_leaf=1)
+    alive = _damaged_capacities(cluster, [], [], set())
+    reroute = cluster_reroute(cluster)
+    flow = Flow("n0g1", "n1g2", 1e6, ["n0g1", "n1g2"])
+    first = reroute(flow, alive)
+    del alive[first[0], first[1]], alive[first[1], first[0]]
+    second = reroute(flow, alive)
+    assert second is not None and second != first
+    assert all((a, b) in alive for a, b in zip(second, second[1:]))
 
-    build = fault_network._live_adjacency
-    builds = []
 
-    def counted_build(adj, capacities):
-        builds.append(capacities)
-        return build(adj, capacities)
-
-    monkeypatch.setattr(fault_network, "_live_adjacency", counted_build)
+def test_reroute_at_two_successive_plane_outages():
+    """Plane 0 goes down, then plane 1: the policy is asked once per
+    broken flow at each boundary (plane 0's 12 flows, then plane 1's 12
+    and the 12 detours that crossed plane 1), and every flow finishes."""
     cluster = build_mpft_cluster(4)
     flows = []
     for p in (0, 1):
@@ -690,24 +695,19 @@ def test_reroute_builds_one_live_adjacency_per_fault_boundary(monkeypatch):
         ),
     )
     policy = cluster_reroute(cluster)
-    handed, calls = [], []
+    calls = []
 
     def counted_policy(flow, capacities):
-        if not handed or handed[-1] is not capacities:
-            handed.append(capacities)
-            calls.append(0)
-        calls[-1] += 1
-        return policy(flow, capacities)
+        calls.append(flow)
+        path = policy(flow, capacities)
+        assert all((a, b) in capacities for a, b in zip(path, path[1:]))
+        return path
 
     result = FlowSimulator(cluster.topology).simulate(
         flows, faults=schedule, reroute=counted_policy
     )
-    # Plane 0's 12 flows reroute at the first boundary; at the second,
-    # plane 1's 12 and the 12 detours that crossed plane 1.
-    assert calls == [12, 24]
+    assert len(calls) == 36
     assert len(result.fault_report.rerouted) == 24
-    assert len(builds) == 2
-    assert all(b is h for b, h in zip(builds, handed))
     assert result.fault_report.unfinished == ()
 
 
